@@ -110,9 +110,9 @@ struct Options {
 
 /// Weak-scaling grid dimensions: a 12^3 block of points (8640 unknowns at
 /// 5 dof) per processor — the paper used a 30^3-per-processor problem
-/// (27000 unknowns); we scale down ~3x per processor to fit a single-core
-/// host simulating all ranks, and scale the runtime's message cost model
-/// so the modeled communication-to-computation balance matches the
+/// (27000 unknowns); we scale down ~3x per processor to fit a 4-vCPU host
+/// simulating all ranks (up to 64), and scale the runtime's message cost
+/// model so the modeled communication-to-computation balance matches the
 /// paper's machine (see runtime::CostModel).
 inline std::array<index_t, 3> grid_dims_for(int nprocs) {
   BERNOULLI_CHECK_MSG(

@@ -478,6 +478,40 @@ void LinkedRunner::prepare_chunk(const LinkedMac& mac) {
   chunk_ok_ = true;
 }
 
+// Classifies the whole plan for the fused outer-range drain. It engages
+// only for the shape whose per-row work try_outer can do with no level
+// stack:
+//   - two enumerate levels, one driver each, the outer one a dense range;
+//   - every probe at BOTH levels is proved all-hit at link time and none
+//     inserts, so no row or leaf element can be filtered or fill in;
+//   - the leaf driver is a compressed (CSR/CCS segment) or blocked (BCSR)
+//     level, whose per-row segment bounds come straight from its ptr;
+//   - the leaf qualifies for bulk drains (bulk_ok_).
+// Operands bound at level 0 (kConst, kAffine) are listed in outer_vary_:
+// the only ones re-flattened per row.
+void LinkedRunner::prepare_outer() {
+  outer_ok_ = false;
+  outer_vary_.clear();
+  if (!bulk_ok_ || lp_.levels.size() != 2) return;
+  for (const LinkedLevel& lv : lp_.levels) {
+    if (lv.method != JoinMethod::kEnumerate || lv.drivers.size() != 1) return;
+    if (!lv.probes.empty() && !lv.proved_all_hit) return;
+  }
+  using K = relation::LevelDescriptor::Kind;
+  if (lp_.levels[0].drivers[0].desc.kind != K::kDense) return;
+  const relation::LevelDescriptor& leaf = lp_.levels[1].drivers[0].desc;
+  if (leaf.kind != K::kCompressed &&
+      !(leaf.kind == K::kBlocked && leaf.block_r > 0 && leaf.block_c > 0))
+    return;
+  auto vary = [&](BulkOp& o) {
+    if (o.src == BulkOp::Src::kConst || o.src == BulkOp::Src::kAffine)
+      outer_vary_.push_back(&o);
+  };
+  vary(bulk_target_);
+  for (BulkOp& o : bulk_ops_) vary(o);
+  outer_ok_ = true;
+}
+
 // The run(LinkedMac) sink. operator() is the per-element multiply-
 // accumulate (unchanged semantics); try_bulk is the hook
 // drain_enumerate_leaf offers a whole leaf invocation to. A local class
@@ -503,6 +537,136 @@ struct LinkedRunner::MacSink {
       mac.target_data[static_cast<std::size_t>(tp)] += prod;
   }
 
+  // Flattens one operand to its BulkOp::at form for the current bindings
+  // (kConst slots and affine parents read from pos_).
+  void refresh(BulkOp& o) const {
+    switch (o.src) {
+      case BulkOp::Src::kConst:
+        o.base = r.pos_[o.slot];
+        o.mp = 0;
+        o.mi = 0;
+        break;
+      case BulkOp::Src::kDriver:
+        o.base = 0;
+        o.mp = -1;
+        o.mi = 0;
+        break;
+      case BulkOp::Src::kIdentity:
+        o.base = 0;
+        o.mp = 0;
+        o.mi = -1;
+        break;
+      case BulkOp::Src::kAffine:
+        o.base = (o.parent_slot < 0
+                      ? 0
+                      : r.pos_[static_cast<std::size_t>(o.parent_slot)]) *
+                 o.stride;
+        o.mp = 0;
+        o.mi = -1;
+        break;
+    }
+  }
+  void refresh_ops() const {
+    refresh(r.bulk_target_);
+    for (BulkOp& o : r.bulk_ops_) refresh(o);
+  }
+
+  // ---- Loop bodies shared by every bulk drain ----------------------
+  // Drains one leaf range: `walk(elem)` calls elem(idx, pos) for every
+  // element in enumeration order, and each product keeps operator()'s
+  // multiplication order (scale first, factors in order). With a
+  // register-cacheable target (bulk_acc_ok_) the target element is fixed
+  // for the range and accumulates in a register — the same addition
+  // sequence into the same element, so bitwise-identical to per-element
+  // stores; otherwise every product stores through its own position.
+  template <class Walk>
+  void mac_range(const Walk& walk) const {
+    value_t* const td = mac.target_data.data();
+    const BulkOp t = r.bulk_target_;
+    if (r.bulk_acc_ok_) {
+      td[t.base] = products(walk, td[t.base],
+                            [](value_t acc, index_t, index_t, value_t p) {
+                              return acc + p;
+                            });
+    } else if (t.src == BulkOp::Src::kIdentity) {
+      // Column-major SpMV scatters into a dense vector at the index.
+      products(walk, 0.0, [td](value_t acc, index_t idx, index_t, value_t p) {
+        td[idx] += p;
+        return acc;
+      });
+    } else {
+      products(walk, 0.0,
+               [td, t](value_t acc, index_t idx, index_t pos, value_t p) {
+                 td[t.at(pos, idx)] += p;
+                 return acc;
+               });
+    }
+  }
+
+  // Folds every element's product into `acc = emit(acc, idx, pos, prod)`
+  // (acc stays a local, so it lives in a register). Two-factor products
+  // specialize the SpMV operand pairs — matrix values at the driver
+  // position times a dense vector at the index (row-major) or at a fixed
+  // element (column-major) — so they load with no address selects.
+  template <class Walk, class Emit>
+  value_t products(const Walk& walk, value_t acc, Emit emit) const {
+    const value_t scale = mac.scale;
+    if (r.bulk_ops_.size() != 2) {
+      walk([&](index_t idx, index_t pos) {
+        value_t prod = scale;
+        for (const BulkOp& o : r.bulk_ops_) prod *= o.data[o.at(pos, idx)];
+        acc = emit(acc, idx, pos, prod);
+      });
+      return acc;
+    }
+    const BulkOp o0 = r.bulk_ops_[0];
+    const BulkOp o1 = r.bulk_ops_[1];
+    auto two = [&](auto f0, auto f1) {
+      walk([&](index_t idx, index_t pos) {
+        value_t prod = scale;
+        prod *= f0(pos, idx);
+        prod *= f1(pos, idx);
+        acc = emit(acc, idx, pos, prod);
+      });
+    };
+    const value_t* const d0 = o0.data;
+    if (o0.src == BulkOp::Src::kDriver && o1.src == BulkOp::Src::kIdentity)
+      two([d0](index_t pos, index_t) { return d0[pos]; },
+          [d1 = o1.data](index_t, index_t idx) { return d1[idx]; });
+    else if (o0.src == BulkOp::Src::kDriver && o1.src == BulkOp::Src::kConst)
+      two([d0](index_t pos, index_t) { return d0[pos]; },
+          [p1 = o1.data + o1.base](index_t, index_t) { return *p1; });
+    else
+      two([o0](index_t pos, index_t idx) { return o0.data[o0.at(pos, idx)]; },
+          [o1](index_t pos, index_t idx) { return o1.data[o1.at(pos, idx)]; });
+    return acc;
+  }
+
+  // Element walks for mac_range. A flat range [k0, k1) of a cursor shape;
+  // a register-blocked range, lanes [cc0, c) of block b0 through lanes
+  // [0, ccN) of block bN, with each r x c block's column base and value
+  // base hoisted — no div/mod per block or per lane.
+  template <class IndexOf, class PosOf>
+  static auto flat_walk(IndexOf index_of, PosOf pos_of, index_t k0,
+                        index_t k1) {
+    return [=](auto&& elem) {
+      for (index_t k = k0; k < k1; ++k) elem(index_of(k), pos_of(k));
+    };
+  }
+  static auto blocked_walk(const index_t* ind, index_t c, index_t bsz,
+                           index_t rofs, index_t b0, index_t cc0, index_t bN,
+                           index_t ccN) {
+    return [=](auto&& elem) {
+      for (index_t b = b0; b <= bN; ++b) {
+        const index_t jb = ind[b] * c;      // first lane index of block
+        const index_t pb = b * bsz + rofs;  // this row's value base
+        const index_t hi = b == bN ? ccN : c;
+        for (index_t cc = b == b0 ? cc0 : 0; cc < hi; ++cc)
+          elem(jb + cc, pb + cc);
+      }
+    };
+  }
+
   // Streams the whole remaining cursor range of leaf invocation `d` as one
   // fused loop, booking counters/stats in bulk. Returns false (nothing
   // consumed, nothing booked) when the invocation is not provably all-hit,
@@ -512,80 +676,34 @@ struct LinkedRunner::MacSink {
     Frame& f = r.frames_[d];
     const LinkedLevel& lv = r.lp_.levels[d];
     relation::Cursor& cur = f.cursors[0];
-    if (cur.remaining() <= 0) return false;
-
-    // All-hit window check: identity/affine probes hit iff
-    // 0 <= idx < extent, so range membership of [mn, mx] settles every
-    // element of an invocation.
+    const index_t k0 = cur.cur;
+    const index_t k1 = cur.end;
+    if (k1 <= k0) return false;
+    // proved_all_hit settled the window at link time from the level's
+    // whole enumerable range; only unproved levels pay the per-invocation
+    // min/max scan. Identity/affine probes hit iff 0 <= idx < extent, so
+    // range membership of [mn, mx] settles every element of an invocation.
+    const bool scan = !lv.probes.empty() && !lv.proved_all_hit;
     auto probes_hit = [&](index_t mn, index_t mx) {
       for (const LinkedProbe& pr : lv.probes)
         if (mn < 0 || mx >= pr.search.extent) return false;
       return true;
     };
-
-    // Book the invocation in bulk: every element enumerates, hits every
-    // probe, and produces — identical totals to the per-element path in
-    // any order, because no element misses.
-    auto book = [&](long long n) {
+    // Consume the invocation, booked in bulk: every element enumerates,
+    // hits every probe, and produces — identical totals to the per-element
+    // path in any order, because no element misses.
+    auto consume = [&] {
+      const long long n = k1 - k0;
       f.inv_enumerated += n;
       f.inv_produced += n;
       c.tuples += n;
       c.probe_hits += n * static_cast<long long>(lv.probes.size());
+      refresh_ops();
+      cur.cur = k1;
     };
 
-    // Flatten each operand to pos = base + mp*driver_pos + mi*idx for
-    // this invocation (kConst slots and affine parents are fixed here).
-    auto refresh = [&](BulkOp& o) {
-      switch (o.src) {
-        case BulkOp::Src::kConst:
-          o.base = r.pos_[o.slot];
-          o.mp = 0;
-          o.mi = 0;
-          break;
-        case BulkOp::Src::kDriver:
-          o.base = 0;
-          o.mp = 1;
-          o.mi = 0;
-          break;
-        case BulkOp::Src::kIdentity:
-          o.base = 0;
-          o.mp = 0;
-          o.mi = 1;
-          break;
-        case BulkOp::Src::kAffine:
-          o.base = (o.parent_slot < 0
-                        ? 0
-                        : r.pos_[static_cast<std::size_t>(o.parent_slot)]) *
-                   o.stride;
-          o.mp = 0;
-          o.mi = 1;
-          break;
-      }
-    };
-    auto refresh_ops = [&] {
-      refresh(r.bulk_target_);
-      for (BulkOp& o : r.bulk_ops_) refresh(o);
-    };
-
-    value_t* const td = mac.target_data.data();
-    const value_t scale = mac.scale;
-    const std::size_t nf = r.bulk_ops_.size();
-    auto prod_of = [&](index_t idx, index_t pos) {
-      value_t prod = scale;
-      for (std::size_t i = 0; i < nf; ++i) {
-        const BulkOp& o = r.bulk_ops_[i];
-        prod *= o.data[o.base + o.mp * pos + o.mi * idx];
-      }
-      return prod;
-    };
-
-    auto bulk = [&](auto index_of, auto pos_of, bool ascending) -> bool {
-      const index_t k0 = cur.cur;
-      const index_t k1 = cur.end;
-      // proved_all_hit settled the window at link time from the level's
-      // whole enumerable range; only unproved levels pay the per-
-      // invocation min/max scan.
-      if (!lv.probes.empty() && !lv.proved_all_hit) {
+    auto flat = [&](auto index_of, auto pos_of, bool ascending) -> bool {
+      if (scan) {
         index_t mn, mx;
         if (ascending) {
           mn = index_of(k0);
@@ -600,52 +718,21 @@ struct LinkedRunner::MacSink {
         }
         if (!probes_hit(mn, mx)) return false;
       }
-
-      book(k1 - k0);
-      refresh_ops();
-
-      const BulkOp& t = r.bulk_target_;
-      if (r.bulk_acc_ok_) {
-        // Same addition sequence into the same element, accumulated in a
-        // register: bitwise-identical to the per-element stores.
-        value_t acc = td[t.base];
-        if (nf == 2) {
-          const BulkOp o0 = r.bulk_ops_[0];
-          const BulkOp o1 = r.bulk_ops_[1];
-          for (index_t k = k0; k < k1; ++k) {
-            const index_t idx = index_of(k);
-            const index_t pos = pos_of(k);
-            value_t prod = scale;
-            prod *= o0.data[o0.base + o0.mp * pos + o0.mi * idx];
-            prod *= o1.data[o1.base + o1.mp * pos + o1.mi * idx];
-            acc += prod;
-          }
-        } else {
-          for (index_t k = k0; k < k1; ++k)
-            acc += prod_of(index_of(k), pos_of(k));
-        }
-        td[t.base] = acc;
-      } else {
-        for (index_t k = k0; k < k1; ++k) {
-          const index_t idx = index_of(k);
-          const index_t pos = pos_of(k);
-          td[t.base + t.mp * pos + t.mi * idx] += prod_of(idx, pos);
-        }
-      }
-      cur.cur = k1;
+      consume();
+      mac_range(flat_walk(index_of, pos_of, k0, k1));
       return true;
     };
 
     switch (cur.kind) {
       case relation::Cursor::Kind::kDenseRange: {
         const index_t base = cur.base;
-        return bulk([](index_t k) { return k; },
+        return flat([](index_t k) { return k; },
                     [base](index_t k) { return base + k; },
                     /*ascending=*/true);
       }
       case relation::Cursor::Kind::kIndArray: {
         const index_t* ind = cur.ind;
-        return bulk([ind](index_t k) { return ind[k]; },
+        return flat([ind](index_t k) { return ind[k]; },
                     [](index_t k) { return k; },
                     /*ascending=*/false);
       }
@@ -653,7 +740,7 @@ struct LinkedRunner::MacSink {
         const index_t* ind = cur.ind;
         const index_t base = cur.base;
         const index_t stride = cur.stride;
-        return bulk([=](index_t k) { return ind[base + k * stride]; },
+        return flat([=](index_t k) { return ind[base + k * stride]; },
                     [=](index_t k) { return base + k * stride; },
                     /*ascending=*/false);
       }
@@ -661,33 +748,26 @@ struct LinkedRunner::MacSink {
         const index_t* ind = cur.ind;
         const index_t* off = cur.off;
         const index_t base = cur.base;
-        return bulk([=](index_t k) { return ind[off[k] + base]; },
+        return flat([=](index_t k) { return ind[off[k] + base]; },
                     [=](index_t k) { return off[k] + base; },
                     /*ascending=*/false);
       }
       case relation::Cursor::Kind::kBuffered: {
         const relation::IndexPos* buf = cur.buf;
-        return bulk([buf](index_t k) { return buf[k].idx; },
+        return flat([buf](index_t k) { return buf[k].idx; },
                     [buf](index_t k) { return buf[k].pos; },
                     /*ascending=*/false);
       }
       case relation::Cursor::Kind::kBlocked: {
-        // Register-blocked micro-kernel: one block-column load and one
-        // position base per r×c block instead of a div/mod per lane. The
-        // lane walk handles an arbitrary k0/k1 (a chunked outer range can
-        // hand us a partial first or last block).
+        // The lane range may start or end mid-block (k0/k1 are arbitrary
+        // lane counters), so the end blocks are found once here.
         const index_t* ind = cur.ind;
-        const index_t ebase = cur.base;
         const index_t c0 = cur.stride;  // block width (lanes per block)
-        const index_t bsz = cur.bsz;
-        const index_t rofs = cur.rofs;
-        const index_t k0 = cur.cur;
-        const index_t k1 = cur.end;
-        if (!lv.probes.empty() && !lv.proved_all_hit) {
+        const index_t b0 = cur.base + k0 / c0;
+        const index_t bN = cur.base + (k1 - 1) / c0;
+        if (scan) {
           // Conservative lane window from the block columns this range
           // touches: every lane of block b lies in [ind[b]*c, ind[b]*c+c).
-          const index_t b0 = ebase + k0 / c0;
-          const index_t bN = ebase + (k1 - 1) / c0;
           index_t mnb = ind[b0];
           index_t mxb = ind[b0];
           for (index_t b = b0 + 1; b <= bN; ++b) {
@@ -696,48 +776,9 @@ struct LinkedRunner::MacSink {
           }
           if (!probes_hit(mnb * c0, mxb * c0 + c0 - 1)) return false;
         }
-        book(k1 - k0);
-        refresh_ops();
-        const BulkOp& t = r.bulk_target_;
-        if (r.bulk_acc_ok_ && nf == 2) {
-          const BulkOp o0 = r.bulk_ops_[0];
-          const BulkOp o1 = r.bulk_ops_[1];
-          value_t acc = td[t.base];
-          index_t k = k0;
-          while (k < k1) {
-            const index_t b = ebase + k / c0;
-            const index_t cc0 = k % c0;
-            const index_t cc1 = std::min<index_t>(c0, cc0 + (k1 - k));
-            const index_t jb = ind[b] * c0;   // first lane index of block
-            const index_t pb = b * bsz + rofs;  // this row's value base
-            for (index_t cc = cc0; cc < cc1; ++cc) {
-              const index_t idx = jb + cc;
-              const index_t pos = pb + cc;
-              value_t prod = scale;
-              prod *= o0.data[o0.base + o0.mp * pos + o0.mi * idx];
-              prod *= o1.data[o1.base + o1.mp * pos + o1.mi * idx];
-              acc += prod;
-            }
-            k += cc1 - cc0;
-          }
-          td[t.base] = acc;
-        } else {
-          index_t k = k0;
-          while (k < k1) {
-            const index_t b = ebase + k / c0;
-            const index_t cc0 = k % c0;
-            const index_t cc1 = std::min<index_t>(c0, cc0 + (k1 - k));
-            const index_t jb = ind[b] * c0;
-            const index_t pb = b * bsz + rofs;
-            for (index_t cc = cc0; cc < cc1; ++cc) {
-              const index_t idx = jb + cc;
-              const index_t pos = pb + cc;
-              td[t.base + t.mp * pos + t.mi * idx] += prod_of(idx, pos);
-            }
-            k += cc1 - cc0;
-          }
-        }
-        cur.cur = k1;
+        consume();
+        mac_range(blocked_walk(ind, c0, cur.bsz, cur.rofs, b0, k0 % c0, bN,
+                               (k1 - 1) % c0 + 1));
         return true;
       }
       case relation::Cursor::Kind::kSingleton:
@@ -745,6 +786,99 @@ struct LinkedRunner::MacSink {
     }
     return false;
   }
+
+  // Fused outer-range drain: run_span offers the open level-0 frame
+  // whenever the engine sits at the outer level. When prepare_outer
+  // engaged, the whole remaining outer range [cur, end) drains in one
+  // loop — per row only the level-0 bindings and probes, the leaf
+  // segment bounds, the try_bulk loop body over that segment and the
+  // per-row bookings — instead of one next_binding / open_frame /
+  // drain_enumerate_leaf / close_frame round trip per row. Rows drain in
+  // order and each row's segment runs the very loop body try_bulk would,
+  // so outputs are bitwise-identical; counters, the level-1 fan-out
+  // samples, per-level stats and profile work counts book exactly what
+  // the per-row path books (order-invariant totals). Chunk clamps are
+  // respected: only the frame's own [cur, end) is consumed.
+  void try_outer(LocalCounters& c, RunStats* st) const {
+    if (!r.outer_ok_ || !bulk_drain_enabled()) return;
+    relation::Cursor& cur = r.frames_[0].cursors[0];  // a dense row range
+    if (!cur.valid()) return;
+    const LinkedLevel& lv0 = r.lp_.levels[0];
+    const LinkedLevel& lv1 = r.lp_.levels[1];
+    const relation::LevelDescriptor& leaf = lv1.drivers[0].desc;
+    const std::size_t var0 = static_cast<std::size_t>(lv0.var_slot);
+    const std::size_t pos0 = static_cast<std::size_t>(lv0.drivers[0].pos_slot);
+    const int pslot = lv1.drivers[0].parent_slot;
+    long long* const fan1 = r.fanout_local_[1].data();
+    const bool blocked =
+        leaf.kind == relation::LevelDescriptor::Kind::kBlocked;
+    const bool prof = support::profiling_enabled();
+    const long long prof_t0 = prof ? support::profile_now_ns() : 0;
+    refresh_ops();  // operands not bound at level 0 are fixed from here on
+    const index_t k0 = cur.cur;
+    const index_t k1 = cur.end;
+    long long w = 0;  // leaf tuples over the range
+
+    // `segment(parent)` drains one row's leaf segment and returns its size.
+    auto rows = [&](auto segment) {
+      for (index_t k = k0; k < k1; ++k) {
+        r.vars_[var0] = k;
+        r.pos_[pos0] = cur.base + k;
+        // Proved all-hit: books the level-0 hits and fills probe slots.
+        (void)r.resolve_probes(lv0, c);
+        for (BulkOp* o : r.outer_vary_) refresh(*o);
+        const index_t n = segment(
+            pslot < 0 ? 0 : r.pos_[static_cast<std::size_t>(pslot)]);
+        w += n;
+        ++fan1[static_cast<std::size_t>(
+            support::Log2Histogram::bucket_of(n))];
+      }
+    };
+    if (blocked) {
+      const index_t br = leaf.block_r;
+      const index_t bc = leaf.block_c;
+      rows([&](index_t parent) -> index_t {
+        const index_t b0 = leaf.ptr[parent / br];
+        const index_t b1 = leaf.ptr[parent / br + 1];
+        if (b1 > b0)
+          mac_range(blocked_walk(leaf.ind, bc, br * bc, (parent % br) * bc,
+                                 b0, 0, b1 - 1, bc));
+        return (b1 - b0) * bc;
+      });
+    } else {
+      const index_t* ind = leaf.ind;
+      rows([&](index_t parent) -> index_t {
+        const index_t s0 = leaf.ptr[parent];
+        const index_t s1 = leaf.ptr[parent + 1];
+        if (s1 > s0)
+          mac_range(flat_walk([ind](index_t k) { return ind[k]; },
+                              [](index_t k) { return k; }, s0, s1));
+        return s1 - s0;
+      });
+    }
+    cur.cur = k1;
+
+    // Per-row totals, booked once: level 0 enumerates and produces every
+    // row (closed by close_frame(0)); level 1 closes one frame per row.
+    r.frames_[0].inv_enumerated += k1 - k0;
+    r.frames_[0].inv_produced += k1 - k0;
+    c.tuples += w;
+    c.enumerated += w;
+    c.probe_hits += w * static_cast<long long>(lv1.probes.size());
+    if (st) {
+      st->levels[1].enumerated += w;
+      st->levels[1].produced += w;
+    }
+    if (prof) {
+      // One exact interval per drained range, like the sliced drain.
+      const int kind = blocked ? support::kProfBlocked : support::kProfBulk;
+      r.prof_.add_work(0, support::kProfTuple, k1 - k0);
+      r.prof_.add_work(1, kind, w);
+      if (w > 0)
+        r.prof_.book_ns(1, kind, support::profile_now_ns() - prof_t0, w);
+    }
+  }
+
 
   // Chunk-wide sliced drain: run_span offers the open level-0 frame
   // whenever the engine sits at the outer level. Consumes whole sigma-
@@ -786,8 +920,8 @@ struct LinkedRunner::MacSink {
     auto flat = [](const BulkOp& o) {
       BulkOp f = o;
       f.base = 0;
-      f.mp = o.src == BulkOp::Src::kDriver ? 1 : 0;
-      f.mi = o.src == BulkOp::Src::kIdentity ? 1 : 0;
+      f.mp = o.src == BulkOp::Src::kDriver ? -1 : 0;
+      f.mi = o.src == BulkOp::Src::kIdentity ? -1 : 0;
       return f;
     };
     const BulkOp o0 = flat(r.bulk_ops_[0]);
@@ -910,8 +1044,8 @@ struct LinkedRunner::MacSink {
             const index_t pp = p + lane;
             const index_t idx = ind[pp];
             value_t prod = scale;
-            prod *= o0.data[o0.mp * pp + o0.mi * idx];
-            prod *= o1.data[o1.mp * pp + o1.mi * idx];
+            prod *= o0.data[o0.at(pp, idx)];
+            prod *= o1.data[o1.at(pp, idx)];
             acc[static_cast<std::size_t>(lane)] += prod;
           }
         }
@@ -1076,9 +1210,14 @@ void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
   while (true) {
     // At the outer level, offer any whole sliced windows to the chunk-
     // wide drain first (no-op unless prepare_chunk engaged and the
-    // cursor sits on a window boundary with a full window left).
+    // cursor sits on a window boundary with a full window left), then the
+    // rest of the range to the fused outer drain (no-op unless
+    // prepare_outer engaged).
     if constexpr (requires { sink.try_chunk(c, stats); }) {
-      if (d == 0) sink.try_chunk(c, stats);
+      if (d == 0) {
+        sink.try_chunk(c, stats);
+        sink.try_outer(c, stats);
+      }
     }
     if (d == leaf && lp_.levels[d].method == JoinMethod::kEnumerate) {
       if (prof_bracket) {
@@ -1191,6 +1330,7 @@ void LinkedRunner::run(const LinkedMac& mac, RunStats* stats) {
       static_cast<std::size_t>(lp_.leaf_slot[mac.target_slot]);
   prepare_bulk(mac);
   prepare_chunk(mac);
+  prepare_outer();
   traced(lp_, stats, [&](RunStats* st) {
     run_impl(MacSink{*this, mac, tslot}, st);
   });
@@ -1366,6 +1506,7 @@ void ParallelRunner::run(const LinkedMac& mac, RunStats* stats) {
             static_cast<std::size_t>(r.lp_.leaf_slot[mac.target_slot]);
         r.prepare_bulk(mac);
         r.prepare_chunk(mac);
+        r.prepare_outer();
         return LinkedRunner::MacSink{r, mac, tslot};
       },
       stats);

@@ -315,10 +315,14 @@ class LinkedRunner {
     std::size_t slot = 0;           // kConst: pos_ slot read per invocation
     index_t stride = 0;             // kAffine
     int parent_slot = -1;           // kAffine
-    // Per-invocation flattened form: pos = base + mp*driver_pos + mi*idx.
+    // Per-invocation flattened form: pos = base + (mp & driver_pos) +
+    // (mi & idx), mp/mi all-ones or zero — a select, not a multiply.
     index_t base = 0;
     index_t mp = 0;
     index_t mi = 0;
+    index_t at(index_t pos, index_t idx) const {
+      return base + (mp & pos) + (mi & idx);
+    }
   };
   // The run(LinkedMac) sink: per-element multiply-accumulate plus the
   // try_bulk hook drain_enumerate_leaf detects. Defined in exec_linked.cpp
@@ -330,6 +334,10 @@ class LinkedRunner {
   // level dense-rows x sliced-leaf mac with proved all-hit probes and a
   // register-cacheable target) and fills chunk_* members.
   void prepare_chunk(const LinkedMac& mac);
+  // Classifies the whole plan for the fused outer-range drain (a two-
+  // level enumerate plan with proved all-hit probes over a compressed or
+  // blocked leaf) and fills outer_* members.
+  void prepare_outer();
 
   LinkedPlan lp_;
   std::vector<index_t> vars_;
@@ -366,6 +374,13 @@ class LinkedRunner {
   std::vector<index_t> chunk_lens_;  // per-slot live length
   std::vector<index_t> chunk_tpos_;  // per-slot target position
   std::vector<value_t> chunk_acc_;   // per-lane accumulators
+  // --- Fused outer-range drain (run(LinkedMac) only) -----------------
+  // When a two-level plan drives a compressed or blocked leaf with every
+  // probe proved all-hit, the whole outer cursor range drains in one loop
+  // (per row: level-0 bindings, the leaf segment bounds, the bulk loop
+  // body) instead of walking the level stack once per row.
+  bool outer_ok_ = false;
+  std::vector<BulkOp*> outer_vary_;  // operands re-flattened per row
   // Per-level local fan-out buckets, flushed to the registry histograms
   // once per run (kBuckets wide, see support/histogram.hpp).
   std::vector<std::vector<long long>> fanout_local_;

@@ -1,7 +1,8 @@
 // Simulated distributed-memory machine (DESIGN.md §3, substitution 1).
 //
-// The paper ran on an IBM SP-2 under MPI. This host has a single core, so
-// instead of real parallel hardware the runtime provides:
+// The paper ran on an IBM SP-2 under MPI. The development host has 4
+// vCPUs — far fewer cores than the up-to-64 ranks the benches simulate — so
+// instead of real distributed-memory hardware the runtime provides:
 //   - P ranks executed as threads with private address spaces by
 //     convention (ranks communicate only through messages);
 //   - typed point-to-point send/recv with (source, tag) matching, plus
@@ -34,9 +35,9 @@ namespace bernoulli::runtime {
 /// that the modeled communication-to-computation balance of the benchmark
 /// problems matches the paper's configuration (DESIGN.md §3): the paper's
 /// machine paid ~40us latency / ~35 MB/s against ~50 MFLOPS nodes and a
-/// 30^3-points-per-processor problem; this host's single core runs the
-/// kernels ~40x faster on a ~3x smaller per-processor block, so latency
-/// and bandwidth are scaled by the corresponding factors.
+/// 30^3-points-per-processor problem; one core of the 4-vCPU development
+/// host runs the kernels ~40x faster on a ~3x smaller per-processor block,
+/// so latency and bandwidth are scaled by the corresponding factors.
 struct CostModel {
   double latency_s = 1e-6;        // per-message overhead
   double bytes_per_s = 2e9;       // link bandwidth
@@ -96,7 +97,9 @@ class Process {
                         "message size " << raw.size()
                                         << " not a multiple of element size");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    // An empty message leaves out.data() null, and memcpy's pointer
+    // arguments must be valid even for a zero-byte copy.
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
     return out;
   }
 

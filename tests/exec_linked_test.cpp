@@ -140,13 +140,76 @@ index_t block_for(index_t rows, index_t cols) {
   return 1;
 }
 
+// Matrix shapes beyond uniform random fill, aimed at the edges of the
+// drains: runs of empty rows at either end, empty matrices and empty
+// dimensions, one dense row among empty ones, empty columns (the
+// column-major scatter), and a BCSR whose last block row holds one live
+// row over a row count that thread chunks would split mid-block-row.
+enum class Shape {
+  kRandom,
+  kLeadingEmptyRows,
+  kTrailingEmptyRows,
+  kAllEmpty,
+  kOneDenseRow,
+  kEmptyColumns,
+  kBlockRowTail,
+};
+
+std::string shape_name(Shape s) {
+  switch (s) {
+    case Shape::kRandom: return "";
+    case Shape::kLeadingEmptyRows: return "_leading_empty";
+    case Shape::kTrailingEmptyRows: return "_trailing_empty";
+    case Shape::kAllEmpty: return "_all_empty";
+    case Shape::kOneDenseRow: return "_one_dense_row";
+    case Shape::kEmptyColumns: return "_empty_cols";
+    case Shape::kBlockRowTail: return "_block_row_tail";
+  }
+  return "?";
+}
+
 struct Case {
   Storage storage;
   index_t rows;
   index_t cols;
   index_t nnz;
   std::uint64_t seed;
+  Shape shape = Shape::kRandom;
 };
+
+Coo case_matrix(const Case& c) {
+  if (c.shape == Shape::kRandom)
+    return random_matrix(c.rows, c.cols, c.nnz, c.seed);
+  SplitMix64 rng(c.seed);
+  TripletBuilder b(c.rows, c.cols);
+  auto add = [&](index_t i, index_t j) {
+    b.add(i, j, rng.next_double(-1.0, 1.0));
+  };
+  const index_t half = c.rows / 2;
+  for (index_t k = 0; k < c.nnz && c.rows > 0 && c.cols > 0; ++k) {
+    const index_t j = rng.next_index(c.cols);
+    switch (c.shape) {
+      case Shape::kLeadingEmptyRows:
+        add(half + rng.next_index(c.rows - half), j);
+        break;
+      case Shape::kTrailingEmptyRows:
+        add(rng.next_index(std::max<index_t>(1, half)), j);
+        break;
+      case Shape::kEmptyColumns:
+        add(rng.next_index(c.rows), j - j % 3);  // only every third column
+        break;
+      default: break;
+    }
+  }
+  if (c.shape == Shape::kOneDenseRow && c.rows > 0)
+    for (index_t j = 0; j < c.cols; ++j) add(c.rows / 3, j);
+  if (c.shape == Shape::kBlockRowTail && c.rows > 0) {
+    // Block rows of 4: the first and the last hold one live row each.
+    for (index_t j = 0; j < c.cols; j += 2) add(1, j);
+    for (index_t j = 1; j < c.cols; j += 3) add(c.rows - 4, j);
+  }
+  return std::move(b).build();
+}
 
 class LinkedSweep : public ::testing::TestWithParam<Case> {};
 
@@ -223,6 +286,34 @@ std::vector<Case> make_cases() {
     cases.push_back({s, 24, 24, 400, seed++});  // dense-ish, duplicates
   }
   return cases;
+}
+
+// make_cases() plus the adversarial shapes, for the sweeps that guard the
+// drains (BulkDrainSweep, ParallelSweep).
+std::vector<Case> make_edge_cases() {
+  std::vector<Case> cases = make_cases();
+  std::uint64_t seed = 1900;
+  for (Storage s : {Storage::kCsr, Storage::kCcs, Storage::kCoo,
+                    Storage::kEll, Storage::kBsr, Storage::kSell,
+                    Storage::kDenseMatrix, Storage::kCsrHashed}) {
+    cases.push_back({s, 24, 20, 60, seed++, Shape::kLeadingEmptyRows});
+    cases.push_back({s, 24, 20, 60, seed++, Shape::kTrailingEmptyRows});
+    cases.push_back({s, 16, 12, 0, seed++, Shape::kAllEmpty});
+    cases.push_back({s, 0, 8, 0, seed++, Shape::kAllEmpty});
+    cases.push_back({s, 8, 0, 0, seed++, Shape::kAllEmpty});
+    cases.push_back({s, 21, 17, 0, seed++, Shape::kOneDenseRow});
+    cases.push_back({s, 18, 24, 80, seed++, Shape::kEmptyColumns});
+    cases.push_back({s, 20, 20, 0, seed++, Shape::kBlockRowTail});
+  }
+  return cases;
+}
+
+std::string case_name(const ::testing::TestParamInfo<Case>& info) {
+  const Case& c = info.param;
+  std::ostringstream os;
+  os << storage_name(c.storage) << "_" << c.rows << "x" << c.cols << "_nnz"
+     << c.nnz << shape_name(c.shape);
+  return os.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStorages, LinkedSweep,
@@ -405,6 +496,14 @@ std::map<std::string, std::vector<long long>> fanout_delta(
   return d;
 }
 
+// Exact per-(level, drain kind) profile work counts, flattened.
+std::vector<long long> profile_work(const support::ProfileSnapshot& s) {
+  std::vector<long long> w;
+  for (int d = 0; d < support::kProfileMaxLevels; ++d)
+    for (int k = 0; k < support::kProfKinds; ++k) w.push_back(s.work[d][k]);
+  return w;
+}
+
 class ParallelSweep : public ::testing::TestWithParam<Case> {};
 
 // The contract extends to threads: for every storage and every thread
@@ -416,7 +515,7 @@ class ParallelSweep : public ::testing::TestWithParam<Case> {};
 TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
   const Case& c = GetParam();
   SplitMix64 rng(c.seed);
-  Coo coo = random_matrix(c.rows, c.cols, c.nnz, c.seed);
+  Coo coo = case_matrix(c);
 
   Vector x(static_cast<std::size_t>(c.cols));
   for (auto& v : x) v = rng.next_double(-1, 1);
@@ -460,8 +559,18 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
   auto ir_fanout = fanout_delta(hist_before, support::histograms_snapshot());
   Vector y_interp = y;
 
+  // Profile work counts are exact integer sums: the serial linked run's
+  // must be reproduced by every thread count.
+  support::set_profiling(true);
+  support::profile_reset();
+  std::fill(y.begin(), y.end(), 0.0);
+  run_linked_mac(k.plan(), k.query(), target, factors);
+  const std::vector<long long> serial_work =
+      profile_work(support::profile_snapshot());
+
   for (int threads : {1, 2, 4, 8}) {
     std::fill(y.begin(), y.end(), 0.0);
+    support::profile_reset();
     auto hb = support::histograms_snapshot();
     auto before = support::counters_snapshot();
     ParallelRunner runner(link_plan(k.plan(), k.query()), threads);
@@ -472,9 +581,13 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
     EXPECT_EQ(ir_fanout,
               fanout_delta(hb, support::histograms_snapshot()))
         << "threads=" << threads;
+    EXPECT_EQ(serial_work, profile_work(support::profile_snapshot()))
+        << "threads=" << threads;
     for (std::size_t i = 0; i < y.size(); ++i)
       EXPECT_EQ(y[i], y_interp[i]) << "threads=" << threads << " row " << i;
   }
+  support::set_profiling(false);
+  support::profile_reset();
 
   // The Action-sink path fans out too (distinct outer bindings only, so a
   // concurrently-invoked accumulate into disjoint rows is safe).
@@ -489,14 +602,7 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStorages, ParallelSweep,
-                         ::testing::ValuesIn(make_cases()),
-                         [](const ::testing::TestParamInfo<Case>& info) {
-                           const Case& c = info.param;
-                           std::ostringstream os;
-                           os << storage_name(c.storage) << "_" << c.rows
-                              << "x" << c.cols << "_nnz" << c.nnz;
-                           return os.str();
-                         });
+                         ::testing::ValuesIn(make_edge_cases()), case_name);
 
 // ---- Bulk leaf-range drains: fused loop vs per-tuple callbacks ------
 
@@ -512,7 +618,7 @@ class BulkDrainSweep : public ::testing::TestWithParam<Case> {};
 TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
   const Case& c = GetParam();
   SplitMix64 rng(c.seed);
-  Coo coo = random_matrix(c.rows, c.cols, c.nnz, c.seed);
+  Coo coo = case_matrix(c);
 
   Vector x(static_cast<std::size_t>(c.cols));
   for (auto& v : x) v = rng.next_double(-1, 1);
@@ -549,36 +655,76 @@ TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
   const index_t target = 1;
   const std::vector<index_t> factors{2, 3};
 
-  // Reference: per-tuple callbacks, bulk drains disabled.
+  // Reference: per-tuple callbacks, bulk drains disabled. Profiling is on
+  // for both runs: the drains book their work under their own drain kind,
+  // but each level's total work must match the per-tuple path's.
+  support::set_profiling(true);
+  support::profile_reset();
   set_bulk_drain(false);
   auto hb_slow = support::histograms_snapshot();
   EngineRun slow = run_linked_mac(k.plan(), k.query(), target, factors);
   auto slow_fanout =
       fanout_delta(hb_slow, support::histograms_snapshot());
+  const support::ProfileSnapshot slow_prof = support::profile_snapshot();
   Vector y_slow = y;
 
-  // Bulk drains back on (the process default) before any assertion can
-  // bail out of the test body.
+  // Bulk drains back on (the process default) and profiling off before
+  // any assertion can bail out of the test body.
   set_bulk_drain(true);
+  support::profile_reset();
   std::fill(y.begin(), y.end(), 0.0);
   auto hb_fast = support::histograms_snapshot();
   EngineRun fast = run_linked_mac(k.plan(), k.query(), target, factors);
+  const support::ProfileSnapshot fast_prof = support::profile_snapshot();
+  support::set_profiling(false);
+  support::profile_reset();
+
   expect_same_work(slow, fast);
   EXPECT_EQ(slow_fanout,
             fanout_delta(hb_fast, support::histograms_snapshot()));
+  for (int d = 0; d < support::kProfileMaxLevels; ++d)
+    EXPECT_EQ(slow_prof.level_work(d), fast_prof.level_work(d))
+        << "level " << d;
   for (std::size_t i = 0; i < y.size(); ++i)
     EXPECT_EQ(y[i], y_slow[i]) << "row " << i;  // bitwise
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStorages, BulkDrainSweep,
-                         ::testing::ValuesIn(make_cases()),
-                         [](const ::testing::TestParamInfo<Case>& info) {
-                           const Case& c = info.param;
-                           std::ostringstream os;
-                           os << storage_name(c.storage) << "_" << c.rows
-                              << "x" << c.cols << "_nnz" << c.nnz;
-                           return os.str();
-                         });
+                         ::testing::ValuesIn(make_edge_cases()), case_name);
+
+// y += A y: the factor vector IS the target, so a drain must re-read
+// every factor element after the stores before it, exactly like the
+// per-tuple path (the column-major scatter reads y[j] while writing y[i]).
+TEST(LinkedExec, AliasedTargetAndFactorMatchPerTuplePath) {
+  Coo coo = random_matrix(30, 30, 200, 27);
+  formats::Csr csr = formats::Csr::from_coo(coo);
+  formats::Ccs ccs = formats::Ccs::from_coo(coo);
+  for (Storage storage : {Storage::kCsr, Storage::kCcs}) {
+    Vector y(30);
+    Vector y_start(30);
+    SplitMix64 rng(28);
+    for (auto& v : y_start) v = rng.next_double(-1, 1);
+    Bindings b;
+    if (storage == Storage::kCsr) b.bind_csr("A", csr);
+    if (storage == Storage::kCcs) b.bind_ccs("A", ccs);
+    b.bind_dense_vector("X", ConstVectorView(y));
+    b.bind_dense_vector("Y", VectorView(y));
+    LoopNest nest{{{"i", 30}, {"j", 30}},
+                  {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+    CompiledKernel k = compile(nest, b);
+
+    set_bulk_drain(false);
+    y = y_start;
+    EngineRun slow = run_linked_mac(k.plan(), k.query(), 1, {2, 3});
+    const Vector y_slow = y;
+    set_bulk_drain(true);
+    y = y_start;
+    EngineRun fast = run_linked_mac(k.plan(), k.query(), 1, {2, 3});
+    expect_same_work(slow, fast);
+    for (std::size_t i = 0; i < y.size(); ++i)
+      EXPECT_EQ(y[i], y_slow[i]) << storage_name(storage) << " row " << i;
+  }
+}
 
 // ---- Profiling is a pure observer -----------------------------------
 

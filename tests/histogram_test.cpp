@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "support/histogram.hpp"
 #include "support/json_reader.hpp"
@@ -41,6 +42,30 @@ TEST(Log2Histogram, PowerOfTwoBoundaries) {
   EXPECT_EQ(Log2Histogram::bucket_of((1LL << 38) - 1), 38);
   EXPECT_EQ(Log2Histogram::bucket_of(1LL << 38), 39);
   EXPECT_EQ(Log2Histogram::bucket_of(1LL << 39), 39);  // clamps, no 40
+}
+
+TEST(Log2Histogram, BitWidthMatchesLinearScan) {
+  // bucket_of is a clamped bit width; the linear scan it replaced is the
+  // bucket definition spelled out. Every power-of-two edge (2^k - 1, 2^k,
+  // 2^k + 1 for k < 63), zero, negatives and LLONG_MAX must agree.
+  auto scan = [](long long value) {
+    if (value <= 0) return 0;
+    int k = 1;
+    while (k < Log2Histogram::kBuckets - 1 && value >= (1LL << k)) ++k;
+    return k;
+  };
+  std::vector<long long> values{0,
+                                -1,
+                                -2,
+                                -1000,
+                                std::numeric_limits<long long>::min(),
+                                std::numeric_limits<long long>::max()};
+  for (int k = 0; k < 63; ++k) {
+    const long long p = 1LL << k;
+    values.insert(values.end(), {p - 1, p, p + 1});
+  }
+  for (long long v : values)
+    EXPECT_EQ(Log2Histogram::bucket_of(v), scan(v)) << "value " << v;
 }
 
 TEST(Log2Histogram, FlushRepresentativeRoundTrips) {

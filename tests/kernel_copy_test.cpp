@@ -97,14 +97,19 @@ TEST(KernelCopy, CopyWhileAnotherThreadRunsIsSafe) {
       compile_spmv(b, A, ConstVectorView(x), VectorView(y));
 
   constexpr int kRuns = 300;
+  std::atomic<bool> copying{false};
   std::atomic<bool> done{false};
+  // The runs start only once the copy loop is about to start, so the two
+  // overlap however fast a run is.
   std::thread runner([&] {
+    while (!copying.load(std::memory_order_acquire)) std::this_thread::yield();
     for (int i = 0; i < kRuns; ++i) k.run();
     done.store(true, std::memory_order_release);
   });
 
   std::vector<compiler::CompiledKernel> copies;
   int taken = 0;
+  copying.store(true, std::memory_order_release);
   while (!done.load(std::memory_order_acquire)) {
     compiler::CompiledKernel c(k);
     ++taken;

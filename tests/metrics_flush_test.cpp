@@ -84,13 +84,18 @@ TEST(MetricsFlush, ConcurrentSnapshotsNeverSeeTornFlush) {
       compile_spmv(b, A, ConstVectorView(x), VectorView(y));
   constexpr int kRuns = 400;
 
+  std::atomic<bool> watching{false};
   std::atomic<bool> done{false};
+  // The runs start only once the snapshot loop is about to start, so the
+  // two overlap however fast a run is.
   std::thread runner([&] {
+    while (!watching.load(std::memory_order_acquire)) std::this_thread::yield();
     for (int i = 0; i < kRuns; ++i) k.run();
     done.store(true, std::memory_order_release);
   });
 
   long long checks = 0;
+  watching.store(true, std::memory_order_release);
   while (!done.load(std::memory_order_acquire)) {
     const support::MetricsSnapshot s = support::metrics_snapshot();
     const auto [sum, wall] = latency_vs_wall(s);

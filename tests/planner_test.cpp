@@ -60,12 +60,12 @@ TEST(Planner, CostDecreasesWithSparsity) {
   auto plan_cost = [](index_t nnz) {
     static std::vector<std::unique_ptr<Csr>> keep;  // keep storage alive
     keep.push_back(std::make_unique<Csr>(Csr::from_coo(sample(100, nnz, 3))));
-    relation::CsrView* a = new relation::CsrView("A", *keep.back());
-    relation::IntervalView* i = new relation::IntervalView("I", {100, 100});
+    relation::CsrView a("A", *keep.back());
+    relation::IntervalView i("I", {100, 100});
     Query q;
     q.vars = {"i", "j"};
-    q.relations.push_back({i, {"i", "j"}, true, false, true});
-    q.relations.push_back({a, {"i", "j"}, true, false, false});
+    q.relations.push_back({&i, {"i", "j"}, true, false, true});
+    q.relations.push_back({&a, {"i", "j"}, true, false, false});
     return plan_query(q).total_cost;
   };
   EXPECT_LT(plan_cost(50), plan_cost(2000));
