@@ -1,22 +1,26 @@
 // Per-row cost of the linked engine against the hand kernels.
 //
-// y += A x on banded n x n matrices with w stored entries per row (about
-// 1M entries each, w from 2 to 64), in csr, ccs and bcsr(4). The linked
-// serial engine (LinkedRunner) and the format's spmv_add run alternately,
-// and each keeps its fastest of 25 runs (--small: 5 runs on ~64k-entry
-// matrices), so a slow stretch of a shared host hits both sides alike.
+// y += A x in csr, ccs, bcsr(4) and sell(C=8, sigma=32) on about 1M
+// stored entries each (--small: ~64k): banded n x n matrices with w
+// entries per row (w from 2 to 64), and one matrix with Pareto-skewed row
+// lengths (alpha 1.5, at least 2, mean ~6, random columns; most rows short,
+// a few long). The linked serial engine (LinkedRunner) and the format's
+// spmv_add run alternately, and each keeps its fastest of 25 runs
+// (--small: 5), so a slow stretch of a shared host hits both sides alike.
 // The table prints ns per stored entry for both and the difference per
 // row: (linked - kernel) / rows. A fixed per-row cost shows as a gap that
 // stays flat while w grows.
 //
 //   build/bench/bench_row_cost [--small]
 #include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <string>
 
 #include "compiler/link.hpp"
 #include "compiler/loopnest.hpp"
 #include "formats/formats.hpp"
+#include "support/rng.hpp"
 #include "support/text_table.hpp"
 #include "support/timer.hpp"
 
@@ -37,6 +41,22 @@ formats::Coo banded(index_t n, int w) {
   return std::move(b).build();
 }
 
+// Pareto(alpha = 1.5, x_min = 2) row lengths capped at n / 20, uniform
+// columns.
+formats::Coo pareto(index_t n) {
+  SplitMix64 rng(13);
+  formats::TripletBuilder b(n, n);
+  const double cap = static_cast<double>(n) / 20.0;
+  for (index_t i = 0; i < n; ++i) {
+    const double u = 1.0 - rng.next_double();  // (0, 1]
+    const auto len = static_cast<index_t>(
+        std::min(cap, 2.0 * std::pow(u, -1.0 / 1.5)));
+    for (index_t k = 0; k < len; ++k)
+      b.add(i, rng.next_index(n), rng.next_double(-1.0, 1.0));
+  }
+  return std::move(b).build();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -48,22 +68,27 @@ int main(int argc, char** argv) {
   const int reps = small ? 5 : 25;
   const long long entries = small ? (1 << 16) : (1 << 20);
 
-  TextTable table({"format", "entries/row", "rows", "linked ns/nnz",
+  TextTable table({"matrix", "format", "entries/row", "rows", "linked ns/nnz",
                    "kernel ns/nnz", "gap ns/row"});
-  for (int w : {2, 4, 8, 16, 28, 64}) {
-    const index_t n = static_cast<index_t>(entries / w / 4 * 4);
-    const formats::Coo coo = banded(n, w);
+  for (int w : {2, 4, 8, 16, 28, 64, 0}) {
+    // w == 0 is the Pareto matrix (mean ~6 entries per row).
+    const index_t n =
+        static_cast<index_t>(entries / (w > 0 ? w : 6) / 4 * 4);
+    const formats::Coo coo = w > 0 ? banded(n, w) : pareto(n);
     Vector x(static_cast<std::size_t>(n), 1.0);
     Vector y(static_cast<std::size_t>(n), 0.0);
-    for (const std::string format : {"csr", "ccs", "bcsr"}) {
+    for (const std::string format : {"csr", "ccs", "bcsr", "sell"}) {
       formats::Csr csr;
       formats::Ccs ccs;
       formats::Bsr bsr;
+      formats::Sell sell;
       Bindings b;
       if (format == "csr") b.bind_csr("A", csr = formats::Csr::from_coo(coo));
       if (format == "ccs") b.bind_ccs("A", ccs = formats::Ccs::from_coo(coo));
       if (format == "bcsr")
         b.bind_bsr("A", bsr = formats::Bsr::from_coo(coo, 4));
+      if (format == "sell")
+        b.bind_sell("A", sell = formats::Sell::from_coo(coo, 8, 32));
       b.bind_dense_vector("X", ConstVectorView(x));
       b.bind_dense_vector("Y", VectorView(y));
       LoopNest nest{{{"i", n}, {"j", n}},
@@ -81,13 +106,15 @@ int main(int argc, char** argv) {
         if (format == "csr") formats::spmv_add(csr, x, y);
         if (format == "ccs") formats::spmv_add(ccs, x, y);
         if (format == "bcsr") formats::spmv_add(bsr, x, y);
+        if (format == "sell") formats::spmv_add(sell, x, y);
         kernel = std::min(kernel, t.seconds());
       }
       const double stored =
           static_cast<double>(format == "bcsr" ? bsr.stored() : coo.nnz());
       table.new_row();
+      table.add(std::string(w > 0 ? "banded" : "pareto"));
       table.add(format);
-      table.add(w);
+      table.add(static_cast<double>(coo.nnz()) / static_cast<double>(n), 1);
       table.add(static_cast<long long>(n));
       table.add(linked * 1e9 / stored);
       table.add(kernel * 1e9 / stored);

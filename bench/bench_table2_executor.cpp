@@ -58,11 +58,6 @@
 // traffic) exactly. On the engine axis --report also carries a roofline
 // section: every measured rung's footprint/seconds against the simulated
 // machine's CostModel peaks.
-//
-// Deprecated aliases (warn once, keep working): --report=json prints the
-// PR-1 stdout report; --exec-json=FILE writes the PR-3
-// bernoulli.bench.exec.v1 snapshot (still how BENCH_exec.json is
-// regenerated).
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -89,7 +84,6 @@
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/json_reader.hpp"
-#include "support/json_writer.hpp"
 #include "support/rng.hpp"
 #include "support/text_table.hpp"
 #include "support/thread_pool.hpp"
@@ -138,88 +132,6 @@ int run_table() {
                "percent of BlockSolve;\nBernoulli ~10% slower than Mixed "
                "(extra indirection); times roughly flat in P\n(weak "
                "scaling).\n";
-  return 0;
-}
-
-int run_report() {
-  support::counters_reset();
-  const int iterations = 10;
-
-  support::JsonWriter w(2);
-  w.begin_object();
-  w.key("schema").value("bernoulli.bench.table2.report.v1");
-  w.key("iterations").value(iterations);
-  w.key("cases").begin_array();
-
-  long long commstats_messages = 0;
-  long long commstats_bytes = 0;
-  for (int P : {2, 4, 8}) {
-    bench::Problem prob = bench::build_problem(P);
-    for (Variant v :
-         {Variant::kBlockSolve, Variant::kBernoulliMixed, Variant::kBernoulli}) {
-      auto t = bench::measure_variant_calibrated(prob, P, v, iterations);
-      commstats_messages += t.total_messages;
-      commstats_bytes += t.total_bytes;
-      w.begin_object();
-      w.key("P").value(P);
-      w.key("variant").value(spmd::variant_name(v));
-      w.key("inspector_s").value(t.inspector_s);
-      w.key("executor_s").value(t.executor_s);
-      w.key("inspector_bytes").value(t.inspector_bytes);
-      w.key("exchange").begin_object();
-      w.key("count").value(t.exchanges);
-      w.key("predicted_messages").value(t.predicted_exchange_messages);
-      w.key("predicted_bytes").value(t.predicted_exchange_bytes);
-      w.key("measured_messages_total").value(t.executor_messages);
-      w.key("measured_bytes_total").value(t.executor_bytes);
-      // The executor run exchanges ghosts (iterations + 1) times and sends
-      // nothing else point-to-point, so predicted * count must equal the
-      // measured totals exactly.
-      w.key("match").value(t.predicted_exchange_messages * t.exchanges ==
-                               t.executor_messages &&
-                           t.predicted_exchange_bytes * t.exchanges ==
-                               t.executor_bytes);
-      w.end_object();
-      w.end_object();
-      std::cerr << "  [P=" << P << " " << spmd::variant_name(v) << " done]\n";
-    }
-  }
-  w.end_array();
-
-  // Reconciliation: the phase-split counters booked by the simulated
-  // machine must sum to the CommStats totals gathered from rank reports.
-  auto snap = support::counters_snapshot();
-  long long counter_messages = 0;
-  long long counter_bytes = 0;
-  for (const auto& [name, value] : snap.counts) {
-    if (name.starts_with("comm.") && name.ends_with(".messages"))
-      counter_messages += value;
-    if (name.starts_with("comm.") && name.ends_with(".bytes"))
-      counter_bytes += value;
-  }
-  w.key("reconcile").begin_object();
-  w.key("commstats_messages").value(commstats_messages);
-  w.key("counter_messages").value(counter_messages);
-  w.key("commstats_bytes").value(commstats_bytes);
-  w.key("counter_bytes").value(counter_bytes);
-  const bool ok = commstats_messages == counter_messages &&
-                  commstats_bytes == counter_bytes;
-  w.key("match").value(ok);
-  w.end_object();
-
-  w.key("counters").begin_object();
-  for (const auto& [name, value] : snap.counts) w.key(name).value(value);
-  w.end_object();
-  w.key("vtime_seconds").begin_object();
-  for (const auto& [name, value] : snap.seconds) w.key(name).value(value);
-  w.end_object();
-  w.end_object();
-
-  std::cout << w.str() << "\n";
-  if (!ok) {
-    std::cerr << "RECONCILIATION FAILED: counter totals != CommStats totals\n";
-    return 1;
-  }
   return 0;
 }
 
@@ -672,69 +584,8 @@ std::map<std::string, double> crs_linked_baseline(
   return base;
 }
 
-void write_exec_json(const std::vector<EngineCase>& cases,
-                     const std::string& path, int threads) {
-  const std::map<std::string, double> crs = crs_linked_baseline(cases);
-  support::JsonWriter w(2);
-  w.begin_object();
-  w.key("schema").value("bernoulli.bench.exec.v1");
-  w.key("kernel_desc").value("y += A x, best-of-k wall time");
-  if (threads > 1) w.key("threads").value(static_cast<long long>(threads));
-  w.key("cases").begin_array();
-  for (const EngineCase& c : cases) {
-    w.begin_object();
-    w.key("matrix").value(c.matrix);
-    w.key("format").value(c.format);
-    w.key("rows").value(static_cast<long long>(c.rows));
-    w.key("nnz").value(static_cast<long long>(c.nnz));
-    w.key("engines").begin_object();
-    auto engine = [&](const std::string& name, double s) {
-      if (s < 0) return;
-      w.key(name).begin_object();
-      w.key("seconds").value(s);
-      w.key("ns_per_nnz").value(ns_per_nnz(s, c.nnz));
-      w.end_object();
-    };
-    engine("interpreted", c.interpreted_s);
-    engine("linked", c.linked_s);
-    engine("specialized", c.specialized_s);
-    engine("kernel", c.kernel_s);
-    // Threaded engine names carry the thread count (linked_t4, kernel_t4)
-    // so snapshots taken at different widths stay distinguishable; the
-    // scaling key below is fixed-name so report diffs line up.
-    engine("linked_t" + std::to_string(threads), c.linked_t_s);
-    engine("kernel_t" + std::to_string(threads), c.kernel_t_s);
-    w.end_object();
-    if (c.interpreted_s > 0 && c.linked_s > 0)
-      w.key("speedup_linked_over_interpreted")
-          .value(c.interpreted_s / c.linked_s);
-    if (c.kernel_s > 0 && c.linked_s > 0)
-      w.key("slowdown_linked_vs_kernel").value(c.linked_s / c.kernel_s);
-    if (c.kernel_s > 0 && c.specialized_s > 0)
-      w.key("slowdown_specialized_vs_kernel")
-          .value(c.specialized_s / c.kernel_s);
-    if (c.linked_s > 0 && c.linked_t_s > 0)
-      w.key("speedup_linked_threaded_over_serial")
-          .value(c.linked_s / c.linked_t_s);
-    if (auto it = crs.find(c.matrix); it != crs.end() && c.linked_s > 0) {
-      if (c.format == "bcsr")
-        w.key("speedup_bcsr_vs_crs_linked").value(it->second / c.linked_s);
-      if (c.format == "sell")
-        w.key("speedup_sell_vs_crs_linked").value(it->second / c.linked_s);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  std::ofstream f(path);
-  f << w.str() << "\n";
-  BERNOULLI_CHECK_MSG(f.good(), "failed writing " << path);
-  std::cerr << "wrote " << path << "\n";
-}
-
 int run_engines(const std::string& which, bool small, bool check,
-                int threads, const std::string& json_path,
-                const std::string& report_path) {
+                int threads, const std::string& report_path) {
   // Validate the engine name FIRST: --check/--threads/--report force
   // extra engines on, so deriving "unknown" from the want_* flags would
   // silently run a default sweep on a typo'd --engine value.
@@ -905,7 +756,6 @@ int run_engines(const std::string& which, bool small, bool check,
               << " = row-chunked CRS spmv\non the same pool (CRS only). "
                  "scaling = serial linked time / threaded linked time.\n";
 
-  if (!json_path.empty()) write_exec_json(cases, json_path, threads);
   if (!report_path.empty()) {
     const std::map<std::string, double> crs_base = crs_linked_baseline(cases);
     analysis::RunReport report("bench_table2_executor");
@@ -1107,29 +957,17 @@ int main(int argc, char** argv) {
   // --check) parse once in bench::Options; this tool's own flags come out
   // of opts.rest.
   auto opts = bench::Options::parse(argc, argv);
-  std::string exec_json;
   std::string validate_json;
   for (const std::string& arg : opts.rest) {
-    if (arg.rfind("--exec-json=", 0) == 0) {
-      support::warn_deprecated_flag("--exec-json",
-                                    "--report=<file> (bernoulli.run.v1)");
-      exec_json = arg.substr(12);
-    }
     if (arg.rfind("--validate-exec-json=", 0) == 0)
       validate_json = arg.substr(21);
   }
   int rc;
   if (!validate_json.empty()) {
     rc = run_validate_exec_json(validate_json);
-  } else if (!opts.engine.empty() || !exec_json.empty() || opts.threads > 0) {
+  } else if (!opts.engine.empty() || opts.threads > 0) {
     rc = run_engines(opts.engine.empty() ? "all" : opts.engine, opts.small,
-                     opts.check, opts.threads, exec_json,
-                     opts.obs.report_path);
-  } else if (opts.obs.legacy_report_stdout()) {
-    // Explicit --report=<file> wins over the deprecated --report=json
-    // alias in either flag order; the stdout report only runs when no
-    // run-report file was requested.
-    rc = run_report();
+                     opts.check, opts.threads, opts.obs.report_path);
   } else if (opts.obs.active()) {
     rc = run_traced(opts.obs);
   } else {

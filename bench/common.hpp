@@ -42,8 +42,9 @@ namespace bernoulli::bench {
 ///                   (support/profile.hpp) from finish()
 ///   --engine=<e> --threads=<n> --small --check   engine-bench knobs
 /// Arguments no shared flag claims land in `rest` for tool-specific
-/// parsing (e.g. table2's --exec-json=), so parse() never rejects — except
-/// a malformed --threads=, which exits 2 like any usage error.
+/// parsing (e.g. table2's --validate-exec-json=), so parse() never
+/// rejects — except a malformed --threads=, which exits 2 like any usage
+/// error.
 struct Options {
   support::ObsOptions obs;
   std::string metrics_path;  // --metrics=<file>; empty = no exposition

@@ -11,8 +11,6 @@
 //                    EXPLAIN in machine form, a cost-model check joining
 //                    the planner's per-level estimates against measured
 //                    interpreter counts, and the counter registry
-//   --report=json    DEPRECATED alias: the PR-1 stdout JSON document
-//                    (plans + counters, no model check)
 //   --trace=<file>   record a Chrome trace of the compile+run work (plan /
 //                    cost / execute / join spans on the host track) and
 //                    write it to <file>; combines with any mode above
@@ -25,14 +23,12 @@
 #include "compiler/loopnest.hpp"
 #include "formats/formats.hpp"
 #include "formats/sparse_vector.hpp"
-#include "support/counters.hpp"
-#include "support/json_writer.hpp"
 #include "support/rng.hpp"
 #include "support/trace_cli.hpp"
 
 namespace {
 
-enum class Mode { kDefault, kExplain, kJson };
+enum class Mode { kDefault, kExplain };
 
 }  // namespace
 
@@ -45,10 +41,6 @@ int main(int argc, char** argv) {
     if (support::obs_parse_flag(argv[i], obs)) continue;
     if (std::strcmp(argv[i], "--explain") == 0) mode = Mode::kExplain;
   }
-  // obs_parse_flag recognizes the deprecated `--report=json` spelling and
-  // warns; it maps onto the old stdout document mode. An explicit
-  // --report=<file> beats the alias in either flag order.
-  if (obs.legacy_report_stdout()) mode = Mode::kJson;
 
   SplitMix64 rng(11);
   formats::TripletBuilder b(6, 6);
@@ -112,37 +104,15 @@ int main(int argc, char** argv) {
 
   support::obs_begin(obs);
 
-  if (mode == Mode::kJson) {
-    support::counters_reset();
-    support::JsonWriter w(2);
-    w.begin_object();
-    w.key("schema").value("bernoulli.codegen_demo.report.v1");
-    w.key("kernels").begin_array();
-    for (auto& c : cases) {
-      auto k = compiler::compile(matvec, c.bind);
-      std::fill(y.begin(), y.end(), 0.0);
-      k.run();
-      w.begin_object();
-      w.key("name").value(c.name);
-      w.key("plan_text").value(k.explain());
-      w.key("plan").raw(k.explain_json());
-      w.end_object();
-    }
-    w.end_array();
-    w.key("counters").raw(support::counters_json());
-    w.end_object();
-    std::cout << w.str() << "\n";
-  } else {
-    for (auto& c : cases) {
-      std::cout << c.title << "\n";
-      auto k = compiler::compile(matvec, c.bind);
-      std::fill(y.begin(), y.end(), 0.0);
-      if (!obs.trace_path.empty()) k.run();  // put execute spans on the track
-      if (mode == Mode::kExplain)
-        std::cout << k.explain() << '\n';
-      else
-        std::cout << k.describe_plan() << '\n' << k.emit(c.name) << '\n';
-    }
+  for (auto& c : cases) {
+    std::cout << c.title << "\n";
+    auto k = compiler::compile(matvec, c.bind);
+    std::fill(y.begin(), y.end(), 0.0);
+    if (!obs.trace_path.empty()) k.run();  // put execute spans on the track
+    if (mode == Mode::kExplain)
+      std::cout << k.explain() << '\n';
+    else
+      std::cout << k.describe_plan() << '\n' << k.emit(c.name) << '\n';
   }
 
   if (!obs.report_path.empty()) {

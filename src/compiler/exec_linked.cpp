@@ -31,6 +31,9 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "compiler/link.hpp"
@@ -370,6 +373,9 @@ void LinkedRunner::flush(const LocalCounters& c, RunStats* stats,
 //   - every leaf probe is an identity/affine bounds check (no binary
 //     searches, no virtual probes, no fill-in inserts) — those are the
 //     probes whose all-hit outcome is provable from an index range;
+//   - every leaf probe searches by the leaf's own variable, and an affine
+//     probe's parent is bound above the leaf — the flattened forms are
+//     functions of the enumerated index and of outer bindings only;
 //   - the target and every factor expose flat value arrays (no virtual
 //     value access mid-loop).
 // Everything else falls back to the per-element path, which stays the
@@ -377,15 +383,22 @@ void LinkedRunner::flush(const LocalCounters& c, RunStats* stats,
 void LinkedRunner::prepare_bulk(const LinkedMac& mac) {
   bulk_ok_ = false;
   bulk_acc_ok_ = false;
+  bulk_alias_ = false;
   bulk_ops_.clear();
   if (lp_.levels.empty()) return;
   const std::size_t leaf = lp_.levels.size() - 1;
   const LinkedLevel& lv = lp_.levels[leaf];
   if (lv.method != JoinMethod::kEnumerate) return;
   for (const LinkedProbe& pr : lv.probes) {
-    if (pr.insert_on_miss) return;
+    if (pr.insert_on_miss || pr.var_slot != lv.var_slot) return;
     if (pr.search.kind != relation::SearchSpec::Kind::kIdentity &&
         pr.search.kind != relation::SearchSpec::Kind::kAffine)
+      return;
+    if (pr.search.kind == relation::SearchSpec::Kind::kAffine &&
+        std::any_of(lv.probes.begin(), lv.probes.end(),
+                    [&](const LinkedProbe& q) {
+                      return q.access.pos_slot == pr.access.parent_slot;
+                    }))
       return;
   }
   if (mac.target_data.empty()) return;
@@ -426,96 +439,112 @@ void LinkedRunner::prepare_bulk(const LinkedMac& mac) {
   bulk_ok_ = true;
   // The accumulator register cache is only safe when the target element is
   // fixed for the whole drain AND no factor can read the target storage
-  // mid-loop (the deferred store would then be observable).
-  bulk_acc_ok_ = bulk_target_.src == BulkOp::Src::kConst;
+  // mid-loop (the deferred store would then be observable); likewise a
+  // factor element fixed for the range may be loaded once only when no
+  // store can reach it.
+  bulk_alias_ = false;
   for (const LinkedMac::Factor& f : mac.factors)
     if (ranges_overlap(mac.target_data.data(), mac.target_data.size(),
                        f.data.data(), f.data.size()))
-      bulk_acc_ok_ = false;
+      bulk_alias_ = true;
+  bulk_acc_ok_ = bulk_target_.src == BulkOp::Src::kConst && !bulk_alias_;
 }
 
-// Classifies the whole plan for the chunk-wide sliced drain. It engages
-// only for the shape where storage-order windows are provably equivalent
-// to the per-row walk:
-//   - two enumerate levels, one driver each: dense rows over a sliced
-//     (SELL-C-sigma) leaf;
-//   - the leaf qualifies for register-accumulated bulk drains with
-//     exactly two factors, each reading pos (the driver's values) or idx
-//     (a dense operand) directly — no per-row affine/const rebasing;
-//   - every probe at BOTH levels is proved all-hit at link time and none
-//     inserts, so window pre-resolution cannot miss or mutate storage.
-// Everything else keeps the per-row path, which stays the ground truth
-// the window drain must reproduce bitwise.
-void LinkedRunner::prepare_chunk(const LinkedMac& mac) {
-  (void)mac;
-  chunk_ok_ = false;
-  if (!bulk_ok_ || !bulk_acc_ok_) return;
-  if (lp_.levels.size() != 2) return;
-  const LinkedLevel& l0 = lp_.levels[0];
-  const LinkedLevel& l1 = lp_.levels[1];
-  if (l0.method != JoinMethod::kEnumerate ||
-      l1.method != JoinMethod::kEnumerate)
-    return;
-  if (l0.drivers.size() != 1 || l1.drivers.size() != 1) return;
-  if (!l0.probes.empty() && !l0.proved_all_hit) return;
-  if (!l1.probes.empty() && !l1.proved_all_hit) return;
-  for (const LinkedProbe& pr : l0.probes)
-    if (pr.insert_on_miss) return;
-  const relation::LevelDescriptor& d0 = l0.drivers[0].desc;
-  const relation::LevelDescriptor& d1 = l1.drivers[0].desc;
-  if (d0.kind != relation::LevelDescriptor::Kind::kDense) return;
-  if (d1.kind != relation::LevelDescriptor::Kind::kSliced) return;
-  if (d1.chunk <= 0 || d1.sigma <= 0 || d1.sigma % d1.chunk != 0) return;
-  if (bulk_ops_.size() != 2) return;
-  for (const BulkOp& o : bulk_ops_)
-    if (o.src != BulkOp::Src::kDriver && o.src != BulkOp::Src::kIdentity)
-      return;
-  chunk_c_ = d1.chunk;
-  chunk_sigma_ = d1.sigma;
-  chunk_off_ = d1.off;
-  chunk_len_ = d1.len;
-  chunk_ind_ = d1.ind;
-  chunk_ok_ = true;
+// Flattens one operand to its BulkOp::at form. `slot_form(s)` gives the
+// pos_ slot s as base + k*step: the current binding with step 0 (try_bulk's
+// per-invocation refresh) or level 0's affine lowering (prepare_outer).
+// Bases form in 64 bits and must fit index_t over rows [0, rows).
+template <class SlotForm>
+void LinkedRunner::flatten(BulkOp& o, index_t rows, SlotForm slot_form) {
+  using Src = BulkOp::Src;
+  long long base = 0;
+  long long step = 0;
+  o.mp = o.src == Src::kDriver ? -1 : 0;
+  o.mi = o.src == Src::kIdentity || o.src == Src::kAffine ? -1 : 0;
+  if (o.src == Src::kConst) {
+    std::tie(base, step) = slot_form(static_cast<int>(o.slot));
+  } else if (o.src == Src::kAffine && o.parent_slot >= 0) {
+    std::tie(base, step) = slot_form(o.parent_slot);
+    base *= o.stride;
+    step *= o.stride;
+  }
+  o.base = checked_index(base, "operand base");
+  o.step = checked_index(step, "operand base step");
+  checked_index(base + static_cast<long long>(std::max<index_t>(rows - 1, 0)) *
+                           step,
+                "operand base at the last outer row");
 }
 
 // Classifies the whole plan for the fused outer-range drain. It engages
-// only for the shape whose per-row work try_outer can do with no level
-// stack:
+// only for the shape whose per-row work needs no level stack:
 //   - two enumerate levels, one driver each, the outer one a dense range;
 //   - every probe at BOTH levels is proved all-hit at link time and none
 //     inserts, so no row or leaf element can be filtered or fill in;
-//   - the leaf driver is a compressed (CSR/CCS segment) or blocked (BCSR)
-//     level, whose per-row segment bounds come straight from its ptr;
+//   - every level-0 probe is rooted (its relation starts at level 0);
+//   - the leaf driver is a compressed (CSR/CCS segment), sliced (SELL-C-σ
+//     lane run) or blocked (BCSR) level, whose per-row element range
+//     comes straight from its ptr, off/len or block ptr;
 //   - the leaf qualifies for bulk drains (bulk_ok_).
-// Operands bound at level 0 (kConst, kAffine) are listed in outer_vary_:
-// the only ones re-flattened per row.
+// Level 0 is then lowered to affine offsets (see outer_slots_), so the
+// drain computes every per-row position arithmetically. Everything else
+// keeps the per-row path, which stays the ground truth the drain must
+// reproduce bitwise.
 void LinkedRunner::prepare_outer() {
   outer_ok_ = false;
-  outer_vary_.clear();
   if (!bulk_ok_ || lp_.levels.size() != 2) return;
   for (const LinkedLevel& lv : lp_.levels) {
     if (lv.method != JoinMethod::kEnumerate || lv.drivers.size() != 1) return;
     if (!lv.probes.empty() && !lv.proved_all_hit) return;
   }
   using K = relation::LevelDescriptor::Kind;
-  if (lp_.levels[0].drivers[0].desc.kind != K::kDense) return;
+  const LinkedLevel& l0 = lp_.levels[0];
+  const relation::LevelDescriptor& d0 = l0.drivers[0].desc;
   const relation::LevelDescriptor& leaf = lp_.levels[1].drivers[0].desc;
-  if (leaf.kind != K::kCompressed &&
-      !(leaf.kind == K::kBlocked && leaf.block_r > 0 && leaf.block_c > 0))
-    return;
-  auto vary = [&](BulkOp& o) {
-    if (o.src == BulkOp::Src::kConst || o.src == BulkOp::Src::kAffine)
-      outer_vary_.push_back(&o);
+  if (d0.kind != K::kDense) return;
+
+  // The dense root driver opens at base 0·stride, so its position is k;
+  // a rooted identity/affine probe yields 0·stride + idx with idx = k.
+  outer_slots_.clear();
+  outer_slots_.push_back({l0.drivers[0].pos_slot, 0});
+  for (const LinkedProbe& pr : l0.probes) {
+    if (pr.access.parent_slot >= 0) return;
+    outer_slots_.push_back({pr.access.pos_slot, 0});
+  }
+  auto find = [this](int slot) {
+    return std::find_if(outer_slots_.begin(), outer_slots_.end(),
+                        [slot](const OuterSlot& s) { return s.slot == slot; });
   };
-  vary(bulk_target_);
-  for (BulkOp& o : bulk_ops_) vary(o);
-  outer_ok_ = true;
+  const auto parent = find(lp_.levels[1].drivers[0].parent_slot);
+  if (parent == outer_slots_.end()) return;
+  outer_parent_off_ = parent->off;
+  // Operands bound at level 0 read a lowered slot: base off, step 1.
+  // Two-level plans bind nothing else outside the leaf.
+  bool bound = true;
+  auto slot_form = [&](int slot) -> std::pair<long long, long long> {
+    const auto s = find(slot);
+    if (s == outer_slots_.end()) {
+      bound = false;
+      return {0, 0};
+    }
+    return {s->off, 1};
+  };
+  outer_target_ = bulk_target_;
+  flatten(outer_target_, d0.extent, slot_form);
+  outer_ops_ = bulk_ops_;
+  for (BulkOp& o : outer_ops_) flatten(o, d0.extent, slot_form);
+  if (!bound) return;
+
+  outer_ok_ = leaf.kind == K::kCompressed ||
+              (leaf.kind == K::kSliced && leaf.chunk > 0) ||
+              (leaf.kind == K::kBlocked && leaf.block_r > 0 &&
+               leaf.block_c > 0);
 }
 
 // The run(LinkedMac) sink. operator() is the per-element multiply-
 // accumulate (unchanged semantics); try_bulk is the hook
-// drain_enumerate_leaf offers a whole leaf invocation to. A local class
-// cannot befriend templates, so this lives at class scope with full
+// drain_enumerate_leaf offers a whole leaf invocation to, try_outer the
+// hook run_span offers the open outer range to. A local
+// class cannot befriend templates, so this lives at class scope with full
 // access to the runner internals.
 struct LinkedRunner::MacSink {
   LinkedRunner& r;
@@ -537,115 +566,143 @@ struct LinkedRunner::MacSink {
       mac.target_data[static_cast<std::size_t>(tp)] += prod;
   }
 
-  // Flattens one operand to its BulkOp::at form for the current bindings
-  // (kConst slots and affine parents read from pos_).
-  void refresh(BulkOp& o) const {
-    switch (o.src) {
-      case BulkOp::Src::kConst:
-        o.base = r.pos_[o.slot];
-        o.mp = 0;
-        o.mi = 0;
-        break;
-      case BulkOp::Src::kDriver:
-        o.base = 0;
-        o.mp = -1;
-        o.mi = 0;
-        break;
-      case BulkOp::Src::kIdentity:
-        o.base = 0;
-        o.mp = 0;
-        o.mi = -1;
-        break;
-      case BulkOp::Src::kAffine:
-        o.base = (o.parent_slot < 0
-                      ? 0
-                      : r.pos_[static_cast<std::size_t>(o.parent_slot)]) *
-                 o.stride;
-        o.mp = 0;
-        o.mi = -1;
-        break;
-    }
-  }
+  // Flattens the operands for the current bindings (kConst slots and
+  // affine parents read from pos_).
   void refresh_ops() const {
-    refresh(r.bulk_target_);
-    for (BulkOp& o : r.bulk_ops_) refresh(o);
+    auto current = [this](int slot) -> std::pair<long long, long long> {
+      return {r.pos_[static_cast<std::size_t>(slot)], 0};
+    };
+    flatten(r.bulk_target_, 1, current);
+    for (BulkOp& o : r.bulk_ops_) flatten(o, 1, current);
   }
 
   // ---- Loop bodies shared by every bulk drain ----------------------
-  // Drains one leaf range: `walk(elem)` calls elem(idx, pos) for every
-  // element in enumeration order, and each product keeps operator()'s
-  // multiplication order (scale first, factors in order). With a
-  // register-cacheable target (bulk_acc_ok_) the target element is fixed
-  // for the range and accumulates in a register — the same addition
-  // sequence into the same element, so bitwise-identical to per-element
-  // stores; otherwise every product stores through its own position.
-  template <class Walk>
-  void mac_range(const Walk& walk) const {
-    value_t* const td = mac.target_data.data();
-    const BulkOp t = r.bulk_target_;
-    if (r.bulk_acc_ok_) {
-      td[t.base] = products(walk, td[t.base],
-                            [](value_t acc, index_t, index_t, value_t p) {
-                              return acc + p;
-                            });
-    } else if (t.src == BulkOp::Src::kIdentity) {
-      // Column-major SpMV scatters into a dense vector at the index.
-      products(walk, 0.0, [td](value_t acc, index_t idx, index_t, value_t p) {
-        td[idx] += p;
-        return acc;
-      });
-    } else {
-      products(walk, 0.0,
-               [td, t](value_t acc, index_t idx, index_t pos, value_t p) {
-                 td[t.at(pos, idx)] += p;
-                 return acc;
-               });
-    }
-  }
-
-  // Folds every element's product into `acc = emit(acc, idx, pos, prod)`
-  // (acc stays a local, so it lives in a register). Two-factor products
-  // specialize the SpMV operand pairs — matrix values at the driver
-  // position times a dense vector at the index (row-major) or at a fixed
-  // element (column-major) — so they load with no address selects.
-  template <class Walk, class Emit>
-  value_t products(const Walk& walk, value_t acc, Emit emit) const {
+  // with_factors(ops, fn) picks the factor form once and calls
+  // fn(factors): factors(k) is the product functor prod(pos, idx) at
+  // outer row k — scale first, then every factor in order, operator()'s
+  // multiplication order. Two-factor products specialize the SpMV operand
+  // pairs — matrix values at the driver position times a dense vector at
+  // the index (row-major) or at a per-row element (column-major, loaded
+  // once per row unless the target aliases it) — so they load with no
+  // address selects, and a unit scale is not multiplied at all (1·a == a
+  // exactly for every double a, so the product is bitwise the same).
+  template <class Fn>
+  void with_factors(const std::vector<BulkOp>& ops, Fn&& fn) const {
+    using Src = BulkOp::Src;
     const value_t scale = mac.scale;
-    if (r.bulk_ops_.size() != 2) {
-      walk([&](index_t idx, index_t pos) {
-        value_t prod = scale;
-        for (const BulkOp& o : r.bulk_ops_) prod *= o.data[o.at(pos, idx)];
-        acc = emit(acc, idx, pos, prod);
+    if (ops.size() != 2) {
+      const BulkOp* const o = ops.data();
+      const std::size_t n = ops.size();
+      fn([=](index_t k) {
+        return [=](index_t pos, index_t idx) {
+          value_t prod = scale;
+          for (std::size_t i = 0; i < n; ++i)
+            prod *= o[i].data[o[i].at(k, pos, idx)];
+          return prod;
+        };
       });
-      return acc;
+      return;
     }
-    const BulkOp o0 = r.bulk_ops_[0];
-    const BulkOp o1 = r.bulk_ops_[1];
-    auto two = [&](auto f0, auto f1) {
-      walk([&](index_t idx, index_t pos) {
-        value_t prod = scale;
-        prod *= f0(pos, idx);
-        prod *= f1(pos, idx);
-        acc = emit(acc, idx, pos, prod);
-      });
-    };
+    const BulkOp o0 = ops[0];
+    const BulkOp o1 = ops[1];
     const value_t* const d0 = o0.data;
-    if (o0.src == BulkOp::Src::kDriver && o1.src == BulkOp::Src::kIdentity)
-      two([d0](index_t pos, index_t) { return d0[pos]; },
-          [d1 = o1.data](index_t, index_t idx) { return d1[idx]; });
-    else if (o0.src == BulkOp::Src::kDriver && o1.src == BulkOp::Src::kConst)
-      two([d0](index_t pos, index_t) { return d0[pos]; },
-          [p1 = o1.data + o1.base](index_t, index_t) { return *p1; });
+    const value_t* const d1 = o1.data;
+    auto pairs = [&](auto unit) {
+      // scale · a, the product's first step.
+      const auto first = [scale](value_t a) {
+        if constexpr (decltype(unit)::value)
+          return a;
+        else
+          return scale * a;
+      };
+      if (o0.src == Src::kDriver && o1.src == Src::kIdentity) {
+        fn([=](index_t) {
+          return [=](index_t pos, index_t idx) {
+            value_t prod = first(d0[pos]);
+            prod *= d1[idx];
+            return prod;
+          };
+        });
+      } else if (o0.src == Src::kDriver && o1.src == Src::kConst &&
+                 !r.bulk_alias_) {
+        fn([=](index_t k) {
+          const value_t v1 = d1[o1.row_base(k)];
+          return [=](index_t pos, index_t) {
+            value_t prod = first(d0[pos]);
+            prod *= v1;
+            return prod;
+          };
+        });
+      } else if (o0.src == Src::kDriver && o1.src == Src::kConst) {
+        fn([=](index_t k) {
+          // Re-read per element: the target aliases a factor.
+          const value_t* const p1 = d1 + o1.row_base(k);
+          return [=](index_t pos, index_t) {
+            value_t prod = first(d0[pos]);
+            prod *= *p1;
+            return prod;
+          };
+        });
+      } else {
+        fn([=](index_t k) {
+          return [=](index_t pos, index_t idx) {
+            value_t prod = first(d0[o0.at(k, pos, idx)]);
+            prod *= d1[o1.at(k, pos, idx)];
+            return prod;
+          };
+        });
+      }
+    };
+    if (scale == 1.0)
+      pairs(std::true_type{});
     else
-      two([o0](index_t pos, index_t idx) { return o0.data[o0.at(pos, idx)]; },
-          [o1](index_t pos, index_t idx) { return o1.data[o1.at(pos, idx)]; });
-    return acc;
+      pairs(std::false_type{});
   }
 
-  // Element walks for mac_range. A flat range [k0, k1) of a cursor shape;
-  // a register-blocked range, lanes [cc0, c) of block b0 through lanes
-  // [0, ccN) of block bN, with each r x c block's column base and value
-  // base hoisted — no div/mod per block or per lane.
+  // with_drain(t, ops, fn) picks the whole drain shape — the factor form
+  // and the target form — once and calls fn(drain): drain(walk, k) folds
+  // one leaf range at outer row k, where `walk(elem)` calls elem(idx, pos)
+  // for every element in enumeration order. With a register-cacheable
+  // target (bulk_acc_ok_) the target element is fixed for the range and
+  // accumulates in a register — the same addition sequence into the same
+  // element, so bitwise-identical to per-element stores; otherwise every
+  // product stores through its own position.
+  template <class Fn>
+  void with_drain(const BulkOp& target, const std::vector<BulkOp>& ops,
+                  Fn&& fn) const {
+    value_t* const td = mac.target_data.data();
+    const BulkOp t = target;
+    const bool acc = r.bulk_acc_ok_;
+    with_factors(ops, [&](auto factors) {
+      if (acc) {
+        fn([=](const auto& walk, index_t k) {
+          value_t* const y = td + t.row_base(k);
+          const auto prod = factors(k);
+          value_t a = *y;
+          walk([&](index_t idx, index_t pos) { a += prod(pos, idx); });
+          *y = a;
+        });
+      } else if (t.src == BulkOp::Src::kIdentity) {
+        // Column-major SpMV scatters into a dense vector at the index.
+        fn([=](const auto& walk, index_t k) {
+          const auto prod = factors(k);
+          walk([&](index_t idx, index_t pos) { td[idx] += prod(pos, idx); });
+        });
+      } else {
+        fn([=](const auto& walk, index_t k) {
+          const auto prod = factors(k);
+          walk([&](index_t idx, index_t pos) {
+            td[t.at(k, pos, idx)] += prod(pos, idx);
+          });
+        });
+      }
+    });
+  }
+
+  // Element walks for the drains. A flat range [k0, k1) of a cursor
+  // shape; a register-blocked range, lanes [cc0, c) of block b0 through
+  // lanes [0, ccN) of block bN, with each r x c block's column base and
+  // value base hoisted — no div/mod per block or per lane.
   template <class IndexOf, class PosOf>
   static auto flat_walk(IndexOf index_of, PosOf pos_of, index_t k0,
                         index_t k1) {
@@ -691,8 +748,10 @@ struct LinkedRunner::MacSink {
     };
     // Consume the invocation, booked in bulk: every element enumerates,
     // hits every probe, and produces — identical totals to the per-element
-    // path in any order, because no element misses.
-    auto consume = [&] {
+    // path in any order, because no element misses. Then drain it with
+    // the operands flattened for the current bindings (row 0 of a step-0
+    // form).
+    auto consume = [&](const auto& walk) {
       const long long n = k1 - k0;
       f.inv_enumerated += n;
       f.inv_produced += n;
@@ -700,6 +759,8 @@ struct LinkedRunner::MacSink {
       c.probe_hits += n * static_cast<long long>(lv.probes.size());
       refresh_ops();
       cur.cur = k1;
+      with_drain(r.bulk_target_, r.bulk_ops_,
+                 [&](const auto& drain) { drain(walk, 0); });
     };
 
     auto flat = [&](auto index_of, auto pos_of, bool ascending) -> bool {
@@ -718,8 +779,7 @@ struct LinkedRunner::MacSink {
         }
         if (!probes_hit(mn, mx)) return false;
       }
-      consume();
-      mac_range(flat_walk(index_of, pos_of, k0, k1));
+      consume(flat_walk(index_of, pos_of, k0, k1));
       return true;
     };
 
@@ -776,9 +836,8 @@ struct LinkedRunner::MacSink {
           }
           if (!probes_hit(mnb * c0, mxb * c0 + c0 - 1)) return false;
         }
-        consume();
-        mac_range(blocked_walk(ind, c0, cur.bsz, cur.rofs, b0, k0 % c0, bN,
-                               (k1 - 1) % c0 + 1));
+        consume(blocked_walk(ind, c0, cur.bsz, cur.rofs, b0, k0 % c0, bN,
+                             (k1 - 1) % c0 + 1));
         return true;
       }
       case relation::Cursor::Kind::kSingleton:
@@ -790,15 +849,17 @@ struct LinkedRunner::MacSink {
   // Fused outer-range drain: run_span offers the open level-0 frame
   // whenever the engine sits at the outer level. When prepare_outer
   // engaged, the whole remaining outer range [cur, end) drains in one
-  // loop — per row only the level-0 bindings and probes, the leaf
-  // segment bounds, the try_bulk loop body over that segment and the
-  // per-row bookings — instead of one next_binding / open_frame /
-  // drain_enumerate_leaf / close_frame round trip per row. Rows drain in
-  // order and each row's segment runs the very loop body try_bulk would,
-  // so outputs are bitwise-identical; counters, the level-1 fan-out
-  // samples, per-level stats and profile work counts book exactly what
-  // the per-row path books (order-invariant totals). Chunk clamps are
-  // respected: only the frame's own [cur, end) is consumed.
+  // loop instead of one next_binding / open_frame / drain_enumerate_leaf /
+  // close_frame round trip per row. The drain shape is chosen once for
+  // the range, and every per-row position comes from level 0's affine
+  // lowering: per row there is no call and no operand-form branch, only
+  // the leaf segment bounds, the drain body over that segment and the
+  // row's fan-out sample. Rows drain in order and each row's segment runs
+  // the very loop body try_bulk would, so outputs are bitwise-identical;
+  // counters, the level-1 fan-out samples, per-level stats and profile
+  // work counts book exactly what the per-row path books (order-invariant
+  // totals). Chunk clamps are respected: only the frame's own [cur, end)
+  // is consumed.
   void try_outer(LocalCounters& c, RunStats* st) const {
     if (!r.outer_ok_ || !bulk_drain_enabled()) return;
     relation::Cursor& cur = r.frames_[0].cursors[0];  // a dense row range
@@ -806,256 +867,98 @@ struct LinkedRunner::MacSink {
     const LinkedLevel& lv0 = r.lp_.levels[0];
     const LinkedLevel& lv1 = r.lp_.levels[1];
     const relation::LevelDescriptor& leaf = lv1.drivers[0].desc;
-    const std::size_t var0 = static_cast<std::size_t>(lv0.var_slot);
-    const std::size_t pos0 = static_cast<std::size_t>(lv0.drivers[0].pos_slot);
-    const int pslot = lv1.drivers[0].parent_slot;
     long long* const fan1 = r.fanout_local_[1].data();
-    const bool blocked =
-        leaf.kind == relation::LevelDescriptor::Kind::kBlocked;
+    using K = relation::LevelDescriptor::Kind;
     const bool prof = support::profiling_enabled();
     const long long prof_t0 = prof ? support::profile_now_ns() : 0;
-    refresh_ops();  // operands not bound at level 0 are fixed from here on
     const index_t k0 = cur.cur;
     const index_t k1 = cur.end;
+    const index_t p0 = r.outer_parent_off_ + k0;  // leaf parent at row k0
+    const index_t* const ptr = leaf.ptr;
+    const index_t* const ind = leaf.ind;
     long long w = 0;  // leaf tuples over the range
-
-    // `segment(parent)` drains one row's leaf segment and returns its size.
-    auto rows = [&](auto segment) {
-      for (index_t k = k0; k < k1; ++k) {
-        r.vars_[var0] = k;
-        r.pos_[pos0] = cur.base + k;
-        // Proved all-hit: books the level-0 hits and fills probe slots.
-        (void)r.resolve_probes(lv0, c);
-        for (BulkOp* o : r.outer_vary_) refresh(*o);
-        const index_t n = segment(
-            pslot < 0 ? 0 : r.pos_[static_cast<std::size_t>(pslot)]);
-        w += n;
-        ++fan1[static_cast<std::size_t>(
-            support::Log2Histogram::bucket_of(n))];
-      }
+    auto book_row = [&](index_t n) {
+      w += n;
+      ++fan1[static_cast<std::size_t>(support::Log2Histogram::bucket_of(n))];
     };
-    if (blocked) {
-      const index_t br = leaf.block_r;
-      const index_t bc = leaf.block_c;
-      rows([&](index_t parent) -> index_t {
-        const index_t b0 = leaf.ptr[parent / br];
-        const index_t b1 = leaf.ptr[parent / br + 1];
-        if (b1 > b0)
-          mac_range(blocked_walk(leaf.ind, bc, br * bc, (parent % br) * bc,
-                                 b0, 0, b1 - 1, bc));
-        return (b1 - b0) * bc;
-      });
-    } else {
-      const index_t* ind = leaf.ind;
-      rows([&](index_t parent) -> index_t {
-        const index_t s0 = leaf.ptr[parent];
-        const index_t s1 = leaf.ptr[parent + 1];
-        if (s1 > s0)
-          mac_range(flat_walk([ind](index_t k) { return ind[k]; },
-                              [](index_t k) { return k; }, s0, s1));
-        return s1 - s0;
-      });
-    }
-    cur.cur = k1;
 
-    // Per-row totals, booked once: level 0 enumerates and produces every
-    // row (closed by close_frame(0)); level 1 closes one frame per row.
-    r.frames_[0].inv_enumerated += k1 - k0;
-    r.frames_[0].inv_produced += k1 - k0;
+    with_drain(r.outer_target_, r.outer_ops_, [&](const auto& drain) {
+      if (leaf.kind == K::kBlocked) {
+        // The block row and this row's value offset within it are
+        // carried from row to row: no div/mod per row.
+        const index_t bc = leaf.block_c;
+        const index_t bsz = leaf.block_r * bc;
+        index_t q = p0 / leaf.block_r;
+        index_t rofs = p0 % leaf.block_r * bc;
+        for (index_t k = k0; k < k1; ++k) {
+          const index_t b0 = ptr[q];
+          const index_t b1 = ptr[q + 1];
+          if (b1 > b0)
+            drain(blocked_walk(ind, bc, bsz, rofs, b0, 0, b1 - 1, bc), k);
+          book_row((b1 - b0) * bc);
+          rofs += bc;
+          if (rofs == bsz) {
+            rofs = 0;
+            ++q;
+          }
+        }
+      } else if (leaf.kind == K::kSliced) {
+        // A row's entries sit C lanes apart from its base, ascending k.
+        const index_t cw = leaf.chunk;
+        for (index_t k = k0; k < k1; ++k) {
+          const index_t parent = p0 + (k - k0);
+          const index_t base = leaf.off[parent];
+          const index_t n = leaf.len[parent];
+          if (n > 0)
+            drain(flat_walk(
+                      [ind, base, cw](index_t e) { return ind[base + e * cw]; },
+                      [base, cw](index_t e) { return base + e * cw; }, 0, n),
+                  k);
+          book_row(n);
+        }
+      } else {
+        for (index_t k = k0; k < k1; ++k) {
+          const index_t parent = p0 + (k - k0);
+          const index_t s0 = ptr[parent];
+          const index_t s1 = ptr[parent + 1];
+          if (s1 > s0)
+            drain(flat_walk([ind](index_t e) { return ind[e]; },
+                            [](index_t e) { return e; }, s0, s1),
+                  k);
+          book_row(s1 - s0);
+        }
+      }
+    });
+    cur.cur = k1;
+    // Leave level 0's bindings at the last row, as the per-row path does.
+    r.vars_[static_cast<std::size_t>(lv0.var_slot)] = k1 - 1;
+    for (const OuterSlot& s : r.outer_slots_)
+      r.pos_[static_cast<std::size_t>(s.slot)] = s.off + k1 - 1;
+
+    // Per-row totals, booked once: level 0 enumerates, hits every probe
+    // and produces every row (closed by close_frame(0)); level 1 closes
+    // one frame per row.
+    const long long rows = k1 - k0;
+    r.frames_[0].inv_enumerated += rows;
+    r.frames_[0].inv_produced += rows;
     c.tuples += w;
     c.enumerated += w;
-    c.probe_hits += w * static_cast<long long>(lv1.probes.size());
+    c.probe_hits += rows * static_cast<long long>(lv0.probes.size()) +
+                    w * static_cast<long long>(lv1.probes.size());
     if (st) {
       st->levels[1].enumerated += w;
       st->levels[1].produced += w;
     }
     if (prof) {
-      // One exact interval per drained range, like the sliced drain.
-      const int kind = blocked ? support::kProfBlocked : support::kProfBulk;
-      r.prof_.add_work(0, support::kProfTuple, k1 - k0);
+      // One exact interval per drained range, under the leaf's kind.
+      const int kind = leaf.kind == K::kBlocked  ? support::kProfBlocked
+                       : leaf.kind == K::kSliced ? support::kProfSliced
+                                                 : support::kProfBulk;
+      r.prof_.add_work(0, support::kProfTuple, rows);
       r.prof_.add_work(1, kind, w);
       if (w > 0)
         r.prof_.book_ns(1, kind, support::profile_now_ns() - prof_t0, w);
     }
-  }
-
-
-  // Chunk-wide sliced drain: run_span offers the open level-0 frame
-  // whenever the engine sits at the outer level. Consumes whole sigma-
-  // aligned windows of outer rows, draining each storage chunk with ONE
-  // unit-stride pass over its padded lane-interleaved storage instead of
-  // a lane-strided walk per row. Padded lanes are never touched: within a
-  // chunk the lanes are stored longest-first, so lanes retire as a suffix
-  // while k ascends. Each lane accumulates its row in ascending k into a
-  // private register — bitwise-identical stores to the per-row drains —
-  // and rows are pre-resolved per window, so every counter, fan-out
-  // sample and per-level stat books exactly what the per-row path books,
-  // merely reordered across rows (all order-invariant totals). Rows it
-  // does not consume — an unaligned thread-chunk prefix, the tail, a
-  // window whose chunk shape does not verify — are left untouched for
-  // the per-row path.
-  void try_chunk(LocalCounters& c, RunStats* st) const {
-    if (!r.chunk_ok_ || !bulk_drain_enabled()) return;
-    Frame& f0 = r.frames_[0];
-    relation::Cursor& cur = f0.cursors[0];
-    const index_t cw = r.chunk_c_;
-    const index_t sigma = r.chunk_sigma_;
-    if (cur.cur % sigma != 0 || cur.end - cur.cur < sigma) return;
-    const index_t* off = r.chunk_off_;
-    const index_t* len = r.chunk_len_;
-    const index_t* ind = r.chunk_ind_;
-    const LinkedLevel& lv0 = r.lp_.levels[0];
-    const LinkedLevel& lv1 = r.lp_.levels[1];
-    const std::size_t pos0 =
-        static_cast<std::size_t>(lv0.drivers[0].pos_slot);
-    const std::size_t var0 = static_cast<std::size_t>(lv0.var_slot);
-    const std::size_t pslot =
-        static_cast<std::size_t>(lv1.drivers[0].parent_slot);
-    const long long nprobes1 = static_cast<long long>(lv1.probes.size());
-    value_t* const td = mac.target_data.data();
-    const value_t scale = mac.scale;
-    // Factor forms are parent-independent here (prepare_chunk rejected
-    // kConst/kAffine), so flatten once: pos-sourced (driver values) or
-    // idx-sourced (dense operand).
-    auto flat = [](const BulkOp& o) {
-      BulkOp f = o;
-      f.base = 0;
-      f.mp = o.src == BulkOp::Src::kDriver ? -1 : 0;
-      f.mi = o.src == BulkOp::Src::kIdentity ? -1 : 0;
-      return f;
-    };
-    const BulkOp o0 = flat(r.bulk_ops_[0]);
-    const BulkOp o1 = flat(r.bulk_ops_[1]);
-
-    auto& ord = r.chunk_ord_;
-    auto& rbase = r.chunk_base_;
-    auto& rlen = r.chunk_lens_;
-    auto& tpos = r.chunk_tpos_;
-    auto& acc = r.chunk_acc_;
-    const std::size_t S = static_cast<std::size_t>(sigma);
-    ord.resize(S);
-    rbase.resize(S);
-    rlen.resize(S);
-    tpos.resize(S);
-    acc.resize(static_cast<std::size_t>(cw));
-
-    // Sliced drains book ONE exact interval per invocation (covering every
-    // window it consumes) — no sampling needed: two stamps amortize over
-    // sigma rows of work. Outer rows consumed here also count as level-0
-    // work so per-level work totals match the per-row path.
-    const bool prof = support::profiling_enabled();
-    const long long prof_t0 = prof ? support::profile_now_ns() : 0;
-    const long long prof_w0 = prof ? c.tuples : 0;
-    long long prof_rows = 0;
-    const auto prof_book = [&] {
-      if (!prof || prof_rows == 0) return;
-      const long long w = c.tuples - prof_w0;
-      r.prof_.add_work(0, support::kProfTuple, prof_rows);
-      r.prof_.add_work(1, support::kProfSliced, w);
-      r.prof_.book_ns(1, support::kProfSliced,
-                      support::profile_now_ns() - prof_t0, w);
-    };
-
-    while (cur.cur % sigma == 0 && cur.end - cur.cur >= sigma) {
-      const index_t w0 = cur.cur;
-      // Pre-resolve the window's rows before booking any frame state: a
-      // filtered row or an unverifiable chunk shape restores the counter
-      // snapshot and leaves the whole window to the per-row path.
-      const LocalCounters saved = c;
-      bool ok = true;
-      for (index_t s = 0; s < sigma; ++s) {
-        const index_t row = w0 + s;
-        r.vars_[var0] = row;
-        r.pos_[pos0] = cur.base + row;
-        if (!r.resolve_probes(lv0, c)) {
-          ok = false;
-          break;
-        }
-        const index_t prow = r.pos_[pslot];
-        const std::size_t us = static_cast<std::size_t>(s);
-        ord[us] = s;
-        rbase[us] = off[prow];
-        rlen[us] = len[prow];
-        tpos[us] = r.pos_[tslot];
-      }
-      // Storage order: ascending per-row base recovers (chunk, lane).
-      // Insertion sort — sigma is small.
-      for (index_t a = 1; ok && a < sigma; ++a) {
-        const index_t v = ord[static_cast<std::size_t>(a)];
-        index_t b = a;
-        for (; b > 0 && rbase[static_cast<std::size_t>(
-                            ord[static_cast<std::size_t>(b - 1)])] >
-                            rbase[static_cast<std::size_t>(v)];
-             --b)
-          ord[static_cast<std::size_t>(b)] =
-              ord[static_cast<std::size_t>(b - 1)];
-        ord[static_cast<std::size_t>(b)] = v;
-      }
-      // Verify the shape this drain assumes: each storage-order group of
-      // cw rows shares one chunk (lane bases contiguous) and lane lengths
-      // never increase, so padded lanes retire as a suffix.
-      auto slot = [&](index_t j) {
-        return static_cast<std::size_t>(ord[static_cast<std::size_t>(j)]);
-      };
-      for (index_t j = 0; ok && j < sigma; j += cw) {
-        const index_t cb = rbase[slot(j)];
-        for (index_t lane = 0; lane < cw; ++lane) {
-          if (rbase[slot(j + lane)] != cb + lane ||
-              (lane > 0 &&
-               rlen[slot(j + lane)] > rlen[slot(j + lane - 1)])) {
-            ok = false;
-            break;
-          }
-        }
-      }
-      if (!ok) {
-        c = saved;
-        prof_book();
-        return;
-      }
-
-      // Book the window: per row, exactly what next_binding plus a
-      // per-row bulk drain book (probe hits already counted above).
-      f0.inv_enumerated += sigma;
-      f0.inv_produced += sigma;
-      for (std::size_t us = 0; us < S; ++us) {
-        const long long n = rlen[us];
-        c.tuples += n;
-        c.enumerated += n;
-        c.probe_hits += n * nprobes1;
-        ++r.fanout_local_[1][static_cast<std::size_t>(
-            support::Log2Histogram::bucket_of(n))];
-        if (st) {
-          st->levels[1].enumerated += n;
-          st->levels[1].produced += n;
-        }
-      }
-      // One unit-stride pass per chunk over its padded storage.
-      for (index_t j = 0; j < sigma; j += cw) {
-        const index_t cb = rbase[slot(j)];
-        for (index_t lane = 0; lane < cw; ++lane)
-          acc[static_cast<std::size_t>(lane)] = td[tpos[slot(j + lane)]];
-        const index_t kmax = rlen[slot(j)];
-        index_t active = cw;
-        for (index_t k = 0; k < kmax; ++k) {
-          while (active > 0 && rlen[slot(j + active - 1)] <= k) --active;
-          const index_t p = cb + k * cw;
-          for (index_t lane = 0; lane < active; ++lane) {
-            const index_t pp = p + lane;
-            const index_t idx = ind[pp];
-            value_t prod = scale;
-            prod *= o0.data[o0.at(pp, idx)];
-            prod *= o1.data[o1.at(pp, idx)];
-            acc[static_cast<std::size_t>(lane)] += prod;
-          }
-        }
-        for (index_t lane = 0; lane < cw; ++lane)
-          td[tpos[slot(j + lane)]] = acc[static_cast<std::size_t>(lane)];
-      }
-      cur.cur += sigma;
-      prof_rows += sigma;
-    }
-    prof_book();
   }
 };
 
@@ -1208,16 +1111,10 @@ void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
                : support::kProfTuple;
   };
   while (true) {
-    // At the outer level, offer any whole sliced windows to the chunk-
-    // wide drain first (no-op unless prepare_chunk engaged and the
-    // cursor sits on a window boundary with a full window left), then the
-    // rest of the range to the fused outer drain (no-op unless
-    // prepare_outer engaged).
-    if constexpr (requires { sink.try_chunk(c, stats); }) {
-      if (d == 0) {
-        sink.try_chunk(c, stats);
-        sink.try_outer(c, stats);
-      }
+    // At the outer level, offer the range to the fused outer drain
+    // (no-op unless prepare_outer engaged).
+    if constexpr (requires { sink.try_outer(c, stats); }) {
+      if (d == 0) sink.try_outer(c, stats);
     }
     if (d == leaf && lp_.levels[d].method == JoinMethod::kEnumerate) {
       if (prof_bracket) {
@@ -1329,7 +1226,6 @@ void LinkedRunner::run(const LinkedMac& mac, RunStats* stats) {
   const std::size_t tslot =
       static_cast<std::size_t>(lp_.leaf_slot[mac.target_slot]);
   prepare_bulk(mac);
-  prepare_chunk(mac);
   prepare_outer();
   traced(lp_, stats, [&](RunStats* st) {
     run_impl(MacSink{*this, mac, tslot}, st);
@@ -1505,7 +1401,6 @@ void ParallelRunner::run(const LinkedMac& mac, RunStats* stats) {
         const std::size_t tslot =
             static_cast<std::size_t>(r.lp_.leaf_slot[mac.target_slot]);
         r.prepare_bulk(mac);
-        r.prepare_chunk(mac);
         r.prepare_outer();
         return LinkedRunner::MacSink{r, mac, tslot};
       },

@@ -1,7 +1,6 @@
 #include "compiler/link.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <string_view>
 
@@ -81,10 +80,12 @@ IndexRange enum_index_range(const relation::EnumSpec& es) {
 }
 
 // Link-time always-hit proof for one enumerate level: every probe lowers
-// to pure arithmetic (identity/affine), never inserts, and the driver's
-// whole enumerable index range provably lands inside every probe's
-// accepting window. The bulk leaf drain then skips its per-invocation
-// min/max scan of the cursor range.
+// to pure arithmetic (identity/affine), never inserts, searches by the
+// level's own variable, and the driver's whole enumerable index range
+// provably lands inside every probe's accepting window. The bulk leaf
+// drain then skips its per-invocation min/max scan of the cursor range.
+// (A probe searching by an outer variable — B[i,j] probed at i's level
+// for its j child — sees a different index than the driver enumerates.)
 bool prove_all_hit(const LinkedLevel& ll) {
   if (ll.method != JoinMethod::kEnumerate || ll.drivers.size() != 1)
     return false;
@@ -92,7 +93,7 @@ bool prove_all_hit(const LinkedLevel& ll) {
   if (es.kind == relation::EnumSpec::Kind::kNone) return false;
   const IndexRange r = enum_index_range(es);
   for (const LinkedProbe& pr : ll.probes) {
-    if (pr.insert_on_miss) return false;
+    if (pr.insert_on_miss || pr.var_slot != ll.var_slot) return false;
     if (pr.search.kind != relation::SearchSpec::Kind::kIdentity &&
         pr.search.kind != relation::SearchSpec::Kind::kAffine)
       return false;
@@ -174,10 +175,6 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
   // block row; when such a level hangs directly off the outer variable,
   // thread chunks are rounded up to block_r so no block row's rows split
   // across threads (shared ptr/ind/vals segments stay thread-local).
-  // Sliced levels likewise align chunks to the sorting window sigma so
-  // every thread chunk starts on a window boundary and the chunk-wide
-  // sliced drain (exec_linked.cpp) engages under threading exactly as it
-  // does serially.
   if (!plan.levels.empty()) {
     for (const LinkedLevel& ll : lp.levels)
       for (const LinkedAccess& a : ll.drivers) {
@@ -188,9 +185,6 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
           continue;
         if (a.desc.kind == relation::LevelDescriptor::Kind::kBlocked)
           lp.chunk_align = std::max(lp.chunk_align, a.desc.block_r);
-        else if (a.desc.kind == relation::LevelDescriptor::Kind::kSliced &&
-                 a.desc.sigma > 0)
-          lp.chunk_align = std::lcm(lp.chunk_align, a.desc.sigma);
       }
   }
   ParallelLegality leg = plan_parallel_legality(plan, q);

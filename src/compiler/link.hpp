@@ -126,9 +126,7 @@ struct LinkedPlan {
   // Thread-chunk alignment for the outer variable: when the plan walks a
   // blocked level whose block rows group `chunk_align` consecutive outer
   // bindings, chunk boundaries must fall on multiples of it so no block
-  // row straddles two threads; when it walks a sliced level, chunks align
-  // to the sorting window sigma so whole windows stay thread-local and
-  // the chunk-wide sliced drain can engage. 1 = no constraint.
+  // row straddles two threads. 1 = no constraint.
   index_t chunk_align = 1;
   // Static per-run data-movement model (see PlanFootprint). Derived by
   // link_plan; feeds execute.model_bytes / execute.model_flops metrics and
@@ -306,22 +304,26 @@ class LinkedRunner {
   // One mac operand's leaf position, classified against the leaf level:
   // constant across the drain (bound at an outer level), the driver's own
   // position, or derived from the bound index through an identity/affine
-  // probe. Resolved once per run; the per-invocation bases (kConst slot
-  // reads, kAffine parent*stride) are refreshed inside try_bulk.
+  // probe. Resolved once per run; the flattened bases are refreshed per
+  // leaf invocation inside try_bulk, or lowered once per run to affine
+  // functions of the outer row by prepare_outer.
   struct BulkOp {
     enum class Src : unsigned char { kConst, kDriver, kIdentity, kAffine };
     Src src = Src::kConst;
     const value_t* data = nullptr;  // factor value array (target: unused)
-    std::size_t slot = 0;           // kConst: pos_ slot read per invocation
+    std::size_t slot = 0;           // kConst: pos_ slot it reads
     index_t stride = 0;             // kAffine
     int parent_slot = -1;           // kAffine
-    // Per-invocation flattened form: pos = base + (mp & driver_pos) +
-    // (mi & idx), mp/mi all-ones or zero — a select, not a multiply.
+    // Flattened form at outer row k: pos = base + k*step + (mp & driver_pos)
+    // + (mi & idx), mp/mi all-ones or zero — a select, not a multiply.
+    // step is 0 unless the base is an affine function of the outer row.
     index_t base = 0;
+    index_t step = 0;
     index_t mp = 0;
     index_t mi = 0;
-    index_t at(index_t pos, index_t idx) const {
-      return base + (mp & pos) + (mi & idx);
+    index_t row_base(index_t k) const { return base + k * step; }
+    index_t at(index_t k, index_t pos, index_t idx) const {
+      return row_base(k) + (mp & pos) + (mi & idx);
     }
   };
   // The run(LinkedMac) sink: per-element multiply-accumulate plus the
@@ -330,14 +332,15 @@ class LinkedRunner {
   struct MacSink;
   // Classifies the mac against the leaf level and fills bulk_* members.
   void prepare_bulk(const LinkedMac& mac);
-  // Classifies the whole plan for the chunk-wide sliced drain (a two-
-  // level dense-rows x sliced-leaf mac with proved all-hit probes and a
-  // register-cacheable target) and fills chunk_* members.
-  void prepare_chunk(const LinkedMac& mac);
   // Classifies the whole plan for the fused outer-range drain (a two-
-  // level enumerate plan with proved all-hit probes over a compressed or
-  // blocked leaf) and fills outer_* members.
+  // level enumerate plan over a dense outer range with every probe proved
+  // all-hit and a compressed, sliced or blocked leaf) and lowers level 0
+  // to affine offsets (outer_* members).
   void prepare_outer();
+  // Flattens one operand to its BulkOp::at form, with each pos_ slot it
+  // reads given as base + k*step by `slot_form` (exec_linked.cpp).
+  template <class SlotForm>
+  static void flatten(BulkOp& o, index_t rows, SlotForm slot_form);
 
   LinkedPlan lp_;
   std::vector<index_t> vars_;
@@ -354,33 +357,28 @@ class LinkedRunner {
   BulkOp bulk_target_;
   bool bulk_ok_ = false;      // leaf level + operands admit bulk drains
   bool bulk_acc_ok_ = false;  // target constant and alias-free: cache it
-  // --- Chunk-wide sliced drain (run(LinkedMac) only) -----------------
-  // When a two-level plan enumerates dense rows over a sliced (SELL-C-σ)
-  // leaf, whole σ-row windows drain in storage order as per-chunk
-  // unit-stride lane passes (padded lanes retire as a suffix of the
-  // descending-length lane order), instead of one lane-strided walk per
-  // row. Per-row accumulation order is unchanged — one private register
-  // per lane, ascending k — so results, counters, fan-out histograms and
-  // per-level stats are identical to the per-row path.
-  bool chunk_ok_ = false;
-  index_t chunk_c_ = 0;      // lanes per chunk (SELL C)
-  index_t chunk_sigma_ = 0;  // sorting window (a multiple of C)
-  const index_t* chunk_off_ = nullptr;  // per-row storage base
-  const index_t* chunk_len_ = nullptr;  // per-row live length
-  const index_t* chunk_ind_ = nullptr;  // lane-interleaved column ids
-  // Window scratch (slot = row - window start), reused across windows.
-  std::vector<index_t> chunk_ord_;   // window slots in storage order
-  std::vector<index_t> chunk_base_;  // per-slot storage base
-  std::vector<index_t> chunk_lens_;  // per-slot live length
-  std::vector<index_t> chunk_tpos_;  // per-slot target position
-  std::vector<value_t> chunk_acc_;   // per-lane accumulators
+  bool bulk_alias_ = false;   // the target's storage overlaps a factor's
   // --- Fused outer-range drain (run(LinkedMac) only) -----------------
-  // When a two-level plan drives a compressed or blocked leaf with every
-  // probe proved all-hit, the whole outer cursor range drains in one loop
-  // (per row: level-0 bindings, the leaf segment bounds, the bulk loop
-  // body) instead of walking the level stack once per row.
+  // When a two-level plan drives a compressed, sliced or blocked leaf
+  // under a dense outer range with every probe proved all-hit, the whole
+  // outer cursor range drains in one loop (per row: the leaf element
+  // range and the bulk loop body) instead of walking the level stack once
+  // per row. Level 0 is lowered to affine offsets for it: at outer cursor
+  // counter k the dense driver binds var = k, and every position slot
+  // level 0 writes (the driver's, each rooted identity/affine probe's)
+  // holds off + k. Operands bound at level 0 are lowered to base(k) =
+  // base + k*step (outer_target_, outer_ops_) and the leaf's parent to
+  // outer_parent_off_ + k, so no probe call and no operand re-flattening
+  // runs per row.
   bool outer_ok_ = false;
-  std::vector<BulkOp*> outer_vary_;  // operands re-flattened per row
+  struct OuterSlot {
+    int slot = 0;
+    index_t off = 0;
+  };
+  std::vector<OuterSlot> outer_slots_;  // driver first, then probes
+  index_t outer_parent_off_ = 0;
+  BulkOp outer_target_;
+  std::vector<BulkOp> outer_ops_;
   // Per-level local fan-out buckets, flushed to the registry histograms
   // once per run (kBuckets wide, see support/histogram.hpp).
   std::vector<std::vector<long long>> fanout_local_;

@@ -25,6 +25,10 @@ Bsr Bsr::from_coo(const Coo& a, index_t block) {
                       "matrix " << a.rows() << "x" << a.cols()
                                 << " not divisible into " << block
                                 << "-blocks");
+  // Value positions are b*R*C + r*C + c in index_t: the block area must
+  // fit before any storage is sized, and the total once blocks are known.
+  const long long area = static_cast<long long>(block) * block;
+  if (a.nnz() > 0) checked_index(area, "BCSR block area R*C");
   const index_t brows = a.rows() / block;
 
   // Pass 1: the set of blocks per block row.
@@ -42,6 +46,8 @@ Bsr Bsr::from_coo(const Coo& a, index_t block) {
     browptr.push_back(static_cast<index_t>(bcolind.size()));
   }
 
+  checked_index(static_cast<long long>(bcolind.size()) * area,
+                "BCSR stored entries b*R*C");
   // Pass 2: scatter values into the block slots.
   std::vector<value_t> vals(bcolind.size() * static_cast<std::size_t>(block) *
                                 static_cast<std::size_t>(block),

@@ -59,11 +59,16 @@ Sell Sell::from_coo(const Coo& a, index_t chunk, index_t sigma) {
   // Chunk offsets: each chunk is padded to its longest member row. A
   // partial last chunk still reserves `chunk` lanes (missing lanes have
   // length 0 and are never enumerated).
-  const index_t nchunks = rows == 0 ? 0 : (rows + chunk - 1) / chunk;
+  // Chunk bases sum maxlen*C per chunk; they index storage as index_t, so
+  // the running total forms in 64 bits and must fit before it is stored.
+  const index_t nchunks =
+      static_cast<index_t>((rows + static_cast<long long>(chunk) - 1) / chunk);
   std::vector<index_t> cptr{0};
+  long long stored = 0;
   for (index_t ch = 0; ch < nchunks; ++ch) {
     index_t maxlen = 0;
-    const index_t pend = std::min<index_t>((ch + 1) * chunk, rows);
+    const index_t pend = static_cast<index_t>(
+        std::min<long long>((ch + 1LL) * chunk, rows));
     for (index_t p = ch * chunk; p < pend; ++p)
       maxlen = std::max<index_t>(
           maxlen, static_cast<index_t>(
@@ -71,7 +76,8 @@ Sell Sell::from_coo(const Coo& a, index_t chunk, index_t sigma) {
                                                           [static_cast<
                                                               std::size_t>(p)])]
                           .size()));
-    cptr.push_back(cptr.back() + maxlen * chunk);
+    stored += static_cast<long long>(maxlen) * chunk;
+    cptr.push_back(checked_index(stored, "SELL stored lanes sum(maxlen*C)"));
   }
 
   std::vector<index_t> cind(static_cast<std::size_t>(cptr.back()), 0);

@@ -7,9 +7,12 @@
 // expensive to debug than the branch is to execute.
 #pragma once
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "support/types.hpp"
 
 namespace bernoulli {
 
@@ -29,6 +32,21 @@ namespace detail {
 }
 
 }  // namespace detail
+
+/// Narrows a size or offset computed in 64 bits to index_t. index_t is
+/// 32-bit, so products such as blocks·R·C, nnz·stride or off + k·step are
+/// formed in 64 bits first; one that does not fit throws bernoulli::Error
+/// naming `what` instead of wrapping.
+inline index_t checked_index(long long v, const char* what) {
+  if (v < 0 || v > std::numeric_limits<index_t>::max()) {
+    std::ostringstream os;
+    os << "index overflow: " << what << " = " << v
+       << " does not fit the 32-bit index type";
+    throw Error(os.str());
+  }
+  return static_cast<index_t>(v);
+}
+
 }  // namespace bernoulli
 
 /// Throws bernoulli::Error when `expr` is false. Extra stream-style message

@@ -5,13 +5,6 @@
 // parsed here so every bench spells it identically; the report itself is
 // assembled by the bench via analysis/report.hpp AFTER obs_end()).
 //
-// Deprecated aliases, kept so existing scripts keep working (each warns
-// once on stderr): the literal spelling --report=json is the PR-1 stdout
-// report (any other value is a run-report file path), and --exec-json=
-// is the PR-3 exec-snapshot writer. When both the alias and an explicit
-// --report=<file> appear, the explicit file wins in either flag order —
-// callers must dispatch on legacy_report_stdout(), not legacy_report_json.
-//
 // obs_end() is deliberately strict: given the CommStats totals the caller
 // gathered over every machine run inside the recording window, the comm
 // matrix, the "send" span args inside the exported trace, and the
@@ -23,7 +16,6 @@
 
 #include <cstring>
 #include <iostream>
-#include <set>
 #include <string>
 
 #include "support/counters.hpp"
@@ -37,15 +29,8 @@ struct ObsOptions {
   std::string trace_path;    // --trace=<file>; empty = no trace
   bool comm_matrix = false;  // --comm-matrix
   std::string report_path;   // --report=<file>; empty = no run report
-  bool legacy_report_json = false;  // deprecated --report=json (stdout)
   bool active() const {
     return !trace_path.empty() || comm_matrix || !report_path.empty();
-  }
-  /// True when the deprecated stdout report should run. An explicit
-  /// --report=<file> wins over the alias regardless of flag order: the
-  /// alias only takes effect when no file report was requested.
-  bool legacy_report_stdout() const {
-    return legacy_report_json && report_path.empty();
   }
   /// Run reports embed a critical path, so requesting one records spans
   /// too (in memory only; nothing hits disk unless --trace asked).
@@ -53,15 +38,6 @@ struct ObsOptions {
     return !trace_path.empty() || !report_path.empty();
   }
 };
-
-/// Warns once per deprecated spelling (process-wide).
-inline void warn_deprecated_flag(const char* old_spelling,
-                                 const char* use_instead) {
-  static std::set<std::string>* warned = new std::set<std::string>();
-  if (warned->insert(old_spelling).second)
-    std::cerr << "warning: " << old_spelling << " is deprecated; use "
-              << use_instead << "\n";
-}
 
 /// Consumes one argv entry; returns false when it is not an
 /// observability flag (so the caller can keep its own parsing).
@@ -72,12 +48,6 @@ inline bool obs_parse_flag(const char* arg, ObsOptions& o) {
   }
   if (std::strcmp(arg, "--comm-matrix") == 0) {
     o.comm_matrix = true;
-    return true;
-  }
-  if (std::strcmp(arg, "--report=json") == 0) {
-    warn_deprecated_flag("--report=json",
-                         "--report=<file> (bernoulli.run.v1)");
-    o.legacy_report_json = true;
     return true;
   }
   if (std::strncmp(arg, "--report=", 9) == 0) {

@@ -539,36 +539,5 @@ TEST(Report, RunV1RoundTripsAndClearsHooksOnDestruction) {
   EXPECT_FALSE(solve_hooks_active());
 }
 
-// The deprecated --report=json alias must not steal an explicitly
-// requested --report=<file> run report, regardless of which flag comes
-// first on the command line. Callers dispatch on legacy_report_stdout().
-TEST(ObsFlags, ExplicitReportFileWinsOverDeprecatedAlias) {
-  using support::ObsOptions;
-  using support::obs_parse_flag;
-
-  {  // alias first, explicit file second
-    ObsOptions o;
-    EXPECT_TRUE(obs_parse_flag("--report=json", o));
-    EXPECT_TRUE(obs_parse_flag("--report=out.json", o));
-    EXPECT_EQ(o.report_path, "out.json");
-    EXPECT_TRUE(o.legacy_report_json);
-    EXPECT_FALSE(o.legacy_report_stdout());
-    EXPECT_TRUE(o.active());
-  }
-  {  // explicit file first, alias second
-    ObsOptions o;
-    EXPECT_TRUE(obs_parse_flag("--report=out.json", o));
-    EXPECT_TRUE(obs_parse_flag("--report=json", o));
-    EXPECT_EQ(o.report_path, "out.json");
-    EXPECT_FALSE(o.legacy_report_stdout());
-  }
-  {  // alias alone still selects the stdout report
-    ObsOptions o;
-    EXPECT_TRUE(obs_parse_flag("--report=json", o));
-    EXPECT_TRUE(o.report_path.empty());
-    EXPECT_TRUE(o.legacy_report_stdout());
-  }
-}
-
 }  // namespace
 }  // namespace bernoulli::analysis

@@ -3,6 +3,7 @@
 
 #include "formats/bsr.hpp"
 #include "formats/dense.hpp"
+#include "formats/sell.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "workloads/grid.hpp"
@@ -92,6 +93,44 @@ TEST(Bsr, SpmvAddAccumulates) {
   spmv(bsr, x, ax);
   spmv_add(bsr, x, y);
   for (std::size_t i = 0; i < 12; ++i) ASSERT_NEAR(y[i], 2.0 + ax[i], 1e-13);
+}
+
+// index_t is 32-bit: a product that sizes storage must be checked in 64
+// bits and rejected by name before anything is allocated. One stored
+// entry with 46341 x 46341 blocks needs R*C = 2,147,488,281 value slots,
+// past INT32_MAX — unguarded, the block area wraps or sizes a 17 GB array.
+TEST(Bsr, OversizedBlockAreaThrowsBeforeAllocating) {
+  const index_t block = 46341;
+  TripletBuilder b(block, block);
+  b.add(7, 11, 1.0);
+  const Coo a = std::move(b).build();
+  try {
+    (void)Bsr::from_coo(a, block);
+    FAIL() << "expected an index overflow error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("BCSR block area R*C"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The same guard on SELL-C-σ: two entries in one row of a 2^30-lane chunk
+// pad the chunk to 2 * 2^30 = 2^31 stored lanes.
+TEST(Sell, OversizedPaddedStorageThrowsBeforeAllocating) {
+  const index_t chunk = index_t{1} << 30;
+  TripletBuilder b(3, 4);
+  b.add(0, 1, 1.0);
+  b.add(0, 3, 2.0);
+  b.add(2, 0, 3.0);
+  const Coo a = std::move(b).build();
+  try {
+    (void)Sell::from_coo(a, chunk, chunk);
+    FAIL() << "expected an index overflow error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("SELL stored lanes"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

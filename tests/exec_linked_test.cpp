@@ -7,6 +7,7 @@
 // identical per-level enumerated/produced totals.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "blas/spgemm.hpp"
@@ -692,37 +693,270 @@ TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
 INSTANTIATE_TEST_SUITE_P(AllStorages, BulkDrainSweep,
                          ::testing::ValuesIn(make_edge_cases()), case_name);
 
+// ---- Affine-lowered outer drain: drains on vs off -------------------
+
+// The fused outer-range drain computes every level-0 position from an
+// affine lowering instead of resolving probes per row, and books probe
+// hits in bulk. Against the per-row path (set_bulk_drain(false)) it
+// must stay indistinguishable: bitwise outputs, executor.* deltas
+// (probe_hits included), fan-out histogram deltas, per-level RunStats
+// and per-level profile work.
+
+// Pareto-skewed row lengths (shape 1.2, minimum 2, capped at cols) with
+// every fifth row and a run of twelve rows empty. Columns within a row
+// step by 7 from a random start, distinct while cols is coprime to 7.
+Coo pareto_matrix(index_t rows, index_t cols, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  TripletBuilder b(rows, cols);
+  for (index_t i = 0; i < rows; ++i) {
+    const double u = rng.next_double(1e-6, 1.0);
+    if (i % 5 == 2 || (i >= 40 && i < 52)) continue;
+    const index_t len = std::min<index_t>(
+        cols, static_cast<index_t>(2.0 / std::pow(u, 1.0 / 1.2)));
+    const index_t start = rng.next_index(cols);
+    for (index_t k = 0; k < len; ++k)
+      b.add(i, (start + k * 7) % cols, rng.next_double(-1.0, 1.0));
+  }
+  return std::move(b).build();
+}
+
+// One run's observables.
+struct DrainRun {
+  Vector y;
+  EngineRun run;
+  std::map<std::string, std::vector<long long>> fanout;
+  std::vector<long long> level_work;
+};
+
+// Runs the mac once, serially (threads == 1) or through ParallelRunner,
+// with drains on or off and profiling on, starting y from y0.
+DrainRun run_drains(bool drains, int threads, const CompiledKernel& k,
+                    const std::vector<index_t>& factors, Vector& y,
+                    const Vector& y0) {
+  DrainRun out;
+  y = y0;
+  set_bulk_drain(drains);
+  support::set_profiling(true);
+  support::profile_reset();
+  auto hb = support::histograms_snapshot();
+  auto before = support::counters_snapshot();
+  const LinkedMac mac = link_mac(k.query(), 1, factors);
+  if (threads == 1) {
+    LinkedRunner runner(link_plan(k.plan(), k.query()));
+    runner.run(mac, &out.run.stats);
+  } else {
+    ParallelRunner runner(link_plan(k.plan(), k.query()), threads);
+    runner.run(mac, &out.run.stats);
+  }
+  out.run.deltas = exec_delta(before, support::counters_snapshot());
+  out.fanout = fanout_delta(hb, support::histograms_snapshot());
+  const support::ProfileSnapshot prof = support::profile_snapshot();
+  for (int d = 0; d < support::kProfileMaxLevels; ++d)
+    out.level_work.push_back(prof.level_work(d));
+  support::set_profiling(false);
+  support::profile_reset();
+  set_bulk_drain(true);
+  out.y = y;
+  return out;
+}
+
+void expect_same_drain_run(const DrainRun& off, const DrainRun& on,
+                           const std::string& label) {
+  SCOPED_TRACE(label);
+  expect_same_work(off.run, on.run);
+  EXPECT_EQ(off.fanout, on.fanout);
+  EXPECT_EQ(off.level_work, on.level_work);
+  ASSERT_EQ(off.y.size(), on.y.size());
+  for (std::size_t i = 0; i < off.y.size(); ++i)
+    EXPECT_EQ(on.y[i], off.y[i]) << "row " << i;  // bitwise
+}
+
+Vector random_vector(std::size_t n, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  Vector v(n);
+  for (auto& e : v) e = rng.next_double(-1, 1);
+  return v;
+}
+
+// The four formats the outer drains serve, bound as "A".
+void bind_outer_format(Bindings& b, Storage s, const formats::Csr& csr,
+                       const formats::Ccs& ccs, const formats::Bsr& bsr,
+                       const formats::Sell& sell) {
+  switch (s) {
+    case Storage::kCsr: b.bind_csr("A", csr); break;
+    case Storage::kCcs: b.bind_ccs("A", ccs); break;
+    case Storage::kBsr: b.bind_bsr("A", bsr); break;
+    case Storage::kSell: b.bind_sell("A", sell); break;
+    default: FAIL() << "not an outer-drain format";
+  }
+}
+
+constexpr Storage kOuterFormats[] = {Storage::kCsr, Storage::kCcs,
+                                     Storage::kBsr, Storage::kSell};
+
+// Skewed rows with empty rows, every thread count: ParallelRunner clamps
+// each chunk's level-0 cursor to a nonzero start, so the lowered offsets
+// must hold at any k0, and BCSR's carried block-row counters must start
+// mid-range correctly.
+TEST(OuterDrains, ParetoRowsMatchPerRowPathAtEveryThreadCount) {
+  const index_t rows = 200, cols = 96;
+  const Coo coo = pareto_matrix(rows, cols, 4242);
+  const formats::Csr csr = formats::Csr::from_coo(coo);
+  const formats::Ccs ccs = formats::Ccs::from_coo(coo);
+  const formats::Bsr bsr = formats::Bsr::from_coo(coo, 4);
+  const formats::Sell sell = formats::Sell::from_coo(coo, 4, 8);
+  const Vector x = random_vector(static_cast<std::size_t>(cols), 11);
+  const Vector y0 = random_vector(static_cast<std::size_t>(rows), 12);
+  for (Storage s : kOuterFormats) {
+    Vector y(y0.size());
+    Bindings b;
+    bind_outer_format(b, s, csr, ccs, bsr, sell);
+    b.bind_dense_vector("X", ConstVectorView(x));
+    b.bind_dense_vector("Y", VectorView(y));
+    LoopNest nest{{{"i", rows}, {"j", cols}},
+                  {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+    const CompiledKernel k = compile(nest, b);
+    const DrainRun ref = run_drains(false, 1, k, {2, 3}, y, y0);
+    EXPECT_GT(ref.run.deltas.at("executor.probe_hits"), rows);
+    for (int threads : {1, 2, 4, 8}) {
+      const std::string label =
+          storage_name(s) + " threads=" + std::to_string(threads);
+      expect_same_drain_run(ref, run_drains(false, threads, k, {2, 3}, y, y0),
+                            label + " drains off");
+      expect_same_drain_run(ref, run_drains(true, threads, k, {2, 3}, y, y0),
+                            label + " drains on");
+    }
+  }
+}
+
 // y += A y: the factor vector IS the target, so a drain must re-read
 // every factor element after the stores before it, exactly like the
 // per-tuple path (the column-major scatter reads y[j] while writing y[i]).
 TEST(LinkedExec, AliasedTargetAndFactorMatchPerTuplePath) {
-  Coo coo = random_matrix(30, 30, 200, 27);
-  formats::Csr csr = formats::Csr::from_coo(coo);
-  formats::Ccs ccs = formats::Ccs::from_coo(coo);
-  for (Storage storage : {Storage::kCsr, Storage::kCcs}) {
-    Vector y(30);
-    Vector y_start(30);
-    SplitMix64 rng(28);
-    for (auto& v : y_start) v = rng.next_double(-1, 1);
+  const index_t n = 96;
+  const Coo coo = pareto_matrix(n, n, 27);
+  const formats::Csr csr = formats::Csr::from_coo(coo);
+  const formats::Ccs ccs = formats::Ccs::from_coo(coo);
+  const formats::Bsr bsr = formats::Bsr::from_coo(coo, 4);
+  const formats::Sell sell = formats::Sell::from_coo(coo, 4, 8);
+  const Vector y0 = random_vector(static_cast<std::size_t>(n), 28);
+  for (Storage s : kOuterFormats) {
+    Vector y(y0.size());
     Bindings b;
-    if (storage == Storage::kCsr) b.bind_csr("A", csr);
-    if (storage == Storage::kCcs) b.bind_ccs("A", ccs);
+    bind_outer_format(b, s, csr, ccs, bsr, sell);
     b.bind_dense_vector("X", ConstVectorView(y));
     b.bind_dense_vector("Y", VectorView(y));
-    LoopNest nest{{{"i", 30}, {"j", 30}},
+    LoopNest nest{{{"i", n}, {"j", n}},
                   {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
-    CompiledKernel k = compile(nest, b);
+    const CompiledKernel k = compile(nest, b);
+    expect_same_drain_run(run_drains(false, 1, k, {2, 3}, y, y0),
+                          run_drains(true, 1, k, {2, 3}, y, y0),
+                          storage_name(s) + " aliased");
+  }
+}
 
-    set_bulk_drain(false);
-    y = y_start;
-    EngineRun slow = run_linked_mac(k.plan(), k.query(), 1, {2, 3});
-    const Vector y_slow = y;
-    set_bulk_drain(true);
-    y = y_start;
-    EngineRun fast = run_linked_mac(k.plan(), k.query(), 1, {2, 3});
-    expect_same_work(slow, fast);
-    for (std::size_t i = 0; i < y.size(); ++i)
-      EXPECT_EQ(y[i], y_slow[i]) << storage_name(storage) << " row " << i;
+// A dense vector whose root level describes itself as dense with stride
+// 3, so a probe into it lowers to an affine search (pos = parent·3 + idx
+// with the root parent 0) rather than an identity one.
+class StridedRootLevel final : public relation::IndexLevel {
+ public:
+  explicit StridedRootLevel(index_t n) : n_(n) {}
+  relation::LevelProperties properties() const override {
+    return {/*sorted=*/true, /*dense=*/true, relation::SearchCost::kConstant};
+  }
+  void enumerate(index_t parent, const relation::EnumFn& fn) const override {
+    for (index_t i = 0; i < n_; ++i)
+      if (!fn(i, parent * 3 + i)) return;
+  }
+  index_t search(index_t parent, index_t idx) const override {
+    return idx >= 0 && idx < n_ ? parent * 3 + idx : -1;
+  }
+  double expected_size() const override { return static_cast<double>(n_); }
+  relation::LevelDescriptor describe() const override {
+    relation::LevelDescriptor d;
+    d.kind = relation::LevelDescriptor::Kind::kDense;
+    d.extent = n_;
+    d.stride = 3;
+    return d;
+  }
+
+ private:
+  index_t n_;
+};
+
+class StridedRootVector final : public relation::RelationView {
+ public:
+  StridedRootVector(std::string name, Vector& v)
+      : name_(std::move(name)),
+        v_(v),
+        level_(static_cast<index_t>(v.size())) {}
+  std::string name() const override { return name_; }
+  index_t arity() const override { return 1; }
+  const relation::IndexLevel& level(index_t) const override { return level_; }
+  bool has_value() const override { return true; }
+  value_t value_at(index_t pos) const override {
+    return v_[static_cast<std::size_t>(pos)];
+  }
+  bool writable() const override { return true; }
+  void value_add(index_t pos, value_t d) override {
+    v_[static_cast<std::size_t>(pos)] += d;
+  }
+  void value_set(index_t pos, value_t x) override {
+    v_[static_cast<std::size_t>(pos)] = x;
+  }
+  std::span<const value_t> value_array() const override { return v_; }
+  std::span<value_t> value_array_mut() override { return v_; }
+
+ private:
+  std::string name_;
+  Vector& v_;
+  StridedRootLevel level_;
+};
+
+// Operands bound at level 0 through affine forms: a dense matrix factor
+// B[i,j] (its leaf position is row·cols + j, so the lowered base steps by
+// cols per row), with two factors (the general pair form) and three (the
+// n-ary form), and a target whose level-0 probe is affine with stride 3.
+TEST(OuterDrains, AffineOperandsMatchPerRowPath) {
+  const index_t rows = 48, cols = 36;
+  const Coo coo = pareto_matrix(rows, cols, 515);
+  const formats::Csr csr = formats::Csr::from_coo(coo);
+  const formats::Ccs ccs = formats::Ccs::from_coo(coo);
+  const formats::Bsr bsr = formats::Bsr::from_coo(coo, 4);
+  const formats::Sell sell = formats::Sell::from_coo(coo, 4, 8);
+  formats::Dense bm =
+      formats::Dense::from_coo(random_matrix(rows, cols, 900, 516));
+  const Vector x = random_vector(static_cast<std::size_t>(cols), 517);
+  const Vector y0 = random_vector(static_cast<std::size_t>(rows), 518);
+  for (Storage s : kOuterFormats) {
+    Vector y(y0.size());
+    StridedRootVector strided("Y", y);
+    for (int shape = 0; shape < 3; ++shape) {
+      Bindings b;
+      bind_outer_format(b, s, csr, ccs, bsr, sell);
+      b.bind_dense_matrix("B", bm);
+      b.bind_dense_vector("X", ConstVectorView(x));
+      std::vector<ArrayRef> factors{{"A", {"i", "j"}}, {"B", {"i", "j"}}};
+      std::vector<index_t> slots{2, 3};
+      if (shape == 1) {
+        factors.push_back({"X", {"j"}});
+        slots.push_back(4);
+      }
+      if (shape == 2) {
+        b.bind_view("Y", &strided, {0}, /*sparse=*/false);
+        factors = {{"A", {"i", "j"}}, {"X", {"j"}}};
+      } else {
+        b.bind_dense_vector("Y", VectorView(y));
+      }
+      LoopNest nest{{{"i", rows}, {"j", cols}}, {{"Y", {"i"}}, factors, 1.0}};
+      const CompiledKernel k = compile(nest, b);
+      const std::string label =
+          storage_name(s) + " shape " + std::to_string(shape);
+      const DrainRun off = run_drains(false, 1, k, slots, y, y0);
+      expect_same_drain_run(off, run_drains(true, 1, k, slots, y, y0), label);
+      expect_same_drain_run(off, run_drains(true, 4, k, slots, y, y0),
+                            label + " threads=4");
+    }
   }
 }
 
