@@ -1,15 +1,18 @@
-// Per-row cost of the linked engine against the hand kernels.
+// Per-row cost of the linked engine and the specialized .so against the
+// hand kernels.
 //
 // y += A x in csr, ccs, bcsr(4) and sell(C=8, sigma=32) on about 1M
 // stored entries each (--small: ~64k): banded n x n matrices with w
 // entries per row (w from 2 to 64), and one matrix with Pareto-skewed row
 // lengths (alpha 1.5, at least 2, mean ~6, random columns; most rows short,
-// a few long). The linked serial engine (LinkedRunner) and the format's
-// spmv_add run alternately, and each keeps its fastest of 25 runs
-// (--small: 5), so a slow stretch of a shared host hits both sides alike.
-// The table prints ns per stored entry for both and the difference per
-// row: (linked - kernel) / rows. A fixed per-row cost shows as a gap that
-// stays flat while w grows.
+// a few long). The linked serial engine (LinkedRunner), the specialized
+// kernel (SpecializedKernel, rung 4) and the format's spmv_add run
+// alternately, and each keeps its fastest of 25 runs (--small: 5), so a
+// slow stretch of a shared host hits all sides alike. The table prints ns
+// per stored entry for each and the difference per row against the
+// kernel: (engine - kernel) / rows. A fixed per-row cost shows as a gap
+// that stays flat while w grows. The specialized columns read "-" when the
+// kernel cannot be built (no cc or no dlopen).
 //
 //   build/bench/bench_row_cost [--small]
 #include <algorithm>
@@ -19,6 +22,7 @@
 
 #include "compiler/link.hpp"
 #include "compiler/loopnest.hpp"
+#include "compiler/specialize.hpp"
 #include "formats/formats.hpp"
 #include "support/rng.hpp"
 #include "support/text_table.hpp"
@@ -69,7 +73,8 @@ int main(int argc, char** argv) {
   const long long entries = small ? (1 << 16) : (1 << 20);
 
   TextTable table({"matrix", "format", "entries/row", "rows", "linked ns/nnz",
-                   "kernel ns/nnz", "gap ns/row"});
+                   "spec ns/nnz", "kernel ns/nnz", "linked gap ns/row",
+                   "spec gap ns/row"});
   for (int w : {2, 4, 8, 16, 28, 64, 0}) {
     // w == 0 is the Pareto matrix (mean ~6 entries per row).
     const index_t n =
@@ -96,12 +101,19 @@ int main(int argc, char** argv) {
       const CompiledKernel k = compile(nest, b);
       LinkedRunner runner(link_plan(k.plan(), k.query()));
       const LinkedMac mac = link_mac(k.query(), 1, {2, 3});
+      const LinkedPlan spec_plan = link_plan(k.plan(), k.query());
+      SpecializedKernel spec(spec_plan, mac);
 
-      double linked = 1e30, kernel = 1e30;
+      double linked = 1e30, specialized = 1e30, kernel = 1e30;
       for (int r = 0; r < reps; ++r) {
         WallTimer t;
         runner.run(mac);
         linked = std::min(linked, t.seconds());
+        if (spec.ok()) {
+          t.reset();
+          spec.run();
+          specialized = std::min(specialized, t.seconds());
+        }
         t.reset();
         if (format == "csr") formats::spmv_add(csr, x, y);
         if (format == "ccs") formats::spmv_add(ccs, x, y);
@@ -116,9 +128,18 @@ int main(int argc, char** argv) {
       table.add(format);
       table.add(static_cast<double>(coo.nnz()) / static_cast<double>(n), 1);
       table.add(static_cast<long long>(n));
+      const double rows = static_cast<double>(n);
       table.add(linked * 1e9 / stored);
+      if (spec.ok())
+        table.add(specialized * 1e9 / stored);
+      else
+        table.add(std::string("-"));
       table.add(kernel * 1e9 / stored);
-      table.add((linked - kernel) * 1e9 / static_cast<double>(n), 1);
+      table.add((linked - kernel) * 1e9 / rows, 1);
+      if (spec.ok())
+        table.add((specialized - kernel) * 1e9 / rows, 1);
+      else
+        table.add(std::string("-"));
     }
   }
   std::cout << table.str();

@@ -156,7 +156,605 @@ std::string parent_expr(int parent_slot) {
   return parent_slot < 0 ? "0" : pvar(parent_slot);
 }
 
+std::string rel_name(const LinkedPlan& lp, index_t rel) {
+  return lp.query->relations[static_cast<std::size_t>(rel)].view->name();
+}
+
+// The kernel body under construction: its text, the current indent and
+// the argument pools its lines reference.
+struct CBody {
+  ArgPool pool;
+  std::ostringstream text;
+  int indent = 1;
+  bool need_binsearch = false;
+
+  void line(const std::string& s) {
+    for (int i = 0; i < indent; ++i) text << "  ";
+    text << s << '\n';
+  }
+  void open(const std::string& s) {
+    line(s);
+    ++indent;
+  }
+  void close() {
+    --indent;
+    line("}");
+  }
+};
+
+// Always-hit proof for an identity/affine probe: it checks
+// 0 <= idx < extent and the idx it sees is its level's variable, whose
+// full enumerated range was scanned at emission time.
+bool probe_proved(const LinkedLevel& lv, const LinkedProbe& pr,
+                  const IndexRange& er) {
+  return pr.var_slot == lv.var_slot && er.mn >= 0 &&
+         (er.mx < er.mn || er.mx < pr.search.extent);
+}
+
+// One probe's position: a bare assignment when proved, else the bounds
+// test or search, a miss either `continue`-ing (filtering relation) or
+// failing the run.
+void emit_probe(CBody& b, const LinkedLevel& lv, const LinkedProbe& pr,
+                const IndexRange& er) {
+  const std::string pv = vvar(pr.var_slot);
+  const std::string pp = parent_expr(pr.access.parent_slot);
+  const std::string ps = pvar(pr.access.pos_slot);
+  const std::string miss =
+      pr.filters ? "{ ++misses; continue; }" : "return 1;";
+  const bool proved = probe_proved(lv, pr, er);
+  using SKind = relation::SearchSpec::Kind;
+  switch (pr.search.kind) {
+    case SKind::kIdentity:
+    case SKind::kAffine: {
+      const std::string pos = pr.search.kind == SKind::kIdentity
+                                  ? pv
+                                  : affine_expr(pp, pr.search.stride, pv);
+      if (proved) {
+        b.line("const int " + ps + " = " + pos + ";  /* proved in [0, " +
+               std::to_string(pr.search.extent) + ") */");
+      } else {
+        b.line("if (" + pv + " < 0 || " + pv + " >= " +
+               std::to_string(pr.search.extent) + ") " + miss);
+        b.line("const int " + ps + " = " + pos + ";");
+      }
+      break;
+    }
+    case SKind::kSegmentBinary: {
+      b.need_binsearch = true;
+      const std::string ptr = b.pool.int_name(pr.search.ptr);
+      const std::string ind_a = b.pool.int_name(pr.search.ind);
+      b.line("const int " + ps + " = binsearch(" + ind_a + ", " + ptr + "[" +
+             pp + "], " + ptr + "[" + pp + " + 1], " + pv + ");");
+      b.line("if (" + ps + " < 0) " + miss);
+      break;
+    }
+    case SKind::kListBinary: {
+      b.need_binsearch = true;
+      const std::string ind_a = b.pool.int_name(pr.search.ind);
+      b.line("const int " + ps + " = binsearch(" + ind_a + ", 0, " +
+             std::to_string(pr.search.extent) + ", " + pv + ");");
+      b.line("if (" + ps + " < 0) " + miss);
+      break;
+    }
+    case SKind::kFunction: {
+      const std::string map = b.pool.int_name(pr.search.map);
+      b.line("if (" + map + "[" + pp + "] != " + pv + ") " + miss);
+      b.line("const int " + ps + " = " + pp + ";");
+      break;
+    }
+    case SKind::kVirtual:
+      break;  // refused before emission
+  }
+}
+
+// The multiply-accumulate product in the engines' exact operation order:
+// scale first, factors left to right. A nonempty held[i] names the
+// register holding factor i for the whole leaf range.
+void emit_product(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
+                  const std::vector<std::string>& held) {
+  std::ostringstream sc;
+  sc.precision(17);
+  sc << mac.scale;
+  b.line("double prod = " + sc.str() + ";");
+  for (std::size_t i = 0; i < mac.factors.size(); ++i) {
+    const LinkedMac::Factor& f = mac.factors[i];
+    b.line("prod *= " +
+           (held[i].empty()
+                ? b.pool.const_name(f.data.data()) + "[" +
+                      pvar(lp.leaf_slot[f.slot]) + "]"
+                : held[i]) +
+           ";");
+  }
+}
+
+// The leaf form emit_fused takes, with the reason, proved once from the
+// plan's index ranges and the mac's value spans. The fused forms need the
+// shape the linked engine's fused outer-range drain (prepare_outer)
+// drains:
+//   - two levels, the outer one a dense range;
+//   - every probe at both levels an identity/affine search proved at link
+//     time to hit (proved_all_hit: no row or leaf element can miss or
+//     filter), every level-0 probe rooted, so every level-0 position
+//     equals the outer counter;
+//   - a compressed, sliced or blocked leaf hanging off a level-0 position;
+//   - a target whose storage overlaps no factor's, so neither a register
+//     accumulator nor a factor loaded once per row can miss a store;
+//   - the target or a factor bound at level 0: the operand a fused form
+//     keeps in a register.
+// Everything else keeps the per-element leaf.
+struct LeafShape {
+  LeafForm form = LeafForm::kPerElement;
+  std::string note;
+  std::vector<bool> outer;  // per position slot: written at level 0
+};
+
+LeafShape classify_leaf(const LinkedPlan& lp, const LinkedMac& mac,
+                        const std::vector<relation::EnumSpec>& specs) {
+  LeafShape s;
+  auto per_element = [&](const std::string& why) {
+    s.form = LeafForm::kPerElement;
+    s.note = "per-element leaf: " + why;
+    return s;
+  };
+  if (lp.levels.size() != 2)
+    return per_element("the fused forms cover two-level plans, this one has " +
+                       std::to_string(lp.levels.size()));
+  using EKind = relation::EnumSpec::Kind;
+  const LinkedLevel& lv0 = lp.levels[0];
+  const LinkedLevel& lv1 = lp.levels[1];
+  if (specs[0].kind != EKind::kDense)
+    return per_element("level 0 is not a dense range");
+  for (std::size_t d = 0; d < 2; ++d)
+    if (!lp.levels[d].proved_all_hit)
+      return per_element("a probe at level " + std::to_string(d) +
+                         " may miss");
+  for (const LinkedProbe& pr : lv0.probes)
+    if (pr.access.parent_slot >= 0)
+      return per_element("the level-0 probe of " +
+                         rel_name(lp, pr.access.rel) + " is not rooted");
+  s.outer.assign(static_cast<std::size_t>(lp.pos_slots), false);
+  s.outer[static_cast<std::size_t>(lv0.drivers[0].pos_slot)] = true;
+  for (const LinkedProbe& pr : lv0.probes)
+    s.outer[static_cast<std::size_t>(pr.access.pos_slot)] = true;
+  const EKind leaf = specs[1].kind;
+  const int parent = lv1.drivers[0].parent_slot;
+  if (leaf != EKind::kSegmented && leaf != EKind::kSliced &&
+      leaf != EKind::kBlocked)
+    return per_element(rel_name(lp, lv1.drivers[0].rel) +
+                       "'s leaf is not compressed, sliced or blocked");
+  if (parent < 0 || !s.outer[static_cast<std::size_t>(parent)])
+    return per_element(rel_name(lp, lv1.drivers[0].rel) +
+                       "'s leaf does not hang off level 0");
+  if (const LinkedMac::Factor* f = overlapping_factor(mac))
+    return per_element("target " + mac.target->name() + " overlaps factor " +
+                       f->view->name());
+  auto is_outer = [&](std::size_t rel) {
+    return s.outer[static_cast<std::size_t>(lp.leaf_slot[rel])];
+  };
+  if (is_outer(mac.target_slot)) {
+    s.form = leaf == EKind::kBlocked ? LeafForm::kBlockRow
+                                     : LeafForm::kAccumulator;
+    s.note = std::string(leaf_form_name(s.form)) + " leaf: " +
+             mac.target->name() + " accumulates in registers per " +
+             (leaf == EKind::kBlocked ? "block row" : "row");
+    return s;
+  }
+  for (const LinkedMac::Factor& f : mac.factors)
+    if (is_outer(f.slot)) {
+      s.form = LeafForm::kHoistedFactor;
+      s.note = "hoisted-factor leaf: " + f.view->name() +
+               " is loaded once per row";
+      return s;
+    }
+  return per_element("no operand is bound at level 0");
+}
+
+// Today's general form: one loop block per level, counters booked per
+// tuple, one store per product. Covers every plan emission accepts.
+void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
+                 const std::vector<relation::EnumSpec>& specs) {
+  for (std::size_t d = 0; d < lp.levels.size(); ++d) {
+    const LinkedLevel& lv = lp.levels[d];
+    const relation::EnumSpec& es = specs[d];
+    const std::string D = std::to_string(d);
+    const std::string en = "en" + D;
+    const std::string prn = "prn" + D;
+    const std::string P = parent_expr(lv.drivers[0].parent_slot);
+    const std::string p = pvar(lv.drivers[0].pos_slot);
+    const std::string v = vvar(lv.var_slot);
+    const std::string k = "k" + D;
+
+    b.open("{  /* level " + D + ": enumerate " +
+           rel_name(lp, lv.drivers[0].rel) + " */");
+    b.line("long long " + en + " = 0, " + prn + " = 0;");
+    // Per-level time attribution (the lvl_ns ABI slots, docs/CODEGEN.md):
+    // level 0 brackets the whole kernel exactly; deeper levels bracket
+    // whole invocations, sampled on the outer enumeration counter so the
+    // probes' `continue` paths cannot skip a close.
+    if (d == 0) {
+      b.line("const int pon0 = prof;");
+    } else {
+      b.line("const int pon" + D + " = prof && en0 % " +
+             std::to_string(support::kProfileSampleEvery) + " == 1;");
+    }
+    b.line("const long long pns" + D + " = pon" + D + " ? now_ns() : 0;");
+    using EKind = relation::EnumSpec::Kind;
+    switch (es.kind) {
+      case EKind::kDense:
+        b.open("for (int " + k + " = 0; " + k + " < " +
+               std::to_string(es.extent) + "; ++" + k + ") {");
+        b.line("++" + en + ";");
+        b.line("const int " + v + " = " + k + ";");
+        b.line("const int " + p + " = " + affine_expr(P, es.stride, k) + ";");
+        break;
+      case EKind::kSegmented: {
+        const std::string ptr = b.pool.int_name(es.ptr);
+        const std::string ind_a = b.pool.int_name(es.ind);
+        b.open("for (int " + p + " = " + ptr + "[" + P + "]; " + p + " < " +
+               ptr + "[" + P + " + 1]; ++" + p + ") {");
+        b.line("++" + en + ";");
+        b.line("const int " + v + " = " + ind_a + "[" + p + "];");
+        break;
+      }
+      case EKind::kList: {
+        const std::string ind_a = b.pool.int_name(es.ind);
+        b.open("for (int " + p + " = 0; " + p + " < " +
+               std::to_string(es.extent) + "; ++" + p + ") {");
+        b.line("++" + en + ";");
+        b.line("const int " + v + " = " + ind_a + "[" + p + "];");
+        break;
+      }
+      case EKind::kFunction: {
+        const std::string map = b.pool.int_name(es.map);
+        // A single child; the loop form keeps `continue` meaningful for
+        // filtering probes.
+        b.open("for (int " + k + " = 0; " + k + " < 1; ++" + k + ") {");
+        b.line("++" + en + ";");
+        b.line("const int " + v + " = " + map + "[" + P + "];");
+        b.line("const int " + p + " = " + P + ";");
+        break;
+      }
+      case EKind::kStrided: {
+        const std::string ind_a = b.pool.int_name(es.ind);
+        const std::string len = b.pool.int_name(es.len);
+        b.open("for (int " + k + " = 0; " + k + " < " + len + "[" + P +
+               "]; ++" + k + ") {");
+        b.line("++" + en + ";");
+        b.line("const int " + p + " = " + P + " + " + k + " * " +
+               std::to_string(es.stride) + ";");
+        b.line("const int " + v + " = " + ind_a + "[" + p + "];");
+        break;
+      }
+      case EKind::kOffsets: {
+        const std::string ind_a = b.pool.int_name(es.ind);
+        const std::string off = b.pool.int_name(es.off);
+        const std::string len = b.pool.int_name(es.len);
+        b.open("for (int " + k + " = 0; " + k + " < " + len + "[" + P +
+               "]; ++" + k + ") {");
+        b.line("++" + en + ";");
+        b.line("const int " + p + " = " + off + "[" + k + "] + " + P + ";");
+        b.line("const int " + v + " = " + ind_a + "[" + p + "];");
+        break;
+      }
+      case EKind::kBlocked: {
+        // One block row per parent row: the block loop walks the stored
+        // blocks, the lane loop has a literal trip count (block_c), which
+        // cc -O2 fully unrolls. The lane body is the loop's compound
+        // statement, so the level's single closing brace closes both.
+        const std::string ptr = b.pool.int_name(es.ptr);
+        const std::string ind_a = b.pool.int_name(es.ind);
+        const std::string rs = std::to_string(es.block_r);
+        const std::string cs = std::to_string(es.block_c);
+        const std::string rc = std::to_string(es.block_r * es.block_c);
+        const std::string bb = "b" + D;
+        const std::string cc = "cc" + D;
+        b.line("const int br" + D + " = " + P + " / " + rs + ";");
+        b.line("const int ro" + D + " = (" + P + " % " + rs + ") * " + cs +
+               ";");
+        b.line("for (int " + bb + " = " + ptr + "[br" + D + "]; " + bb +
+               " < " + ptr + "[br" + D + " + 1]; ++" + bb + ")");
+        b.open("for (int " + cc + " = 0; " + cc + " < " + cs + "; ++" + cc +
+               ") {");
+        b.line("++" + en + ";");
+        b.line("const int " + v + " = " + ind_a + "[" + bb + "] * " + cs +
+               " + " + cc + ";");
+        b.line("const int " + p + " = " + bb + " * " + rc + " + ro" + D +
+               " + " + cc + ";");
+        break;
+      }
+      case EKind::kSliced: {
+        // len[]-bounded lane walk: padding slots past a row's length are
+        // never touched, so the emitted kernel books the same counters as
+        // the engines.
+        const std::string ind_a = b.pool.int_name(es.ind);
+        const std::string off = b.pool.int_name(es.off);
+        const std::string len = b.pool.int_name(es.len);
+        b.line("const int sb" + D + " = " + off + "[" + P + "];");
+        b.open("for (int " + k + " = 0; " + k + " < " + len + "[" + P +
+               "]; ++" + k + ") {");
+        b.line("++" + en + ";");
+        b.line("const int " + p + " = sb" + D + " + " + k + " * " +
+               std::to_string(es.stride) + ";");
+        b.line("const int " + v + " = " + ind_a + "[" + p + "];");
+        break;
+      }
+      case EKind::kNone:
+        break;  // refused before emission
+    }
+
+    const IndexRange er = enum_index_range(es);
+    for (const LinkedProbe& pr : lv.probes) {
+      emit_probe(b, lv, pr, er);
+      b.line("++hits;");
+    }
+    b.line("++" + prn + ";");
+  }
+
+  b.line("++tuples;");
+  emit_product(b, lp, mac, std::vector<std::string>(mac.factors.size()));
+  b.line(b.pool.out_name(mac.target_data.data()) + "[" +
+         pvar(lp.leaf_slot[mac.target_slot]) + "] += prod;");
+
+  // Close the loops innermost-out, booking each level's invocation totals
+  // and its one fan-out sample — the linked engine's close_frame.
+  for (std::size_t d = lp.levels.size(); d-- > 0;) {
+    const std::string D = std::to_string(d);
+    b.close();
+    b.line("if (pon" + D + ") { lvl_ns[" + std::to_string(3 * d) +
+           "] += now_ns() - pns" + D + "; ++lvl_ns[" +
+           std::to_string(3 * d + 1) + "]; lvl_ns[" +
+           std::to_string(3 * d + 2) + "] += prn" + D + "; }");
+    b.line("lvl_enum[" + D + "] += en" + D + ";");
+    b.line("lvl_prod[" + D + "] += prn" + D + ";");
+    b.line("++fanout[" + D + " * " +
+           std::to_string(support::Log2Histogram::kBuckets) +
+           " + bucket_of(prn" + D + ")];");
+    b.close();
+  }
+}
+
+// The fused forms (see classify_leaf): one loop over the outer range whose
+// rows bind level 0 arithmetically (every level-0 position is the outer
+// counter k0), a leaf loop per row that keeps the row's target element or
+// its level-0 factors in registers, and counters booked per row as element
+// counts. A blocked leaf with a level-0 target walks one block row per
+// step instead: block_r accumulators, each block read once for all its
+// rows, every row still summing block by block and lane by lane. Rows sum
+// in the per-element form's order, so results are bitwise the same.
+//
+// Profiling: level 1 is timed on 64-row strips (block rows covering 64
+// rows for the tile) whose first row or block row runs alone inside the
+// bracket, so the row loop itself makes no call and tests no sampling
+// condition. The sampled rows are the per-element form's (en0 % 64 == 1).
+void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
+                const std::vector<relation::EnumSpec>& specs,
+                const LeafShape& shape) {
+  using EKind = relation::EnumSpec::Kind;
+  const LinkedLevel& lv0 = lp.levels[0];
+  const LinkedLevel& lv1 = lp.levels[1];
+  const relation::EnumSpec& es = specs[1];
+  const IndexRange er0 = enum_index_range(specs[0]);
+  const IndexRange er1 = enum_index_range(es);
+  const bool tile = shape.form == LeafForm::kBlockRow;
+  const index_t n = specs[0].extent;
+  const index_t step = tile ? es.block_r : 1;
+  const index_t strip =
+      step * std::max<index_t>(1, support::kProfileSampleEvery / step);
+  const index_t full = n - n % step;  // rows in whole steps
+  const std::string N = std::to_string(n);
+  const std::string FULL = std::to_string(full);
+  const std::string STRIP = std::to_string(strip);
+  const std::string P = parent_expr(lv1.drivers[0].parent_slot);
+  const std::string pd = pvar(lv1.drivers[0].pos_slot);
+  const std::string vd = vvar(lv1.var_slot);
+  const std::string cs = std::to_string(es.block_c);
+  const std::string W = b.pool.out_name(mac.target_data.data());
+  const std::string tpos = pvar(lp.leaf_slot[mac.target_slot]);
+  const std::string fan1 =
+      "fanout[1 * " + std::to_string(support::Log2Histogram::kBuckets) +
+      " + bucket_of(n1)]";
+
+  // Level 0's bindings at outer counter value `k`.
+  auto bind_outer = [&](const std::string& k) {
+    b.line("const int " + vvar(lv0.var_slot) + " = " + k + ";");
+    b.line("const int " + pvar(lv0.drivers[0].pos_slot) + " = " +
+           vvar(lv0.var_slot) + ";");
+    for (const LinkedProbe& pr : lv0.probes) emit_probe(b, lv0, pr, er0);
+  };
+  auto leaf_probes = [&] {
+    for (const LinkedProbe& pr : lv1.probes) emit_probe(b, lv1, pr, er1);
+  };
+
+  // One row: its leaf range [lo1, hi1) or n1 lanes from sb1, the operands
+  // bound at level 0 in registers, the leaf loop, the row's totals.
+  auto row = [&] {
+    bind_outer("k0");
+    switch (es.kind) {
+      case EKind::kSegmented: {
+        const std::string ptr = b.pool.int_name(es.ptr);
+        b.line("const int lo1 = " + ptr + "[" + P + "], hi1 = " + ptr + "[" +
+               P + " + 1];");
+        b.line("const int n1 = hi1 - lo1;");
+        break;
+      }
+      case EKind::kSliced:
+        b.line("const int sb1 = " + b.pool.int_name(es.off) + "[" + P + "];");
+        b.line("const int n1 = " + b.pool.int_name(es.len) + "[" + P + "];");
+        break;
+      default: {  // kBlocked
+        const std::string ptr = b.pool.int_name(es.ptr);
+        const std::string rs = std::to_string(es.block_r);
+        b.line("const int br1 = " + P + " / " + rs + ";");
+        b.line("const int ro1 = (" + P + " % " + rs + ") * " + cs + ";");
+        b.line("const int lo1 = " + ptr + "[br1], hi1 = " + ptr +
+               "[br1 + 1];");
+        b.line("const int n1 = (hi1 - lo1) * " + cs + ";");
+        break;
+      }
+    }
+    const bool acc = shape.form == LeafForm::kAccumulator;
+    if (acc) b.line("double acc = " + W + "[" + tpos + "];");
+    std::vector<std::string> held(mac.factors.size());
+    for (std::size_t i = 0; i < mac.factors.size(); ++i) {
+      const int s = lp.leaf_slot[mac.factors[i].slot];
+      if (!shape.outer[static_cast<std::size_t>(s)]) continue;
+      held[i] = "h" + std::to_string(i);
+      b.line("const double " + held[i] + " = " +
+             b.pool.const_name(mac.factors[i].data.data()) + "[" + pvar(s) +
+             "];");
+    }
+    const std::string ind = b.pool.int_name(es.ind);
+    switch (es.kind) {
+      case EKind::kSegmented:
+        b.open("for (int " + pd + " = lo1; " + pd + " < hi1; ++" + pd +
+               ") {");
+        b.line("const int " + vd + " = " + ind + "[" + pd + "];");
+        break;
+      case EKind::kSliced:
+        b.open("for (int k1 = 0; k1 < n1; ++k1) {");
+        b.line("const int " + pd + " = sb1 + k1 * " +
+               std::to_string(es.stride) + ";");
+        b.line("const int " + vd + " = " + ind + "[" + pd + "];");
+        break;
+      default:  // kBlocked
+        b.line("for (int b1 = lo1; b1 < hi1; ++b1)");
+        b.open("for (int cc1 = 0; cc1 < " + cs + "; ++cc1) {");
+        b.line("const int " + vd + " = " + ind + "[b1] * " + cs + " + cc1;");
+        b.line("const int " + pd + " = b1 * " +
+               std::to_string(es.block_r * es.block_c) + " + ro1 + cc1;");
+        break;
+    }
+    leaf_probes();
+    emit_product(b, lp, mac, held);
+    b.line(acc ? "acc += prod;" : W + "[" + tpos + "] += prod;");
+    b.close();
+    if (acc) b.line(W + "[" + tpos + "] = acc;");
+    b.line("w1 += n1;");
+    b.line("++" + fan1 + ";");
+  };
+
+  // Rows k0 .. k0 + m - 1 of one block row: one accumulator per row, each
+  // lane's column computed once, every row's product in its own scope.
+  // The target is at a level-0 position, so row r's element is k0 + r.
+  auto block_row = [&](index_t m) {
+    const std::string ptr = b.pool.int_name(es.ptr);
+    const std::string rs = std::to_string(es.block_r);
+    b.line("const int lo1 = " + ptr + "[k0 / " + rs + "], hi1 = " + ptr +
+           "[k0 / " + rs + " + 1];");
+    b.line("const int n1 = (hi1 - lo1) * " + cs + ";");
+    for (index_t r = 0; r < m; ++r)
+      b.line("double acc" + std::to_string(r) + " = " + W + "[k0 + " +
+             std::to_string(r) + "];");
+    b.line("for (int b1 = lo1; b1 < hi1; ++b1)");
+    b.open("for (int cc1 = 0; cc1 < " + cs + "; ++cc1) {");
+    b.line("const int " + vd + " = " + b.pool.int_name(es.ind) + "[b1] * " +
+           cs + " + cc1;");
+    for (index_t r = 0; r < m; ++r) {
+      const std::string R = std::to_string(r);
+      b.open("{  /* row k0 + " + R + " */");
+      bind_outer("k0 + " + R);
+      b.line("const int " + pd + " = b1 * " +
+             std::to_string(es.block_r * es.block_c) + " + " +
+             std::to_string(r * es.block_c) + " + cc1;");
+      leaf_probes();
+      emit_product(b, lp, mac, std::vector<std::string>(mac.factors.size()));
+      b.line("acc" + R + " += prod;");
+      b.close();
+    }
+    b.close();
+    for (index_t r = 0; r < m; ++r)
+      b.line(W + "[k0 + " + std::to_string(r) + "] = acc" +
+             std::to_string(r) + ";");
+    b.line("w1 += " + std::to_string(m) + "LL * n1;");
+    b.line(fan1 + " += " + std::to_string(m) + ";");
+  };
+
+  // A level-1 bracket around `m` rows. The host subtracts one calibrated
+  // stamp cost per sample; a bracket over m > 1 rows books m samples but
+  // pays for one stamp pair, so it adds the other m - 1 stamp costs back,
+  // measured by one more stamp.
+  auto open_sample = [&](const std::string& on) {
+    b.line("const int pon1 = " + on + ";");
+    b.line("const long long pns1 = pon1 ? now_ns() : 0;");
+    b.line("const long long pw1 = w1;");
+  };
+  auto close_sample = [&](index_t m) {
+    if (m == 1) {
+      b.line("if (pon1) { lvl_ns[3] += now_ns() - pns1; ++lvl_ns[4]; "
+             "lvl_ns[5] += w1 - pw1; }");
+      return;
+    }
+    b.open("if (pon1) {");
+    b.line("const long long pt1 = now_ns();");
+    b.line("lvl_ns[3] += pt1 - pns1 + " + std::to_string(m - 1) +
+           " * (now_ns() - pt1);");
+    b.line("lvl_ns[4] += " + std::to_string(m) + ";");
+    b.line("lvl_ns[5] += w1 - pw1;");
+    b.close();
+  };
+  auto unit = [&](index_t m) {
+    if (tile)
+      block_row(m);
+    else
+      row();
+  };
+
+  b.open("{  /* levels 0-1 fused: enumerate " +
+         rel_name(lp, lv0.drivers[0].rel) + ", then " +
+         rel_name(lp, lv1.drivers[0].rel) + " (" + shape.note + ") */");
+  b.line("long long w1 = 0;  /* leaf tuples */");
+  b.line("const int pon0 = prof;");
+  b.line("const long long pns0 = pon0 ? now_ns() : 0;");
+  if (full > 0) {
+    const std::string STEP = std::to_string(step);
+    b.open("for (int k0 = 0; k0 < " + FULL + ";) {");
+    open_sample("prof && k0 % " + STRIP + " == 0");
+    b.line("int e0 = " + FULL + ";");
+    b.line("if (pon1) e0 = k0 + " + STEP + ";");
+    b.line("else if (prof && " + FULL + " - k0 > " + STRIP + " - k0 % " +
+           STRIP + ") e0 = k0 - k0 % " + STRIP + " + " + STRIP + ";");
+    b.open("for (; k0 < e0; k0 += " + STEP + ") {");
+    unit(step);
+    b.close();
+    close_sample(step);
+    b.close();
+  }
+  if (full < n) {
+    b.open("{  /* partial last block row */");
+    b.line("const int k0 = " + FULL + ";");
+    const bool sampled = full % strip == 0;
+    if (sampled) open_sample("prof");
+    unit(n - full);
+    if (sampled) close_sample(n - full);
+    b.close();
+  }
+  b.line("if (pon0) { lvl_ns[0] += now_ns() - pns0; ++lvl_ns[1]; "
+         "lvl_ns[2] += " + N + "; }");
+  b.line("lvl_enum[0] += " + N + ";");
+  b.line("lvl_prod[0] += " + N + ";");
+  b.line("++fanout[0 * " + std::to_string(support::Log2Histogram::kBuckets) +
+         " + bucket_of(" + N + ")];");
+  b.line("lvl_enum[1] += w1;");
+  b.line("lvl_prod[1] += w1;");
+  b.line("tuples += w1;");
+  b.line("hits += " +
+         std::to_string(static_cast<long long>(n) *
+                        static_cast<long long>(lv0.probes.size())) +
+         "LL + w1 * " + std::to_string(lv1.probes.size()) + ";");
+  b.close();
+}
+
 }  // namespace
+
+const char* leaf_form_name(LeafForm form) {
+  switch (form) {
+    case LeafForm::kPerElement: return "per-element";
+    case LeafForm::kAccumulator: return "accumulator";
+    case LeafForm::kHoistedFactor: return "hoisted-factor";
+    case LeafForm::kBlockRow: return "block-row";
+  }
+  return "?";
+}
 
 LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
                              const std::string& symbol) {
@@ -168,9 +766,6 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
     out.ok = false;
     out.note = note;
     return out;
-  };
-  auto rel_name = [&](index_t rel) -> std::string {
-    return lp.query->relations[static_cast<std::size_t>(rel)].view->name();
   };
 
   if (lp.levels.empty()) return refuse("plan has no levels");
@@ -189,15 +784,15 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
                     "plans");
     const relation::EnumSpec es = lv.drivers[0].level->enum_spec();
     if (es.kind == relation::EnumSpec::Kind::kNone)
-      return refuse(rel_name(lv.drivers[0].rel) +
+      return refuse(rel_name(lp, lv.drivers[0].rel) +
                     " has no flat enumeration shape at level " +
                     std::to_string(d));
     for (const LinkedProbe& pr : lv.probes) {
       if (pr.insert_on_miss)
-        return refuse(rel_name(pr.access.rel) +
+        return refuse(rel_name(lp, pr.access.rel) +
                       " inserts on miss (sparse fill-in)");
       if (pr.search.kind == relation::SearchSpec::Kind::kVirtual)
-        return refuse(rel_name(pr.access.rel) +
+        return refuse(rel_name(lp, pr.access.rel) +
                       " probes through a virtual search");
     }
     specs.push_back(es);
@@ -217,268 +812,23 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
     out.level_kinds.push_back(kind);
   }
 
-  ArgPool pool;
-  std::ostringstream body;
-  bool need_binsearch = false;
-  int indent = 1;
-  auto line = [&](const std::string& s) {
-    for (int i = 0; i < indent; ++i) body << "  ";
-    body << s << '\n';
-  };
+  // One leaf form per plan, chosen here: the fused forms when their
+  // legality is proved, else the per-element form.
+  const LeafShape shape = classify_leaf(lp, mac, specs);
+  out.leaf_form = shape.form;
+  out.leaf_note = shape.note;
+  CBody body;
+  if (shape.form == LeafForm::kPerElement)
+    emit_nested(body, lp, mac, specs);
+  else
+    emit_fused(body, lp, mac, specs, shape);
+  body.line("ctr[0] += tuples;");
+  body.line("ctr[1] += hits;");
+  body.line("ctr[2] += misses;");
+  body.line("return 0;");
 
-  for (std::size_t d = 0; d < lp.levels.size(); ++d) {
-    const LinkedLevel& lv = lp.levels[d];
-    const relation::EnumSpec& es = specs[d];
-    const std::string D = std::to_string(d);
-    const std::string en = "en" + D;
-    const std::string prn = "prn" + D;
-    const std::string P = parent_expr(lv.drivers[0].parent_slot);
-    const std::string p = pvar(lv.drivers[0].pos_slot);
-    const std::string v = vvar(lv.var_slot);
-    const std::string k = "k" + D;
-
-    line("{  /* level " + D + ": enumerate " +
-         rel_name(lv.drivers[0].rel) + " */");
-    ++indent;
-    line("long long " + en + " = 0, " + prn + " = 0;");
-    // Per-level time attribution (the lvl_ns ABI slots, docs/CODEGEN.md):
-    // level 0 brackets the whole kernel exactly; deeper levels bracket
-    // whole invocations, sampled on the outer enumeration counter so the
-    // probes' `continue` paths cannot skip a close.
-    if (d == 0) {
-      line("const int pon0 = prof;");
-    } else {
-      line("const int pon" + D + " = prof && en0 % " +
-           std::to_string(support::kProfileSampleEvery) + " == 1;");
-    }
-    line("const long long pns" + D + " = pon" + D + " ? now_ns() : 0;");
-    using EKind = relation::EnumSpec::Kind;
-    switch (es.kind) {
-      case EKind::kDense:
-        line("for (int " + k + " = 0; " + k + " < " +
-             std::to_string(es.extent) + "; ++" + k + ") {");
-        ++indent;
-        line("++" + en + ";");
-        line("const int " + v + " = " + k + ";");
-        line("const int " + p + " = " + affine_expr(P, es.stride, k) + ";");
-        break;
-      case EKind::kSegmented: {
-        const std::string ptr = pool.int_name(es.ptr);
-        const std::string ind_a = pool.int_name(es.ind);
-        line("for (int " + p + " = " + ptr + "[" + P + "]; " + p + " < " +
-             ptr + "[" + P + " + 1]; ++" + p + ") {");
-        ++indent;
-        line("++" + en + ";");
-        line("const int " + v + " = " + ind_a + "[" + p + "];");
-        break;
-      }
-      case EKind::kList: {
-        const std::string ind_a = pool.int_name(es.ind);
-        line("for (int " + p + " = 0; " + p + " < " +
-             std::to_string(es.extent) + "; ++" + p + ") {");
-        ++indent;
-        line("++" + en + ";");
-        line("const int " + v + " = " + ind_a + "[" + p + "];");
-        break;
-      }
-      case EKind::kFunction: {
-        const std::string map = pool.int_name(es.map);
-        // A single child; the loop form keeps `continue` meaningful for
-        // filtering probes.
-        line("for (int " + k + " = 0; " + k + " < 1; ++" + k + ") {");
-        ++indent;
-        line("++" + en + ";");
-        line("const int " + v + " = " + map + "[" + P + "];");
-        line("const int " + p + " = " + P + ";");
-        break;
-      }
-      case EKind::kStrided: {
-        const std::string ind_a = pool.int_name(es.ind);
-        const std::string len = pool.int_name(es.len);
-        line("for (int " + k + " = 0; " + k + " < " + len + "[" + P +
-             "]; ++" + k + ") {");
-        ++indent;
-        line("++" + en + ";");
-        line("const int " + p + " = " + P + " + " + k + " * " +
-             std::to_string(es.stride) + ";");
-        line("const int " + v + " = " + ind_a + "[" + p + "];");
-        break;
-      }
-      case EKind::kOffsets: {
-        const std::string ind_a = pool.int_name(es.ind);
-        const std::string off = pool.int_name(es.off);
-        const std::string len = pool.int_name(es.len);
-        line("for (int " + k + " = 0; " + k + " < " + len + "[" + P +
-             "]; ++" + k + ") {");
-        ++indent;
-        line("++" + en + ";");
-        line("const int " + p + " = " + off + "[" + k + "] + " + P + ";");
-        line("const int " + v + " = " + ind_a + "[" + p + "];");
-        break;
-      }
-      case EKind::kBlocked: {
-        // One block row per parent row: the block loop walks the stored
-        // blocks, the lane loop has a literal trip count (block_c), which
-        // cc -O2 fully unrolls. The lane body is the loop's compound
-        // statement, so the level's single closing brace closes both.
-        const std::string ptr = pool.int_name(es.ptr);
-        const std::string ind_a = pool.int_name(es.ind);
-        const std::string rs = std::to_string(es.block_r);
-        const std::string cs = std::to_string(es.block_c);
-        const std::string rc = std::to_string(es.block_r * es.block_c);
-        const std::string b = "b" + D;
-        const std::string cc = "cc" + D;
-        line("const int br" + D + " = " + P + " / " + rs + ";");
-        line("const int ro" + D + " = (" + P + " % " + rs + ") * " + cs +
-             ";");
-        line("for (int " + b + " = " + ptr + "[br" + D + "]; " + b + " < " +
-             ptr + "[br" + D + " + 1]; ++" + b + ")");
-        line("for (int " + cc + " = 0; " + cc + " < " + cs + "; ++" + cc +
-             ") {");
-        ++indent;
-        line("++" + en + ";");
-        line("const int " + v + " = " + ind_a + "[" + b + "] * " + cs +
-             " + " + cc + ";");
-        line("const int " + p + " = " + b + " * " + rc + " + ro" + D +
-             " + " + cc + ";");
-        break;
-      }
-      case EKind::kSliced: {
-        // len[]-bounded lane walk: padding slots past a row's length are
-        // never touched, so the emitted kernel books the same counters as
-        // the engines.
-        const std::string ind_a = pool.int_name(es.ind);
-        const std::string off = pool.int_name(es.off);
-        const std::string len = pool.int_name(es.len);
-        line("const int sb" + D + " = " + off + "[" + P + "];");
-        line("for (int " + k + " = 0; " + k + " < " + len + "[" + P +
-             "]; ++" + k + ") {");
-        ++indent;
-        line("++" + en + ";");
-        line("const int " + p + " = sb" + D + " + " + k + " * " +
-             std::to_string(es.stride) + ";");
-        line("const int " + v + " = " + ind_a + "[" + p + "];");
-        break;
-      }
-      case EKind::kNone:
-        break;  // rejected above
-    }
-
-    const IndexRange er = enum_index_range(es);
-    for (const LinkedProbe& pr : lv.probes) {
-      const std::string pv = vvar(pr.var_slot);
-      const std::string pp = parent_expr(pr.access.parent_slot);
-      const std::string ps = pvar(pr.access.pos_slot);
-      const std::string miss =
-          pr.filters ? "{ ++misses; continue; }" : "return 1;";
-      // Always-hit proof: the probe checks 0 <= idx < extent and the idx
-      // it sees is this level's variable, whose full enumerated range was
-      // scanned at emission time.
-      const bool own_var = pr.var_slot == lv.var_slot;
-      const bool proved = own_var && er.mn >= 0 &&
-                          (er.mx < er.mn || er.mx < pr.search.extent);
-      using SKind = relation::SearchSpec::Kind;
-      switch (pr.search.kind) {
-        case SKind::kIdentity:
-          if (proved) {
-            line("const int " + ps + " = " + pv +
-                 ";  /* proved in [0, " +
-                 std::to_string(pr.search.extent) + ") */");
-          } else {
-            line("if (" + pv + " < 0 || " + pv + " >= " +
-                 std::to_string(pr.search.extent) + ") " + miss);
-            line("const int " + ps + " = " + pv + ";");
-          }
-          break;
-        case SKind::kAffine: {
-          const std::string pos =
-              affine_expr(pp, pr.search.stride, pv);
-          if (proved) {
-            line("const int " + ps + " = " + pos +
-                 ";  /* proved in [0, " +
-                 std::to_string(pr.search.extent) + ") */");
-          } else {
-            line("if (" + pv + " < 0 || " + pv + " >= " +
-                 std::to_string(pr.search.extent) + ") " + miss);
-            line("const int " + ps + " = " + pos + ";");
-          }
-          break;
-        }
-        case SKind::kSegmentBinary: {
-          need_binsearch = true;
-          const std::string ptr = pool.int_name(pr.search.ptr);
-          const std::string ind_a = pool.int_name(pr.search.ind);
-          line("const int " + ps + " = binsearch(" + ind_a + ", " + ptr +
-               "[" + pp + "], " + ptr + "[" + pp + " + 1], " + pv + ");");
-          line("if (" + ps + " < 0) " + miss);
-          break;
-        }
-        case SKind::kListBinary: {
-          need_binsearch = true;
-          const std::string ind_a = pool.int_name(pr.search.ind);
-          line("const int " + ps + " = binsearch(" + ind_a + ", 0, " +
-               std::to_string(pr.search.extent) + ", " + pv + ");");
-          line("if (" + ps + " < 0) " + miss);
-          break;
-        }
-        case SKind::kFunction: {
-          const std::string map = pool.int_name(pr.search.map);
-          line("if (" + map + "[" + pp + "] != " + pv + ") " + miss);
-          line("const int " + ps + " = " + pp + ";");
-          break;
-        }
-        case SKind::kVirtual:
-          break;  // rejected above
-      }
-      line("++hits;");
-    }
-    line("++" + prn + ";");
-  }
-
-  // Leaf body: the multiply-accumulate in the engines' exact operation
-  // order (scale first, factors left to right, one store).
-  line("++tuples;");
-  {
-    std::ostringstream sc;
-    sc.precision(17);
-    sc << mac.scale;
-    line("double prod = " + sc.str() + ";");
-  }
-  for (const LinkedMac::Factor& f : mac.factors) {
-    const std::string da = pool.const_name(f.data.data());
-    line("prod *= " + da + "[" +
-         pvar(lp.leaf_slot[static_cast<std::size_t>(f.slot)]) + "];");
-  }
-  {
-    const std::string wa = pool.out_name(mac.target_data.data());
-    line(wa + "[" +
-         pvar(lp.leaf_slot[static_cast<std::size_t>(mac.target_slot)]) +
-         "] += prod;");
-  }
-
-  // Close the loops innermost-out, booking each level's invocation totals
-  // and its one fan-out sample — the linked engine's close_frame.
-  for (std::size_t d = lp.levels.size(); d-- > 0;) {
-    const std::string D = std::to_string(d);
-    --indent;
-    line("}");
-    line("if (pon" + D + ") { lvl_ns[" + std::to_string(3 * d) +
-         "] += now_ns() - pns" + D + "; ++lvl_ns[" +
-         std::to_string(3 * d + 1) + "]; lvl_ns[" +
-         std::to_string(3 * d + 2) + "] += prn" + D + "; }");
-    line("lvl_enum[" + D + "] += en" + D + ";");
-    line("lvl_prod[" + D + "] += prn" + D + ";");
-    line("++fanout[" + D + " * " +
-         std::to_string(support::Log2Histogram::kBuckets) +
-         " + bucket_of(prn" + D + ")];");
-    --indent;
-    line("}");
-  }
-  line("ctr[0] += tuples;");
-  line("ctr[1] += hits;");
-  line("ctr[2] += misses;");
-  line("return 0;");
-
+  // bucket_of is Log2Histogram::bucket_of: the value's bit width, clamped
+  // to the last bucket.
   std::ostringstream os;
   os << "/* kernel specialized at runtime from a linked plan; arrays are\n"
      << " * passed by the host, counters replicate the linked engine's\n"
@@ -491,12 +841,11 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
      << "}\n\n"
      << "static int bucket_of(long long v) {\n"
      << "  if (v <= 0) return 0;\n"
-     << "  int k = 1;\n"
-     << "  while (k < " << (support::Log2Histogram::kBuckets - 1)
-     << " && v >= (1LL << k)) ++k;\n"
-     << "  return k;\n"
+     << "  const int k = 64 - __builtin_clzll((unsigned long long)v);\n"
+     << "  return k < " << (support::Log2Histogram::kBuckets - 1) << " ? k : "
+     << (support::Log2Histogram::kBuckets - 1) << ";\n"
      << "}\n\n";
-  if (need_binsearch) {
+  if (body.need_binsearch) {
     os << "static int binsearch(const int* ind, int lo, int hi, int key) {\n"
        << "  const int end = hi;\n"
        << "  while (lo < hi) {\n"
@@ -511,6 +860,7 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
      << "    long long* ctr, long long* lvl_enum, long long* lvl_prod,\n"
      << "    long long* fanout, long long* lvl_ns, int prof) {\n"
      << "  (void)ia; (void)da; (void)wa; (void)lvl_ns; (void)prof;\n";
+  const ArgPool& pool = body.pool;
   for (std::size_t i = 0; i < pool.ints.size(); ++i)
     os << "  const int* const I" << i << " = ia[" << i << "];\n";
   for (std::size_t i = 0; i < pool.consts.size(); ++i)
@@ -518,7 +868,7 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
   for (std::size_t i = 0; i < pool.outs.size(); ++i)
     os << "  double* const W" << i << " = wa[" << i << "];\n";
   os << "  long long tuples = 0, hits = 0, misses = 0;\n"
-     << body.str() << "}\n";
+     << body.text.str() << "}\n";
 
   out.ok = true;
   out.source = os.str();

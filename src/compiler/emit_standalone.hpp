@@ -37,6 +37,21 @@ std::string emit_standalone_c(const std::string& kernel_code,
                               const std::string& print_array,
                               std::size_t print_count);
 
+/// The leaf loop emit_linked_c chose. The fused forms apply to two-level
+/// plans with a dense outer range whose probes all provably hit and whose
+/// target overlaps no factor (docs/CODEGEN.md, "Rung 4"); they keep the
+/// level-0 operand in registers and book counters per row:
+///   kAccumulator   — the target element accumulates in a register per row
+///                    (CSR, SELL-C-σ);
+///   kHoistedFactor — a level-0 factor loads once per row and the target
+///                    is stored per element (CCS's x[j]);
+///   kBlockRow      — a blocked leaf walks one block row per step with one
+///                    accumulator per row (BCSR);
+///   kPerElement    — every other plan: one store and one counter update
+///                    per tuple.
+enum class LeafForm { kPerElement, kAccumulator, kHoistedFactor, kBlockRow };
+const char* leaf_form_name(LeafForm form);
+
 /// A (LinkedPlan, LinkedMac) pair rendered as one compilable C translation
 /// unit — the input to the runtime-specialization backend
 /// (compiler/specialize.hpp). Unlike emit_standalone_c, the arrays are NOT
@@ -75,12 +90,16 @@ struct LinkedEmission {
   std::vector<value_t*> out_args;          // wa[]
   std::size_t num_levels = 0;
   std::vector<int> level_kinds;  // support::kProf* drain kind per level
+  LeafForm leaf_form = LeafForm::kPerElement;
+  std::string leaf_note;  // the form and why it was chosen
 };
 
 /// Emits C for the pair, or refuses with a note when the plan uses a shape
 /// specialization does not cover: merge levels, virtual probes or
 /// enumerations (no flat SearchSpec/EnumSpec), sparse fill-in, or operands
-/// without flat value arrays. The emission borrows the plan's arrays; it
+/// without flat value arrays. Emits exactly one leaf form (leaf_form),
+/// whose legality — hits and non-aliasing — is proved here from the arrays
+/// the plan and mac hold. The emission borrows the plan's arrays; it
 /// is valid only while the views behind `lp` stay alive and unmoved.
 LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
                              const std::string& symbol);

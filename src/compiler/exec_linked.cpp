@@ -107,15 +107,6 @@ index_t bin_search(const index_t* ind, index_t lo, index_t hi, index_t idx) {
 
 std::atomic<bool> g_bulk_drain{true};
 
-// Half-open value ranges [a, a+an) and [b, b+bn) overlap. std::less gives
-// the pointer comparison a defined total order across unrelated arrays.
-bool ranges_overlap(const value_t* a, std::size_t an, const value_t* b,
-                    std::size_t bn) {
-  if (an == 0 || bn == 0) return false;
-  std::less<const value_t*> lt;
-  return !(lt(a + an - 1, b) || lt(b + bn - 1, a));
-}
-
 }  // namespace
 
 void set_bulk_drain(bool enabled) {
@@ -442,11 +433,7 @@ void LinkedRunner::prepare_bulk(const LinkedMac& mac) {
   // mid-loop (the deferred store would then be observable); likewise a
   // factor element fixed for the range may be loaded once only when no
   // store can reach it.
-  bulk_alias_ = false;
-  for (const LinkedMac::Factor& f : mac.factors)
-    if (ranges_overlap(mac.target_data.data(), mac.target_data.size(),
-                       f.data.data(), f.data.size()))
-      bulk_alias_ = true;
+  bulk_alias_ = overlapping_factor(mac) != nullptr;
   bulk_acc_ok_ = bulk_target_.src == BulkOp::Src::kConst && !bulk_alias_;
 }
 

@@ -1,6 +1,8 @@
 #include "compiler/link.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -506,6 +508,19 @@ LinkedMac link_mac(const Query& q, index_t target_rel,
     mac.factors.push_back(fac);
   }
   return mac;
+}
+
+const LinkedMac::Factor* overlapping_factor(const LinkedMac& mac) {
+  // std::less gives the pointer comparison a defined total order across
+  // unrelated arrays.
+  const std::less<const value_t*> lt;
+  const std::span<const value_t> t = mac.target_data;
+  for (const LinkedMac::Factor& f : mac.factors) {
+    if (t.empty() || f.data.empty()) continue;
+    if (!(lt(&t.back(), f.data.data()) || lt(&f.data.back(), t.data())))
+      return &f;
+  }
+  return nullptr;
 }
 
 LinkedRunner::LinkedRunner(LinkedPlan lp) : lp_(std::move(lp)) {

@@ -189,6 +189,11 @@ LinkedMac link_mac(const relation::Query& q, index_t target_rel,
                    const std::vector<index_t>& factor_rels,
                    value_t scale = 1.0);
 
+/// The first factor whose flat value array overlaps the target's (as in
+/// y += A·y), or nullptr. While one exists, no loop may keep the target
+/// element or a factor element in a register across a store.
+const LinkedMac::Factor* overlapping_factor(const LinkedMac& mac);
+
 /// Process-wide toggle for the bulk leaf-range drain (exec_linked.cpp):
 /// when the leaf level of a run(LinkedMac) plan enumerates a flat cursor
 /// range and every leaf probe provably hits, the whole range streams

@@ -135,7 +135,8 @@ SpecializedKernel::SpecializedKernel(const LinkedPlan& lp,
     return;
   }
   fn_ = reinterpret_cast<KernelFn>(addr);
-  note_ = "compiled and loaded " + dir_ + "/kernel.so";
+  note_ = "compiled and loaded " + dir_ + "/kernel.so (" +
+          emission_.leaf_note + ")";
   ctr_.assign(3, 0);
   lvl_enum_.assign(emission_.num_levels, 0);
   lvl_prod_.assign(emission_.num_levels, 0);

@@ -56,7 +56,9 @@ class SpecializedKernel {
 
   /// False when emission was refused, the toolchain/dlopen is unavailable,
   /// or the compile failed; note() carries the reason for EXPLAIN-style
-  /// reporting and run() must not be called.
+  /// reporting and run() must not be called. When loaded, note() names
+  /// the emitted leaf form and why it was chosen (e.g. "per-element leaf:
+  /// target Y overlaps factor X").
   bool ok() const { return fn_ != nullptr; }
   const std::string& note() const { return note_; }
 
