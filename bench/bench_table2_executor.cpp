@@ -44,7 +44,8 @@
 //                         as linked_tN / kernel_tN engine entries. With
 //                         --check the threaded run must also be bitwise
 //                         identical to the serial linked run with exactly
-//                         matching executor.* counter deltas.
+//                         matching executor.* counter deltas, and every
+//                         CRS, CCS, BCSR and SELL cell must fan out.
 //   --validate-exec-json=FILE   parse FILE with support/json_reader.hpp
 //                               and check the v1 schema (no measuring)
 //
@@ -204,7 +205,7 @@ struct EngineCase {
   // Threaded engines (--threads=N; negative when not measured). linked_t
   // is compiler::ParallelRunner on the same LinkedPlan; kernel_t is a
   // row-chunked CRS spmv on the shared pool (CRS only). parallel records
-  // whether the legality check let linked_t actually fan out.
+  // whether linked_t actually fanned out (legal plan, run not serialized).
   double linked_t_s = -1.0;
   double kernel_t_s = -1.0;
   bool parallel = false;
@@ -440,7 +441,6 @@ EngineCase measure_engines(const std::string& label, const EngineMatrix& m,
   if (want_linked && threads > 1) {
     ParallelRunner runner(link_plan(k.plan(), k.query()), threads);
     LinkedMac mac = link_mac(k.query(), target, factors);
-    out.parallel = runner.parallel();
     if (check) {
       // Observability reconciliation: the threaded run must reproduce a
       // serial linked run bitwise — outputs, executor.* counter deltas,
@@ -477,6 +477,9 @@ EngineCase measure_engines(const std::string& label, const EngineMatrix& m,
                   << threads << " MISMATCH vs serial linked]\n";
     }
     runner.run(mac);  // warm per-worker scratch
+    // A run the runner executed serially (run_note names why) did not
+    // fan out, even on a parallel-legal plan.
+    out.parallel = runner.parallel() && runner.run_note().empty();
     out.linked_t_s = bench::best_seconds([&] { runner.run(mac); }, budget);
   }
   if (want_specialized) {
@@ -669,6 +672,10 @@ int run_engines(const std::string& which, bool small, bool check,
   bool specialized_check_ok = true;
   bool metrics_check_ok = true;
   bool profile_check_ok = true;
+  // Under --check with --threads > 1: every SpMV cell fanned out (CRS and
+  // BCSR/SELL by row chunks, CCS owner-computes) — a silent serial
+  // fallback fails the smoke.
+  bool parallel_check_ok = true;
   bool any_specialized = false;
   // Threaded scaling on the LARGEST measured CRS case (the acceptance
   // target: >= 2.5x at 4 threads on the full Table-2 sweep).
@@ -714,10 +721,17 @@ int run_engines(const std::string& which, bool small, bool check,
       // Serial-over-threaded: > 1 means the threads helped. Plans the
       // legality check rejected ran the serial fallback — say so instead
       // of printing a meaningless ~1.0x.
-      if (!c.parallel && c.linked_t_s > 0)
+      if (!c.parallel && c.linked_t_s > 0) {
         table.add("serial");
-      else
+        if (c.format == "csr" || c.format == "ccs" || c.format == "bcsr" ||
+            c.format == "sell") {
+          parallel_check_ok = false;
+          std::cerr << "  [" << c.matrix << " " << c.format << " threads="
+                    << threads << " ran serially]\n";
+        }
+      } else {
         ratio(c.linked_s, c.linked_t_s);
+      }
       if (c.parallel && c.format == "csr" && c.linked_s > 0 &&
           c.linked_t_s > 0)
         big_scaling = c.linked_s / c.linked_t_s;  // last CRS case = largest
@@ -751,8 +765,9 @@ int run_engines(const std::string& which, bool small, bool check,
                  "the linked engine stands in.\n";
   if (threads > 1)
     std::cout << "linked" << tsuf
-              << " = ParallelRunner, outer level chunked over " << threads
-              << " pool threads; kernel" << tsuf
+              << " = ParallelRunner over " << threads
+              << " pool threads (row chunks; CCS: rows of Y split, "
+                 "owner-computes); kernel" << tsuf
               << " = row-chunked CRS spmv\non the same pool (CRS only). "
                  "scaling = serial linked time / threaded linked time.\n";
 
@@ -850,6 +865,11 @@ int run_engines(const std::string& which, bool small, bool check,
                    "the serial run (outputs/counters/histograms)\n";
       return 1;
     }
+    if (!parallel_check_ok) {
+      std::cerr << "CHECK FAILED: a CRS, CCS, BCSR or SELL SpMV cell ran "
+                   "serially on the threaded engine\n";
+      return 1;
+    }
     if (!specialized_check_ok) {
       std::cerr << "CHECK FAILED: specialized kernel did not reproduce "
                    "the serial linked run (outputs/counters/histograms)\n";
@@ -884,7 +904,8 @@ int run_engines(const std::string& which, bool small, bool check,
                    "host (fell back to linked); nothing to verify\n";
     if (threads > 1)
       std::cerr << "check ok: threaded linked runs bitwise-identical to "
-                   "serial with reconciling executor counters/histograms\n";
+                   "serial with reconciling executor counters/histograms, "
+                   "and every SpMV cell fanned out\n";
     // The scaling gate needs real cores; on an undersized host (CI smoke
     // containers are often 1-2 wide) the correctness checks above still
     // ran, so report the scaling and move on.

@@ -21,14 +21,19 @@
 // ParallelRunner (bottom of this file) workshares the outermost
 // enumerate level across the shared thread pool when the link-time
 // legality check passed (LinkedPlan::parallel_ok): a deterministic chunk
-// grid over the outer cursor range, per-worker runners with private
-// scratch and counter/fan-out shards, merged and flushed once per run so
-// observability stays exact — same executor.* deltas, same histogram
-// samples, same trace span totals as a serial run, for any thread count.
+// grid over the outer cursor range, or for owner-computes plans (CCS
+// y += A·x) one range of output rows per worker with its segment of
+// every column cut by an inspector at construction. Per-worker runners
+// keep private scratch and counter/fan-out shards, merged and flushed
+// once per run so observability stays exact — same executor.* deltas,
+// same histogram samples, same trace span totals as a serial run, for
+// any thread count.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -833,63 +838,116 @@ struct LinkedRunner::MacSink {
     return false;
   }
 
-  // Fused outer-range drain: run_span offers the open level-0 frame
-  // whenever the engine sits at the outer level. When prepare_outer
-  // engaged, the whole remaining outer range [cur, end) drains in one
-  // loop instead of one next_binding / open_frame / drain_enumerate_leaf /
-  // close_frame round trip per row. The drain shape is chosen once for
-  // the range, and every per-row position comes from level 0's affine
-  // lowering: per row there is no call and no operand-form branch, only
-  // the leaf segment bounds, the drain body over that segment and the
-  // row's fan-out sample. Rows drain in order and each row's segment runs
-  // the very loop body try_bulk would, so outputs are bitwise-identical;
-  // counters, the level-1 fan-out samples, per-level stats and profile
-  // work counts book exactly what the per-row path books (order-invariant
-  // totals). Chunk clamps are respected: only the frame's own [cur, end)
-  // is consumed.
-  void try_outer(LocalCounters& c, RunStats* st) const {
-    if (!r.outer_ok_ || !bulk_drain_enabled()) return;
-    relation::Cursor& cur = r.frames_[0].cursors[0];  // a dense row range
-    if (!cur.valid()) return;
-    const LinkedLevel& lv0 = r.lp_.levels[0];
-    const LinkedLevel& lv1 = r.lp_.levels[1];
-    const relation::LevelDescriptor& leaf = lv1.drivers[0].desc;
+  // BCSR block-row form of the fused drain: block rows [q0, q0 + nq),
+  // outer rows from k, each block read once for all N of its rows. Every
+  // row keeps its own accumulator and still sums block by block and lane
+  // by lane, in the per-row walk's multiplication order, so the result is
+  // bitwise the per-row walk's. Only for a register-cacheable target
+  // (bulk_acc_ok_): a store to one row must not be visible to another
+  // row's products. `book(n, rows)` books rows leaf ranges of n tuples.
+  template <int N, class Book>
+  void block_rows(index_t q0, index_t nq, index_t k, Book&& book) const {
+    const relation::LevelDescriptor& leaf = r.lp_.levels[1].drivers[0].desc;
+    const index_t* const ptr = leaf.ptr;
+    const index_t* const ind = leaf.ind;
+    value_t* const td = mac.target_data.data();
+    const BulkOp t = r.outer_target_;
+    with_factors(r.outer_ops_, [&](auto factors) {
+      for (index_t q = q0; q < q0 + nq; ++q, k += N) {
+        const index_t b0 = ptr[q];
+        const index_t b1 = ptr[q + 1];
+        book((b1 - b0) * N, N);
+        if (b1 == b0) continue;
+        const auto prods = [&]<std::size_t... R>(std::index_sequence<R...>) {
+          return std::array{factors(k + static_cast<index_t>(R))...};
+        }(std::make_index_sequence<N>{});
+        value_t a[N];
+        for (int rr = 0; rr < N; ++rr) a[rr] = td[t.row_base(k + rr)];
+        for (index_t b = b0; b < b1; ++b) {
+          const index_t jb = ind[b] * N;    // first lane index of block
+          const index_t pb = b * (N * N);  // block's value base
+          for (int rr = 0; rr < N; ++rr)
+            for (int cc = 0; cc < N; ++cc)
+              a[rr] += prods[static_cast<std::size_t>(rr)](pb + rr * N + cc,
+                                                          jb + cc);
+        }
+        for (int rr = 0; rr < N; ++rr) td[t.row_base(k + rr)] = a[rr];
+      }
+    });
+  }
+
+  // Drains outer rows [k0, k1) through the fused loop and returns the leaf
+  // tuples drained. The drain shape is chosen once for the range, and
+  // every per-row position comes from level 0's affine lowering: per row
+  // there is no call and no operand-form branch, only the leaf segment
+  // bounds, the drain body over that segment and (kFanout) the row's
+  // level-1 fan-out sample. A compressed row k walks its whole segment,
+  // or with `part` an owner-computes worker's share [lo[p], hi[p]) of it,
+  // at parent p = outer_parent_off_ + k.
+  template <bool kFanout>
+  long long drain_rows(index_t k0, index_t k1,
+                       const OwnerPart* part = nullptr) const {
+    const relation::LevelDescriptor& leaf = r.lp_.levels[1].drivers[0].desc;
     long long* const fan1 = r.fanout_local_[1].data();
     using K = relation::LevelDescriptor::Kind;
-    const bool prof = support::profiling_enabled();
-    const long long prof_t0 = prof ? support::profile_now_ns() : 0;
-    const index_t k0 = cur.cur;
-    const index_t k1 = cur.end;
     const index_t p0 = r.outer_parent_off_ + k0;  // leaf parent at row k0
     const index_t* const ptr = leaf.ptr;
     const index_t* const ind = leaf.ind;
     long long w = 0;  // leaf tuples over the range
-    auto book_row = [&](index_t n) {
-      w += n;
-      ++fan1[static_cast<std::size_t>(support::Log2Histogram::bucket_of(n))];
+    auto book = [&](index_t n, index_t rows) {
+      w += static_cast<long long>(n) * rows;
+      if constexpr (kFanout)
+        fan1[static_cast<std::size_t>(
+            support::Log2Histogram::bucket_of(n))] += rows;
     };
 
-    with_drain(r.outer_target_, r.outer_ops_, [&](const auto& drain) {
-      if (leaf.kind == K::kBlocked) {
-        // The block row and this row's value offset within it are
-        // carried from row to row: no div/mod per row.
-        const index_t bc = leaf.block_c;
-        const index_t bsz = leaf.block_r * bc;
-        index_t q = p0 / leaf.block_r;
-        index_t rofs = p0 % leaf.block_r * bc;
-        for (index_t k = k0; k < k1; ++k) {
-          const index_t b0 = ptr[q];
-          const index_t b1 = ptr[q + 1];
-          if (b1 > b0)
-            drain(blocked_walk(ind, bc, bsz, rofs, b0, 0, b1 - 1, bc), k);
-          book_row((b1 - b0) * bc);
-          rofs += bc;
-          if (rofs == bsz) {
-            rofs = 0;
-            ++q;
+    if (leaf.kind == K::kBlocked) {
+      // The block row and this row's value offset within it are carried
+      // from row to row: no div/mod per row.
+      const index_t br = leaf.block_r;
+      const index_t bc = leaf.block_c;
+      const index_t bsz = br * bc;
+      index_t q = p0 / br;
+      index_t rofs = p0 % br * bc;
+      auto per_row = [&](index_t ka, index_t kb) {
+        if (ka >= kb) return;
+        with_drain(r.outer_target_, r.outer_ops_, [&](const auto& drain) {
+          for (index_t k = ka; k < kb; ++k) {
+            const index_t b0 = ptr[q];
+            const index_t b1 = ptr[q + 1];
+            if (b1 > b0)
+              drain(blocked_walk(ind, bc, bsz, rofs, b0, 0, b1 - 1, bc), k);
+            book((b1 - b0) * bc, 1);
+            rofs += bc;
+            if (rofs == bsz) {
+              rofs = 0;
+              ++q;
+            }
           }
+        });
+      };
+      index_t k = k0;
+      if (r.bulk_acc_ok_ && br == bc && br >= 2 && br <= 4) {
+        // Rows up to the first block-row boundary walk per row; then
+        // whole block rows at once; a partial last block row per row.
+        const index_t head =
+            std::min(k1, rofs == 0 ? k : k + (bsz - rofs) / bc);
+        per_row(k, head);
+        k = head;
+        const index_t nq = (k1 - k) / br;
+        if (nq > 0) {
+          if (br == 2) block_rows<2>(q, nq, k, book);
+          else if (br == 3) block_rows<3>(q, nq, k, book);
+          else block_rows<4>(q, nq, k, book);
+          q += nq;
+          k += nq * br;
         }
-      } else if (leaf.kind == K::kSliced) {
+      }
+      per_row(k, k1);
+      return w;
+    }
+    with_drain(r.outer_target_, r.outer_ops_, [&](const auto& drain) {
+      if (leaf.kind == K::kSliced) {
         // A row's entries sit C lanes apart from its base, ascending k.
         const index_t cw = leaf.chunk;
         for (index_t k = k0; k < k1; ++k) {
@@ -901,21 +959,71 @@ struct LinkedRunner::MacSink {
                       [ind, base, cw](index_t e) { return ind[base + e * cw]; },
                       [base, cw](index_t e) { return base + e * cw; }, 0, n),
                   k);
-          book_row(n);
+          book(n, 1);
         }
       } else {
+        const index_t* const lo = part ? part->lo : ptr;
+        const index_t* const hi = part ? part->hi : ptr + 1;
         for (index_t k = k0; k < k1; ++k) {
           const index_t parent = p0 + (k - k0);
-          const index_t s0 = ptr[parent];
-          const index_t s1 = ptr[parent + 1];
+          const index_t s0 = lo[parent];
+          const index_t s1 = hi[parent];
           if (s1 > s0)
             drain(flat_walk([ind](index_t e) { return ind[e]; },
                             [](index_t e) { return e; }, s0, s1),
                   k);
-          book_row(s1 - s0);
+          book(s1 - s0, 1);
         }
       }
     });
+    return w;
+  }
+
+  // Books w drained leaf tuples: each enumerates, hits every leaf probe
+  // and produces; with profiling on (prof), one exact interval since
+  // prof_t0 under the leaf's drain kind.
+  void book_leaf(LocalCounters& c, RunStats* st, long long w, bool prof,
+                 long long prof_t0) const {
+    const LinkedLevel& lv1 = r.lp_.levels[1];
+    c.tuples += w;
+    c.enumerated += w;
+    c.probe_hits += w * static_cast<long long>(lv1.probes.size());
+    if (st) {
+      st->levels[1].enumerated += w;
+      st->levels[1].produced += w;
+    }
+    if (prof) {
+      using K = relation::LevelDescriptor::Kind;
+      const K kind = lv1.drivers[0].desc.kind;
+      const int pk = kind == K::kBlocked  ? support::kProfBlocked
+                     : kind == K::kSliced ? support::kProfSliced
+                                          : support::kProfBulk;
+      r.prof_.add_work(1, pk, w);
+      if (w > 0)
+        r.prof_.book_ns(1, pk, support::profile_now_ns() - prof_t0, w);
+    }
+  }
+
+  // Fused outer-range drain: run_span offers the open level-0 frame
+  // whenever the engine sits at the outer level. When prepare_outer
+  // engaged, the whole remaining outer range [cur, end) drains in one
+  // drain_rows loop instead of one next_binding / open_frame /
+  // drain_enumerate_leaf / close_frame round trip per row. Rows drain in
+  // order and each row's segment runs the very loop body try_bulk would,
+  // so outputs are bitwise-identical; counters, the level-1 fan-out
+  // samples, per-level stats and profile work counts book exactly what
+  // the per-row path books (order-invariant totals). Chunk clamps are
+  // respected: only the frame's own [cur, end) is consumed.
+  void try_outer(LocalCounters& c, RunStats* st) const {
+    if (!r.outer_ok_ || !bulk_drain_enabled()) return;
+    relation::Cursor& cur = r.frames_[0].cursors[0];  // a dense row range
+    if (!cur.valid()) return;
+    const LinkedLevel& lv0 = r.lp_.levels[0];
+    const bool prof = support::profiling_enabled();
+    const long long prof_t0 = prof ? support::profile_now_ns() : 0;
+    const index_t k0 = cur.cur;
+    const index_t k1 = cur.end;
+    const long long w = drain_rows<true>(k0, k1);
     cur.cur = k1;
     // Leave level 0's bindings at the last row, as the per-row path does.
     r.vars_[static_cast<std::size_t>(lv0.var_slot)] = k1 - 1;
@@ -928,24 +1036,33 @@ struct LinkedRunner::MacSink {
     const long long rows = k1 - k0;
     r.frames_[0].inv_enumerated += rows;
     r.frames_[0].inv_produced += rows;
-    c.tuples += w;
-    c.enumerated += w;
-    c.probe_hits += rows * static_cast<long long>(lv0.probes.size()) +
-                    w * static_cast<long long>(lv1.probes.size());
-    if (st) {
-      st->levels[1].enumerated += w;
-      st->levels[1].produced += w;
+    c.probe_hits += rows * static_cast<long long>(lv0.probes.size());
+    if (prof) r.prof_.add_work(0, support::kProfTuple, rows);
+    book_leaf(c, st, w, prof, prof_t0);
+  }
+
+  // One owner-computes worker's share of a run (ParallelRunner::
+  // run_owner): the fused drain over its segment of every column from
+  // its first to its last non-empty one, in column order, plus the
+  // level-1 fan-out of its slice of columns from FULL column lengths —
+  // the samples the serial drain books per column. Level 0 is booked by
+  // the coordinator.
+  void drain_owned(LocalCounters& c, RunStats* st,
+                   const OwnerPart& part) const {
+    const bool prof = support::profiling_enabled();
+    const long long prof_t0 = prof ? support::profile_now_ns() : 0;
+    const long long w =
+        part.col_hi > part.col_lo
+            ? drain_rows<false>(part.col_lo, part.col_hi, &part)
+            : 0;
+    const index_t* const ptr = r.lp_.levels[1].drivers[0].desc.ptr;
+    long long* const fan1 = r.fanout_local_[1].data();
+    for (index_t k = part.fan_lo; k < part.fan_hi; ++k) {
+      const index_t p = r.outer_parent_off_ + k;
+      ++fan1[static_cast<std::size_t>(
+          support::Log2Histogram::bucket_of(ptr[p + 1] - ptr[p]))];
     }
-    if (prof) {
-      // One exact interval per drained range, under the leaf's kind.
-      const int kind = leaf.kind == K::kBlocked  ? support::kProfBlocked
-                       : leaf.kind == K::kSliced ? support::kProfSliced
-                                                 : support::kProfBulk;
-      r.prof_.add_work(0, support::kProfTuple, rows);
-      r.prof_.add_work(1, kind, w);
-      if (w > 0)
-        r.prof_.book_ns(1, kind, support::profile_now_ns() - prof_t0, w);
-    }
+    book_leaf(c, st, w, prof, prof_t0);
   }
 };
 
@@ -1187,6 +1304,16 @@ void traced(const LinkedPlan& lp, RunStats* stats, const Body& body) {
   detail::emit_join_spans(*lp.plan, *st, t0, t1);
 }
 
+// A worker slot's execute.worker span. Slots may run on the coordinator
+// itself (ThreadPool::run_slots), whose track keeps its name; every other
+// thread's track is named after the slot.
+std::unique_ptr<support::TraceSpan> worker_span(int slot, int coordinator) {
+  const int tid = support::trace_track().tid;
+  if (tid != coordinator)
+    support::trace_name_thread(1, tid, "exec worker " + std::to_string(slot));
+  return std::make_unique<support::TraceSpan>("execute.worker", "compiler");
+}
+
 }  // namespace
 
 void LinkedRunner::run(const Action& action, RunStats* stats) {
@@ -1230,11 +1357,132 @@ void execute(const Plan& plan, const relation::Query& q,
 ParallelRunner::ParallelRunner(LinkedPlan lp, int threads)
     : threads_(std::max(1, threads)) {
   parallel_ = threads_ > 1 && lp.parallel_ok;
+  if (!parallel_)
+    run_note_ = threads_ > 1 ? lp.parallel_note : "one thread";
   const int nworkers = parallel_ ? threads_ : 1;
   workers_.reserve(static_cast<std::size_t>(nworkers));
   for (int w = 0; w < nworkers; ++w)
     workers_.push_back(std::make_unique<LinkedRunner>(lp));
+  if (parallel_ && lp.owner_computes) inspect_owner();
   if (parallel_) support::shared_pool(threads_);  // spawn once, not per run
+}
+
+// Owner-computes partition and inspector. The leaf's rows — every index
+// it enumerates lies below each leaf probe's extent (proved all-hit at
+// link time) — split into threads_ ranges holding about nnz/threads_
+// entries each. One pass over the sorted columns then records where each
+// column crosses each range boundary: O(nnz + threads·columns) time and
+// (threads − 1)·columns cut entries. Level 0 is a dense range whose
+// rooted probes sit at k, so outer row k walks column k's segment.
+void ParallelRunner::inspect_owner() {
+  const LinkedPlan& lp = workers_.front()->lp_;
+  const relation::LevelDescriptor& leaf = lp.levels[1].drivers[0].desc;
+  const index_t cols = lp.levels[0].drivers[0].desc.extent;
+  BERNOULLI_CHECK(cols <= leaf.ptr_len - 1);
+  index_t rows = std::numeric_limits<index_t>::max();
+  for (const LinkedProbe& pr : lp.levels[1].probes)
+    rows = std::min(rows, pr.search.extent);
+  const index_t* const ptr = leaf.ptr;
+  const index_t* const ind = leaf.ind;
+  const int T = threads_;
+
+  // Row boundaries: bound[t] is the first row with at least t/T of the
+  // entries above it.
+  std::vector<index_t> bound(static_cast<std::size_t>(T) + 1, rows);
+  bound[0] = 0;
+  {
+    std::vector<index_t> per_row(static_cast<std::size_t>(rows), 0);
+    for (index_t p = 0; p < cols; ++p)
+      for (index_t e = ptr[p]; e < ptr[p + 1]; ++e)
+        ++per_row[static_cast<std::size_t>(ind[e])];
+    const long long total = cols > 0 ? ptr[cols] - ptr[0] : 0;
+    long long above = 0;
+    int t = 1;
+    for (index_t i = 0; i < rows && t < T; ++i) {
+      while (t < T && above * T >= t * total)
+        bound[static_cast<std::size_t>(t++)] = i;
+      above += per_row[static_cast<std::size_t>(i)];
+    }
+  }
+
+  // Cuts: boundary t of column p is its first entry in a row at or past
+  // bound[t] (columns are sorted), found in one forward sweep per column.
+  const std::size_t n = static_cast<std::size_t>(cols);
+  cuts_.assign(static_cast<std::size_t>(T - 1) * n, 0);
+  for (index_t p = 0; p < cols; ++p) {
+    index_t e = ptr[p];
+    for (int t = 1; t < T; ++t) {
+      while (e < ptr[p + 1] && ind[e] < bound[static_cast<std::size_t>(t)])
+        ++e;
+      cuts_[static_cast<std::size_t>(t - 1) * n +
+            static_cast<std::size_t>(p)] = e;
+    }
+  }
+
+  parts_.assign(static_cast<std::size_t>(T), LinkedRunner::OwnerPart{});
+  for (int t = 0; t < T; ++t) {
+    LinkedRunner::OwnerPart& part = parts_[static_cast<std::size_t>(t)];
+    part.row_lo = bound[static_cast<std::size_t>(t)];
+    part.row_hi = bound[static_cast<std::size_t>(t) + 1];
+    const index_t* const cut = cuts_.data();
+    part.lo = t == 0 ? ptr : cut + static_cast<std::size_t>(t - 1) * n;
+    part.hi = t == T - 1 ? ptr + 1 : cut + static_cast<std::size_t>(t) * n;
+    index_t first = cols;
+    index_t last = -1;
+    for (index_t p = 0; p < cols; ++p)
+      if (part.hi[p] > part.lo[p]) {
+        first = std::min(first, p);
+        last = p;
+      }
+    part.col_lo = last >= 0 ? first : 0;
+    part.col_hi = last + 1;
+    part.fan_lo = static_cast<index_t>(static_cast<long long>(cols) * t / T);
+    part.fan_hi =
+        static_cast<index_t>(static_cast<long long>(cols) * (t + 1) / T);
+  }
+}
+
+void ParallelRunner::merge_flush(const std::vector<Shard>& shards,
+                                 RunStats* st, long long t0) {
+  LinkedRunner& r0 = *workers_.front();
+  const std::size_t L = r0.lp_.levels.size();
+  LinkedRunner::LocalCounters total;
+  long long outer_produced = 0;
+  RunStats merged;
+  merged.levels.assign(L, LevelRunStats{});
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    const Shard& ws = shards[w];
+    total.tuples += ws.c.tuples;
+    total.enumerated += ws.c.enumerated;
+    total.merge_steps += ws.c.merge_steps;
+    total.probe_hits += ws.c.probe_hits;
+    total.probe_misses += ws.c.probe_misses;
+    total.fill_ins += ws.c.fill_ins;
+    total.merge_segment_bytes += ws.c.merge_segment_bytes;
+    outer_produced += ws.outer_produced;
+    for (std::size_t d = 0; d < L; ++d) {
+      merged.levels[d].enumerated += ws.stats.levels[d].enumerated;
+      merged.levels[d].produced += ws.stats.levels[d].produced;
+    }
+    if (w != 0) {
+      for (std::size_t d = 0; d < L; ++d)
+        for (std::size_t b = 0; b < r0.fanout_local_[d].size(); ++b)
+          r0.fanout_local_[d][b] += workers_[w]->fanout_local_[d][b];
+      for (auto& buckets : workers_[w]->fanout_local_)
+        std::fill(buckets.begin(), buckets.end(), 0);
+      // Profile shards merge exactly like the counter shards: plain
+      // sums into the coordinator's scratch, flushed once below.
+      r0.prof_.merge(workers_[w]->prof_);
+      workers_[w]->prof_.reset(0);
+    }
+  }
+  ++r0.fanout_local_[0][static_cast<std::size_t>(
+      support::Log2Histogram::bucket_of(outer_produced))];
+  r0.flush(total, nullptr, wall_now_ns() - t0);
+  if (st) {
+    st->tuples = total.tuples;
+    st->levels = std::move(merged.levels);
+  }
 }
 
 // The coordinator: deterministic chunk grid over the outer cursor range,
@@ -1245,6 +1493,7 @@ template <class MakeSink>
 void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
   LinkedRunner& r0 = *workers_.front();
   const std::size_t L = r0.lp_.levels.size();
+  run_note_.clear();
   traced(r0.lp_, stats, [&](RunStats* st) {
     // One latency sample per run covering the whole fan-out, booked by the
     // coordinator's single flush — same sample count as a serial run.
@@ -1271,20 +1520,15 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
     const index_t align = r0.lp_.chunk_align;
     if (align > 1) chunk = ((chunk + align - 1) / align) * align;
 
-    struct WorkerState {
-      LinkedRunner::LocalCounters c;
-      RunStats stats;
-      long long outer_produced = 0;
-      long long chunks = 0;
-    };
-    std::vector<WorkerState> states(workers_.size());
+    std::vector<Shard> shards(workers_.size());
     std::atomic<index_t> next{0};
     const bool tracing = support::trace_enabled();
+    const int coordinator = tracing ? support::trace_track().tid : -1;
 
     support::shared_pool(threads_).run_slots(
         threads_, [&](int slot) {
           LinkedRunner& r = *workers_[static_cast<std::size_t>(slot)];
-          WorkerState& ws = states[static_cast<std::size_t>(slot)];
+          Shard& ws = shards[static_cast<std::size_t>(slot)];
           ws.stats.levels.assign(L, LevelRunStats{});
           r.chunk_outer_produced_ = &ws.outer_produced;
           if (support::profiling_enabled())
@@ -1292,13 +1536,7 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
                 std::min<std::size_t>(L, support::kProfileMaxLevels));
           auto sink = make_sink(r);
           std::unique_ptr<support::TraceSpan> span;
-          if (tracing) {
-            support::trace_name_thread(
-                1, support::trace_track().tid,
-                "exec worker " + std::to_string(slot));
-            span = std::make_unique<support::TraceSpan>("execute.worker",
-                                                        "compiler");
-          }
+          if (tracing) span = worker_span(slot, coordinator);
           while (true) {
             const index_t k = next.fetch_add(1, std::memory_order_relaxed);
             const index_t begin = k * chunk;
@@ -1310,55 +1548,72 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
           if (span)
             span->arg("chunks", ws.chunks).arg("tuples", ws.c.tuples);
         });
+    merge_flush(shards, st, t0);
+  });
+}
 
-    // Merge the shards: plain sums for counters and per-level stats, a
-    // bucket-wise sum for the deeper fan-out shards, and the withheld
-    // level-0 counts folded into the single per-run sample serial books.
-    LinkedRunner::LocalCounters total;
-    long long outer_produced = 0;
-    RunStats merged;
-    merged.levels.assign(L, LevelRunStats{});
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      const WorkerState& ws = states[w];
-      total.tuples += ws.c.tuples;
-      total.enumerated += ws.c.enumerated;
-      total.merge_steps += ws.c.merge_steps;
-      total.probe_hits += ws.c.probe_hits;
-      total.probe_misses += ws.c.probe_misses;
-      total.fill_ins += ws.c.fill_ins;
-      total.merge_segment_bytes += ws.c.merge_segment_bytes;
-      outer_produced += ws.outer_produced;
-      for (std::size_t d = 0; d < L; ++d) {
-        merged.levels[d].enumerated += ws.stats.levels[d].enumerated;
-        merged.levels[d].produced += ws.stats.levels[d].produced;
+// Owner-computes run: every worker drains its own share (drain_owned)
+// with no shared state but the read-only cut tables; the coordinator
+// books level 0 once — columns enumerated and produced, one fan-out
+// sample, columns·|level-0 probes| hits, the level-0 profile work — and
+// merges the shards like a chunked run.
+void ParallelRunner::run_owner(const LinkedMac& mac, RunStats* stats) {
+  LinkedRunner& r0 = *workers_.front();
+  const std::size_t L = r0.lp_.levels.size();
+  const std::size_t tslot =
+      static_cast<std::size_t>(r0.lp_.leaf_slot[mac.target_slot]);
+  traced(r0.lp_, stats, [&](RunStats* st) {
+    const long long t0 = wall_now_ns();
+    const bool prof = support::profiling_enabled();
+    const bool tracing = support::trace_enabled();
+    const int coordinator = tracing ? support::trace_track().tid : -1;
+    std::vector<Shard> shards(workers_.size());
+    support::shared_pool(threads_).run_slots(threads_, [&](int slot) {
+      LinkedRunner& r = *workers_[static_cast<std::size_t>(slot)];
+      Shard& ws = shards[static_cast<std::size_t>(slot)];
+      const LinkedRunner::OwnerPart& part =
+          parts_[static_cast<std::size_t>(slot)];
+      ws.stats.levels.assign(L, LevelRunStats{});
+      if (prof) r.prof_.levels = static_cast<int>(L);
+      std::unique_ptr<support::TraceSpan> span;
+      if (tracing) {
+        span = worker_span(slot, coordinator);
+        span->arg("row_lo", part.row_lo)
+            .arg("row_hi", part.row_hi)
+            .arg("col_lo", part.col_lo)
+            .arg("col_hi", part.col_hi);
       }
-      if (w != 0) {
-        for (std::size_t d = 0; d < L; ++d)
-          for (std::size_t b = 0; b < r0.fanout_local_[d].size(); ++b)
-            r0.fanout_local_[d][b] += workers_[w]->fanout_local_[d][b];
-        for (auto& buckets : workers_[w]->fanout_local_)
-          std::fill(buckets.begin(), buckets.end(), 0);
-        // Profile shards merge exactly like the counter shards: plain
-        // sums into the coordinator's scratch, flushed once below.
-        r0.prof_.merge(workers_[w]->prof_);
-        workers_[w]->prof_.reset(0);
+      if (slot != 0) {  // worker 0 was prepared by run()
+        r.prepare_bulk(mac);
+        r.prepare_outer();
       }
-    }
-    ++r0.fanout_local_[0][static_cast<std::size_t>(
-        support::Log2Histogram::bucket_of(outer_produced))];
-    r0.flush(total, nullptr, wall_now_ns() - t0);
-    if (st) {
-      st->tuples = total.tuples;
-      st->levels = std::move(merged.levels);
-    }
+      LinkedRunner::MacSink{r, mac, tslot}.drain_owned(ws.c, &ws.stats, part);
+      if (span) span->arg("tuples", ws.c.tuples);
+    });
+    const index_t cols = r0.lp_.levels[0].drivers[0].desc.extent;
+    Shard& s0 = shards.front();
+    s0.outer_produced = cols;
+    s0.c.enumerated += cols;
+    s0.c.probe_hits +=
+        static_cast<long long>(cols) *
+        static_cast<long long>(r0.lp_.levels[0].probes.size());
+    s0.stats.levels[0].enumerated += cols;
+    s0.stats.levels[0].produced += cols;
+    if (prof) r0.prof_.add_work(0, support::kProfTuple, cols);
+    merge_flush(shards, st, t0);
   });
 }
 
 void ParallelRunner::run(const Action& action, RunStats* stats) {
-  if (!parallel_) {
+  if (!parts_.empty())
+    run_note_ =
+        "owner-computes runs only the multiply-accumulate; run(Action) "
+        "runs serially";
+  if (!parallel_ || !parts_.empty()) {
     workers_.front()->run(action, stats);
     return;
   }
+  run_note_.clear();
   run_parallel(
       [&](LinkedRunner& r) {
         return [&] {
@@ -1373,8 +1628,36 @@ void ParallelRunner::run(const Action& action, RunStats* stats) {
 }
 
 void ParallelRunner::run(const LinkedMac& mac, RunStats* stats) {
+  LinkedRunner& r0 = *workers_.front();
+  if (!parts_.empty()) {
+    // Owner-computes needs the fused drain with an alias-free target
+    // scattered by the leaf index; anything else runs serially, named.
+    r0.prepare_bulk(mac);
+    r0.prepare_outer();
+    using Src = LinkedRunner::BulkOp::Src;
+    const LinkedRunner::BulkOp& t = r0.outer_target_;
+    if (!bulk_drain_enabled()) {
+      run_note_ = "bulk drains are switched off; owner-computes runs the "
+                  "fused drain";
+    } else if (const LinkedMac::Factor* f = overlapping_factor(mac)) {
+      run_note_ = "target " + mac.target->name() + " overlaps factor " +
+                  f->view->name() + "; owner-computes needs an alias-free "
+                  "target";
+    } else if (!r0.outer_ok_ ||
+               !(t.src == Src::kIdentity ||
+                 (t.src == Src::kAffine && t.parent_slot < 0))) {
+      run_note_ = "the multiply-accumulate does not take the fused drain "
+                  "owner-computes runs";
+    } else {
+      run_note_.clear();
+      run_owner(mac, stats);
+      return;
+    }
+    r0.run(mac, stats);
+    return;
+  }
   if (!parallel_) {
-    workers_.front()->run(mac, stats);
+    r0.run(mac, stats);
     return;
   }
   run_parallel(

@@ -88,18 +88,64 @@ IndexRange enum_index_range(const relation::EnumSpec& es) {
 // drain then skips its per-invocation min/max scan of the cursor range.
 // (A probe searching by an outer variable — B[i,j] probed at i's level
 // for its j child — sees a different index than the driver enumerates.)
-bool prove_all_hit(const LinkedLevel& ll) {
-  if (ll.method != JoinMethod::kEnumerate || ll.drivers.size() != 1)
+bool prove_all_hit(const PlanLevel& pl, const Query& q) {
+  if (pl.method != JoinMethod::kEnumerate || pl.drivers.size() != 1)
     return false;
-  const relation::EnumSpec es = ll.drivers[0].level->enum_spec();
+  const Access& d = pl.drivers[0];
+  const relation::EnumSpec es =
+      q.relations[static_cast<std::size_t>(d.rel)].view->level(d.depth)
+          .enum_spec();
   if (es.kind == relation::EnumSpec::Kind::kNone) return false;
   const IndexRange r = enum_index_range(es);
-  for (const LinkedProbe& pr : ll.probes) {
-    if (pr.insert_on_miss || pr.var_slot != ll.var_slot) return false;
-    if (pr.search.kind != relation::SearchSpec::Kind::kIdentity &&
-        pr.search.kind != relation::SearchSpec::Kind::kAffine)
+  for (const Access& a : pl.probes) {
+    const auto& rel = q.relations[static_cast<std::size_t>(a.rel)];
+    const relation::IndexLevel& level = rel.view->level(a.depth);
+    if (rel.writes && level.insertable()) return false;
+    if (rel.vars[static_cast<std::size_t>(a.depth)] != pl.var) return false;
+    const relation::SearchSpec ss = level.search_spec();
+    if (ss.kind != relation::SearchSpec::Kind::kIdentity &&
+        ss.kind != relation::SearchSpec::Kind::kAffine)
       return false;
-    if (r.mx >= r.mn && (r.mn < 0 || r.mx >= pr.search.extent)) return false;
+    if (r.mx >= r.mn && (r.mn < 0 || r.mx >= ss.extent)) return false;
+  }
+  return true;
+}
+
+// Owner-computes shape (see ParallelLegality): a two-level enumerate plan
+// over a dense outer range whose leaf walks sorted compressed segments of
+// the outer variable, every probe proved all-hit, and every written
+// relation a vector of the leaf variable probed there (the all-hit proof
+// makes that probe an identity or affine search).
+bool owner_computes_shape(const Plan& plan, const Query& q) {
+  using K = relation::LevelDescriptor::Kind;
+  if (plan.levels.size() != 2) return false;
+  for (const PlanLevel& pl : plan.levels)
+    if (!prove_all_hit(pl, q)) return false;
+  const PlanLevel& outer = plan.levels[0];
+  const PlanLevel& leaf = plan.levels[1];
+  auto rel_of = [&](const Access& a) -> const auto& {
+    return q.relations[static_cast<std::size_t>(a.rel)];
+  };
+  const Access& od = outer.drivers[0];
+  if (rel_of(od).view->level(od.depth).describe().kind != K::kDense)
+    return false;
+  for (const Access& a : outer.probes)
+    if (a.depth != 0) return false;
+  const Access& ld = leaf.drivers[0];
+  const relation::LevelDescriptor ldesc =
+      rel_of(ld).view->level(ld.depth).describe();
+  if (ldesc.kind != K::kCompressed || !ldesc.sorted || ld.depth != 1 ||
+      rel_of(ld).vars[0] != outer.var)
+    return false;
+  for (std::size_t r = 0; r < q.relations.size(); ++r) {
+    const auto& rel = q.relations[r];
+    if (!rel.writes) continue;
+    if (rel.vars.size() != 1 || rel.vars[0] != leaf.var ||
+        std::none_of(leaf.probes.begin(), leaf.probes.end(),
+                     [&](const Access& a) {
+                       return a.rel == static_cast<index_t>(r);
+                     }))
+      return false;
   }
   return true;
 }
@@ -170,7 +216,7 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
     }
     ll.fanout =
         &support::histogram("executor.fanout.level" + std::to_string(d));
-    ll.proved_all_hit = prove_all_hit(ll);
+    ll.proved_all_hit = prove_all_hit(pl, q);
     lp.levels.push_back(std::move(ll));
   }
   // Blocked levels group block_r consecutive parent bindings into one
@@ -191,6 +237,7 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
   }
   ParallelLegality leg = plan_parallel_legality(plan, q);
   lp.parallel_ok = leg.ok;
+  lp.owner_computes = leg.owner_computes;
   lp.parallel_note = std::move(leg.note);
   lp.footprint = derive_footprint(plan, q);
   return lp;
@@ -480,10 +527,20 @@ ParallelLegality plan_parallel_legality(const Plan& plan, const Query& q) {
   // disjoint storage segments and no cross-thread reduction is needed.
   for (const auto& rel : q.relations) {
     if (!rel.writes) continue;
-    if (rel.vars.empty() || rel.vars[0] != outer.var)
+    if (rel.vars.empty() || rel.vars[0] != outer.var) {
+      // The output is indexed by an inner variable: chunking the outer
+      // level would race on it. A column walk into a vector of the leaf
+      // variable can still split the OUTPUT instead (owner-computes).
+      if (owner_computes_shape(plan, q))
+        return {true,
+                "owner-computes — rows of " + rel.view->name() +
+                    " split across T threads; each walks its segment of "
+                    "every column",
+                true};
       return {false, "output " + rel.view->name() +
                          " rows are not partitioned by the outer variable " +
                          outer.var};
+    }
   }
   return {true, "outer level " + outer.var +
                     " chunked across threads (disjoint output rows)"};

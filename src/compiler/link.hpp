@@ -17,6 +17,13 @@
 // kernels that re-run one local plan per solver iteration) hold a
 // LinkedRunner so linking and scratch allocation happen once, not per
 // iteration.
+//
+// Linking also READS the index structure behind the views, once: the
+// always-hit proofs scan every enumerable index range (prove_all_hit),
+// and an owner-computes ParallelRunner builds its per-thread column cut
+// tables from the leaf's ptr/ind arrays at construction. Both assume the
+// structure is fixed after link — values may change between runs, ptr and
+// ind may not (re-link after changing them).
 #pragma once
 
 #include <cstdint>
@@ -122,6 +129,7 @@ struct LinkedPlan {
   // plan_parallel_legality): when false, ParallelRunner runs serially and
   // parallel_note says why (also surfaced by EXPLAIN).
   bool parallel_ok = false;
+  bool owner_computes = false;  // parallel_ok through owner-computes
   std::string parallel_note;
   // Thread-chunk alignment for the outer variable: when the plan walks a
   // blocked level whose block rows group `chunk_align` consecutive outer
@@ -147,17 +155,28 @@ LinkedPlan link_plan(const Plan& plan, const relation::Query& q);
 /// array identity and the distribution tag; see docs/SERVING.md).
 std::uint64_t plan_fingerprint(const Plan& plan, const relation::Query& q);
 
-/// Whether the outermost plan level may be chunked across threads, and
-/// why (not). Legal iff the outer level is an enumerate (a chunked
-/// k-finger merge would change merge_steps), no access anywhere inserts
-/// on miss (fill-in grows shared storage mid-run), no probe goes through
-/// a stateful virtual search (e.g. the lazily built hash index), and
-/// every written relation binds the outer variable at its root level —
-/// distinct outer bindings then touch disjoint output rows, so any chunk
-/// assignment reproduces the serial result bitwise with no reduction.
+/// Whether a plan may run across threads, how, and why (not). Chunked
+/// mode splits the outermost level: legal iff the outer level is an
+/// enumerate (a chunked k-finger merge would change merge_steps), no
+/// access anywhere inserts on miss (fill-in grows shared storage mid-run),
+/// no probe goes through a stateful virtual search (e.g. the lazily built
+/// hash index), and every written relation binds the outer variable at
+/// its root level — distinct outer bindings then touch disjoint output
+/// rows, so any chunk assignment reproduces the serial result bitwise
+/// with no reduction.
+///
+/// Owner-computes mode (owner_computes) splits the OUTPUT instead, for a
+/// column walk that writes a vector of the leaf variable (CCS y += A·x):
+/// a two-level enumerate plan over a dense outer range, a sorted
+/// compressed leaf under it, every probe proved all-hit and every written
+/// relation probed at the leaf through an identity or affine search. Each
+/// thread owns a range of output rows and walks its segment of every
+/// column in column order, so every output element sums in the serial
+/// order. Only ParallelRunner::run(LinkedMac) fans out in this mode.
 struct ParallelLegality {
   bool ok = false;
   std::string note;
+  bool owner_computes = false;
 };
 ParallelLegality plan_parallel_legality(const Plan& plan,
                                         const relation::Query& q);
@@ -387,6 +406,18 @@ class LinkedRunner {
   // Per-level local fan-out buckets, flushed to the registry histograms
   // once per run (kBuckets wide, see support/histogram.hpp).
   std::vector<std::vector<long long>> fanout_local_;
+  // One owner-computes worker's share (built by ParallelRunner): the
+  // output rows [row_lo, row_hi) it owns, its segment [lo[p], hi[p]) of
+  // every column p, the outer rows [col_lo, col_hi) from its first to its
+  // last non-empty segment, and the slice [fan_lo, fan_hi) of columns
+  // whose level-1 fan-out it books.
+  struct OwnerPart {
+    index_t row_lo = 0, row_hi = 0;
+    const index_t* lo = nullptr;
+    const index_t* hi = nullptr;
+    index_t col_lo = 0, col_hi = 0;
+    index_t fan_lo = 0, fan_hi = 0;
+  };
   // Chunk mode (set by ParallelRunner): close_frame(0) adds the outer
   // level's produced count here instead of booking a fan-out sample per
   // chunk — the serial engine books exactly one sample per run.
@@ -415,20 +446,36 @@ class LinkedRunner {
 /// engine feeds, so executor.* deltas, fan-out histograms and per-level
 /// stats are EXACTLY the serial engine's, for any thread count.
 ///
+/// Owner-computes plans (LinkedPlan::owner_computes, CCS SpMV) split the
+/// output instead: at construction the rows of the output are cut into
+/// `threads` nnz-balanced ranges and a one-pass inspector records where
+/// every column's sorted segment crosses each range boundary. Each worker
+/// then runs the fused drain over its own segment of every column, in
+/// column order, so each output element sums in the serial order; level 0
+/// is booked once by the coordinator and level-1 fan-out from full column
+/// lengths, so counters and histograms stay the serial engine's too.
+///
 /// When the plan is not parallelizable (see plan_parallel_legality) or
 /// threads <= 1 every run delegates to a single serial LinkedRunner —
 /// same results, no pool involvement. Callers of run(Action) must pass an
 /// action that is safe to invoke concurrently for distinct outer
 /// bindings; run(LinkedMac) is safe whenever the plan is parallel-legal
-/// (disjoint output rows).
+/// (disjoint output rows). An owner-computes runner runs serially for
+/// run(Action), for a mac whose target overlaps a factor (y += A·y), for
+/// a mac the fused drain does not take, and while bulk drains are off;
+/// run_note() names the reason.
 class ParallelRunner {
  public:
   ParallelRunner(LinkedPlan lp, int threads);
 
   const LinkedPlan& linked() const { return workers_.front()->linked(); }
   int threads() const { return threads_; }
-  /// True when runs actually fan out (legal plan and threads > 1).
+  /// True when runs fan out (legal plan and threads > 1); owner-computes
+  /// runners may still run a particular call serially (run_note).
   bool parallel() const { return parallel_; }
+  /// Empty after a run that fanned out; otherwise why the last run (or,
+  /// before any run, every run) executed serially.
+  const std::string& run_note() const { return run_note_; }
 
   void run(const Action& action, RunStats* stats = nullptr);
   void run(const LinkedMac& mac, RunStats* stats = nullptr);
@@ -437,10 +484,32 @@ class ParallelRunner {
   template <class MakeSink>
   void run_parallel(MakeSink&& make_sink, RunStats* stats);
 
+  // Per-worker observability shard, merged by merge_flush.
+  struct Shard {
+    LinkedRunner::LocalCounters c;
+    RunStats stats;
+    long long outer_produced = 0;  // level-0 count, booked as one sample
+    long long chunks = 0;
+  };
+  // Merges the shards into worker 0 and flushes once: plain sums for
+  // counters, per-level stats, fan-out buckets and profile work, and the
+  // summed level-0 count as the single sample a serial run books.
+  void merge_flush(const std::vector<Shard>& shards, RunStats* st,
+                   long long t0);
+  // Owner-computes partition and inspector: fills parts_ and cuts_.
+  void inspect_owner();
+  void run_owner(const LinkedMac& mac, RunStats* stats);
+
   int threads_ = 1;
   bool parallel_ = false;
+  std::string run_note_;
   // workers_[0] doubles as the serial fallback runner.
   std::vector<std::unique_ptr<LinkedRunner>> workers_;
+  // Owner-computes cut tables: boundary t (1 <= t < threads) of column p
+  // at cuts_[(t - 1) * columns + p]; boundary 0 is ptr[p], boundary
+  // threads is ptr[p + 1].
+  std::vector<index_t> cuts_;
+  std::vector<LinkedRunner::OwnerPart> parts_;
 };
 
 /// One-shot parallel execution of a (Plan, Query) pair — links, runs the

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "formats/coo.hpp"
+#include "support/error.hpp"
 #include "support/types.hpp"
 
 namespace bernoulli::formats {
@@ -13,9 +14,11 @@ namespace bernoulli::formats {
 class Dense {
  public:
   Dense() = default;
+  // Positions i*cols + j are index_t, so rows*cols must fit it.
   Dense(index_t rows, index_t cols)
       : rows_(rows), cols_(cols),
-        data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
+        data_(static_cast<std::size_t>(checked_index(
+                  static_cast<long long>(rows) * cols, "dense rows*cols")),
               0.0) {}
 
   static Dense from_coo(const Coo& a);

@@ -25,6 +25,10 @@ index_t Ell::nnz() const {
 Ell Ell::from_coo(const Coo& a) {
   std::vector<index_t> len = a.row_lengths();
   index_t width = len.empty() ? 0 : *std::max_element(len.begin(), len.end());
+  // Padded positions k*rows + i are index_t: one long row can push
+  // rows*width past it.
+  checked_index(static_cast<long long>(a.rows()) * width,
+                "ELL padded storage rows*width");
   const auto n = static_cast<std::size_t>(a.rows());
   // Padding: column 0, value 0 — column 0 always exists for non-degenerate
   // matrices and contributes nothing to y.

@@ -46,6 +46,34 @@ struct ThreadPool::Impl {
   int done = 0;
   std::exception_ptr error;
 
+  // Pulls and runs slots of job `gen` until none is left. Workers and the
+  // run_slots caller both pull, so a worker that wakes late finds its
+  // share already taken instead of stretching the job.
+  void pull_slots(std::uint64_t gen, const std::function<void(int)>& job) {
+    for (;;) {
+      int slot;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        // The job may have completed (and a new one started) between
+        // our last slot and this re-check; only touch state that is
+        // still ours.
+        if (generation != gen || body == nullptr || next >= nslots) break;
+        slot = next++;
+      }
+      std::exception_ptr err;
+      try {
+        job(slot);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lk(mu);
+      if (generation != gen) break;  // paranoia; cannot complete a
+                                     // stale job past this point
+      if (err && !error) error = err;
+      if (++done == nslots) cv_done.notify_all();
+    }
+  }
+
   void worker() {
     tl_in_pool_worker = true;
     std::uint64_t seen = 0;
@@ -60,29 +88,7 @@ struct ThreadPool::Impl {
         seen = generation;
         job = body;
       }
-      for (;;) {
-        int slot;
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          // The job may have completed (and a new one started) between
-          // our last slot and this re-check; only touch state that is
-          // still ours.
-          if (generation != seen || body == nullptr || next >= nslots)
-            break;
-          slot = next++;
-        }
-        std::exception_ptr err;
-        try {
-          (*job)(slot);
-        } catch (...) {
-          err = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lk(mu);
-        if (generation != seen) break;  // paranoia; cannot complete a
-                                        // stale job past this point
-        if (err && !error) error = err;
-        if (++done == nslots) cv_done.notify_all();
-      }
+      pull_slots(seen, *job);
     }
   }
 };
@@ -135,8 +141,8 @@ void ThreadPool::run_slots(int nslots, const std::function<void(int)>& body) {
     if (error) std::rethrow_exception(error);
     return;
   }
-  ensure(1);  // a job needs at least one worker to make progress
   std::lock_guard<std::mutex> job_lk(impl_->job_mu);
+  std::uint64_t gen = 0;
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     impl_->body = &body;
@@ -144,9 +150,19 @@ void ThreadPool::run_slots(int nslots, const std::function<void(int)>& body) {
     impl_->next = 0;
     impl_->done = 0;
     impl_->error = nullptr;
-    ++impl_->generation;
+    gen = ++impl_->generation;
   }
   impl_->cv_work.notify_all();
+  // The caller pulls slots too rather than sleeping until the workers are
+  // done (so a pool with no workers still completes). With as many
+  // workers as cores, a sleeping caller left one worker routinely
+  // starting only after the others had finished — measured per slot on
+  // a 4-vCPU host — so a job of one slot per worker ran two slots back
+  // to back on one thread. The caller's slot bodies run as if on a pool
+  // thread, so a nested run_slots degrades inline as above.
+  tl_in_pool_worker = true;
+  impl_->pull_slots(gen, body);
+  tl_in_pool_worker = false;
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lk(impl_->mu);

@@ -30,18 +30,21 @@ class ThreadPool {
   void ensure(int threads);
 
   /// Invokes body(slot) once for every slot in [0, nslots) on the pool
-  /// threads and blocks until all slots returned. Slots may outnumber
-  /// threads (a thread then runs several slots back to back). Jobs are
+  /// threads and the calling thread, and returns when all slots returned.
+  /// Slots may outnumber threads (a thread then runs several slots back
+  /// to back), and any slot may run on the caller. Jobs are
   /// serialized: concurrent run_slots calls queue on an internal mutex.
-  /// Re-entrant calls from inside a pool thread are detected (thread-local
-  /// flag) and degrade to running every slot inline on the caller — same
-  /// fork/join contract, no nested parallelism, no deadlock.
+  /// Re-entrant calls from inside a slot body (on a pool thread or on the
+  /// caller) are detected (thread-local flag) and degrade to running every
+  /// slot inline on the caller — same fork/join contract, no nested
+  /// parallelism, no deadlock.
   /// The first exception thrown by a body is rethrown here after the
   /// remaining slots finish.
   void run_slots(int nslots, const std::function<void(int)>& body);
 
   /// True when the calling thread is a pool worker (of ANY ThreadPool —
-  /// the flag is per-thread, not per-pool). This is the predicate
+  /// the flag is per-thread, not per-pool) or a run_slots caller inside
+  /// one of its slot bodies. This is the predicate
   /// run_slots uses for its inline-fallback path; exposed so servers can
   /// pick dispatch strategies without forking a doomed nested job.
   static bool on_pool_thread();

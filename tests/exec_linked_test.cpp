@@ -510,9 +510,11 @@ class ParallelSweep : public ::testing::TestWithParam<Case> {};
 // The contract extends to threads: for every storage and every thread
 // count, ParallelRunner must reproduce the interpreter bitwise — outputs,
 // merged executor.* counter deltas, merged fan-out histogram deltas and
-// per-level stats. Plans the legality check rejects (e.g. CCS's
-// column-outer order writing row-indexed Y) exercise the serial fallback
-// through the very same assertions.
+// per-level stats. CCS's column-outer order writing row-indexed Y runs
+// owner-computes (rows of Y split across the threads; its run(Action)
+// stays serial), so the same assertions cover the owner partition on
+// every edge shape; plans the legality check rejects exercise the serial
+// fallback.
 TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
   const Case& c = GetParam();
   SplitMix64 rng(c.seed);
@@ -725,39 +727,59 @@ struct DrainRun {
   Vector y;
   EngineRun run;
   std::map<std::string, std::vector<long long>> fanout;
-  std::vector<long long> level_work;
+  std::vector<long long> level_work;  // per level
+  std::vector<long long> kind_work;   // per (level, drain kind)
+  std::string note;                   // ParallelRunner::run_note()
 };
 
-// Runs the mac once, serially (threads == 1) or through ParallelRunner,
-// with drains on or off and profiling on, starting y from y0.
-DrainRun run_drains(bool drains, int threads, const CompiledKernel& k,
+// How run_drains runs the mac: threads == 1 on a LinkedRunner, else on a
+// ParallelRunner of that width; drains on or off; profiled or not; with
+// the mac's scale.
+struct DrainMode {
+  bool drains = true;
+  int threads = 1;
+  bool profiled = true;
+  value_t scale = 1.0;
+};
+
+// Runs the mac once in `mode`, starting y from y0.
+DrainRun run_drains(const DrainMode& mode, const CompiledKernel& k,
                     const std::vector<index_t>& factors, Vector& y,
                     const Vector& y0) {
   DrainRun out;
   y = y0;
-  set_bulk_drain(drains);
-  support::set_profiling(true);
+  set_bulk_drain(mode.drains);
+  support::set_profiling(mode.profiled);
   support::profile_reset();
   auto hb = support::histograms_snapshot();
   auto before = support::counters_snapshot();
-  const LinkedMac mac = link_mac(k.query(), 1, factors);
-  if (threads == 1) {
+  const LinkedMac mac = link_mac(k.query(), 1, factors, mode.scale);
+  if (mode.threads == 1) {
     LinkedRunner runner(link_plan(k.plan(), k.query()));
     runner.run(mac, &out.run.stats);
   } else {
-    ParallelRunner runner(link_plan(k.plan(), k.query()), threads);
+    ParallelRunner runner(link_plan(k.plan(), k.query()), mode.threads);
     runner.run(mac, &out.run.stats);
+    out.note = runner.run_note();
   }
   out.run.deltas = exec_delta(before, support::counters_snapshot());
   out.fanout = fanout_delta(hb, support::histograms_snapshot());
   const support::ProfileSnapshot prof = support::profile_snapshot();
   for (int d = 0; d < support::kProfileMaxLevels; ++d)
     out.level_work.push_back(prof.level_work(d));
+  out.kind_work = profile_work(prof);
   support::set_profiling(false);
   support::profile_reset();
   set_bulk_drain(true);
   out.y = y;
   return out;
+}
+
+// Drains on or off at `threads`, profiled, unit scale.
+DrainRun run_drains(bool drains, int threads, const CompiledKernel& k,
+                    const std::vector<index_t>& factors, Vector& y,
+                    const Vector& y0) {
+  return run_drains(DrainMode{drains, threads}, k, factors, y, y0);
 }
 
 void expect_same_drain_run(const DrainRun& off, const DrainRun& on,
@@ -957,6 +979,231 @@ TEST(OuterDrains, AffineOperandsMatchPerRowPath) {
       expect_same_drain_run(off, run_drains(true, 4, k, slots, y, y0),
                             label + " threads=4");
     }
+  }
+}
+
+// ---- Owner-computes CCS: rows of Y split across the threads ---------
+
+// Pareto-skewed rows (pareto_matrix) plus the transpose of a second
+// Pareto matrix, so a few hub rows and hub columns hold most entries.
+Coo pareto_rows_and_cols(index_t rows, index_t cols, std::uint64_t seed) {
+  const Coo a = pareto_matrix(rows, cols, seed);
+  const Coo t = pareto_matrix(cols, rows, seed + 1);
+  TripletBuilder b(rows, cols);
+  for (index_t e = 0; e < a.nnz(); ++e)
+    b.add(a.rowind()[static_cast<std::size_t>(e)],
+          a.colind()[static_cast<std::size_t>(e)],
+          a.vals()[static_cast<std::size_t>(e)]);
+  for (index_t e = 0; e < t.nnz(); ++e)
+    b.add(t.colind()[static_cast<std::size_t>(e)],
+          t.rowind()[static_cast<std::size_t>(e)],
+          t.vals()[static_cast<std::size_t>(e)]);
+  return std::move(b).build();
+}
+
+// Random entries with every third row, every fourth column and the first
+// and last five columns left empty.
+Coo holey_matrix(index_t rows, index_t cols, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  TripletBuilder b(rows, cols);
+  for (index_t e = 0; e < rows * 4; ++e) {
+    const index_t i = rng.next_index(rows);
+    const index_t j = rng.next_index(cols);
+    if (i % 3 == 0 || j % 4 == 1 || j < 5 || j >= cols - 5) continue;
+    b.add(i, j, rng.next_double(-1.0, 1.0));
+  }
+  return std::move(b).build();
+}
+
+// y += scale · A·x (· s[i] when three_factors) with A in CCS, through
+// ParallelRunner at 1, 2, 3, 4 and 8 threads, profiled and not, against
+// the serial linked engine: bitwise y, executor.* deltas, fan-out at both
+// levels, per-level RunStats and per-(level, drain kind) profile work.
+void expect_owner_matches_serial(const Coo& coo, bool three_factors,
+                                 value_t scale, const std::string& label) {
+  const index_t rows = coo.rows(), cols = coo.cols();
+  const formats::Ccs ccs = formats::Ccs::from_coo(coo);
+  const Vector x = random_vector(static_cast<std::size_t>(cols), 61);
+  const Vector s = random_vector(static_cast<std::size_t>(rows), 62);
+  const Vector y0 = random_vector(static_cast<std::size_t>(rows), 63);
+  Vector y(y0.size());
+  Bindings b;
+  b.bind_ccs("A", ccs);
+  b.bind_dense_vector("X", ConstVectorView(x));
+  b.bind_dense_vector("S", ConstVectorView(s));
+  b.bind_dense_vector("Y", VectorView(y));
+  std::vector<ArrayRef> factors{{"A", {"i", "j"}}, {"X", {"j"}}};
+  std::vector<index_t> slots{2, 3};
+  if (three_factors) {
+    factors.push_back({"S", {"i"}});
+    slots.push_back(4);
+  }
+  LoopNest nest{{{"i", rows}, {"j", cols}}, {{"Y", {"i"}}, factors, scale}};
+  const CompiledKernel k = compile(nest, b);
+  const LinkedPlan lp = link_plan(k.plan(), k.query());
+  ASSERT_TRUE(lp.parallel_ok && lp.owner_computes) << lp.parallel_note;
+  for (bool profiled : {true, false}) {
+    DrainMode serial{true, 1, profiled, scale};
+    const DrainRun ref = run_drains(serial, k, slots, y, y0);
+    for (int threads : {1, 2, 3, 4, 8}) {
+      DrainMode mode = serial;
+      mode.threads = threads;
+      const DrainRun got = run_drains(mode, k, slots, y, y0);
+      const std::string where = label + " threads=" +
+                                std::to_string(threads) +
+                                (profiled ? " profiled" : "");
+      expect_same_drain_run(ref, got, where);
+      EXPECT_EQ(ref.kind_work, got.kind_work) << where;
+      // With nothing stored A has no value array, so even the serial
+      // engine cannot take the fused drain.
+      if (threads > 1) {
+        EXPECT_EQ(got.note,
+                  coo.nnz() > 0 ? ""
+                                : "the multiply-accumulate does not take "
+                                  "the fused drain owner-computes runs")
+            << where;
+      }
+    }
+  }
+}
+
+TEST(OwnerComputes, ParetoRowsAndColumnsMatchSerialEngine) {
+  expect_owner_matches_serial(pareto_rows_and_cols(220, 170, 4343), false,
+                              1.0, "pareto");
+}
+
+TEST(OwnerComputes, EmptyRowsAndColumnsMatchSerialEngine) {
+  expect_owner_matches_serial(holey_matrix(90, 70, 4444), false, 1.0,
+                              "holey");
+  // Nothing stored at all: every partition is empty.
+  expect_owner_matches_serial(TripletBuilder(12, 9).build(), false, 1.0,
+                              "empty");
+}
+
+TEST(OwnerComputes, FewerRowsThanThreadsMatchSerialEngine) {
+  expect_owner_matches_serial(random_matrix(3, 40, 70, 4545), false, 1.0,
+                              "3 rows");
+}
+
+TEST(OwnerComputes, SingleRowAndSingleColumnMatchSerialEngine) {
+  expect_owner_matches_serial(random_matrix(1, 64, 40, 4646), false, 1.0,
+                              "1 x 64");
+  expect_owner_matches_serial(random_matrix(64, 1, 40, 4747), false, 1.0,
+                              "64 x 1");
+}
+
+TEST(OwnerComputes, ScaledThreeFactorMacMatchesSerialEngine) {
+  expect_owner_matches_serial(pareto_rows_and_cols(120, 90, 4848), true,
+                              -0.75, "A x s, scale -0.75");
+}
+
+// The owner-computes runner runs serially — bitwise and counter-identical
+// to the serial engine — where it cannot split Y, and names why: for
+// run(Action), for y += A·y (the factor IS the target), and with the bulk
+// drains switched off.
+TEST(OwnerComputes, SerialCasesNameTheirReason) {
+  const index_t n = 80;
+  const Coo coo = pareto_rows_and_cols(n, n, 4949);
+  const formats::Ccs ccs = formats::Ccs::from_coo(coo);
+  const Vector x = random_vector(static_cast<std::size_t>(n), 50);
+  const Vector y0 = random_vector(static_cast<std::size_t>(n), 51);
+  Vector y(y0.size());
+  LoopNest nest{{{"i", n}, {"j", n}},
+                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+
+  // Aliased: X binds Y's storage.
+  {
+    Bindings b;
+    b.bind_ccs("A", ccs);
+    b.bind_dense_vector("X", ConstVectorView(y));
+    b.bind_dense_vector("Y", VectorView(y));
+    const CompiledKernel k = compile(nest, b);
+    ParallelRunner runner(link_plan(k.plan(), k.query()), 4);
+    EXPECT_TRUE(runner.parallel());
+    const DrainRun ref = run_drains(true, 1, k, {2, 3}, y, y0);
+    const DrainRun got = run_drains(true, 4, k, {2, 3}, y, y0);
+    expect_same_drain_run(ref, got, "aliased");
+    EXPECT_EQ(got.note,
+              "target Y overlaps factor X; owner-computes needs an "
+              "alias-free target");
+  }
+
+  Bindings b;
+  b.bind_ccs("A", ccs);
+  b.bind_dense_vector("X", ConstVectorView(x));
+  b.bind_dense_vector("Y", VectorView(y));
+  const CompiledKernel k = compile(nest, b);
+
+  // Drains off: the per-row path, serially.
+  {
+    const DrainRun ref = run_drains(false, 1, k, {2, 3}, y, y0);
+    const DrainRun got = run_drains(false, 4, k, {2, 3}, y, y0);
+    expect_same_drain_run(ref, got, "drains off");
+    EXPECT_EQ(got.note,
+              "bulk drains are switched off; owner-computes runs the fused "
+              "drain");
+  }
+
+  // run(Action): the action may touch anything, so no split is safe.
+  {
+    y = y0;
+    const EngineRun ref = run_linked(
+        k.plan(), k.query(), multiply_accumulate(k.query(), 1, {2, 3}));
+    const Vector want = y;
+    y = y0;
+    ParallelRunner runner(link_plan(k.plan(), k.query()), 4);
+    auto before = support::counters_snapshot();
+    EngineRun got;
+    runner.run(multiply_accumulate(k.query(), 1, {2, 3}), &got.stats);
+    got.deltas = exec_delta(before, support::counters_snapshot());
+    expect_same_work(ref, got);
+    EXPECT_EQ(runner.run_note(),
+              "owner-computes runs only the multiply-accumulate; "
+              "run(Action) runs serially");
+    for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], want[i]);
+    // A later mac run fans out again and clears the note.
+    runner.run(link_mac(k.query(), 1, {2, 3}));
+    EXPECT_EQ(runner.run_note(), "");
+  }
+}
+
+// ---- BCSR block-row drain --------------------------------------------
+
+// Square r x r blocks with block rows 2 and 3 empty, under a loop one row
+// short of the matrix, so the last block row is partial: the block-row
+// form (r = 2, 3, 4) and the per-row walk (r = 5) must match the per-row
+// path (drains off) serially and at 2, 4 and 8 threads.
+TEST(OuterDrains, BcsrBlockRowsMatchPerRowPath) {
+  for (index_t r : {2, 3, 4, 5}) {
+    const index_t n = 10 * r, cols = 7 * r;
+    const index_t rows = n - 1;  // loop extent
+    SplitMix64 rng(static_cast<std::uint64_t>(600 + r));
+    TripletBuilder tb(n, cols);
+    for (index_t e = 0; e < n * 6; ++e) {
+      const index_t i = rng.next_index(n);
+      if (i / r == 2 || i / r == 3) continue;
+      tb.add(i, rng.next_index(cols), rng.next_double(-1.0, 1.0));
+    }
+    // The partial last block row holds entries inside the loop.
+    tb.add(rows - 1, cols - 1, 0.5);
+    const Coo coo = std::move(tb).build();
+    const formats::Bsr bsr = formats::Bsr::from_coo(coo, r);
+    const Vector x = random_vector(static_cast<std::size_t>(cols), 70);
+    const Vector y0 = random_vector(static_cast<std::size_t>(n), 71);
+    Vector y(y0.size());
+    Bindings b;
+    b.bind_bsr("A", bsr);
+    b.bind_dense_vector("X", ConstVectorView(x));
+    b.bind_dense_vector("Y", VectorView(y));
+    LoopNest nest{{{"i", rows}, {"j", cols}},
+                  {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+    const CompiledKernel k = compile(nest, b);
+    const DrainRun ref = run_drains(false, 1, k, {2, 3}, y, y0);
+    for (int threads : {1, 2, 4, 8})
+      expect_same_drain_run(
+          ref, run_drains(true, threads, k, {2, 3}, y, y0),
+          "bcsr " + std::to_string(r) + "x" + std::to_string(r) +
+              " threads=" + std::to_string(threads));
   }
 }
 

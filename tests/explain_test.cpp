@@ -225,6 +225,50 @@ TEST(Explain, MergeJoinRendered) {
   EXPECT_NE(j.find("\"method\":\"merge\""), std::string::npos);
 }
 
+// The parallel footer (and the JSON note) name how a plan runs threaded:
+// row chunks for CRS's row walk, owner-computes for CCS's column walk
+// into row-indexed Y.
+TEST(Explain, ParallelFooterNamesTheMode) {
+  TripletBuilder tb(4, 5);
+  tb.add(0, 1, 1.0);
+  tb.add(2, 4, 2.0);
+  tb.add(3, 0, 3.0);
+  Coo coo = std::move(tb).build();
+  formats::Csr csr = formats::Csr::from_coo(coo);
+  formats::Ccs ccs = formats::Ccs::from_coo(coo);
+  Vector x(5, 1.0), y(4, 0.0);
+  for (bool column_major : {false, true}) {
+    Bindings b;
+    if (column_major)
+      b.bind_ccs("A", ccs);
+    else
+      b.bind_csr("A", csr);
+    b.bind_dense_vector("X", ConstVectorView(x));
+    b.bind_dense_vector("Y", VectorView(y));
+    auto k = compile(matvec_nest(4, 5), b);
+    const std::string text = k.explain();
+    const std::string j = k.explain_json();
+    if (column_major) {
+      EXPECT_NE(text.find("parallel: owner-computes — rows of Y split "
+                          "across T threads; each walks its segment of "
+                          "every column\n"),
+                std::string::npos)
+          << text;
+      EXPECT_NE(j.find("\"ok\":true,\"note\":\"owner-computes — rows "
+                       "of Y split"),
+                std::string::npos)
+          << j;
+    } else {
+      EXPECT_NE(text.find("parallel: outer level i chunked across threads"),
+                std::string::npos)
+          << text;
+      EXPECT_NE(j.find("\"ok\":true,\"note\":\"outer level i chunked"),
+                std::string::npos)
+          << j;
+    }
+  }
+}
+
 // Every storage the planner sweep exercises must EXPLAIN in both forms.
 enum class Storage { kCsr, kCcs, kCoo, kEll, kDenseMatrix, kCsrHashed };
 

@@ -167,6 +167,24 @@ TEST(Ell, WidthIsMaxRowLength) {
   EXPECT_DOUBLE_EQ(a.at(5, 0), 3.0);
 }
 
+// One hub row of 32769 entries pads every one of 65536 rows to that
+// width: rows*width = 2^31 + 2^16 stored slots, past the index type.
+TEST(Ell, OversizedPaddedStorageThrowsBeforeAllocating) {
+  const index_t rows = index_t{1} << 16;
+  const index_t width = (index_t{1} << 15) + 1;
+  TripletBuilder b(rows, width);
+  for (index_t j = 0; j < width; ++j) b.add(5, j, 1.0);
+  const Coo a = std::move(b).build();
+  try {
+    (void)Ell::from_coo(a);
+    FAIL() << "expected an index overflow error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("ELL padded storage rows*width"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Jds, PermutationSortsRowsByLength) {
   Jds a = Jds::from_coo(figure1_matrix());
   // Rows 0,2,4 have 2 entries; rows 1,3,5 have 1.
@@ -186,6 +204,23 @@ TEST(Dense, FromToCoo) {
   Dense d = Dense::from_coo(a);
   EXPECT_DOUBLE_EQ(d.at(2, 5), 8.0);
   EXPECT_EQ(d.to_coo(), a);
+}
+
+// 46341^2 = 2^31 + 4633 elements: the builder must refuse before it
+// allocates 16 GiB.
+TEST(Dense, OversizedStorageThrowsBeforeAllocating) {
+  const index_t n = 46341;
+  TripletBuilder b(n, n);
+  b.add(7, 11, 1.0);
+  const Coo a = std::move(b).build();
+  try {
+    (void)Dense::from_coo(a);
+    FAIL() << "expected an index overflow error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("dense rows*cols"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

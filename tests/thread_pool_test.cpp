@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -92,3 +94,34 @@ TEST(ThreadPoolTest, NestedExceptionPropagatesThroughInlinePath) {
   // The inline path still runs the remaining slots before rethrowing.
   EXPECT_EQ(ran.load(), 3);
 }
+
+// The caller pulls slots alongside the workers: with ONE worker, two
+// slots that each wait for the other to start can only both start when
+// the calling thread runs one of them. A nested run_slots from the
+// caller's slot must then degrade inline like a worker's, not deadlock on
+// the job the caller itself holds.
+TEST(ThreadPoolTest, CallerRunsSlotsAlongsideWorkers) {
+  support::ThreadPool pool(1);
+  std::atomic<int> started{0};
+  std::atomic<int> inner_hits{0};
+  std::set<std::thread::id> threads;
+  std::mutex mu;
+  pool.run_slots(2, [&](int) {
+    started.fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      threads.insert(std::this_thread::get_id());
+    }
+    pool.run_slots(2, [&](int) { inner_hits.fetch_add(1); });
+  });
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_EQ(threads.size(), 2u);
+  EXPECT_TRUE(threads.count(std::this_thread::get_id()));
+  EXPECT_EQ(inner_hits.load(), 4);
+  EXPECT_FALSE(support::ThreadPool::on_pool_thread());
+}
+
