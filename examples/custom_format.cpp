@@ -21,12 +21,16 @@ int main() {
 
   // The "new" format's raw arrays. For the demo we store the same
   // compressed structure under user-chosen names — the point is that the
-  // compiler works from the SPEC, not from any built-in knowledge.
+  // compiler works from the SPEC, not from any built-in knowledge. The
+  // view borrows these vectors in place, so they must outlive the kernel.
+  const std::vector<index_t> row_start(csr.rowptr().begin(),
+                                       csr.rowptr().end());
+  const std::vector<index_t> cols(csr.colind().begin(), csr.colind().end());
+  const Vector data(csr.vals().begin(), csr.vals().end());
   relation::FormatArrays arrays;
-  arrays.index_arrays["ROW_START"] = {csr.rowptr().begin(),
-                                      csr.rowptr().end()};
-  arrays.index_arrays["COLS"] = {csr.colind().begin(), csr.colind().end()};
-  arrays.value_arrays["DATA"] = {csr.vals().begin(), csr.vals().end()};
+  arrays.index_arrays["ROW_START"] = row_start;
+  arrays.index_arrays["COLS"] = cols;
+  arrays.value_arrays["DATA"] = data;
 
   const std::string spec =
       "format Band {\n"

@@ -62,7 +62,11 @@ struct LoopNest {
 /// needs: whether the array is sparse (participates in the sparsity
 /// predicate) and how hierarchy levels map to reference positions.
 /// The Bindings object OWNS the views it creates and must outlive any
-/// kernel compiled against it.
+/// kernel compiled against it. Every built-in view BORROWS the bound
+/// matrix: it reads the matrix's own index and value arrays in place and
+/// copies none of them (BCSR and SELL included). So each matrix or vector
+/// bound here must outlive the kernels compiled against it and keep its
+/// arrays unmoved (not reallocated, not destroyed).
 class Bindings {
  public:
   Bindings() = default;

@@ -27,8 +27,11 @@ namespace {
 // kernel's symbols private, so reusing one name across kernels is fine.
 constexpr const char* kSymbol = "bernoulli_specialized_kernel";
 
+// Probed once per process: the toolchain does not come and go between
+// kernels, and each probe forks a shell.
 bool have_cc() {
-  return std::system("cc --version > /dev/null 2>&1") == 0;
+  static const bool found = std::system("cc --version > /dev/null 2>&1") == 0;
+  return found;
 }
 
 // cc flags: -ffp-contract=off forbids fused multiply-add contraction so

@@ -1,7 +1,6 @@
 #include "formats/bsr.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "support/error.hpp"
 
@@ -30,41 +29,64 @@ Bsr Bsr::from_coo(const Coo& a, index_t block) {
   const long long area = static_cast<long long>(block) * block;
   if (a.nnz() > 0) checked_index(area, "BCSR block area R*C");
   const index_t brows = a.rows() / block;
-
-  // Pass 1: the set of blocks per block row.
-  std::vector<std::vector<index_t>> blocks(static_cast<std::size_t>(brows));
+  const index_t bcols = a.cols() / block;
+  const auto bsize = static_cast<std::size_t>(area);
   auto rowind = a.rowind();
   auto colind = a.colind();
-  for (index_t k = 0; k < a.nnz(); ++k)
-    blocks[static_cast<std::size_t>(rowind[k] / block)].push_back(colind[k] /
-                                                                  block);
-  std::vector<index_t> browptr{0}, bcolind;
-  for (auto& br : blocks) {
-    std::sort(br.begin(), br.end());
-    br.erase(std::unique(br.begin(), br.end()), br.end());
-    bcolind.insert(bcolind.end(), br.begin(), br.end());
-    browptr.push_back(static_cast<index_t>(bcolind.size()));
+  auto avals = a.vals();
+
+  // The canonical COO is row-major, so each block row's entries are one
+  // contiguous run; both passes walk the runs in order. slot[bc] is the
+  // position block column bc last took; a value below the current block
+  // row's first position means bc is not yet in this block row.
+  std::vector<index_t> slot(static_cast<std::size_t>(bcols), -1);
+
+  // Pass 1: count the distinct blocks of each block row.
+  std::vector<index_t> browptr(static_cast<std::size_t>(brows) + 1, 0);
+  {
+    index_t k = 0, nblocks = 0;
+    for (index_t br = 0; br < brows; ++br) {
+      const index_t first = nblocks;
+      for (; k < a.nnz() && rowind[k] / block == br; ++k) {
+        auto& s = slot[static_cast<std::size_t>(colind[k] / block)];
+        if (s < first) s = nblocks++;
+      }
+      browptr[static_cast<std::size_t>(br) + 1] = nblocks;
+    }
   }
 
-  checked_index(static_cast<long long>(bcolind.size()) * area,
+  checked_index(static_cast<long long>(browptr.back()) * area,
                 "BCSR stored entries b*R*C");
-  // Pass 2: scatter values into the block slots.
-  std::vector<value_t> vals(bcolind.size() * static_cast<std::size_t>(block) *
-                                static_cast<std::size_t>(block),
-                            0.0);
-  auto avals = a.vals();
-  for (index_t k = 0; k < a.nnz(); ++k) {
-    const index_t br = rowind[k] / block, bc = colind[k] / block;
-    const index_t* begin = bcolind.data() + browptr[static_cast<std::size_t>(br)];
-    const index_t* end = bcolind.data() + browptr[static_cast<std::size_t>(br) + 1];
-    auto slot = static_cast<std::size_t>(
-        std::lower_bound(begin, end, bc) - bcolind.data());
-    auto off = slot * static_cast<std::size_t>(block) *
-                   static_cast<std::size_t>(block) +
-               static_cast<std::size_t>(rowind[k] % block) *
-                   static_cast<std::size_t>(block) +
-               static_cast<std::size_t>(colind[k] % block);
-    vals[off] = avals[static_cast<std::size_t>(k)];
+  // Pass 2: list each block row's blocks, sort them, then scatter the
+  // run's values into their slots.
+  std::vector<index_t> bcolind(static_cast<std::size_t>(browptr.back()));
+  std::vector<value_t> vals(bcolind.size() * bsize, 0.0);
+  std::fill(slot.begin(), slot.end(), -1);
+  for (index_t br = 0, k = 0; br < brows; ++br) {
+    const index_t first = browptr[static_cast<std::size_t>(br)];
+    const index_t last = browptr[static_cast<std::size_t>(br) + 1];
+    const index_t run = k;
+    index_t next = first;
+    for (; k < a.nnz() && rowind[k] / block == br; ++k) {
+      auto& s = slot[static_cast<std::size_t>(colind[k] / block)];
+      if (s < first) {
+        s = next;
+        bcolind[static_cast<std::size_t>(next++)] = colind[k] / block;
+      }
+    }
+    std::sort(bcolind.begin() + first, bcolind.begin() + last);
+    for (index_t b = first; b < last; ++b)
+      slot[static_cast<std::size_t>(bcolind[static_cast<std::size_t>(b)])] = b;
+    for (index_t e = run; e < k; ++e) {
+      const auto off =
+          static_cast<std::size_t>(
+              slot[static_cast<std::size_t>(colind[e] / block)]) *
+              bsize +
+          static_cast<std::size_t>(rowind[e] % block) *
+              static_cast<std::size_t>(block) +
+          static_cast<std::size_t>(colind[e] % block);
+      vals[off] = avals[static_cast<std::size_t>(e)];
+    }
   }
   return Bsr(a.rows(), a.cols(), block, std::move(browptr), std::move(bcolind),
              std::move(vals));

@@ -35,13 +35,11 @@ Sell Sell::from_coo(const Coo& a, index_t chunk, index_t sigma) {
   auto colind = a.colind();
   auto avals = a.vals();
 
-  // Bucket entries per row, preserving the COO's ascending-column order
-  // within each row.
-  std::vector<std::vector<std::pair<index_t, value_t>>> by_row(
-      static_cast<std::size_t>(rows));
+  // Pass 1: row lengths. The canonical COO is row-major with ascending
+  // columns inside a row, so pass 2 can copy each row as one run.
+  std::vector<index_t> rowlen(static_cast<std::size_t>(rows), 0);
   for (index_t k = 0; k < a.nnz(); ++k)
-    by_row[static_cast<std::size_t>(rowind[k])].emplace_back(
-        colind[k], avals[static_cast<std::size_t>(k)]);
+    ++rowlen[static_cast<std::size_t>(rowind[k])];
 
   // Sorted position -> original row: length-descending (stable) inside
   // each sigma-row window.
@@ -51,8 +49,8 @@ Sell Sell::from_coo(const Coo& a, index_t chunk, index_t sigma) {
     auto begin = order.begin() + w;
     auto end = order.begin() + std::min<index_t>(w + sigma, rows);
     std::stable_sort(begin, end, [&](index_t x, index_t y) {
-      return by_row[static_cast<std::size_t>(x)].size() >
-             by_row[static_cast<std::size_t>(y)].size();
+      return rowlen[static_cast<std::size_t>(x)] >
+             rowlen[static_cast<std::size_t>(y)];
     });
   }
 
@@ -63,37 +61,35 @@ Sell Sell::from_coo(const Coo& a, index_t chunk, index_t sigma) {
   // the running total forms in 64 bits and must fit before it is stored.
   const index_t nchunks =
       static_cast<index_t>((rows + static_cast<long long>(chunk) - 1) / chunk);
-  std::vector<index_t> cptr{0};
+  std::vector<index_t> cptr(static_cast<std::size_t>(nchunks) + 1, 0);
   long long stored = 0;
   for (index_t ch = 0; ch < nchunks; ++ch) {
     index_t maxlen = 0;
     const index_t pend = static_cast<index_t>(
         std::min<long long>((ch + 1LL) * chunk, rows));
     for (index_t p = ch * chunk; p < pend; ++p)
-      maxlen = std::max<index_t>(
-          maxlen, static_cast<index_t>(
-                      by_row[static_cast<std::size_t>(order
-                                                          [static_cast<
-                                                              std::size_t>(p)])]
-                          .size()));
+      maxlen = std::max(maxlen, rowlen[static_cast<std::size_t>(
+                                    order[static_cast<std::size_t>(p)])]);
     stored += static_cast<long long>(maxlen) * chunk;
-    cptr.push_back(checked_index(stored, "SELL stored lanes sum(maxlen*C)"));
+    cptr[static_cast<std::size_t>(ch) + 1] =
+        checked_index(stored, "SELL stored lanes sum(maxlen*C)");
   }
 
+  std::vector<index_t> rowbase(static_cast<std::size_t>(rows), 0);
+  for (index_t p = 0; p < rows; ++p)
+    rowbase[static_cast<std::size_t>(order[static_cast<std::size_t>(p)])] =
+        cptr[static_cast<std::size_t>(p / chunk)] + p % chunk;
+
+  // Pass 2: copy each row's run into its lane.
   std::vector<index_t> cind(static_cast<std::size_t>(cptr.back()), 0);
   std::vector<value_t> vals(static_cast<std::size_t>(cptr.back()), 0.0);
-  std::vector<index_t> rowbase(static_cast<std::size_t>(rows), 0);
-  std::vector<index_t> rowlen(static_cast<std::size_t>(rows), 0);
-  for (index_t p = 0; p < rows; ++p) {
-    const index_t i = order[static_cast<std::size_t>(p)];
-    const index_t base = cptr[static_cast<std::size_t>(p / chunk)] + p % chunk;
-    const auto& row = by_row[static_cast<std::size_t>(i)];
-    rowbase[static_cast<std::size_t>(i)] = base;
-    rowlen[static_cast<std::size_t>(i)] = static_cast<index_t>(row.size());
-    for (index_t k = 0; k < static_cast<index_t>(row.size()); ++k) {
-      const auto slot = static_cast<std::size_t>(base + k * chunk);
-      cind[slot] = row[static_cast<std::size_t>(k)].first;
-      vals[slot] = row[static_cast<std::size_t>(k)].second;
+  for (index_t i = 0, k = 0; i < rows; ++i) {
+    const index_t base = rowbase[static_cast<std::size_t>(i)];
+    const index_t len = rowlen[static_cast<std::size_t>(i)];
+    for (index_t e = 0; e < len; ++e, ++k) {
+      const auto slot = static_cast<std::size_t>(base + e * chunk);
+      cind[slot] = colind[k];
+      vals[slot] = avals[static_cast<std::size_t>(k)];
     }
   }
   return Sell(rows, a.cols(), chunk, sigma, std::move(cptr), std::move(cind),

@@ -4,38 +4,29 @@
 
 namespace bernoulli::relation {
 
-BsrView::BsrView(std::string name, const formats::Bsr& m) {
-  const std::string ptr = name + "_BROWPTR";
-  const std::string ind = name + "_BCOLIND";
-  const std::string vals = name + "_VALS";
-  arrays_.index_arrays[ptr] = {m.browptr().begin(), m.browptr().end()};
-  arrays_.index_arrays[ind] = {m.bcolind().begin(), m.bcolind().end()};
-  arrays_.value_arrays[vals] = {m.vals().begin(), m.vals().end()};
+namespace {
+
+std::string bsr_spec(const std::string& name, const formats::Bsr& m) {
   const std::string b = std::to_string(m.block());
-  inner_ = std::make_unique<GenericFormatView>(
-      "format " + name + " {\n"
-      "  level i: dense(" + std::to_string(m.rows()) + ");\n"
-      "  level j: blocked(r=" + b + ", c=" + b + ", ptr=" + ptr +
-      ", ind=" + ind + ") sorted;\n"
-      "  value " + vals + ";\n"
-      "}\n",
-      arrays_);
+  return "format " + name + " {\n"
+         "  level i: dense(" + std::to_string(m.rows()) + ");\n"
+         "  level j: blocked(r=" + b + ", c=" + b + ", ptr=" + name +
+         "_BROWPTR, ind=" + name + "_BCOLIND) sorted;\n"
+         "  value " + name + "_VALS;\n"
+         "}\n";
 }
 
-BsrView::~BsrView() = default;
+FormatArrays bsr_arrays(const std::string& name, const formats::Bsr& m) {
+  FormatArrays arrays;
+  arrays.index_arrays[name + "_BROWPTR"] = m.browptr();
+  arrays.index_arrays[name + "_BCOLIND"] = m.bcolind();
+  arrays.value_arrays[name + "_VALS"] = m.vals();
+  return arrays;
+}
 
-std::string BsrView::name() const { return inner_->name(); }
-index_t BsrView::arity() const { return inner_->arity(); }
-const IndexLevel& BsrView::level(index_t depth) const {
-  return inner_->level(depth);
-}
-bool BsrView::has_value() const { return inner_->has_value(); }
-value_t BsrView::value_at(index_t pos) const { return inner_->value_at(pos); }
-std::string BsrView::value_expr(const std::string& pos) const {
-  return inner_->value_expr(pos);
-}
-std::span<const value_t> BsrView::value_array() const {
-  return inner_->value_array();
-}
+}  // namespace
+
+BsrView::BsrView(const std::string& name, const formats::Bsr& m)
+    : GenericFormatView(bsr_spec(name, m), bsr_arrays(name, m)) {}
 
 }  // namespace bernoulli::relation

@@ -14,31 +14,20 @@
 // protocol, register-blocked bulk drains, the specializer and EXPLAIN
 // for free. Fill zeros inside stored tiles ARE enumerated (that is BCSR's
 // bargain), so outputs match CSR bitwise only on block-dense matrices.
+//
+// The spec's arrays are the matrix's own browptr/bcolind/vals, borrowed:
+// the view holds no index or value storage, so `m` must outlive it and
+// keep its arrays unmoved.
 #pragma once
-
-#include <memory>
 
 #include "formats/bsr.hpp"
 #include "relation/format_spec.hpp"
 
 namespace bernoulli::relation {
 
-class BsrView final : public RelationView {
+class BsrView final : public GenericFormatView {
  public:
-  BsrView(std::string name, const formats::Bsr& m);
-  ~BsrView() override;
-
-  std::string name() const override;
-  index_t arity() const override;
-  const IndexLevel& level(index_t depth) const override;
-  bool has_value() const override;
-  value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
-  std::span<const value_t> value_array() const override;
-
- private:
-  FormatArrays arrays_;
-  std::unique_ptr<GenericFormatView> inner_;
+  BsrView(const std::string& name, const formats::Bsr& m);
 };
 
 }  // namespace bernoulli::relation

@@ -3,8 +3,14 @@
 // programmer must provide methods to search and enumerate the indices at
 // that level, and must specify the properties of these methods").
 //
-// A GenericFormatView is built from a textual spec plus the user's raw
-// arrays. Example — CSR described from scratch:
+// A GenericFormatView is built from a textual spec plus spans over the
+// user's raw arrays, which it borrows: no index or value is copied, so the
+// arrays must outlive the view and stay where they are (no reallocation).
+// The built-in BCSR and SELL views (bsr_view.hpp, sell_view.hpp) are such
+// specs over the matrix's own arrays; like every built-in view they
+// borrow, so a bound matrix must outlive the kernels compiled against it
+// and keep its arrays unmoved.
+// Example — CSR described from scratch:
 //
 //   format A {
 //     level i: dense(6);
@@ -39,6 +45,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,14 +53,15 @@
 
 namespace bernoulli::relation {
 
-/// Named integer and value arrays the spec's levels reference. The arrays
-/// must outlive the view.
+/// Named integer and value arrays the spec's levels reference, as borrowed
+/// spans. The bundle itself may be a temporary; the arrays it points at
+/// must outlive every view built from it and must not be reallocated.
 struct FormatArrays {
-  std::map<std::string, std::vector<index_t>> index_arrays;
-  std::map<std::string, Vector> value_arrays;
+  std::map<std::string, std::span<const index_t>> index_arrays;
+  std::map<std::string, std::span<const value_t>> value_arrays;
 };
 
-class GenericFormatView final : public RelationView {
+class GenericFormatView : public RelationView {
  public:
   /// Parses `spec` and wires the levels to `arrays`. Throws
   /// bernoulli::Error with a line-anchored message on syntax errors,
@@ -70,9 +78,9 @@ class GenericFormatView final : public RelationView {
   value_t value_at(index_t pos) const override;
   std::string value_expr(const std::string& pos) const override;
 
-  /// The user's value array is flat and address-stable for the view's
-  /// lifetime, so the linked engine's bulk drains and the specializer can
-  /// address it directly.
+  /// The user's own value array (borrowed, never copied): flat and
+  /// address-stable for the view's lifetime, so the linked engine's bulk
+  /// drains and the specializer can address it directly.
   std::span<const value_t> value_array() const override { return values_; }
 
   /// Loop-variable name declared for each level, in hierarchy order

@@ -14,31 +14,20 @@
 // — one level spec, no cursor backend. Padding lanes sit beyond every
 // row's ROWLEN, so they are never enumerated and cannot perturb outputs
 // or counters.
+//
+// The spec's arrays are the matrix's own rowbase/rowlen/colind/vals,
+// borrowed: the view holds no index or value storage, so `m` must outlive
+// it and keep its arrays unmoved.
 #pragma once
-
-#include <memory>
 
 #include "formats/sell.hpp"
 #include "relation/format_spec.hpp"
 
 namespace bernoulli::relation {
 
-class SellView final : public RelationView {
+class SellView final : public GenericFormatView {
  public:
-  SellView(std::string name, const formats::Sell& m);
-  ~SellView() override;
-
-  std::string name() const override;
-  index_t arity() const override;
-  const IndexLevel& level(index_t depth) const override;
-  bool has_value() const override;
-  value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
-  std::span<const value_t> value_array() const override;
-
- private:
-  FormatArrays arrays_;
-  std::unique_ptr<GenericFormatView> inner_;
+  SellView(const std::string& name, const formats::Sell& m);
 };
 
 }  // namespace bernoulli::relation

@@ -40,7 +40,7 @@ std::string DistKernel::explain_json(int indent) const {
 }
 
 DistKernel compile_dist_matvec(runtime::Process& p, const Csr& a,
-                               const Distribution& rows, int build_tag) {
+                               const Distribution& rows) {
   support::TraceSpan span("compile_dist_matvec", "spmd");
   BERNOULLI_CHECK(a.rows() == a.cols());
   // Reuse the inspector machinery to obtain the localized fragment and
@@ -48,35 +48,44 @@ DistKernel compile_dist_matvec(runtime::Process& p, const Csr& a,
   // distribution is what lets the fragment's rows stay purely local —
   // Eq. 20); then compile the local DENSE program against the fragment.
   DistSpmv built = build_dist_spmv(p, a, rows, Variant::kBernoulliMixed);
-  (void)build_tag;
 
   DistKernel k;
-  k.sched_ = built.sched;
+  k.sched_ = std::move(built.sched);
 
   // Fuse the local and non-local parts into one localized fragment: the
   // compiled local query iterates a single A' whose columns address
-  // x_full slots directly.
+  // x_full slots directly. Every array is sized from the parts' row
+  // pointers before it is filled.
   {
-    const index_t m = built.a_local.rows();
-    const index_t width = built.sched.full_size();
-    std::vector<index_t> ptr{0}, ind;
-    std::vector<value_t> vals;
+    const Csr& loc = built.a_local;
+    const Csr& nl = built.a_nonlocal;
+    const index_t m = loc.rows();
+    const auto lp = loc.rowptr();
+    const auto np = nl.rowptr();
+    std::vector<index_t> ptr(static_cast<std::size_t>(m) + 1);
+    for (std::size_t i = 0; i < ptr.size(); ++i) ptr[i] = lp[i] + np[i];
+    std::vector<index_t> ind(static_cast<std::size_t>(ptr.back()));
+    std::vector<value_t> vals(ind.size());
     for (index_t i = 0; i < m; ++i) {
-      auto lc = built.a_local.row_cols(i);
-      auto lv = built.a_local.row_vals(i);
-      auto nc = built.a_nonlocal.row_cols(i);
-      auto nv = built.a_nonlocal.row_vals(i);
       // Local columns (< owned) precede ghost slots (>= owned), so the
       // concatenation stays sorted.
-      ind.insert(ind.end(), lc.begin(), lc.end());
-      vals.insert(vals.end(), lv.begin(), lv.end());
-      ind.insert(ind.end(), nc.begin(), nc.end());
-      vals.insert(vals.end(), nv.begin(), nv.end());
-      ptr.push_back(static_cast<index_t>(ind.size()));
+      const auto at =
+          static_cast<std::ptrdiff_t>(ptr[static_cast<std::size_t>(i)]);
+      auto lc = loc.row_cols(i);
+      auto lv = loc.row_vals(i);
+      auto nc = nl.row_cols(i);
+      auto nv = nl.row_vals(i);
+      std::copy(nc.begin(), nc.end(),
+                std::copy(lc.begin(), lc.end(), ind.begin() + at));
+      std::copy(nv.begin(), nv.end(),
+                std::copy(lv.begin(), lv.end(), vals.begin() + at));
     }
-    k.local_ = std::make_shared<Csr>(m, width, std::move(ptr), std::move(ind),
-                                     std::move(vals));
+    k.local_ = std::make_shared<Csr>(m, k.sched_.full_size(), std::move(ptr),
+                                     std::move(ind), std::move(vals));
   }
+  // The split parts are copied into the fragment; free them before the
+  // local compile allocates.
+  built = DistSpmv{};
 
   k.x_full_ = std::make_shared<Vector>(
       static_cast<std::size_t>(k.sched_.full_size()), 0.0);

@@ -42,6 +42,11 @@ class DistKernel {
   const CommSchedule& schedule() const { return sched_; }
   index_t local_rows() const { return sched_.owned; }
 
+  /// The localized fragment the compiled query iterates: per local row,
+  /// the A_D + A_SL entries (owned columns) followed by the A_SNL entries
+  /// (ghost slots); column indices address x_full.
+  const formats::Csr& fragment() const { return *local_; }
+
   /// The generated C for the LOCAL program (what each node executes
   /// between exchanges).
   std::string emit(const std::string& function_name = "local_kernel") const;
@@ -54,7 +59,7 @@ class DistKernel {
  private:
   friend DistKernel compile_dist_matvec(runtime::Process&,
                                         const formats::Csr&,
-                                        const distrib::Distribution&, int);
+                                        const distrib::Distribution&);
   CommSchedule sched_;
   // Heap-anchored so views bound at compile time survive moves of the
   // kernel object.
@@ -66,10 +71,13 @@ class DistKernel {
 };
 
 /// Collective. Compiles Y(i) += A(i,j) * X(j) for row-aligned A, X, Y
-/// under `rows` (the global matrix `a` must stay alive only during this
-/// call; the kernel keeps its own localized fragment).
+/// under `rows`. The global matrix `a` is read only during this call.
+/// After it, the kernel keeps exactly: the fused localized fragment
+/// (fragment(), exactly sized), the communication schedule, the x_full
+/// (owned + ghost) and local y buffers, and the bindings and compiled
+/// plan over them. The inspector's split parts are freed before the
+/// local compile.
 DistKernel compile_dist_matvec(runtime::Process& p, const formats::Csr& a,
-                               const distrib::Distribution& rows,
-                               int build_tag = 9401);
+                               const distrib::Distribution& rows);
 
 }  // namespace bernoulli::spmd

@@ -45,18 +45,29 @@ constexpr int kRequestTag = 9201;
 // starts from this, so it is outside the timed inspector window.
 Csr extract_fragment(const Csr& a, const Distribution& rows, int me) {
   auto mine = rows.owned_indices(me);
-  std::vector<index_t> rowptr{0};
-  std::vector<index_t> colind;
-  std::vector<value_t> vals;
-  for (index_t g : mine) {
-    auto cols = a.row_cols(g);
-    auto v = a.row_vals(g);
-    colind.insert(colind.end(), cols.begin(), cols.end());
-    vals.insert(vals.end(), v.begin(), v.end());
-    rowptr.push_back(static_cast<index_t>(colind.size()));
+  std::vector<index_t> rowptr(mine.size() + 1, 0);
+  for (std::size_t r = 0; r < mine.size(); ++r)
+    rowptr[r + 1] =
+        rowptr[r] + static_cast<index_t>(a.row_cols(mine[r]).size());
+  std::vector<index_t> colind(static_cast<std::size_t>(rowptr.back()));
+  std::vector<value_t> vals(colind.size());
+  for (std::size_t r = 0; r < mine.size(); ++r) {
+    auto cols = a.row_cols(mine[r]);
+    auto v = a.row_vals(mine[r]);
+    std::copy(cols.begin(), cols.end(), colind.begin() + rowptr[r]);
+    std::copy(v.begin(), v.end(), vals.begin() + rowptr[r]);
   }
   return Csr(static_cast<index_t>(mine.size()), a.cols(), std::move(rowptr),
              std::move(colind), std::move(vals));
+}
+
+// Sizes a CSR part of at most `nnz` entries over `m` rows before it is
+// filled by push_back, so no reallocation chain leaves freed copies behind.
+void reserve_split(index_t m, index_t nnz, std::vector<index_t>& ptr,
+                   std::vector<index_t>& ind, std::vector<value_t>& vals) {
+  ptr.reserve(static_cast<std::size_t>(m) + 1);
+  ind.reserve(static_cast<std::size_t>(nnz));
+  vals.reserve(static_cast<std::size_t>(nnz));
 }
 
 // Used(p) computed through the RELATIONAL machinery (paper Eq. 21): the
@@ -76,6 +87,7 @@ std::vector<index_t> used_columns_relational(const Csr& frag) {
   // an O(N_global) bitmap would make even the leanest inspector scale with
   // the total problem under weak scaling.
   std::vector<index_t> used;
+  used.reserve(static_cast<std::size_t>(frag.nnz()));
   compiler::Plan plan = compiler::plan_query(q);
   const std::size_t jslot = 1;  // q.vars order
   compiler::execute(plan, q, [&](const compiler::Env& env) {
@@ -197,8 +209,12 @@ DistSpmv build_dist_spmv(runtime::Process& p, const Csr& a,
   if (!naive) {
     // a_local = A_D + A_SL with pre-localized columns (library storage),
     // frag_snl = A_SNL with global columns awaiting translation.
+    // Either part holds at most the fragment's nnz; capacity the split
+    // leaves unused is never touched and costs no resident memory.
     std::vector<index_t> lp{0}, lc, sp{0}, sc;
     std::vector<value_t> lv, sv;
+    reserve_split(m, frag.nnz(), lp, lc, lv);
+    reserve_split(m, frag.nnz(), sp, sc, sv);
     for (index_t i = 0; i < m; ++i) {
       auto cols = frag.row_cols(i);
       auto vals = frag.row_vals(i);
@@ -342,6 +358,8 @@ DistSpmv build_dist_spmv(runtime::Process& p, const Csr& a,
     }
     std::vector<index_t> lp{0}, lc, np{0}, nc;
     std::vector<value_t> lv, nv;
+    reserve_split(m, frag.nnz(), lp, lc, lv);
+    reserve_split(m, frag.nnz(), np, nc, nv);
     for (index_t i = 0; i < m; ++i) {
       auto cols = frag.row_cols(i);
       auto vals = frag.row_vals(i);
@@ -363,6 +381,7 @@ DistSpmv build_dist_spmv(runtime::Process& p, const Csr& a,
     // Mixed: only A_SNL's columns are translated (to ghost slots).
     std::vector<index_t> np{0}, nc;
     std::vector<value_t> nv;
+    reserve_split(m, frag_snl.nnz(), np, nc, nv);
     std::vector<std::pair<index_t, value_t>> row;
     for (index_t i = 0; i < m; ++i) {
       auto cols = frag_snl.row_cols(i);

@@ -159,6 +159,52 @@ TEST(DistCompile, EmitsLocalProgram) {
   }
 }
 
+TEST(DistCompile, FusedFragmentConcatenatesTheSplitParts) {
+  // The compiled kernel's fragment is, row by row, build_dist_spmv's
+  // a_local (owned columns) followed by its a_nonlocal (ghost slots).
+  auto g = workloads::grid3d_7pt(4, 4, 3, 2, 86);
+  Csr a = Csr::from_coo(g.matrix);
+  const index_t n = a.rows();
+  const std::vector<index_t> color_ptr = {0, n / 3, n / 2, n};
+  for (int P : {1, 2, 3, 4}) {
+    BlockDist block(n, P);
+    distrib::RowRunsDist runs = distrib::rowruns_from_color_ptr(color_ptr, n, P);
+    for (const distrib::Distribution* rows :
+         {static_cast<const distrib::Distribution*>(&block),
+          static_cast<const distrib::Distribution*>(&runs)}) {
+      runtime::Machine machine(P);
+      machine.run([&](runtime::Process& p) {
+        SCOPED_TRACE(rows->name() + " P=" + std::to_string(P) +
+                     " rank=" + std::to_string(p.rank()));
+        const DistSpmv split =
+            build_dist_spmv(p, a, *rows, Variant::kBernoulliMixed);
+        const DistKernel k = compile_dist_matvec(p, a, *rows);
+        std::vector<index_t> ptr{0}, ind;
+        Vector vals;
+        for (index_t i = 0; i < split.a_local.rows(); ++i) {
+          for (const Csr* part : {&split.a_local, &split.a_nonlocal}) {
+            auto c = part->row_cols(i);
+            auto v = part->row_vals(i);
+            ind.insert(ind.end(), c.begin(), c.end());
+            vals.insert(vals.end(), v.begin(), v.end());
+          }
+          ptr.push_back(static_cast<index_t>(ind.size()));
+        }
+        const Csr& frag = k.fragment();
+        EXPECT_EQ(frag.rows(), split.a_local.rows());
+        EXPECT_EQ(frag.cols(), split.sched.full_size());
+        EXPECT_EQ(std::vector<index_t>(frag.rowptr().begin(),
+                                       frag.rowptr().end()),
+                  ptr);
+        EXPECT_EQ(std::vector<index_t>(frag.colind().begin(),
+                                       frag.colind().end()),
+                  ind);
+        EXPECT_EQ(Vector(frag.vals().begin(), frag.vals().end()), vals);
+      });
+    }
+  }
+}
+
 TEST(DistCompile, KernelSurvivesMove) {
   // The kernel owns heap-anchored storage; views must stay valid after
   // moving the kernel object around.

@@ -27,12 +27,13 @@ Coo sample(index_t n, index_t nnz, std::uint64_t seed) {
   return std::move(b).build();
 }
 
-// Loads a CSR matrix's raw arrays into a FormatArrays bundle.
+// Names a CSR matrix's raw arrays in a FormatArrays bundle (borrowed:
+// `m` must outlive every view built from it).
 FormatArrays csr_arrays(const Csr& m) {
   FormatArrays arrays;
-  arrays.index_arrays["ROWPTR"] = {m.rowptr().begin(), m.rowptr().end()};
-  arrays.index_arrays["COLIND"] = {m.colind().begin(), m.colind().end()};
-  arrays.value_arrays["VALS"] = {m.vals().begin(), m.vals().end()};
+  arrays.index_arrays["ROWPTR"] = m.rowptr();
+  arrays.index_arrays["COLIND"] = m.colind();
+  arrays.value_arrays["VALS"] = m.vals();
   return arrays;
 }
 
@@ -92,6 +93,50 @@ TEST(FormatSpec, CompilesThroughThePipeline) {
   EXPECT_NE(code.find("VALS["), std::string::npos);
 }
 
+// y += A x over bindings that hold A, X and Y.
+Vector run_spmv(compiler::Bindings& b, index_t n, const Vector& x) {
+  Vector y(static_cast<std::size_t>(n), 0.0);
+  b.bind_dense_vector("X", ConstVectorView(x));
+  b.bind_dense_vector("Y", VectorView(y));
+  compiler::LoopNest nest{{{"i", n}, {"j", n}},
+                          {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}},
+                           1.0}};
+  compiler::compile(nest, b).run();
+  return y;
+}
+
+TEST(FormatSpec, BorrowsNamedVectorsAndRunsBitwise) {
+  // A user spec over the user's own named vectors: the view reads them in
+  // place (no copy), and the kernel over it is bitwise the built-in CSR
+  // view's.
+  const index_t n = 20;
+  Csr m = Csr::from_coo(sample(n, 90, 6));
+  const std::vector<index_t> rowptr(m.rowptr().begin(), m.rowptr().end());
+  const std::vector<index_t> colind(m.colind().begin(), m.colind().end());
+  const Vector vals(m.vals().begin(), m.vals().end());
+  FormatArrays arrays;
+  arrays.index_arrays["ROWPTR"] = rowptr;
+  arrays.index_arrays["COLIND"] = colind;
+  arrays.value_arrays["VALS"] = vals;
+  GenericFormatView view(csr_spec(n), arrays);
+  arrays = {};  // the bundle may go; the named vectors must not
+
+  EXPECT_EQ(view.value_array().data(), vals.data());
+  const LevelDescriptor d = view.level(1).describe();
+  EXPECT_EQ(d.ptr, rowptr.data());
+  EXPECT_EQ(d.ind, colind.data());
+
+  SplitMix64 rng(7);
+  Vector x(static_cast<std::size_t>(n));
+  for (auto& v : x) v = rng.next_double(-1, 1);
+  compiler::Bindings user, builtin;
+  user.bind_view("A", &view, {0, 1}, /*sparse=*/true);
+  builtin.bind_csr("A", m);
+  const Vector y = run_spmv(user, n, x);
+  const Vector y_ref = run_spmv(builtin, n, x);
+  for (std::size_t i = 0; i < y.size(); ++i) ASSERT_EQ(y[i], y_ref[i]) << i;
+}
+
 TEST(FormatSpec, UnsortedLevelGetsLinearSearch) {
   Coo coo = sample(8, 20, 4);
   Csr m = Csr::from_coo(coo);
@@ -110,9 +155,11 @@ TEST(FormatSpec, UnsortedLevelGetsLinearSearch) {
 }
 
 TEST(FormatSpec, ListAndFunctionLevels) {
+  const std::vector<index_t> ind = {2, 5, 9};
+  const std::vector<index_t> map = {1, 0, 2};
   FormatArrays arrays;
-  arrays.index_arrays["IND"] = {2, 5, 9};
-  arrays.index_arrays["MAP"] = {1, 0, 2};
+  arrays.index_arrays["IND"] = ind;
+  arrays.index_arrays["MAP"] = map;
   GenericFormatView list_view(
       "format L { level i: list(ind=IND) sorted; }", arrays);
   EXPECT_EQ(list_view.level(0).search(0, 5), 1);
@@ -139,9 +186,9 @@ TEST(FormatSpec, ParsesBlockedLevelAndSearchesThroughBlocks) {
   formats::Bsr m = formats::Bsr::from_coo(coo, 4);
 
   FormatArrays arrays;
-  arrays.index_arrays["BROWPTR"] = {m.browptr().begin(), m.browptr().end()};
-  arrays.index_arrays["BCOLIND"] = {m.bcolind().begin(), m.bcolind().end()};
-  arrays.value_arrays["BVALS"] = {m.vals().begin(), m.vals().end()};
+  arrays.index_arrays["BROWPTR"] = m.browptr();
+  arrays.index_arrays["BCOLIND"] = m.bcolind();
+  arrays.value_arrays["BVALS"] = m.vals();
   GenericFormatView v(
       "format A { level i: dense(8); "
       "level j: blocked(r=4, c=4, ptr=BROWPTR, ind=BCOLIND) sorted; "
@@ -169,10 +216,10 @@ TEST(FormatSpec, ParsesSlicedLevelAndMatchesCsrSearch) {
   formats::Csr csr = formats::Csr::from_coo(coo);
 
   FormatArrays arrays;
-  arrays.index_arrays["ROWBASE"] = {m.rowbase().begin(), m.rowbase().end()};
-  arrays.index_arrays["ROWLEN"] = {m.rowlen().begin(), m.rowlen().end()};
-  arrays.index_arrays["SIND"] = {m.colind().begin(), m.colind().end()};
-  arrays.value_arrays["SVALS"] = {m.vals().begin(), m.vals().end()};
+  arrays.index_arrays["ROWBASE"] = m.rowbase();
+  arrays.index_arrays["ROWLEN"] = m.rowlen();
+  arrays.index_arrays["SIND"] = m.colind();
+  arrays.value_arrays["SVALS"] = m.vals();
   GenericFormatView v(
       "format S { level i: dense(10); "
       "level j: sliced(chunk=4, sigma=8, base=ROWBASE, len=ROWLEN, ind=SIND) "
@@ -199,12 +246,14 @@ TEST(FormatSpec, ParsesSlicedLevelAndMatchesCsrSearch) {
 }
 
 TEST(FormatSpec, BlockedAndSlicedErrorsAreAnchored) {
+  const std::vector<index_t> ptr = {0, 1}, ind = {0}, base = {0, 1},
+                             len = {1, 1}, len3 = {1, 1, 1};
   FormatArrays arrays;
-  arrays.index_arrays["PTR"] = {0, 1};
-  arrays.index_arrays["IND"] = {0};
-  arrays.index_arrays["BASE"] = {0, 1};
-  arrays.index_arrays["LEN"] = {1, 1};
-  arrays.index_arrays["LEN3"] = {1, 1, 1};
+  arrays.index_arrays["PTR"] = ptr;
+  arrays.index_arrays["IND"] = ind;
+  arrays.index_arrays["BASE"] = base;
+  arrays.index_arrays["LEN"] = len;
+  arrays.index_arrays["LEN3"] = len3;
 
   auto expect_error = [&](const std::string& spec, const char* line,
                           const char* needle) {
