@@ -1,8 +1,10 @@
 #include "compiler/specialize.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -34,12 +36,42 @@ bool have_cc() {
   return found;
 }
 
-// cc flags: -ffp-contract=off forbids fused multiply-add contraction so
-// the generated arithmetic matches the engines' separate mul/add sequence
-// bitwise (the C++ build runs uncontracted on the x86-64 baseline).
+// `s` as one single-quoted shell word: a path reaches cc verbatim whatever
+// spaces, quotes or `$` it holds.
+std::string shell_word(const std::string& s) {
+  std::string out = "'";
+  for (const char c : s) {
+    if (c == '\'')
+      out += "'\\''";
+    else
+      out += c;
+  }
+  return out + "'";
+}
+
+// cc command. Code generation: -ffp-contract=off forbids fused
+// multiply-add contraction so the generated arithmetic matches the
+// engines' separate mul/add sequence bitwise (the C++ build runs
+// uncontracted on the x86-64 baseline). Link: the kernel's only import is
+// clock_gettime, which resolves against the host process at dlopen, so
+// -nostdlib skips the crt/libc/libgcc link and -fno-use-linker-plugin the
+// LTO plugin; -pipe keeps the assembly off the disk.
 std::string compile_command(const std::string& dir) {
-  return "cc -O2 -fPIC -shared -ffp-contract=off -o " + dir + "/kernel.so " +
-         dir + "/kernel.c 2> " + dir + "/cc.log";
+  return "cc -O2 -fPIC -shared -ffp-contract=off -pipe -nostdlib "
+         "-fno-use-linker-plugin -o " +
+         shell_word(dir + "/kernel.so") + " " + shell_word(dir + "/kernel.c") +
+         " 2> " + shell_word(dir + "/cc.log");
+}
+
+// The first line of cc's diagnostics, capped: the build directory (and the
+// log in it) is removed with the kernel, so the note must carry it.
+std::string first_diagnostic(const std::string& log_path) {
+  constexpr std::size_t kMaxChars = 200;
+  std::ifstream log(log_path);
+  std::string line;
+  if (!std::getline(log, line) || line.empty()) return "no diagnostics";
+  if (line.size() > kMaxChars) line = line.substr(0, kMaxChars) + "...";
+  return line;
 }
 
 }  // namespace
@@ -109,9 +141,20 @@ SpecializedKernel::SpecializedKernel(const LinkedPlan& lp,
     note_ = "no C toolchain (cc not found)";
     return;
   }
-  char tmpl[] = "/tmp/bernoulli-spec-XXXXXX";
-  if (::mkdtemp(tmpl) == nullptr) {
-    note_ = "could not create a temporary build directory";
+  // The root honours TMPDIR (and the platform's other temp variables).
+  namespace fs = std::filesystem;
+  fs::path root;
+  try {
+    root = fs::temp_directory_path();
+  } catch (const fs::filesystem_error& e) {
+    note_ = "temporary-directory root '" + e.path1().string() +
+            "' is unusable: " + e.code().message();
+    return;
+  }
+  std::string tmpl = (root / "bernoulli-spec-XXXXXX").string();
+  if (::mkdtemp(tmpl.data()) == nullptr) {
+    note_ = "could not create a build directory under '" + root.string() +
+            "': " + std::strerror(errno);
     return;
   }
   dir_ = tmpl;
@@ -124,8 +167,8 @@ SpecializedKernel::SpecializedKernel(const LinkedPlan& lp,
     }
   }
   if (std::system(compile_command(dir_).c_str()) != 0) {
-    note_ = "cc failed to compile the generated kernel (see " + dir_ +
-            "/cc.log)";
+    note_ = "cc failed to compile the generated kernel: " +
+            first_diagnostic(dir_ + "/cc.log");
     return;
   }
   if (!lib_.open(dir_ + "/kernel.so")) {

@@ -1,5 +1,6 @@
 #include "runtime/machine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <thread>
@@ -12,6 +13,9 @@ namespace bernoulli::runtime {
 
 Machine::Machine(int nprocs, CostModel cost) : nprocs_(nprocs), cost_(cost) {
   BERNOULLI_CHECK(nprocs >= 1);
+  // hardware_concurrency() may report 0 (unknown): then assume one core.
+  const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
+  solo_serializes_ = static_cast<unsigned>(nprocs) > hw;
   mailboxes_.reserve(static_cast<std::size_t>(nprocs));
   for (int p = 0; p < nprocs; ++p)
     mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -101,7 +105,8 @@ void Process::solo(const std::function<void()>& fn) {
   // consume CPU, but the mark must be refreshed so the wait interval is
   // not mis-attributed).
   advance_clock();
-  std::lock_guard<std::mutex> lk(machine_.solo_mu_);
+  std::unique_lock<std::mutex> lk(machine_.solo_mu_, std::defer_lock);
+  if (machine_.solo_serializes_) lk.lock();
   cpu_mark_ = ThreadCpuTimer::now();
   fn();
   advance_clock();

@@ -153,12 +153,21 @@ class Process {
   /// many ranks time-sharing one host core is too noisy.
   void set_manual_compute(bool on);
 
-  /// Runs a COMPUTE-ONLY section while holding a machine-wide lock, so
-  /// rank threads sharing one host core do not interleave (and
-  /// cache-thrash) inside it — per-thread CPU time then reflects the work
-  /// a dedicated node would do. The virtual clock is unaffected by the
-  /// wait (blocked threads burn no CPU). `fn` MUST NOT communicate:
-  /// send/recv/collectives inside a solo section deadlock.
+  /// Runs a COMPUTE-ONLY section as a dedicated node would run it.
+  ///
+  /// When the machine has more ranks than the host has hardware threads
+  /// (std::thread::hardware_concurrency()), ranks share host cores, so the
+  /// section runs under a machine-wide lock: rank threads do not interleave
+  /// (and cache-thrash) inside it, and per-thread CPU time reflects the
+  /// work a dedicated node would do. When every rank has a hardware thread
+  /// of its own, there is nothing to protect it from, and `fn` runs at once,
+  /// side by side with the other ranks' solo sections.
+  ///
+  /// Either way the virtual clock books only `fn`'s own CPU time: time
+  /// spent waiting for the lock is off the clock (blocked threads burn no
+  /// CPU, and the CPU mark is refreshed after the wait). `fn` MUST NOT
+  /// communicate: send/recv/collectives inside a serialized solo section
+  /// deadlock.
   void solo(const std::function<void()>& fn);
 
   const CommStats& stats() const { return stats_; }
@@ -254,6 +263,8 @@ class Machine {
   bool manual_compute_default_ = false;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   Rendezvous rendezvous_;
+  // Process::solo serializes only when ranks outnumber hardware threads.
+  bool solo_serializes_ = false;
   std::mutex solo_mu_;
 };
 

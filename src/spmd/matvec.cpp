@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "compiler/executor.hpp"
+#include "compiler/link.hpp"
 #include "compiler/planner.hpp"
 #include "distrib/chaos.hpp"
 #include "relation/array_views.hpp"
@@ -73,8 +74,9 @@ void reserve_split(index_t m, index_t nnz, std::vector<index_t>& ptr,
 // Used(p) computed through the RELATIONAL machinery (paper Eq. 21): the
 // compiled inspectors evaluate the query
 //   Used(j) = pi_j sigma_NZ(A(i', j))
-// through the generic plan interpreter — the per-entry interpretive cost
-// is the honest price of generated-from-global-spec code.
+// as a compiled query — planned, linked to flat cursors, and run on the
+// linked engine with a per-tuple action. The per-tuple action call is the
+// honest price of generated-from-global-spec code.
 std::vector<index_t> used_columns_relational(const Csr& frag) {
   relation::CsrView aview("A", frag);
   relation::IntervalView iview("I", {frag.rows(), frag.cols()});
@@ -88,9 +90,10 @@ std::vector<index_t> used_columns_relational(const Csr& frag) {
   // the total problem under weak scaling.
   std::vector<index_t> used;
   used.reserve(static_cast<std::size_t>(frag.nnz()));
-  compiler::Plan plan = compiler::plan_query(q);
+  const compiler::Plan plan = compiler::plan_query(q);
+  compiler::LinkedRunner runner(compiler::link_plan(plan, q));
   const std::size_t jslot = 1;  // q.vars order
-  compiler::execute(plan, q, [&](const compiler::Env& env) {
+  runner.run([&](const compiler::Env& env) {
     used.push_back(env.var_value[jslot]);
   });
   std::sort(used.begin(), used.end());

@@ -2,7 +2,13 @@
 // sections — the measurement machinery the calibrated benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "runtime/machine.hpp"
+#include "support/timer.hpp"
 
 namespace bernoulli::runtime {
 namespace {
@@ -50,7 +56,7 @@ TEST(Modes, TogglingBackResumesCpuAccounting) {
   EXPECT_GT(reports[0].virtual_time, 0.0);
 }
 
-TEST(Modes, SoloSerializesButKeepsClockSemantics) {
+TEST(Modes, SoloKeepsClockSemantics) {
   const int P = 4;
   Machine m(P);
   std::vector<double> vt(P, 0.0);
@@ -59,8 +65,9 @@ TEST(Modes, SoloSerializesButKeepsClockSemantics) {
     vt[static_cast<std::size_t>(p.rank())] = p.virtual_time();
   });
   // Every rank's clock reflects roughly its own solo work — similar across
-  // ranks, all positive, none wildly larger (waiting for the lock is off
-  // the clock).
+  // ranks, all positive, none wildly larger (on a host with fewer than P
+  // hardware threads the sections serialize, and waiting for the lock is
+  // off the clock).
   double mn = 1e30, mx = 0;
   for (double v : vt) {
     EXPECT_GT(v, 0.0);
@@ -68,6 +75,86 @@ TEST(Modes, SoloSerializesButKeepsClockSemantics) {
     mx = std::max(mx, v);
   }
   EXPECT_LT(mx, 50 * mn) << "lock waiting leaked into a virtual clock";
+}
+
+// Counts the ranks inside a solo section at once.
+struct SoloOccupancy {
+  std::atomic<int> inside{0};
+  std::atomic<int> peak{0};
+
+  void enter() {
+    const int now = inside.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  void leave() { inside.fetch_sub(1); }
+};
+
+unsigned hardware_threads() {
+  return std::max(1U, std::thread::hardware_concurrency());
+}
+
+TEST(Modes, SoloRunsSideBySideWhenRanksFitTheHost) {
+  if (hardware_threads() < 2) GTEST_SKIP() << "needs 2 hardware threads";
+  const int P = 2;
+  Machine m(P);
+  SoloOccupancy occ;
+  std::vector<double> own(P, 0.0);
+  std::vector<double> booked(P, 0.0);
+  m.run([&](Process& p) {
+    const double before = p.virtual_time();
+    p.solo([&] {
+      occ.enter();
+      ThreadCpuTimer t;
+      // Wait (bounded) for the other rank to enter too. Under a
+      // machine-wide lock it never could, and the spin times out.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (occ.peak.load() < P &&
+             std::chrono::steady_clock::now() < deadline) {
+      }
+      own[static_cast<std::size_t>(p.rank())] = t.seconds();
+      occ.leave();
+    });
+    booked[static_cast<std::size_t>(p.rank())] = p.virtual_time() - before;
+  });
+  EXPECT_EQ(occ.peak.load(), P) << "ranks with a core each were serialized";
+  // The spin is the rank's own compute, so it is on its clock — and
+  // nothing else is.
+  for (std::size_t k = 0; k < own.size(); ++k) {
+    EXPECT_GE(booked[k], own[k]);
+    EXPECT_LT(booked[k], 2.0 * own[k] + 0.01) << "rank " << k;
+  }
+}
+
+TEST(Modes, SoloSerializesWhenRanksOutnumberTheHost) {
+  const unsigned hw = hardware_threads();
+  if (hw > 256) GTEST_SKIP() << "too many hardware threads to oversubscribe";
+  const int P = static_cast<int>(hw) + 1;
+  Machine m(P);
+  SoloOccupancy occ;
+  std::vector<double> own(static_cast<std::size_t>(P), 0.0);
+  std::vector<double> booked(static_cast<std::size_t>(P), 0.0);
+  m.run([&](Process& p) {
+    const double before = p.virtual_time();
+    p.solo([&] {
+      occ.enter();
+      ThreadCpuTimer t;
+      burn_cpu(2000000);
+      own[static_cast<std::size_t>(p.rank())] = t.seconds();
+      occ.leave();
+    });
+    booked[static_cast<std::size_t>(p.rank())] = p.virtual_time() - before;
+  });
+  EXPECT_EQ(occ.peak.load(), 1) << "two ranks were inside solo at once";
+  // Each clock books the rank's own section, not the P - 1 sections it
+  // queued behind (a rank that waited for all of them would book ~P times
+  // its own work).
+  for (std::size_t k = 0; k < own.size(); ++k) {
+    EXPECT_GE(booked[k], own[k]);
+    EXPECT_LT(booked[k], 2.0 * own[k] + 0.01) << "rank " << k;
+  }
 }
 
 TEST(Modes, ChargeSecondsRejectsNegative) {

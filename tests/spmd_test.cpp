@@ -3,12 +3,14 @@
 // inspector communication volumes must order the way Table 3 claims.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "distrib/distribution.hpp"
 #include "formats/csr.hpp"
 #include "formats/dense.hpp"
 #include "spmd/matvec.hpp"
+#include "support/counters.hpp"
 #include "support/rng.hpp"
 #include "workloads/grid.hpp"
 
@@ -194,6 +196,114 @@ TEST(DistSpmv, SingleRankNeedsNoCommunication) {
       EXPECT_NEAR(y[i], y_ref[i], 1e-12);
   });
   EXPECT_EQ(reports[0].stats.messages, 0);
+}
+
+// ---- Compiled Used(p) against the hand-written pass ---------------------
+//
+// Bernoulli-Mixed and Indirect-Mixed find Used(p) with a compiled query on
+// the linked engine; BlockSolve finds it with a direct pass over the column
+// indices (used_columns_direct). Everything downstream is shared, so the
+// schedules and the localized parts must come out identical.
+
+// Square, Pareto(1.5) row lengths (capped at n), uniform columns.
+Csr pareto_rows(index_t n, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  formats::TripletBuilder b(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    const double u = rng.next_double(1e-9, 1.0);
+    const auto len = std::min<index_t>(
+        n, static_cast<index_t>(2.0 / std::pow(u, 1.0 / 1.5)));
+    for (index_t k = 0; k < len; ++k)
+      b.add(i, rng.next_index(n), rng.next_double(-1.0, 1.0));
+  }
+  return Csr::from_coo(std::move(b).build());
+}
+
+struct Built {
+  CommSchedule sched;
+  Csr a_local;
+  Csr a_nonlocal;
+};
+
+template <class T>
+std::vector<T> as_vector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+void expect_same_csr(const Csr& got, const Csr& want, const char* what) {
+  EXPECT_EQ(got.rows(), want.rows()) << what;
+  EXPECT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(as_vector(got.rowptr()), as_vector(want.rowptr())) << what;
+  EXPECT_EQ(as_vector(got.colind()), as_vector(want.colind())) << what;
+  EXPECT_EQ(as_vector(got.vals()), as_vector(want.vals())) << what;
+}
+
+TEST(CompiledUsed, MatchesDirectReference) {
+  auto g = workloads::grid3d_7pt(5, 4, 3, 2, 26);
+  const std::vector<std::pair<std::string, Csr>> matrices = {
+      {"pareto", pareto_rows(180, 27)},
+      {"grid", Csr::from_coo(g.matrix)},
+  };
+  for (const auto& [mname, a] : matrices) {
+    const index_t n = a.rows();
+    for (int P = 1; P <= 4; ++P) {
+      std::vector<std::pair<std::string, std::unique_ptr<Distribution>>>
+          dists;
+      dists.emplace_back("block", std::make_unique<BlockDist>(n, P));
+      std::vector<index_t> color_ptr{0, n / 3, 2 * n / 3, n};
+      dists.emplace_back("rowruns",
+                         std::make_unique<RowRunsDist>(
+                             distrib::rowruns_from_color_ptr(color_ptr, n, P)));
+      for (const auto& [dname, rows] : dists) {
+        auto build_all = [&](Variant v) {
+          std::vector<Built> out(static_cast<std::size_t>(P));
+          support::counters_reset();
+          runtime::Machine machine(P);
+          auto reports = machine.run([&](runtime::Process& p) {
+            DistSpmv d = build_dist_spmv(p, a, *rows, v);
+            out[static_cast<std::size_t>(p.rank())] = {
+                std::move(d.sched), std::move(d.a_local),
+                std::move(d.a_nonlocal)};
+          });
+          // The inspector's comm.* counters reconcile with CommStats.
+          long long msgs = 0, bytes = 0, cmsgs = 0, cbytes = 0;
+          for (const auto& r : reports) {
+            msgs += r.stats.messages;
+            bytes += r.stats.bytes;
+          }
+          for (const auto& [name, val] : support::counters_snapshot().counts) {
+            if (!name.starts_with("comm.")) continue;
+            if (name.ends_with(".messages")) cmsgs += val;
+            if (name.ends_with(".bytes")) cbytes += val;
+          }
+          EXPECT_EQ(cmsgs, msgs) << variant_name(v);
+          EXPECT_EQ(cbytes, bytes) << variant_name(v);
+          return out;
+        };
+        const auto ref = build_all(Variant::kBlockSolve);
+        for (Variant v : {Variant::kBernoulliMixed, Variant::kIndirectMixed,
+                          Variant::kIndirect}) {
+          SCOPED_TRACE(mname + " " + dname + " P=" + std::to_string(P) +
+                       " " + variant_name(v));
+          const auto got = build_all(v);
+          for (int r = 0; r < P; ++r) {
+            SCOPED_TRACE("rank " + std::to_string(r));
+            const Built& w = ref[static_cast<std::size_t>(r)];
+            const Built& h = got[static_cast<std::size_t>(r)];
+            EXPECT_EQ(h.sched.owned, w.sched.owned);
+            EXPECT_EQ(h.sched.ghosts, w.sched.ghosts);
+            EXPECT_EQ(h.sched.send_local, w.sched.send_local);
+            EXPECT_EQ(h.sched.recv_count, w.sched.recv_count);
+            EXPECT_EQ(h.sched.ghost_base, w.sched.ghost_base);
+            // The naive variant keeps global columns in its parts.
+            if (variant_is_naive(v)) continue;
+            expect_same_csr(h.a_local, w.a_local, "a_local");
+            expect_same_csr(h.a_nonlocal, w.a_nonlocal, "a_nonlocal");
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
