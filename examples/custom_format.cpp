@@ -57,7 +57,7 @@ int main() {
 
   std::cout << "=== plan over the custom format ===\n"
             << kernel.describe_plan() << '\n'
-            << "=== generated C (note the user's array names) ===\n"
+            << "=== generated C ===\n"
             << kernel.emit("spmv_band") << '\n';
 
   kernel.run();

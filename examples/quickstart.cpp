@@ -8,7 +8,8 @@
 //
 // declare A sparse (CRS here), and let the compiler extract the relational
 // query, compute the sparsity predicate, pick a join plan, EXPLAIN it, run
-// it, and print the C code it would emit.
+// it, and print the C it emits (the translation unit the runtime
+// specializer compiles; the arrays are passed in at run time).
 #include <iostream>
 
 #include "compiler/loopnest.hpp"
@@ -44,7 +45,7 @@ int main() {
             << kernel.explain() << '\n';
   std::cout << "=== generated C ===\n" << kernel.emit("spmv_csr") << '\n';
 
-  kernel.run();  // y += A x through the plan interpreter
+  kernel.run();  // y += A x through the linked engine
 
   // Cross-check against the format's tuned kernel.
   Vector y_ref(n);
@@ -52,7 +53,7 @@ int main() {
   double max_err = 0;
   for (std::size_t i = 0; i < n; ++i)
     max_err = std::max(max_err, std::abs(y[i] - y_ref[i]));
-  std::cout << "max |interpreted - kernel| = " << max_err << '\n';
+  std::cout << "max |compiled - kernel| = " << max_err << '\n';
   std::cout << (max_err < 1e-12 ? "OK" : "MISMATCH") << '\n';
   return max_err < 1e-12 ? 0 : 1;
 }

@@ -9,54 +9,6 @@
 
 namespace bernoulli::compiler {
 
-std::string emit_standalone_c(const std::string& kernel_code,
-                              const std::string& kernel_name,
-                              const std::vector<CIntArray>& int_arrays,
-                              const std::vector<CDoubleArray>& double_arrays,
-                              const std::string& print_array,
-                              std::size_t print_count) {
-  BERNOULLI_CHECK(!kernel_name.empty() && !print_array.empty());
-  std::ostringstream os;
-  os << "/* standalone program assembled around Bernoulli-generated code */\n"
-     << "#include <stdio.h>\n\n"
-     << "/* sorted-segment search used by compressed access methods */\n"
-     << "static int binsearch(const int* ind, int lo, int hi, int key) {\n"
-     << "  const int end = hi;\n"
-     << "  while (lo < hi) {\n"
-     << "    int mid = lo + (hi - lo) / 2;\n"
-     << "    if (ind[mid] < key) lo = mid + 1; else hi = mid;\n"
-     << "  }\n"
-     << "  /* lo == first position >= key within the original segment */\n"
-     << "  return (lo < end && ind[lo] == key) ? lo : -1;\n"
-     << "}\n\n";
-
-  for (const auto& a : int_arrays) {
-    BERNOULLI_CHECK_MSG(!a.data.empty(), a.name << " is empty");
-    os << "static const int " << a.name << "[" << a.data.size() << "] = {";
-    for (std::size_t k = 0; k < a.data.size(); ++k)
-      os << (k ? "," : "") << a.data[k];
-    os << "};\n";
-  }
-  for (const auto& a : double_arrays) {
-    BERNOULLI_CHECK_MSG(!a.data.empty(), a.name << " is empty");
-    os << "static double " << a.name << "[" << a.data.size() << "] = {";
-    os.precision(17);
-    for (std::size_t k = 0; k < a.data.size(); ++k)
-      os << (k ? "," : "") << a.data[k];
-    os << "};\n";
-  }
-
-  os << '\n' << kernel_code << '\n';
-
-  os << "int main(void) {\n"
-     << "  " << kernel_name << "();\n"
-     << "  for (int i = 0; i < " << print_count << "; ++i)\n"
-     << "    printf(\"%.17g\\n\", " << print_array << "[i]);\n"
-     << "  return 0;\n"
-     << "}\n";
-  return os.str();
-}
-
 namespace {
 
 // Runtime arrays the generated code references, deduplicated by pointer
@@ -800,10 +752,12 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
 
   // Drain-kind attribution per level for the host's profile commit: the
   // leaf loop is the moral equivalent of a linked-engine bulk drain
-  // (blocked/sliced for those storages), everything above is per-tuple.
+  // (blocked/sliced for those storages) when the linked engine would take
+  // one; everything above, and a leaf whose probes rule the bulk drain
+  // out, is per-tuple.
   for (std::size_t d = 0; d < specs.size(); ++d) {
     int kind = support::kProfTuple;
-    if (d + 1 == specs.size()) {
+    if (d + 1 == specs.size() && leaf_probes_allow_bulk(lp.levels[d])) {
       using EKind = relation::EnumSpec::Kind;
       kind = specs[d].kind == EKind::kBlocked  ? support::kProfBlocked
              : specs[d].kind == EKind::kSliced ? support::kProfSliced

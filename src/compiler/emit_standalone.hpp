@@ -1,41 +1,18 @@
-// Standalone C program emission: wraps the kernel text emit() produces
-// into a complete, compilable C translation unit — the referenced arrays
-// baked in as initializers, a binsearch helper, and a main() that runs the
-// kernel and prints the output array. Tests compile the result with the
-// system C compiler and diff its output against the plan interpreter, so
-// the generated code is demonstrably real, not pseudocode.
+// C emission: renders a linked plan and its multiply-accumulate as one
+// compilable C translation unit (emit_linked_c). It is the compiler's only
+// C emitter: the runtime-specialization backend (compiler/specialize.hpp)
+// compiles and loads its output, and CompiledKernel::emit returns the same
+// text for inspection. Tests build the emitted code with the system C
+// compiler and diff it against the linked engine, so the generated code is
+// demonstrably real, not pseudocode.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "compiler/link.hpp"
-#include "support/types.hpp"
 
 namespace bernoulli::compiler {
-
-/// One array the generated kernel references, serialized into the program
-/// as a global initializer. The names must match the identifiers the
-/// kernel text uses (A_ROWPTR, A_COLIND, A_VALS, X, Y, ...).
-struct CIntArray {
-  std::string name;
-  std::vector<index_t> data;
-};
-
-struct CDoubleArray {
-  std::string name;
-  Vector data;
-};
-
-/// Renders the full program: helpers + array definitions + `kernel_code`
-/// (a complete function definition named `kernel_name`) + a main() that
-/// calls it and prints `print_array` (one value per line, %.17g).
-std::string emit_standalone_c(const std::string& kernel_code,
-                              const std::string& kernel_name,
-                              const std::vector<CIntArray>& int_arrays,
-                              const std::vector<CDoubleArray>& double_arrays,
-                              const std::string& print_array,
-                              std::size_t print_count);
 
 /// The leaf loop emit_linked_c chose. The fused forms apply to two-level
 /// plans with a dense outer range whose probes all provably hit and whose
@@ -54,10 +31,10 @@ const char* leaf_form_name(LeafForm form);
 
 /// A (LinkedPlan, LinkedMac) pair rendered as one compilable C translation
 /// unit — the input to the runtime-specialization backend
-/// (compiler/specialize.hpp). Unlike emit_standalone_c, the arrays are NOT
-/// baked in: the generated function takes them as runtime pointer
-/// arguments (int_args/const_args/out_args give the argument order), so
-/// one emitted kernel reruns against live data with no re-emission.
+/// (compiler/specialize.hpp). The arrays are not baked in: the generated
+/// function takes them as runtime pointer arguments (int_args/const_args/
+/// out_args give the argument order), so one emitted kernel reruns against
+/// live data with no re-emission.
 ///
 /// The exported symbol has C signature
 ///

@@ -114,6 +114,22 @@ std::atomic<bool> g_bulk_drain{true};
 
 }  // namespace
 
+bool leaf_probes_allow_bulk(const LinkedLevel& lv) {
+  using SK = relation::SearchSpec::Kind;
+  for (const LinkedProbe& pr : lv.probes) {
+    if (pr.insert_on_miss || pr.var_slot != lv.var_slot) return false;
+    if (pr.search.kind != SK::kIdentity && pr.search.kind != SK::kAffine)
+      return false;
+    if (pr.search.kind == SK::kAffine &&
+        std::any_of(lv.probes.begin(), lv.probes.end(),
+                    [&](const LinkedProbe& q) {
+                      return q.access.pos_slot == pr.access.parent_slot;
+                    }))
+      return false;
+  }
+  return true;
+}
+
 void set_bulk_drain(bool enabled) {
   g_bulk_drain.store(enabled, std::memory_order_relaxed);
 }
@@ -384,19 +400,8 @@ void LinkedRunner::prepare_bulk(const LinkedMac& mac) {
   if (lp_.levels.empty()) return;
   const std::size_t leaf = lp_.levels.size() - 1;
   const LinkedLevel& lv = lp_.levels[leaf];
-  if (lv.method != JoinMethod::kEnumerate) return;
-  for (const LinkedProbe& pr : lv.probes) {
-    if (pr.insert_on_miss || pr.var_slot != lv.var_slot) return;
-    if (pr.search.kind != relation::SearchSpec::Kind::kIdentity &&
-        pr.search.kind != relation::SearchSpec::Kind::kAffine)
-      return;
-    if (pr.search.kind == relation::SearchSpec::Kind::kAffine &&
-        std::any_of(lv.probes.begin(), lv.probes.end(),
-                    [&](const LinkedProbe& q) {
-                      return q.access.pos_slot == pr.access.parent_slot;
-                    }))
-      return;
-  }
+  if (lv.method != JoinMethod::kEnumerate || !leaf_probes_allow_bulk(lv))
+    return;
   if (mac.target_data.empty()) return;
   for (const LinkedMac::Factor& f : mac.factors)
     if (f.data.empty()) return;

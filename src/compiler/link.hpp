@@ -225,6 +225,13 @@ const LinkedMac::Factor* overlapping_factor(const LinkedMac& mac);
 void set_bulk_drain(bool enabled);
 bool bulk_drain_enabled();
 
+/// Whether the probes of leaf level `lv` admit the bulk drain: every probe
+/// is an identity or affine search by the leaf's own variable with no
+/// insert-on-miss, and no affine probe takes its parent from another leaf
+/// probe. Otherwise the linked engine drains the leaf per tuple, and the
+/// specialized kernel books its leaf work the same way.
+bool leaf_probes_allow_bulk(const LinkedLevel& lv);
+
 /// Runs a LinkedPlan. Owns all executor scratch (frames, cursor buffers,
 /// merge state, local counter blocks), reused across runs — after the
 /// first run of a given plan, steady state performs no heap allocation.

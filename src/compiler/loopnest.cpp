@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "compiler/emit_standalone.hpp"
 #include "compiler/explain.hpp"
 #include "relation/array_views.hpp"
 #include "relation/bsr_view.hpp"
@@ -199,7 +200,12 @@ void CompiledKernel::run() const {
 }
 
 std::string CompiledKernel::emit(const std::string& function_name) const {
-  return emit_c(plan_, query_, stmt_, function_name);
+  const LinkedEmission e = emit_linked_c(
+      link_plan(plan_, query_),
+      link_mac(query_, stmt_.target_rel, stmt_.factor_rels, stmt_.scale),
+      function_name);
+  if (e.ok) return e.source;
+  return "/* " + function_name + " not emitted: " + e.note + " */\n";
 }
 
 std::string CompiledKernel::describe_plan() const {

@@ -16,7 +16,6 @@
 #include <memory>
 #include <mutex>
 
-#include "compiler/emit.hpp"
 #include "compiler/executor.hpp"
 #include "compiler/link.hpp"
 #include "compiler/planner.hpp"
@@ -102,8 +101,8 @@ class Bindings {
   std::vector<std::unique_ptr<relation::RelationView>> owned_;
 };
 
-/// A compiled kernel: query + plan + statement, ready to interpret or to
-/// render as C. References views owned by the Bindings it was compiled
+/// A compiled kernel: query + plan + statement, ready to run or to render
+/// as C. References views owned by the Bindings it was compiled
 /// from.
 class CompiledKernel {
  public:
@@ -183,7 +182,11 @@ class CompiledKernel {
     return active_runs_.load(std::memory_order_acquire);
   }
 
-  /// The C program the compiler generates for this plan.
+  /// The C the compiler generates for this kernel: emit_linked_c's
+  /// translation unit for the kernel's linked program, exporting
+  /// `function_name` (compiler/emit_standalone.hpp). Plans emission does
+  /// not cover (merge joins, levels without a flat shape, sparse fill-in)
+  /// yield a one-line C comment carrying the refusal note instead.
   std::string emit(const std::string& function_name = "computed_kernel") const;
 
   /// Join-order / join-method summary.
@@ -201,9 +204,15 @@ class CompiledKernel {
  private:
   friend CompiledKernel compile(const LoopNest&, const Bindings&,
                                 const PlannerOptions&);
+  // The statement over query relations: target += scale * prod(factors).
+  struct BoundStatement {
+    index_t target_rel = 0;            // Query::relations index
+    std::vector<index_t> factor_rels;  // multiplied value fields
+    value_t scale = 1.0;
+  };
   relation::Query query_;
   Plan plan_;
-  EmitStatement stmt_;
+  BoundStatement stmt_;
   // The iteration-space relation is synthesized by compile() and owned by
   // the kernel (other views belong to the Bindings).
   std::shared_ptr<relation::RelationView> interval_;

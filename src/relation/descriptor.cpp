@@ -1,14 +1,17 @@
-// Level-kind lowering: LevelDescriptor -> Cursor / SearchSpec / EnumSpec.
+// Level-kind lowering: LevelDescriptor -> Cursor / SearchSpec / EnumSpec,
+// and the DescriptorLevel access methods built on the same cursor.
 //
 // Every flat storage shape the engine ladder understands is lowered HERE,
 // once, from the descriptor a level returns via IndexLevel::describe().
-// The native views (array_views, ell_view, jds_view, sparse_vector_view)
-// and the format-spec DSL levels all describe themselves with the same
-// vocabulary, so a new format is one describe() — the cursor protocol,
-// the probe lowering and the specializer all follow mechanically.
+// The built-in views and the format-spec DSL levels are all
+// DescriptorLevels, so a new format is one descriptor — the interpreter's
+// access methods, the cursor protocol, the probe lowering and the
+// specializer all follow mechanically.
+#include <algorithm>
 #include <string>
 
 #include "relation/cursor.hpp"
+#include "relation/view.hpp"
 #include "support/error.hpp"
 
 namespace bernoulli::relation {
@@ -201,6 +204,163 @@ std::string descriptor_text(const LevelDescriptor& d) {
              std::to_string(d.sigma);
   }
   return "?";
+}
+
+// ------------------------------------------------------- level builders
+
+namespace {
+index_t span_len(std::span<const index_t> a) {
+  return static_cast<index_t>(a.size());
+}
+}  // namespace
+
+LevelDescriptor dense_level(index_t extent, index_t stride) {
+  LevelDescriptor d;
+  d.kind = LevelDescriptor::Kind::kDense;
+  d.extent = extent;
+  d.stride = stride;
+  return d;
+}
+
+LevelDescriptor compressed_level(std::span<const index_t> ptr,
+                                 std::span<const index_t> ind, bool sorted) {
+  LevelDescriptor d;
+  d.kind = LevelDescriptor::Kind::kCompressed;
+  d.sorted = sorted;
+  d.ptr = ptr.data();
+  d.ptr_len = span_len(ptr);
+  d.ind = ind.data();
+  d.ind_len = span_len(ind);
+  return d;
+}
+
+LevelDescriptor list_level(std::span<const index_t> ind, bool sorted) {
+  LevelDescriptor d;
+  d.kind = LevelDescriptor::Kind::kList;
+  d.sorted = sorted;
+  d.ind = ind.data();
+  d.ind_len = span_len(ind);
+  return d;
+}
+
+LevelDescriptor singleton_level(std::span<const index_t> map) {
+  LevelDescriptor d;
+  d.kind = LevelDescriptor::Kind::kSingleton;
+  d.map = map.data();
+  d.map_len = span_len(map);
+  return d;
+}
+
+// ---------------------------------------------------------- DescriptorLevel
+
+namespace {
+
+// Position of `key` in the sorted ind[lo, hi), or -1.
+index_t sorted_find(const index_t* ind, index_t lo, index_t hi, index_t key) {
+  const index_t* it = std::lower_bound(ind + lo, ind + hi, key);
+  return it != ind + hi && *it == key ? static_cast<index_t>(it - ind) : -1;
+}
+
+double average_children(const LevelDescriptor& d) {
+  using K = LevelDescriptor::Kind;
+  switch (d.kind) {
+    case K::kDense: return static_cast<double>(d.extent);
+    case K::kList: return static_cast<double>(d.ind_len);
+    case K::kSingleton: return 1.0;
+    case K::kCompressed:
+    case K::kBlocked: {
+      if (d.ptr_len <= 1) return 0.0;
+      const double lanes = d.kind == K::kBlocked ? d.block_c : 1;
+      return static_cast<double>(d.ind_len) * lanes /
+             static_cast<double>(d.ptr_len - 1);
+    }
+    case K::kStrided:
+    case K::kOffsets:
+    case K::kSliced: {
+      long long total = 0;
+      for (index_t k = 0; k < d.len_len; ++k) total += d.len[k];
+      return d.len_len > 0 ? static_cast<double>(total) /
+                                 static_cast<double>(d.len_len)
+                           : 0.0;
+    }
+    case K::kOpaque: break;
+  }
+  return 0.0;
+}
+
+}  // namespace
+
+DescriptorLevel::DescriptorLevel(const LevelDescriptor& d)
+    : d_(d), expected_(average_children(d)) {
+  BERNOULLI_CHECK_MSG(d.kind != LevelDescriptor::Kind::kOpaque,
+                      "a DescriptorLevel needs a flat storage shape");
+}
+
+LevelProperties DescriptorLevel::properties() const {
+  using K = LevelDescriptor::Kind;
+  switch (d_.kind) {
+    case K::kDense: return {true, true, SearchCost::kConstant};
+    // A single child is trivially sorted; search is a comparison.
+    case K::kSingleton: return {true, false, SearchCost::kConstant};
+    case K::kCompressed:
+    case K::kList:
+    case K::kBlocked:
+      return {d_.sorted, false,
+              d_.sorted ? SearchCost::kLog : SearchCost::kLinear};
+    // Lane-, diagonal- and slice-major rows scan: their entries are not
+    // contiguous, so search walks the row.
+    case K::kStrided:
+    case K::kOffsets:
+    case K::kSliced:
+    case K::kOpaque: break;
+  }
+  return {d_.sorted, false, SearchCost::kLinear};
+}
+
+void DescriptorLevel::enumerate(index_t parent, const EnumFn& fn) const {
+  Cursor c;
+  descriptor_cursor(d_, parent, c);
+  for (; c.valid(); c.advance())
+    if (!fn(c.index(), c.pos())) return;
+}
+
+index_t DescriptorLevel::search(index_t parent, index_t index) const {
+  using K = LevelDescriptor::Kind;
+  const auto p = static_cast<std::size_t>(parent);
+  switch (d_.kind) {
+    case K::kDense:
+      return index >= 0 && index < d_.extent ? parent * d_.stride + index
+                                             : -1;
+    case K::kSingleton: return d_.map[p] == index ? parent : -1;
+    case K::kCompressed:
+      if (d_.sorted)
+        return sorted_find(d_.ind, d_.ptr[p], d_.ptr[p + 1], index);
+      break;
+    case K::kList:
+      if (d_.sorted) return sorted_find(d_.ind, 0, d_.ind_len, index);
+      break;
+    case K::kBlocked:
+      if (d_.sorted) {
+        if (index < 0) return -1;
+        const auto br = static_cast<std::size_t>(parent / d_.block_r);
+        const index_t b = sorted_find(d_.ind, d_.ptr[br], d_.ptr[br + 1],
+                                      index / d_.block_c);
+        if (b < 0) return -1;
+        return b * d_.block_r * d_.block_c +
+               (parent % d_.block_r) * d_.block_c + index % d_.block_c;
+      }
+      break;
+    case K::kStrided:
+    case K::kOffsets:
+    case K::kSliced:
+    case K::kOpaque: break;
+  }
+  // Linear kinds: the first enumerated child carrying the index.
+  Cursor c;
+  descriptor_cursor(d_, parent, c);
+  for (; c.valid(); c.advance())
+    if (c.index() == index) return c.pos();
+  return -1;
 }
 
 }  // namespace bernoulli::relation

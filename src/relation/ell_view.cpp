@@ -1,139 +1,21 @@
 #include "relation/ell_view.hpp"
 
-#include "support/error.hpp"
-
 namespace bernoulli::relation {
 
-namespace {
-
-class EllRowLevel final : public IndexLevel {
- public:
-  explicit EllRowLevel(index_t rows) : rows_(rows) {}
-
-  LevelProperties properties() const override {
-    return {/*sorted=*/true, /*dense=*/true, SearchCost::kConstant};
-  }
-
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (index_t i = 0; i < rows_; ++i)
-      if (!fn(i, i)) return;
-  }
-
-  index_t search(index_t, index_t index) const override {
-    return index >= 0 && index < rows_ ? index : -1;
-  }
-
-  double expected_size() const override { return static_cast<double>(rows_); }
-
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kDense;
-    d.extent = rows_;
-    return d;
-  }
-
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + idx + " = 0; " + idx + " < " +
-           std::to_string(rows_) + "; ++" + idx + ") { const int " + pos +
-           " = " + idx + ";";
-  }
-
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = " + idx + ";  /* dense: O(1) */";
-  }
-
- private:
-  index_t rows_;
-};
-
-class EllColLevel final : public IndexLevel {
- public:
-  EllColLevel(const formats::Ell& m, std::string name)
-      : m_(m), name_(std::move(name)) {}
-
-  LevelProperties properties() const override {
-    // Columns are packed in ascending order by from_coo; search walks the
-    // strided row, so it is linear (binary search over a stride is
-    // possible but ITPACK's Fortran kernels scan).
-    return {/*sorted=*/true, /*dense=*/false, SearchCost::kLinear};
-  }
-
-  void enumerate(index_t parent, const EnumFn& fn) const override {
-    const index_t n = m_.rows();
-    const index_t len = m_.rownnz()[static_cast<std::size_t>(parent)];
-    for (index_t k = 0; k < len; ++k)
-      if (!fn(m_.col_at(parent, k), k * n + parent)) return;
-  }
-
-  index_t search(index_t parent, index_t index) const override {
-    const index_t n = m_.rows();
-    const index_t len = m_.rownnz()[static_cast<std::size_t>(parent)];
-    for (index_t k = 0; k < len; ++k)
-      if (m_.col_at(parent, k) == index) return k * n + parent;
-    return -1;
-  }
-
-  double expected_size() const override {
-    return m_.rows() > 0 ? static_cast<double>(m_.nnz()) / m_.rows() : 0.0;
-  }
-
-  // ELL entries of row i live at column-major slots k*rows + i: a strided
-  // walk over COLIND with base = parent, stride = rows. The padding slots
-  // beyond rownnz hold column 0 (from_coo zero-fills), so whole-array
-  // index scans over COLIND stay within [0, cols).
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kStrided;
-    d.ind = m_.colind().data();
-    d.ind_len = static_cast<index_t>(m_.colind().size());
-    d.len = m_.rownnz().data();
-    d.len_len = static_cast<index_t>(m_.rownnz().size());
-    d.stride = m_.rows();
-    return d;
-  }
-
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    const std::string n = std::to_string(m_.rows());
-    return "for (int k = 0; k < " + name_ + "_ROWNNZ[" + parent +
-           "]; ++k) { const int " + pos + " = k * " + n + " + " + parent +
-           "; const int " + idx + " = " + name_ + "_COLIND[" + pos + "];";
-  }
-
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = ell_scan(" + name_ + ", " + parent +
-           ", " + idx + "); if (" + pos + " < 0) continue;";
-  }
-
- private:
-  const formats::Ell& m_;
-  std::string name_;
-};
-
-}  // namespace
-
 EllView::EllView(std::string name, const formats::Ell& m)
-    : name_(std::move(name)), m_(m) {
-  rows_ = std::make_unique<EllRowLevel>(m.rows());
-  cols_ = std::make_unique<EllColLevel>(m, name_);
+    : LevelStackView(std::move(name)) {
+  add_level(dense_level(m.rows()));
+  // The padding slots beyond rownnz hold column 0 (from_coo zero-fills),
+  // so whole-array index scans over COLIND stay within [0, cols).
+  LevelDescriptor cols;
+  cols.kind = LevelDescriptor::Kind::kStrided;
+  cols.ind = m.colind().data();
+  cols.ind_len = static_cast<index_t>(m.colind().size());
+  cols.len = m.rownnz().data();
+  cols.len_len = static_cast<index_t>(m.rownnz().size());
+  cols.stride = m.rows();
+  add_level(cols);
+  set_values(m.vals());
 }
-
-const IndexLevel& EllView::level(index_t depth) const {
-  BERNOULLI_CHECK(depth == 0 || depth == 1);
-  return depth == 0 ? *rows_ : *cols_;
-}
-
-value_t EllView::value_at(index_t pos) const {
-  return m_.vals()[static_cast<std::size_t>(pos)];
-}
-
-std::string EllView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
-}
-
-std::span<const value_t> EllView::value_array() const { return m_.vals(); }
 
 }  // namespace bernoulli::relation

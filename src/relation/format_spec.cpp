@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -9,403 +10,6 @@
 namespace bernoulli::relation {
 
 namespace {
-
-// ---------------------------------------------------------------- levels
-// Generic level implementations parameterized by user arrays. These mirror
-// the built-in views' levels but carry the user's array names for honest
-// code emission.
-
-class GDenseLevel final : public IndexLevel {
- public:
-  explicit GDenseLevel(index_t extent) : extent_(extent) {}
-
-  LevelProperties properties() const override {
-    return {true, true, SearchCost::kConstant};
-  }
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (index_t i = 0; i < extent_; ++i)
-      if (!fn(i, i)) return;
-  }
-  index_t search(index_t, index_t index) const override {
-    return index >= 0 && index < extent_ ? index : -1;
-  }
-  double expected_size() const override { return static_cast<double>(extent_); }
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kDense;
-    d.extent = extent_;
-    return d;
-  }
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + idx + " = 0; " + idx + " < " +
-           std::to_string(extent_) + "; ++" + idx + ") { const int " + pos +
-           " = " + idx + ";";
-  }
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = " + idx + ";  /* dense: O(1) */";
-  }
-
- private:
-  index_t extent_;
-};
-
-class GCompressedLevel final : public IndexLevel {
- public:
-  GCompressedLevel(std::span<const index_t> ptr, std::span<const index_t> ind,
-                   bool sorted, std::string ptr_name, std::string ind_name)
-      : ptr_(ptr),
-        ind_(ind),
-        sorted_(sorted),
-        ptr_name_(std::move(ptr_name)),
-        ind_name_(std::move(ind_name)) {}
-
-  LevelProperties properties() const override {
-    return {sorted_, false, sorted_ ? SearchCost::kLog : SearchCost::kLinear};
-  }
-  void enumerate(index_t parent, const EnumFn& fn) const override {
-    const index_t end = ptr_[static_cast<std::size_t>(parent) + 1];
-    for (index_t k = ptr_[static_cast<std::size_t>(parent)]; k < end; ++k)
-      if (!fn(ind_[static_cast<std::size_t>(k)], k)) return;
-  }
-  index_t search(index_t parent, index_t index) const override {
-    const index_t begin = ptr_[static_cast<std::size_t>(parent)];
-    const index_t end = ptr_[static_cast<std::size_t>(parent) + 1];
-    if (sorted_) {
-      const index_t* lo = ind_.data() + begin;
-      const index_t* hi = ind_.data() + end;
-      const index_t* it = std::lower_bound(lo, hi, index);
-      if (it != hi && *it == index)
-        return static_cast<index_t>(it - ind_.data());
-      return -1;
-    }
-    for (index_t k = begin; k < end; ++k)
-      if (ind_[static_cast<std::size_t>(k)] == index) return k;
-    return -1;
-  }
-  double expected_size() const override {
-    return ptr_.size() > 1 ? static_cast<double>(ind_.size()) /
-                                 static_cast<double>(ptr_.size() - 1)
-                           : 0.0;
-  }
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kCompressed;
-    d.sorted = sorted_;
-    d.ptr = ptr_.data();
-    d.ptr_len = static_cast<index_t>(ptr_.size());
-    d.ind = ind_.data();
-    d.ind_len = static_cast<index_t>(ind_.size());
-    return d;
-  }
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + pos + " = " + ptr_name_ + "[" + parent + "]; " +
-           pos + " < " + ptr_name_ + "[" + parent + " + 1]; ++" + pos +
-           ") { const int " + idx + " = " + ind_name_ + "[" + pos + "];";
-  }
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    const char* fn = sorted_ ? "binsearch" : "scan";
-    return "const int " + pos + " = " + fn + "(" + ind_name_ + ", " +
-           ptr_name_ + "[" + parent + "], " + ptr_name_ + "[" + parent +
-           " + 1], " + idx + "); if (" + pos + " < 0) continue;";
-  }
-
- private:
-  std::span<const index_t> ptr_;
-  std::span<const index_t> ind_;
-  bool sorted_;
-  std::string ptr_name_;
-  std::string ind_name_;
-};
-
-class GListLevel final : public IndexLevel {
- public:
-  GListLevel(std::span<const index_t> list, bool sorted, std::string name)
-      : list_(list), sorted_(sorted), name_(std::move(name)) {}
-
-  LevelProperties properties() const override {
-    return {sorted_, false, sorted_ ? SearchCost::kLog : SearchCost::kLinear};
-  }
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (std::size_t k = 0; k < list_.size(); ++k)
-      if (!fn(list_[k], static_cast<index_t>(k))) return;
-  }
-  index_t search(index_t, index_t index) const override {
-    if (sorted_) {
-      auto it = std::lower_bound(list_.begin(), list_.end(), index);
-      if (it != list_.end() && *it == index)
-        return static_cast<index_t>(it - list_.begin());
-      return -1;
-    }
-    for (std::size_t k = 0; k < list_.size(); ++k)
-      if (list_[k] == index) return static_cast<index_t>(k);
-    return -1;
-  }
-  double expected_size() const override {
-    return static_cast<double>(list_.size());
-  }
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kList;
-    d.sorted = sorted_;
-    d.ind = list_.data();
-    d.ind_len = static_cast<index_t>(list_.size());
-    return d;
-  }
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + pos + " = 0; " + pos + " < " +
-           std::to_string(list_.size()) + "; ++" + pos + ") { const int " +
-           idx + " = " + name_ + "[" + pos + "];";
-  }
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    const char* fn = sorted_ ? "binsearch" : "scan";
-    return "const int " + pos + " = " + std::string(fn) + "(" + name_ +
-           ", 0, " + std::to_string(list_.size()) + ", " + idx + "); if (" +
-           pos + " < 0) continue;";
-  }
-
- private:
-  std::span<const index_t> list_;
-  bool sorted_;
-  std::string name_;
-};
-
-class GFunctionLevel final : public IndexLevel {
- public:
-  GFunctionLevel(std::span<const index_t> map, std::string name)
-      : map_(map), name_(std::move(name)) {}
-
-  LevelProperties properties() const override {
-    return {true, false, SearchCost::kConstant};
-  }
-  void enumerate(index_t parent, const EnumFn& fn) const override {
-    fn(map_[static_cast<std::size_t>(parent)], parent);
-  }
-  index_t search(index_t parent, index_t index) const override {
-    return map_[static_cast<std::size_t>(parent)] == index ? parent : -1;
-  }
-  double expected_size() const override { return 1.0; }
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kSingleton;
-    d.map = map_.data();
-    d.map_len = static_cast<index_t>(map_.size());
-    return d;
-  }
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "{ const int " + idx + " = " + name_ + "[" + parent +
-           "]; const int " + pos + " = " + parent + ";";
-  }
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "if (" + name_ + "[" + parent + "] != " + idx +
-           ") continue; const int " + pos + " = " + parent + ";";
-  }
-
- private:
-  std::span<const index_t> map_;
-  std::string name_;
-};
-
-// blocked(r=R, c=C, ptr=P, ind=I): BCSR block rows. The parent is a
-// SCALAR row index i; block row i/R owns blocks P[i/R] .. P[i/R + 1]);
-// block b stores an R x C dense tile at value offset b*R*C, so row i's
-// lane of block b contributes C children: idx = I[b]*C + cc at
-// pos = b*R*C + (i%R)*C + cc. Fill zeros inside a stored tile ARE
-// enumerated — that is the format's bargain for register-blocked drains.
-class GBlockedLevel final : public IndexLevel {
- public:
-  GBlockedLevel(std::span<const index_t> ptr, std::span<const index_t> ind,
-                index_t r, index_t c, bool sorted, std::string ptr_name,
-                std::string ind_name)
-      : ptr_(ptr),
-        ind_(ind),
-        r_(r),
-        c_(c),
-        sorted_(sorted),
-        ptr_name_(std::move(ptr_name)),
-        ind_name_(std::move(ind_name)) {}
-
-  LevelProperties properties() const override {
-    return {sorted_, false, sorted_ ? SearchCost::kLog : SearchCost::kLinear};
-  }
-  void enumerate(index_t parent, const EnumFn& fn) const override {
-    const index_t br = parent / r_;
-    const index_t rofs = (parent % r_) * c_;
-    const index_t bsz = r_ * c_;
-    const index_t end = ptr_[static_cast<std::size_t>(br) + 1];
-    for (index_t b = ptr_[static_cast<std::size_t>(br)]; b < end; ++b) {
-      const index_t jb = ind_[static_cast<std::size_t>(b)] * c_;
-      const index_t pb = b * bsz + rofs;
-      for (index_t cc = 0; cc < c_; ++cc)
-        if (!fn(jb + cc, pb + cc)) return;
-    }
-  }
-  index_t search(index_t parent, index_t index) const override {
-    if (index < 0) return -1;
-    const index_t br = parent / r_;
-    const index_t jb = index / c_;
-    const index_t cc = index % c_;
-    const index_t lo = ptr_[static_cast<std::size_t>(br)];
-    const index_t hi = ptr_[static_cast<std::size_t>(br) + 1];
-    auto hit = [&](index_t b) {
-      return b * r_ * c_ + (parent % r_) * c_ + cc;
-    };
-    if (sorted_) {
-      const index_t* it =
-          std::lower_bound(ind_.data() + lo, ind_.data() + hi, jb);
-      if (it != ind_.data() + hi && *it == jb)
-        return hit(static_cast<index_t>(it - ind_.data()));
-      return -1;
-    }
-    for (index_t b = lo; b < hi; ++b)
-      if (ind_[static_cast<std::size_t>(b)] == jb) return hit(b);
-    return -1;
-  }
-  double expected_size() const override {
-    return ptr_.size() > 1 ? static_cast<double>(ind_.size()) * c_ /
-                                 static_cast<double>(ptr_.size() - 1)
-                           : 0.0;
-  }
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kBlocked;
-    d.sorted = sorted_;
-    d.ptr = ptr_.data();
-    d.ptr_len = static_cast<index_t>(ptr_.size());
-    d.ind = ind_.data();
-    d.ind_len = static_cast<index_t>(ind_.size());
-    d.block_r = r_;
-    d.block_c = c_;
-    return d;
-  }
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    const std::string r = std::to_string(r_), c = std::to_string(c_);
-    const std::string rc = std::to_string(r_ * c_);
-    return "for (int b = " + ptr_name_ + "[" + parent + " / " + r + "]; b < " +
-           ptr_name_ + "[" + parent + " / " + r + " + 1]; ++b) for (int cc = " +
-           "0; cc < " + c + "; ++cc) { const int " + pos + " = b * " + rc +
-           " + (" + parent + " % " + r + ") * " + c + " + cc; const int " +
-           idx + " = " + ind_name_ + "[b] * " + c + " + cc;";
-  }
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    const char* fn = sorted_ ? "binsearch" : "scan";
-    return "const int b_ = " + std::string(fn) + "(" + ind_name_ + ", " +
-           ptr_name_ + "[" + parent + " / " + std::to_string(r_) + "], " +
-           ptr_name_ + "[" + parent + " / " + std::to_string(r_) + " + 1], " +
-           idx + " / " + std::to_string(c_) + "); if (b_ < 0) continue; " +
-           "const int " + pos + " = b_ * " + std::to_string(r_ * c_) + " + (" +
-           parent + " % " + std::to_string(r_) + ") * " + std::to_string(c_) +
-           " + " + idx + " % " + std::to_string(c_) + ";";
-  }
-
- private:
-  std::span<const index_t> ptr_;
-  std::span<const index_t> ind_;
-  index_t r_;
-  index_t c_;
-  bool sorted_;
-  std::string ptr_name_;
-  std::string ind_name_;
-};
-
-// sliced(chunk=C, sigma=S, base=B, len=L, ind=I): SELL-C-sigma. Rows are
-// gathered into chunks of C lanes (sorted by length inside sigma-row
-// windows); entry k of row i sits at pos = B[i] + k*C for k in
-// [0, L[i]). Padding lanes beyond L[i] are never enumerated, so slack
-// cannot perturb outputs or counters.
-class GSlicedLevel final : public IndexLevel {
- public:
-  GSlicedLevel(std::span<const index_t> base, std::span<const index_t> len,
-               std::span<const index_t> ind, index_t chunk, index_t sigma,
-               bool sorted, std::string base_name, std::string len_name,
-               std::string ind_name)
-      : base_(base),
-        len_(len),
-        ind_(ind),
-        chunk_(chunk),
-        sigma_(sigma),
-        sorted_(sorted),
-        base_name_(std::move(base_name)),
-        len_name_(std::move(len_name)),
-        ind_name_(std::move(ind_name)) {
-    long long total = 0;
-    for (index_t l : len_) total += l;
-    avg_ = len_.empty() ? 0.0
-                        : static_cast<double>(total) /
-                              static_cast<double>(len_.size());
-  }
-
-  LevelProperties properties() const override {
-    return {sorted_, false, SearchCost::kLinear};
-  }
-  void enumerate(index_t parent, const EnumFn& fn) const override {
-    const index_t b = base_[static_cast<std::size_t>(parent)];
-    const index_t n = len_[static_cast<std::size_t>(parent)];
-    for (index_t k = 0; k < n; ++k) {
-      const index_t pos = b + k * chunk_;
-      if (!fn(ind_[static_cast<std::size_t>(pos)], pos)) return;
-    }
-  }
-  index_t search(index_t parent, index_t index) const override {
-    const index_t b = base_[static_cast<std::size_t>(parent)];
-    const index_t n = len_[static_cast<std::size_t>(parent)];
-    for (index_t k = 0; k < n; ++k) {
-      const index_t pos = b + k * chunk_;
-      if (ind_[static_cast<std::size_t>(pos)] == index) return pos;
-    }
-    return -1;
-  }
-  double expected_size() const override { return avg_; }
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kSliced;
-    d.sorted = sorted_;
-    d.ind = ind_.data();
-    d.ind_len = static_cast<index_t>(ind_.size());
-    d.off = base_.data();
-    d.off_len = static_cast<index_t>(base_.size());
-    d.len = len_.data();
-    d.len_len = static_cast<index_t>(len_.size());
-    d.chunk = chunk_;
-    d.sigma = sigma_;
-    return d;
-  }
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int k = 0; k < " + len_name_ + "[" + parent +
-           "]; ++k) { const int " + pos + " = " + base_name_ + "[" + parent +
-           "] + k * " + std::to_string(chunk_) + "; const int " + idx +
-           " = " + ind_name_ + "[" + pos + "];";
-  }
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = sell_scan(" + ind_name_ + ", " +
-           base_name_ + "[" + parent + "], " + len_name_ + "[" + parent +
-           "], " + std::to_string(chunk_) + ", " + idx + "); if (" + pos +
-           " < 0) continue;";
-  }
-
- private:
-  std::span<const index_t> base_;
-  std::span<const index_t> len_;
-  std::span<const index_t> ind_;
-  index_t chunk_;
-  index_t sigma_;
-  bool sorted_;
-  double avg_;
-  std::string base_name_;
-  std::string len_name_;
-  std::string ind_name_;
-};
 
 // ---------------------------------------------------------------- parser
 
@@ -496,14 +100,22 @@ std::span<const index_t> lookup_index(const FormatArrays& arrays,
   return it->second;
 }
 
+// Every number in a spec: decimal digits only (no sign, no suffix), and
+// within index_t.
 index_t parse_number(const Token& t, const char* what) {
-  try {
-    return static_cast<index_t>(std::stol(t.text));
-  } catch (...) {
-    BERNOULLI_CHECK_MSG(false, "format spec line " << t.line << ": " << what
-                                                   << " needs a number");
-  }
-  return 0;
+  const std::string where =
+      "format spec line " + std::to_string(t.line) + ": " + what;
+  const bool digits =
+      !t.text.empty() && std::all_of(t.text.begin(), t.text.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+      });
+  BERNOULLI_CHECK_MSG(digits, where << " needs a non-negative number, got '"
+                                    << t.text << "'");
+  // More than 18 digits cannot fit a long long, let alone index_t.
+  const long long v = t.text.size() > 18
+                          ? std::numeric_limits<long long>::max()
+                          : std::stoll(t.text);
+  return checked_index(v, where.c_str());
 }
 
 // One `key=value` pair of a parenthesized parameter list, with the `,`
@@ -515,77 +127,157 @@ Token parse_kv(Parser& p, const char* key, bool first) {
   return p.next();
 }
 
+// A compressed or blocked level's ptr array over `rows` parent rows:
+// rows + 1 entries, non-negative and non-decreasing, ending within |ind|.
+// Every segment read is then in bounds.
+void check_ptr(const LevelDescriptor& d, index_t rows, int line) {
+  const long long need = static_cast<long long>(rows) + 1;
+  BERNOULLI_CHECK_MSG(d.ptr_len == need,
+                      "format spec line "
+                          << line << ": ptr array has " << d.ptr_len
+                          << " entries, the parent level needs " << need);
+  BERNOULLI_CHECK_MSG(d.ptr[0] >= 0, "format spec line "
+                                         << line << ": ptr array starts at "
+                                         << d.ptr[0]);
+  for (index_t k = 0; k < rows; ++k)
+    BERNOULLI_CHECK_MSG(d.ptr[k] <= d.ptr[k + 1],
+                        "format spec line " << line << ": ptr array decreases "
+                                            << "at entry " << k + 1);
+  BERNOULLI_CHECK_MSG(d.ptr[rows] <= d.ind_len,
+                      "format spec line "
+                          << line << ": ptr array ends at " << d.ptr[rows]
+                          << " but the ind array has " << d.ind_len
+                          << " entries");
+}
+
+// Checks the arrays of level `d` against the `parents` positions of the
+// level above it (1 at the root), in O(parents), and returns the number
+// of positions this level addresses. `parent` is the level above (kOpaque
+// at the root).
+index_t check_level(const LevelDescriptor& d, const LevelDescriptor& parent,
+                    index_t parents, int line) {
+  using K = LevelDescriptor::Kind;
+  switch (d.kind) {
+    case K::kDense: return d.extent;
+    case K::kList: return d.ind_len;
+    case K::kCompressed:
+      check_ptr(d, parents, line);
+      return d.ptr[parents];
+    case K::kSingleton:
+      BERNOULLI_CHECK_MSG(d.map_len == parents,
+                          "format spec line "
+                              << line << ": function() map has " << d.map_len
+                              << " entries, the parent level has " << parents
+                              << " positions");
+      return parents;
+    case K::kBlocked: {
+      // The scalar-row parent level must tile exactly into block rows.
+      const long long rows =
+          static_cast<long long>(d.block_r) * (d.ptr_len - 1);
+      if (parent.kind == K::kDense)
+        BERNOULLI_CHECK_MSG(parent.extent == rows,
+                            "format spec line "
+                                << line << ": blocked(r=" << d.block_r
+                                << ") covers " << rows << " rows but parent "
+                                << "level is dense(" << parent.extent << ")");
+      BERNOULLI_CHECK_MSG(rows == parents,
+                          "format spec line "
+                              << line << ": blocked(r=" << d.block_r
+                              << ") covers " << rows << " rows but the parent "
+                              << "level has " << parents << " positions");
+      check_ptr(d, parents / d.block_r, line);
+      const std::string what =
+          "format spec line " + std::to_string(line) + ": blocked() values";
+      return checked_index(static_cast<long long>(d.ptr[d.ptr_len - 1]) *
+                               d.block_r * d.block_c,
+                           what.c_str());
+    }
+    case K::kSliced: {
+      BERNOULLI_CHECK_MSG(d.len_len == parents,
+                          "format spec line "
+                              << line << ": sliced() len has " << d.len_len
+                              << " entries, the parent level has " << parents
+                              << " positions");
+      long long end = 0;  // one past the largest position
+      for (index_t i = 0; i < parents; ++i) {
+        const index_t len = d.len[i];
+        const index_t base = d.off[i];
+        BERNOULLI_CHECK_MSG(len >= 0 && base >= 0,
+                            "format spec line "
+                                << line << ": sliced() row " << i
+                                << " has base " << base << " and len " << len);
+        if (len == 0) continue;
+        const long long last = base + static_cast<long long>(len - 1) * d.chunk;
+        BERNOULLI_CHECK_MSG(last < d.ind_len,
+                            "format spec line "
+                                << line << ": sliced() row " << i
+                                << " reaches position " << last
+                                << " but the ind array has " << d.ind_len
+                                << " entries");
+        end = std::max(end, last + 1);
+      }
+      return static_cast<index_t>(end);
+    }
+    case K::kStrided:
+    case K::kOffsets:
+    case K::kOpaque: break;
+  }
+  return 0;
+}
+
 }  // namespace
 
-GenericFormatView::~GenericFormatView() = default;
+struct GenericFormatView::Parsed {
+  std::string name;
+  std::vector<std::string> level_vars;
+  std::vector<LevelDescriptor> levels;
+  std::span<const value_t> values;
+  bool has_value = false;
+};
 
-GenericFormatView::GenericFormatView(const std::string& spec,
-                                     const FormatArrays& arrays) {
+GenericFormatView::Parsed GenericFormatView::parse(
+    const std::string& spec, const FormatArrays& arrays) {
+  Parsed out;
   Parser p(spec);
   p.expect("format");
-  name_ = p.next().text;
+  out.name = p.next().text;
   p.expect("{");
 
+  LevelDescriptor parent;    // kOpaque above the root
+  index_t positions = 1;     // positions of the level above (root: one)
   while (peek_is(p, "level")) {
     p.expect("level");
-    level_vars_.push_back(p.next().text);
+    out.level_vars.push_back(p.next().text);
     p.expect(":");
     Token kind = p.next();
+    auto index_array = [&](const char* key, bool first) {
+      const Token t = parse_kv(p, key, first);
+      return lookup_index(arrays, t.text, t.line);
+    };
+    LevelDescriptor d;
     if (kind.text == "dense") {
       p.expect("(");
-      Token n = p.next();
+      d = dense_level(parse_number(p.next(), "dense() extent"));
       p.expect(")");
-      index_t extent = 0;
-      try {
-        extent = static_cast<index_t>(std::stol(n.text));
-      } catch (...) {
-        BERNOULLI_CHECK_MSG(false, "format spec line "
-                                       << n.line << ": dense() needs a number");
-      }
-      levels_.push_back(std::make_unique<GDenseLevel>(extent));
     } else if (kind.text == "compressed") {
       p.expect("(");
-      p.expect("ptr");
-      p.expect("=");
-      Token ptr = p.next();
-      p.expect(",");
-      p.expect("ind");
-      p.expect("=");
-      Token ind = p.next();
+      auto ptr = index_array("ptr", /*first=*/true);
+      auto ind = index_array("ind", /*first=*/false);
       p.expect(")");
-      bool sorted = parse_sortedness(p);
-      auto ptr_span = lookup_index(arrays, ptr.text, ptr.line);
-      auto ind_span = lookup_index(arrays, ind.text, ind.line);
-      BERNOULLI_CHECK_MSG(!ptr_span.empty(),
-                          "format spec line " << ptr.line
-                                              << ": empty ptr array");
-      levels_.push_back(std::make_unique<GCompressedLevel>(
-          ptr_span, ind_span, sorted, ptr.text, ind.text));
+      d = compressed_level(ptr, ind, parse_sortedness(p));
     } else if (kind.text == "list") {
       p.expect("(");
-      p.expect("ind");
-      p.expect("=");
-      Token ind = p.next();
+      auto ind = index_array("ind", /*first=*/true);
       p.expect(")");
-      bool sorted = parse_sortedness(p);
-      levels_.push_back(std::make_unique<GListLevel>(
-          lookup_index(arrays, ind.text, ind.line), sorted, ind.text));
+      d = list_level(ind, parse_sortedness(p));
     } else if (kind.text == "function") {
       p.expect("(");
-      p.expect("map");
-      p.expect("=");
-      Token map = p.next();
+      d = singleton_level(index_array("map", /*first=*/true));
       p.expect(")");
-      levels_.push_back(std::make_unique<GFunctionLevel>(
-          lookup_index(arrays, map.text, map.line), map.text));
     } else if (kind.text == "blocked") {
       p.expect("(");
       Token rt = parse_kv(p, "r", /*first=*/true);
       Token ct = parse_kv(p, "c", /*first=*/false);
-      Token ptr = parse_kv(p, "ptr", /*first=*/false);
-      Token ind = parse_kv(p, "ind", /*first=*/false);
-      p.expect(")");
-      bool sorted = parse_sortedness(p);
       const index_t r = parse_number(rt, "blocked() r");
       const index_t c = parse_number(ct, "blocked() c");
       BERNOULLI_CHECK_MSG(r > 0 && c > 0,
@@ -593,32 +285,17 @@ GenericFormatView::GenericFormatView(const std::string& spec,
                               << rt.line
                               << ": blocked() needs positive block dims, got r="
                               << r << " c=" << c);
-      auto ptr_span = lookup_index(arrays, ptr.text, ptr.line);
-      auto ind_span = lookup_index(arrays, ind.text, ind.line);
-      BERNOULLI_CHECK_MSG(!ptr_span.empty(), "format spec line "
-                                                 << ptr.line
-                                                 << ": empty ptr array");
-      if (!levels_.empty()) {
-        // The scalar-row parent level must tile exactly into block rows.
-        const LevelDescriptor pd = levels_.back()->describe();
-        const index_t rows = r * static_cast<index_t>(ptr_span.size() - 1);
-        BERNOULLI_CHECK_MSG(
-            pd.kind != LevelDescriptor::Kind::kDense || pd.extent == rows,
-            "format spec line " << rt.line << ": blocked(r=" << r
-                                << ") covers " << rows << " rows but parent "
-                                << "level is dense(" << pd.extent << ")");
-      }
-      levels_.push_back(std::make_unique<GBlockedLevel>(
-          ptr_span, ind_span, r, c, sorted, ptr.text, ind.text));
+      auto ptr = index_array("ptr", /*first=*/false);
+      auto ind = index_array("ind", /*first=*/false);
+      p.expect(")");
+      d = compressed_level(ptr, ind, parse_sortedness(p));
+      d.kind = LevelDescriptor::Kind::kBlocked;
+      d.block_r = r;
+      d.block_c = c;
     } else if (kind.text == "sliced") {
       p.expect("(");
       Token chunk_t = parse_kv(p, "chunk", /*first=*/true);
       Token sigma_t = parse_kv(p, "sigma", /*first=*/false);
-      Token base = parse_kv(p, "base", /*first=*/false);
-      Token len = parse_kv(p, "len", /*first=*/false);
-      Token ind = parse_kv(p, "ind", /*first=*/false);
-      p.expect(")");
-      bool sorted = parse_sortedness(p);
       const index_t chunk = parse_number(chunk_t, "sliced() chunk");
       const index_t sigma = parse_number(sigma_t, "sliced() sigma");
       BERNOULLI_CHECK_MSG(chunk > 0, "format spec line "
@@ -630,24 +307,35 @@ GenericFormatView::GenericFormatView(const std::string& spec,
                               << sigma_t.line << ": sliced() sigma must be a "
                               << "positive multiple of chunk, got sigma="
                               << sigma << " chunk=" << chunk);
-      auto base_span = lookup_index(arrays, base.text, base.line);
-      auto len_span = lookup_index(arrays, len.text, len.line);
-      auto ind_span = lookup_index(arrays, ind.text, ind.line);
-      BERNOULLI_CHECK_MSG(base_span.size() == len_span.size(),
+      Token base_t = parse_kv(p, "base", /*first=*/false);
+      Token len_t = parse_kv(p, "len", /*first=*/false);
+      auto base = lookup_index(arrays, base_t.text, base_t.line);
+      auto len = lookup_index(arrays, len_t.text, len_t.line);
+      auto ind = index_array("ind", /*first=*/false);
+      p.expect(")");
+      BERNOULLI_CHECK_MSG(base.size() == len.size(),
                           "format spec line "
-                              << base.line << ": sliced() base and len must "
-                              << "have one entry per row (|" << base.text
-                              << "|=" << base_span.size() << ", |" << len.text
-                              << "|=" << len_span.size() << ")");
-      levels_.push_back(std::make_unique<GSlicedLevel>(
-          base_span, len_span, ind_span, chunk, sigma, sorted, base.text,
-          len.text, ind.text));
+                              << base_t.line << ": sliced() base and len must "
+                              << "have one entry per row (|" << base_t.text
+                              << "|=" << base.size() << ", |" << len_t.text
+                              << "|=" << len.size() << ")");
+      d = list_level(ind, parse_sortedness(p));
+      d.kind = LevelDescriptor::Kind::kSliced;
+      d.off = base.data();
+      d.off_len = static_cast<index_t>(base.size());
+      d.len = len.data();
+      d.len_len = static_cast<index_t>(len.size());
+      d.chunk = chunk;
+      d.sigma = sigma;
     } else {
       BERNOULLI_CHECK_MSG(false, "format spec line "
                                      << kind.line << ": unknown level kind '"
                                      << kind.text << "'");
     }
     p.expect(";");
+    positions = check_level(d, parent, positions, kind.line);
+    out.levels.push_back(d);
+    parent = d;
   }
 
   if (peek_is(p, "value")) {
@@ -658,28 +346,37 @@ GenericFormatView::GenericFormatView(const std::string& spec,
                         "format spec line " << v.line
                                             << ": unknown value array '"
                                             << v.text << "'");
-    value_array_ = v.text;
-    values_ = it->second;
+    BERNOULLI_CHECK_MSG(static_cast<index_t>(it->second.size()) >= positions,
+                        "format spec line "
+                            << v.line << ": value array '" << v.text
+                            << "' has " << it->second.size()
+                            << " entries, the leaf level addresses "
+                            << positions << " positions");
+    out.values = it->second;
+    out.has_value = true;
     p.expect(";");
   }
   p.expect("}");
-  BERNOULLI_CHECK_MSG(!levels_.empty(), "format spec declares no levels");
+  BERNOULLI_CHECK_MSG(!out.levels.empty(), "format spec declares no levels");
+  return out;
 }
 
-const IndexLevel& GenericFormatView::level(index_t depth) const {
-  BERNOULLI_CHECK(depth >= 0 && depth < arity());
-  return *levels_[static_cast<std::size_t>(depth)];
+GenericFormatView::GenericFormatView(const std::string& spec,
+                                     const FormatArrays& arrays)
+    : GenericFormatView(parse(spec, arrays)) {}
+
+GenericFormatView::GenericFormatView(Parsed parsed)
+    : LevelStackView(std::move(parsed.name)),
+      level_vars_(std::move(parsed.level_vars)) {
+  for (const LevelDescriptor& d : parsed.levels) add_level(d);
+  if (parsed.has_value) set_values(parsed.values);
 }
 
 value_t GenericFormatView::value_at(index_t pos) const {
-  BERNOULLI_CHECK_MSG(has_value(), name_ << " declares no value array");
+  BERNOULLI_CHECK_MSG(has_value(), name() << " declares no value array");
   BERNOULLI_CHECK(pos >= 0 &&
-                  pos < static_cast<index_t>(values_.size()));
-  return values_[static_cast<std::size_t>(pos)];
-}
-
-std::string GenericFormatView::value_expr(const std::string& pos) const {
-  return value_array_ + "[" + pos + "]";
+                  pos < static_cast<index_t>(value_array().size()));
+  return LevelStackView::value_at(pos);
 }
 
 }  // namespace bernoulli::relation

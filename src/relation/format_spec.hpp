@@ -38,13 +38,19 @@
 // Modifiers: `sorted` / `unsorted` (sparse levels; unsorted levels get
 // linear search and are excluded from merge joins).
 //
+// Numbers are plain decimals that fit index_t. Each level's arrays are
+// checked once against the positions of the level above: a ptr array has
+// one entry per parent row plus one, never decreases and ends within its
+// ind array; a function map has one entry per parent position; a sliced
+// row's last lane lies inside its ind array; the value array covers the
+// leaf's largest position.
+//
 // The resulting view plugs into Bindings::bind_view and from there into
 // the ordinary compile/plan/run/emit pipeline — the whole point: the
 // planner consumes only the advertised properties.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,27 +67,17 @@ struct FormatArrays {
   std::map<std::string, std::span<const value_t>> value_arrays;
 };
 
-class GenericFormatView : public RelationView {
+class GenericFormatView : public LevelStackView {
  public:
   /// Parses `spec` and wires the levels to `arrays`. Throws
   /// bernoulli::Error with a line-anchored message on syntax errors,
-  /// unknown array names, or structurally impossible specs.
+  /// unknown array names, malformed numbers, or arrays too short for the
+  /// levels that read them (checked once here, in O(rows), from each
+  /// level's descriptor).
   GenericFormatView(const std::string& spec, const FormatArrays& arrays);
-  ~GenericFormatView() override;
 
-  std::string name() const override { return name_; }
-  index_t arity() const override {
-    return static_cast<index_t>(levels_.size());
-  }
-  const IndexLevel& level(index_t depth) const override;
-  bool has_value() const override { return !value_array_.empty(); }
+  /// Bounds-checked; throws when the spec declares no value array.
   value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
-
-  /// The user's own value array (borrowed, never copied): flat and
-  /// address-stable for the view's lifetime, so the linked engine's bulk
-  /// drains and the specializer can address it directly.
-  std::span<const value_t> value_array() const override { return values_; }
 
   /// Loop-variable name declared for each level, in hierarchy order
   /// ("level i: ..." declares "i"). Useful for building Bindings
@@ -89,11 +85,10 @@ class GenericFormatView : public RelationView {
   const std::vector<std::string>& level_vars() const { return level_vars_; }
 
  private:
-  std::string name_;
-  std::string value_array_;
-  ConstVectorView values_;
+  struct Parsed;  // the spec, parsed and checked
+  static Parsed parse(const std::string& spec, const FormatArrays& arrays);
+  explicit GenericFormatView(Parsed parsed);
   std::vector<std::string> level_vars_;
-  std::vector<std::unique_ptr<IndexLevel>> levels_;
 };
 
 }  // namespace bernoulli::relation

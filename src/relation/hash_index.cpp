@@ -30,17 +30,6 @@ class HashIndexedView::HashedLevel final : public IndexLevel {
 
   double expected_size() const override { return base_.expected_size(); }
 
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return base_.emit_enumerate(parent, idx, pos);
-  }
-
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = hash_lookup(INDEX[" + parent + "], " +
-           idx + "); if (" + pos + " < 0) continue;";
-  }
-
   std::size_t tables_built() const { return tables_.size(); }
 
  private:

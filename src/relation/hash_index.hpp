@@ -30,9 +30,6 @@ class HashIndexedView final : public RelationView {
   const IndexLevel& level(index_t depth) const override;
   bool has_value() const override { return base_.has_value(); }
   value_t value_at(index_t pos) const override { return base_.value_at(pos); }
-  std::string value_expr(const std::string& pos) const override {
-    return base_.value_expr(pos);
-  }
   std::span<const value_t> value_array() const override {
     return base_.value_array();
   }

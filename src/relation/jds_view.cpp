@@ -1,126 +1,9 @@
 #include "relation/jds_view.hpp"
 
-#include "support/error.hpp"
-
 namespace bernoulli::relation {
 
-namespace {
-
-class JdsRowLevel final : public IndexLevel {
- public:
-  explicit JdsRowLevel(index_t rows) : rows_(rows) {}
-
-  LevelProperties properties() const override {
-    return {/*sorted=*/true, /*dense=*/true, SearchCost::kConstant};
-  }
-
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (index_t ip = 0; ip < rows_; ++ip)
-      if (!fn(ip, ip)) return;
-  }
-
-  index_t search(index_t, index_t index) const override {
-    return index >= 0 && index < rows_ ? index : -1;
-  }
-
-  double expected_size() const override { return static_cast<double>(rows_); }
-
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kDense;
-    d.extent = rows_;
-    return d;
-  }
-
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + idx + " = 0; " + idx + " < " +
-           std::to_string(rows_) + "; ++" + idx + ") { const int " + pos +
-           " = " + idx + ";";
-  }
-
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = " + idx + ";  /* dense: O(1) */";
-  }
-
- private:
-  index_t rows_;
-};
-
-class JdsColLevel final : public IndexLevel {
- public:
-  JdsColLevel(const formats::Jds& m, std::span<const index_t> rowlen,
-              std::string name)
-      : m_(m), rowlen_(rowlen), name_(std::move(name)) {}
-
-  LevelProperties properties() const override {
-    // Entries of a permuted row come from consecutive jagged diagonals;
-    // they are in the row's original CSR order, hence sorted by column.
-    return {/*sorted=*/true, /*dense=*/false, SearchCost::kLinear};
-  }
-
-  void enumerate(index_t parent, const EnumFn& fn) const override {
-    auto jdptr = m_.jdptr();
-    const index_t len = rowlen_[static_cast<std::size_t>(parent)];
-    for (index_t k = 0; k < len; ++k) {
-      index_t pos = jdptr[static_cast<std::size_t>(k)] + parent;
-      if (!fn(m_.colind()[static_cast<std::size_t>(pos)], pos)) return;
-    }
-  }
-
-  index_t search(index_t parent, index_t index) const override {
-    auto jdptr = m_.jdptr();
-    const index_t len = rowlen_[static_cast<std::size_t>(parent)];
-    for (index_t k = 0; k < len; ++k) {
-      index_t pos = jdptr[static_cast<std::size_t>(k)] + parent;
-      if (m_.colind()[static_cast<std::size_t>(pos)] == index) return pos;
-    }
-    return -1;
-  }
-
-  double expected_size() const override {
-    return m_.rows() > 0 ? static_cast<double>(m_.nnz()) / m_.rows() : 0.0;
-  }
-
-  // The k-th entry of permuted row i' sits at jdptr[k] + i': an offset-
-  // list walk over COLIND with off = jdptr, base = parent.
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kOffsets;
-    d.ind = m_.colind().data();
-    d.ind_len = static_cast<index_t>(m_.colind().size());
-    d.off = m_.jdptr().data();
-    d.off_len = static_cast<index_t>(m_.jdptr().size());
-    d.len = rowlen_.data();
-    d.len_len = static_cast<index_t>(rowlen_.size());
-    return d;
-  }
-
-  std::string emit_enumerate(const std::string& parent, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int k = 0; k < " + name_ + "_ROWLEN[" + parent +
-           "]; ++k) { const int " + pos + " = " + name_ + "_JDPTR[k] + " +
-           parent + "; const int " + idx + " = " + name_ + "_COLIND[" + pos +
-           "];";
-  }
-
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = jds_scan(" + name_ + ", " + parent +
-           ", " + idx + "); if (" + pos + " < 0) continue;";
-  }
-
- private:
-  const formats::Jds& m_;
-  std::span<const index_t> rowlen_;
-  std::string name_;
-};
-
-}  // namespace
-
 JdsView::JdsView(std::string name, const formats::Jds& m)
-    : name_(std::move(name)), m_(m) {
+    : LevelStackView(std::move(name)), m_(m) {
   // Per-permuted-row entry count: row ip has entries on every jagged
   // diagonal long enough to reach it.
   rowlen_.assign(static_cast<std::size_t>(m.rows()), 0);
@@ -131,24 +14,18 @@ JdsView::JdsView(std::string name, const formats::Jds& m)
     for (index_t ip = 0; ip < len; ++ip)
       ++rowlen_[static_cast<std::size_t>(ip)];
   }
-  rows_ = std::make_unique<JdsRowLevel>(m.rows());
-  cols_ = std::make_unique<JdsColLevel>(m_, rowlen_, name_);
+  add_level(dense_level(m.rows()));
+  LevelDescriptor cols;
+  cols.kind = LevelDescriptor::Kind::kOffsets;
+  cols.ind = m.colind().data();
+  cols.ind_len = static_cast<index_t>(m.colind().size());
+  cols.off = jdptr.data();
+  cols.off_len = static_cast<index_t>(jdptr.size());
+  cols.len = rowlen_.data();
+  cols.len_len = static_cast<index_t>(rowlen_.size());
+  add_level(cols);
+  set_values(m.vals());
 }
-
-const IndexLevel& JdsView::level(index_t depth) const {
-  BERNOULLI_CHECK(depth == 0 || depth == 1);
-  return depth == 0 ? *rows_ : *cols_;
-}
-
-value_t JdsView::value_at(index_t pos) const {
-  return m_.vals()[static_cast<std::size_t>(pos)];
-}
-
-std::string JdsView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
-}
-
-std::span<const value_t> JdsView::value_array() const { return m_.vals(); }
 
 std::vector<index_t> JdsView::original_to_permuted() const {
   return {m_.iperm().begin(), m_.iperm().end()};

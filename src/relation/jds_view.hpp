@@ -9,40 +9,29 @@
 //   Q = sigma_P ( I(i,j) |><| X(j,x) |><| Y(i,y) |><| P(i,i') |><| A'(i',j,a) ).
 //
 // Row i' has jds.jdptr-many strided entries: the k-th is at offset
-// jdptr[k] + i' while k < rowlen(i'). Enumeration follows that stride;
-// search is linear (JDS has no better row search — an honest property the
-// planner must work around).
+// jdptr[k] + i' while k < rowlen(i') — an offsets level over COLIND.
+// Enumeration follows that stride; search is linear (JDS has no better
+// row search — an honest property the planner must work around). Entries
+// of a permuted row come from consecutive jagged diagonals in the row's
+// original CSR order, hence sorted by column.
 #pragma once
-
-#include <memory>
 
 #include "formats/jds.hpp"
 #include "relation/view.hpp"
 
 namespace bernoulli::relation {
 
-class JdsView final : public RelationView {
+class JdsView final : public LevelStackView {
  public:
   JdsView(std::string name, const formats::Jds& m);
-
-  std::string name() const override { return name_; }
-  index_t arity() const override { return 2; }
-  const IndexLevel& level(index_t depth) const override;
-  bool has_value() const override { return true; }
-  value_t value_at(index_t pos) const override;
-  std::string value_expr(const std::string& pos) const override;
-  std::span<const value_t> value_array() const override;
 
   /// The original-row -> permuted-row map (IPERM), ready to build the
   /// companion PermutationView P(i, i') for Eq. 6 queries.
   std::vector<index_t> original_to_permuted() const;
 
  private:
-  std::string name_;
   const formats::Jds& m_;
   std::vector<index_t> rowlen_;  // entries per permuted row
-  std::unique_ptr<IndexLevel> rows_;
-  std::unique_ptr<IndexLevel> cols_;
 };
 
 }  // namespace bernoulli::relation

@@ -5,30 +5,6 @@
 
 namespace bernoulli::relation {
 
-namespace {
-
-class SpaRowLevel final : public IndexLevel {
- public:
-  explicit SpaRowLevel(index_t rows) : rows_(rows) {}
-
-  LevelProperties properties() const override {
-    return {true, true, SearchCost::kConstant};
-  }
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (index_t i = 0; i < rows_; ++i)
-      if (!fn(i, i)) return;
-  }
-  index_t search(index_t, index_t index) const override {
-    return index >= 0 && index < rows_ ? index : -1;
-  }
-  double expected_size() const override { return static_cast<double>(rows_); }
-
- private:
-  index_t rows_;
-};
-
-}  // namespace
-
 class SpaColLevel final : public IndexLevel {
  public:
   explicit SpaColLevel(SpaView& owner) : owner_(owner) {}
@@ -71,21 +47,17 @@ class SpaColLevel final : public IndexLevel {
                : 0.0;
   }
 
-  std::string emit_search(const std::string& parent, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = spa_lookup_or_insert(" + owner_.name_ +
-           ", " + parent + ", " + idx + ");";
-  }
-
  private:
   SpaView& owner_;
 };
 
 SpaView::SpaView(std::string name, index_t rows, index_t cols)
-    : name_(std::move(name)), rows_(rows), cols_(cols) {
+    : name_(std::move(name)),
+      rows_(rows),
+      cols_(cols),
+      rows_level_(dense_level(rows)) {
   BERNOULLI_CHECK(rows >= 0 && cols >= 0);
   row_slots_.resize(static_cast<std::size_t>(rows));
-  rows_level_ = std::make_unique<SpaRowLevel>(rows);
   cols_level_ = std::make_unique<SpaColLevel>(*this);
 }
 
@@ -93,7 +65,8 @@ SpaView::~SpaView() = default;
 
 const IndexLevel& SpaView::level(index_t depth) const {
   BERNOULLI_CHECK(depth == 0 || depth == 1);
-  return depth == 0 ? *rows_level_ : *cols_level_;
+  if (depth == 0) return rows_level_;
+  return *cols_level_;
 }
 
 value_t SpaView::value_at(index_t pos) const {
@@ -106,10 +79,6 @@ void SpaView::value_add(index_t pos, value_t delta) {
 
 void SpaView::value_set(index_t pos, value_t v) {
   vals_[static_cast<std::size_t>(pos)] = v;
-}
-
-std::string SpaView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
 }
 
 formats::Coo SpaView::harvest() const {

@@ -30,7 +30,6 @@ class SpaView final : public RelationView {
   bool writable() const override { return true; }
   void value_add(index_t pos, value_t delta) override;
   void value_set(index_t pos, value_t v) override;
-  std::string value_expr(const std::string& pos) const override;
 
   /// Stored (inserted) entries so far.
   index_t nnz() const { return static_cast<index_t>(vals_.size()); }
@@ -52,7 +51,7 @@ class SpaView final : public RelationView {
   std::vector<value_t> vals_;
   std::vector<index_t> slot_row_;
   std::vector<index_t> slot_col_;
-  std::unique_ptr<IndexLevel> rows_level_;
+  DescriptorLevel rows_level_;
   std::unique_ptr<IndexLevel> cols_level_;
 };
 

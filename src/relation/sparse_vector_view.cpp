@@ -1,88 +1,12 @@
 #include "relation/sparse_vector_view.hpp"
 
-#include <algorithm>
-
-#include "support/error.hpp"
-
 namespace bernoulli::relation {
-
-namespace {
-
-class SparseVectorLevel final : public IndexLevel {
- public:
-  SparseVectorLevel(std::span<const index_t> ind, std::string name)
-      : ind_(ind), name_(std::move(name)) {}
-
-  LevelProperties properties() const override {
-    return {/*sorted=*/true, /*dense=*/false, SearchCost::kLog};
-  }
-
-  void enumerate(index_t, const EnumFn& fn) const override {
-    for (std::size_t k = 0; k < ind_.size(); ++k)
-      if (!fn(ind_[k], static_cast<index_t>(k))) return;
-  }
-
-  index_t search(index_t, index_t index) const override {
-    auto it = std::lower_bound(ind_.begin(), ind_.end(), index);
-    if (it != ind_.end() && *it == index)
-      return static_cast<index_t>(it - ind_.begin());
-    return -1;
-  }
-
-  double expected_size() const override {
-    return static_cast<double>(ind_.size());
-  }
-
-  LevelDescriptor describe() const override {
-    LevelDescriptor d;
-    d.kind = LevelDescriptor::Kind::kList;
-    d.ind = ind_.data();
-    d.ind_len = static_cast<index_t>(ind_.size());
-    return d;
-  }
-
-  std::string emit_enumerate(const std::string&, const std::string& idx,
-                             const std::string& pos) const override {
-    return "for (int " + pos + " = 0; " + pos + " < " +
-           std::to_string(ind_.size()) + "; ++" + pos + ") { const int " +
-           idx + " = " + name_ + "_IND[" + pos + "];";
-  }
-
-  std::string emit_search(const std::string&, const std::string& idx,
-                          const std::string& pos) const override {
-    return "const int " + pos + " = binsearch(" + name_ + "_IND, 0, " +
-           std::to_string(ind_.size()) + ", " + idx + "); if (" + pos +
-           " < 0) continue;";
-  }
-
- private:
-  std::span<const index_t> ind_;
-  std::string name_;
-};
-
-}  // namespace
 
 SparseVectorView::SparseVectorView(std::string name,
                                    const formats::SparseVector& v)
-    : name_(std::move(name)), v_(v) {
-  level_ = std::make_unique<SparseVectorLevel>(v.ind(), name_);
-}
-
-const IndexLevel& SparseVectorView::level(index_t depth) const {
-  BERNOULLI_CHECK(depth == 0);
-  return *level_;
-}
-
-value_t SparseVectorView::value_at(index_t pos) const {
-  return v_.vals()[static_cast<std::size_t>(pos)];
-}
-
-std::string SparseVectorView::value_expr(const std::string& pos) const {
-  return name_ + "_VALS[" + pos + "]";
-}
-
-std::span<const value_t> SparseVectorView::value_array() const {
-  return v_.vals();
+    : LevelStackView(std::move(name)) {
+  add_level(list_level(v.ind()));
+  set_values(v.vals());
 }
 
 }  // namespace bernoulli::relation

@@ -28,24 +28,6 @@ void IndexLevel::begin_cursor(index_t parent, Cursor& c,
   c.end = static_cast<index_t>(scratch.size());
 }
 
-std::string IndexLevel::emit_enumerate(const std::string& parent,
-                                       const std::string& idx,
-                                       const std::string& pos) const {
-  return "for ((" + idx + ", " + pos + ") in level.enumerate(" + parent +
-         ")) {";
-}
-
-std::string IndexLevel::emit_search(const std::string& parent,
-                                    const std::string& idx,
-                                    const std::string& pos) const {
-  return "int " + pos + " = level.search(" + parent + ", " + idx + "); if (" +
-         pos + " < 0) continue;";
-}
-
-std::string RelationView::value_expr(const std::string& pos) const {
-  return name() + ".value(" + pos + ")";
-}
-
 value_t RelationView::value_at(index_t) const {
   BERNOULLI_CHECK_MSG(false, "relation " << name() << " has no value field");
   __builtin_unreachable();
@@ -57,6 +39,16 @@ void RelationView::value_add(index_t, value_t) {
 
 void RelationView::value_set(index_t, value_t) {
   BERNOULLI_CHECK_MSG(false, "relation " << name() << " is not writable");
+}
+
+const IndexLevel& LevelStackView::level(index_t depth) const {
+  BERNOULLI_CHECK(depth >= 0 && depth < arity());
+  return levels_[static_cast<std::size_t>(depth)];
+}
+
+value_t LevelStackView::value_at(index_t pos) const {
+  if (!has_value_) return RelationView::value_at(pos);  // throws
+  return values_[static_cast<std::size_t>(pos)];
 }
 
 }  // namespace bernoulli::relation

@@ -7,6 +7,15 @@
 // join implementations. The compiler never sees COLP/ROWIND/VALS — only
 // these methods — which is what makes the format set extensible.
 //
+// A level states its storage shape once, as a LevelDescriptor
+// (relation/cursor.hpp). DescriptorLevel derives every access method from
+// that record — properties, enumeration, search and the planner's size
+// estimate — and the linked engine and the specializing C emitter lower
+// the same record, so the engines cannot disagree about a level. Every
+// built-in view is a LevelStackView of DescriptorLevels over borrowed
+// arrays; only stateful levels (SPA's insert-on-miss columns, the hash
+// index) implement IndexLevel by hand.
+//
 // Runtime protocol: a *position* is an opaque index_t cursor into a level
 // (e.g. an offset into VALS). Level d enumerates/searches children of a
 // parent position from level d-1 (the root parent position is 0). The
@@ -14,6 +23,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,24 +99,48 @@ class IndexLevel {
   /// specializing code generator compiles into a C loop. kNone for
   /// kOpaque levels (specialization falls back to the linked engine).
   EnumSpec enum_spec() const { return descriptor_enum(describe()); }
-
-  // --- Codegen hooks -------------------------------------------------
-  // The compiler's emitter materializes a plan as C-like source; each
-  // access method renders its own enumeration loop header and search
-  // statement. `parent`, `idx`, `pos` are identifier names to use. The
-  // defaults emit generic access-method calls, which is exactly what the
-  // Bernoulli compiler falls back to for formats without inlined methods.
-
-  /// A `for (...) {`-style header binding `idx` and `pos`.
-  virtual std::string emit_enumerate(const std::string& parent,
-                                     const std::string& idx,
-                                     const std::string& pos) const;
-
-  /// Statements that bind `pos` from a known `idx`, `continue`-ing on miss.
-  virtual std::string emit_search(const std::string& parent,
-                                  const std::string& idx,
-                                  const std::string& pos) const;
 };
+
+/// The one IndexLevel for every flat storage shape: all access methods
+/// follow from the descriptor's kind. Enumeration walks descriptor_cursor
+/// (the linked engine's cursor); search is O(1) for dense and singleton
+/// levels, binary for sorted compressed, list and blocked levels, and a
+/// linear walk of the cursor otherwise. The descriptor's arrays are
+/// borrowed and must outlive the level.
+class DescriptorLevel final : public IndexLevel {
+ public:
+  /// `d` must not be kOpaque.
+  explicit DescriptorLevel(const LevelDescriptor& d);
+
+  LevelProperties properties() const override;
+  void enumerate(index_t parent, const EnumFn& fn) const override;
+  index_t search(index_t parent, index_t index) const override;
+
+  /// Average children per parent: the extent of a dense or list level, 1
+  /// for a singleton, |ind|/(|ptr|-1) for a compressed level (times the
+  /// block width for a blocked one) and sum(len)/|len| for the strided,
+  /// offsets and sliced levels (their ind arrays may hold padding).
+  double expected_size() const override { return expected_; }
+
+  LevelDescriptor describe() const override { return d_; }
+
+ private:
+  LevelDescriptor d_;
+  double expected_;
+};
+
+/// Descriptors of the common level shapes, over borrowed arrays.
+/// dense_level: [0, extent) at positions parent*stride + index (stride 0:
+/// position == index). compressed_level: the children of parent p are
+/// ind[ptr[p] .. ptr[p+1]) at positions equal to the offsets. list_level:
+/// child k of the root is ind[k] at position k. singleton_level: the one
+/// child of parent p is map[p] at position p.
+LevelDescriptor dense_level(index_t extent, index_t stride = 0);
+LevelDescriptor compressed_level(std::span<const index_t> ptr,
+                                 std::span<const index_t> ind,
+                                 bool sorted = true);
+LevelDescriptor list_level(std::span<const index_t> ind, bool sorted = true);
+LevelDescriptor singleton_level(std::span<const index_t> map);
 
 /// A relation R(v1, ..., vk [, value]) viewed through its access-method
 /// hierarchy. Levels are numbered outermost-first; level d binds index
@@ -134,10 +168,6 @@ class RelationView {
   virtual void value_add(index_t leaf_pos, value_t delta);
   virtual void value_set(index_t leaf_pos, value_t v);
 
-  /// C expression for the value addressed by position identifier `pos`
-  /// (codegen hook; default renders a generic accessor call).
-  virtual std::string value_expr(const std::string& pos) const;
-
   /// Raw value storage addressed by leaf positions, when the format keeps
   /// values in one flat array whose address is stable across a run (the
   /// linked executor's fast path — one load instead of a virtual call per
@@ -146,6 +176,42 @@ class RelationView {
   /// expose a raw array.
   virtual std::span<const value_t> value_array() const { return {}; }
   virtual std::span<value_t> value_array_mut() { return {}; }
+};
+
+/// A relation whose levels are all DescriptorLevels, optionally carrying
+/// one flat value array addressed by leaf positions. The arrays are
+/// borrowed (from the format object or from the subclass's own members);
+/// the built-in views are this class plus a constructor, and the writable
+/// ones (dense vectors and matrices) add the value_add/value_set hooks.
+/// Not copyable: a copy's levels would still point into the source's
+/// members.
+class LevelStackView : public RelationView {
+ public:
+  LevelStackView(const LevelStackView&) = delete;
+  LevelStackView& operator=(const LevelStackView&) = delete;
+
+  std::string name() const override { return name_; }
+  index_t arity() const override {
+    return static_cast<index_t>(levels_.size());
+  }
+  const IndexLevel& level(index_t depth) const override;
+  bool has_value() const override { return has_value_; }
+  value_t value_at(index_t pos) const override;
+  std::span<const value_t> value_array() const override { return values_; }
+
+ protected:
+  explicit LevelStackView(std::string name) : name_(std::move(name)) {}
+  void add_level(const LevelDescriptor& d) { levels_.emplace_back(d); }
+  void set_values(std::span<const value_t> values) {
+    values_ = values;
+    has_value_ = true;
+  }
+
+ private:
+  std::string name_;
+  std::vector<DescriptorLevel> levels_;
+  std::span<const value_t> values_;
+  bool has_value_ = false;
 };
 
 }  // namespace bernoulli::relation

@@ -247,7 +247,7 @@ TEST(Compile, ScaledAccumulation) {
     ASSERT_NEAR(y[i], 1.0 + 2.5 * ax[i], 1e-12);
 }
 
-TEST(Compile, EmitsCsrLoopNest) {
+TEST(Compile, EmitsCsrKernelAsLinkedC) {
   Coo a = random_matrix(10, 10, 30, 16);
   Csr csr = Csr::from_coo(a);
   Vector x(10, 1.0), y(10, 0.0);
@@ -257,14 +257,15 @@ TEST(Compile, EmitsCsrLoopNest) {
   b.bind_dense_vector("Y", VectorView(y));
   CompiledKernel k = compile(matvec_nest(10, 10), b);
   std::string code = k.emit("spmv_csr");
-  EXPECT_NE(code.find("void spmv_csr(void)"), std::string::npos) << code;
-  EXPECT_NE(code.find("A_ROWPTR"), std::string::npos) << code;
-  EXPECT_NE(code.find("A_COLIND"), std::string::npos) << code;
-  EXPECT_NE(code.find("Y["), std::string::npos) << code;
+  // The specializer's translation unit: the exported symbol takes the
+  // arrays as runtime arguments and accumulates into the target.
+  EXPECT_NE(code.find("int spmv_csr(const int** ia"), std::string::npos)
+      << code;
+  EXPECT_NE(code.find("W0"), std::string::npos) << code;
   EXPECT_NE(code.find("+="), std::string::npos) << code;
 }
 
-TEST(Compile, EmitsMergeJoinAsTwoFingerLoop) {
+TEST(Compile, MergeJoinEmitsTheRefusalNote) {
   Coo a = random_matrix(10, 10, 40, 17);
   Csr csr = Csr::from_coo(a);
   SparseVector x(10, {{1, 1.0}, {4, 2.0}});
@@ -276,9 +277,14 @@ TEST(Compile, EmitsMergeJoinAsTwoFingerLoop) {
   PlannerOptions opts;
   opts.force_order = std::vector<std::string>{"i", "j"};
   CompiledKernel k = compile(matvec_nest(10, 10), b, opts);
-  std::string code = k.emit();
+  ASSERT_NE(k.describe_plan().find("merge"), std::string::npos)
+      << k.describe_plan();
+  const std::string code = k.emit("spmv_sx");
+  // One C comment line naming the kernel and why emission refused it.
+  EXPECT_EQ(code.rfind("/* spmv_sx not emitted: ", 0), 0u) << code;
   EXPECT_NE(code.find("merge join"), std::string::npos) << code;
-  EXPECT_NE(code.find("while ("), std::string::npos) << code;
+  EXPECT_EQ(code.find('\n'), code.size() - 1) << code;
+  EXPECT_EQ(code.substr(code.size() - 3), "*/\n") << code;
 }
 
 TEST(Compile, RejectsUnboundArray) {

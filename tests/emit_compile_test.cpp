@@ -1,15 +1,12 @@
-// The acid test for code generation: the emitted C program is compiled
-// with the system C compiler, executed, and its output diffed against the
-// plan interpreter.
+// The acid test for code generation: the emitted C is compiled with the
+// system C compiler, loaded, run, and diffed bitwise against the linked
+// engine — outputs, counters, histograms and per-level stats.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 
 #include "compiler/emit_standalone.hpp"
 #include "compiler/link.hpp"
@@ -30,123 +27,10 @@ using formats::Coo;
 using formats::Csr;
 using formats::TripletBuilder;
 
-// Compiles `program` with cc and returns its stdout lines as doubles;
-// nullopt when no C compiler is available (test then skips).
-std::optional<Vector> compile_and_run(const std::string& program,
-                                      const std::string& tag) {
-  std::string dir = ::testing::TempDir();
-  std::string src = dir + "bernoulli_emit_" + tag + ".c";
-  std::string bin = dir + "bernoulli_emit_" + tag + ".bin";
-  {
-    std::ofstream out(src);
-    out << program;
-  }
-  std::string compile = "cc -O2 -o " + bin + " " + src + " 2>/dev/null";
-  if (std::system(compile.c_str()) != 0) return std::nullopt;
-
-  std::string run = bin + " > " + src + ".out";
-  if (std::system(run.c_str()) != 0) return std::nullopt;
-
-  Vector values;
-  std::ifstream in(src + ".out");
-  double v;
-  while (in >> v) values.push_back(v);
-  std::remove(src.c_str());
-  std::remove(bin.c_str());
-  std::remove((src + ".out").c_str());
-  return values;
-}
-
 bool have_cc() {
   static int ok = -1;
   if (ok < 0) ok = std::system("cc --version > /dev/null 2>&1") == 0 ? 1 : 0;
   return ok == 1;
-}
-
-TEST(EmitCompile, CsrMatvecRunsAndMatchesInterpreter) {
-  if (!have_cc()) GTEST_SKIP() << "no system C compiler";
-
-  const index_t n = 18;
-  SplitMix64 rng(1);
-  TripletBuilder tb(n, n);
-  for (int k = 0; k < 70; ++k)
-    tb.add(rng.next_index(n), rng.next_index(n), rng.next_double(-1, 1));
-  Coo coo = std::move(tb).build();
-  Csr a = Csr::from_coo(coo);
-
-  Vector x(static_cast<std::size_t>(n));
-  for (auto& v : x) v = rng.next_double(-1, 1);
-  Vector y(static_cast<std::size_t>(n), 0.0);
-
-  Bindings b;
-  b.bind_csr("A", a);
-  b.bind_dense_vector("X", ConstVectorView(x));
-  b.bind_dense_vector("Y", VectorView(y));
-  LoopNest nest{{{"i", n}, {"j", n}},
-                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
-  CompiledKernel k = compile(nest, b);
-  k.run();  // interpreter fills y
-
-  std::string program = emit_standalone_c(
-      k.emit("spmv"), "spmv",
-      {{"A_ROWPTR", {a.rowptr().begin(), a.rowptr().end()}},
-       {"A_COLIND", {a.colind().begin(), a.colind().end()}}},
-      {{"A_VALS", {a.vals().begin(), a.vals().end()}},
-       {"X", x},
-       {"Y", Vector(static_cast<std::size_t>(n), 0.0)}},
-      "Y", static_cast<std::size_t>(n));
-
-  auto got = compile_and_run(program, "csr");
-  ASSERT_TRUE(got.has_value()) << "emitted program failed to build/run:\n"
-                               << program;
-  ASSERT_EQ(got->size(), y.size());
-  for (std::size_t i = 0; i < y.size(); ++i)
-    ASSERT_NEAR((*got)[i], y[i], 1e-14) << "row " << i;
-}
-
-TEST(EmitCompile, SparseVectorProbeRunsAndMatches) {
-  if (!have_cc()) GTEST_SKIP() << "no system C compiler";
-
-  const index_t n = 12;
-  SplitMix64 rng(2);
-  TripletBuilder tb(n, n);
-  for (int k = 0; k < 40; ++k)
-    tb.add(rng.next_index(n), rng.next_index(n), rng.next_double(-1, 1));
-  Coo coo = std::move(tb).build();
-  Csr a = Csr::from_coo(coo);
-  formats::SparseVector x(n, {{1, 2.0}, {4, -1.5}, {9, 0.5}});
-  Vector y(static_cast<std::size_t>(n), 0.0);
-
-  Bindings b;
-  b.bind_csr("A", a);
-  b.bind_sparse_vector("X", x);
-  b.bind_dense_vector("Y", VectorView(y));
-  LoopNest nest{{{"i", n}, {"j", n}},
-                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
-  // Merge joins emit a pseudo-C co-enumeration; force the probing plan,
-  // which is fully compilable.
-  PlannerOptions opts;
-  opts.allow_merge = false;
-  opts.force_order = std::vector<std::string>{"i", "j"};
-  CompiledKernel k = compile(nest, b, opts);
-  k.run();
-
-  std::string program = emit_standalone_c(
-      k.emit("spmv_sx"), "spmv_sx",
-      {{"A_ROWPTR", {a.rowptr().begin(), a.rowptr().end()}},
-       {"A_COLIND", {a.colind().begin(), a.colind().end()}},
-       {"X_IND", {x.ind().begin(), x.ind().end()}}},
-      {{"A_VALS", {a.vals().begin(), a.vals().end()}},
-       {"X_VALS", {x.vals().begin(), x.vals().end()}},
-       {"Y", Vector(static_cast<std::size_t>(n), 0.0)}},
-      "Y", static_cast<std::size_t>(n));
-
-  auto got = compile_and_run(program, "sx");
-  ASSERT_TRUE(got.has_value()) << "emitted program failed to build/run:\n"
-                               << program;
-  ASSERT_EQ(got->size(), y.size());
-  for (std::size_t i = 0; i < y.size(); ++i)
-    ASSERT_NEAR((*got)[i], y[i], 1e-14) << "row " << i;
 }
 
 // ---- LinkedPlan emission round-trip ---------------------------------
@@ -548,6 +432,98 @@ TEST(LinkedEmission, FanoutBucketsMatchAtPowerOfTwoEdges) {
   const CompiledKernel k = compile(nest, b);
   EXPECT_EQ(expect_spec_matches_linked(k, {2, 3}, 1.0, y, y0, "edges"),
             LeafForm::kAccumulator);
+}
+
+// ---- CompiledKernel::emit -----------------------------------------
+// The kernel's emitted C is emit_linked_c's translation unit for its own
+// linked program; building and running that unit (SpecializedKernel)
+// must match the linked engine bitwise.
+
+void expect_emit_is_linked_c(const CompiledKernel& k, const char* symbol) {
+  const std::string code = k.emit(symbol);
+  const LinkedEmission e = emit_linked_c(
+      link_plan(k.plan(), k.query()), link_mac(k.query(), 1, {2, 3}, 1.0),
+      symbol);
+  ASSERT_TRUE(e.ok) << e.note;
+  EXPECT_EQ(code, e.source);
+  EXPECT_NE(code.find("int " + std::string(symbol) + "(const int** ia"),
+            std::string::npos)
+      << code;
+}
+
+TEST(EmitCompile, CsrMatvecRunsAndMatchesLinkedEngine) {
+  if (!specialization_available()) GTEST_SKIP() << "no cc or no dlopen";
+  const index_t n = 18;
+  SplitMix64 rng(1);
+  TripletBuilder tb(n, n);
+  for (int k = 0; k < 70; ++k)
+    tb.add(rng.next_index(n), rng.next_index(n), rng.next_double(-1, 1));
+  Csr a = Csr::from_coo(std::move(tb).build());
+  const Vector x = random_vector(static_cast<std::size_t>(n), 2);
+  const Vector y0(static_cast<std::size_t>(n), 0.0);
+  Vector y(y0.size());
+  Bindings b;
+  b.bind_csr("A", a);
+  b.bind_dense_vector("X", ConstVectorView(x));
+  b.bind_dense_vector("Y", VectorView(y));
+  LoopNest nest{{{"i", n}, {"j", n}},
+                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+  const CompiledKernel k = compile(nest, b);
+  expect_emit_is_linked_c(k, "spmv");
+  expect_spec_matches_linked(k, {2, 3}, 1.0, y, y0, "csr");
+}
+
+TEST(EmitCompile, SparseVectorProbeRunsAndMatchesLinkedEngine) {
+  if (!specialization_available()) GTEST_SKIP() << "no cc or no dlopen";
+  const index_t n = 12;
+  SplitMix64 rng(2);
+  TripletBuilder tb(n, n);
+  for (int k = 0; k < 40; ++k)
+    tb.add(rng.next_index(n), rng.next_index(n), rng.next_double(-1, 1));
+  Csr a = Csr::from_coo(std::move(tb).build());
+  formats::SparseVector x(n, {{1, 2.0}, {4, -1.5}, {9, 0.5}});
+  const Vector y0(static_cast<std::size_t>(n), 0.0);
+  Vector y(y0.size());
+  Bindings b;
+  b.bind_csr("A", a);
+  b.bind_sparse_vector("X", x);
+  b.bind_dense_vector("Y", VectorView(y));
+  LoopNest nest{{{"i", n}, {"j", n}},
+                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+  // The merge plan is refused (see MergePlanEmitsTheRefusalNote); the
+  // probing plan binary-searches X's index list.
+  PlannerOptions opts;
+  opts.allow_merge = false;
+  opts.force_order = std::vector<std::string>{"i", "j"};
+  const CompiledKernel k = compile(nest, b, opts);
+  expect_emit_is_linked_c(k, "spmv_sx");
+  expect_spec_matches_linked(k, {2, 3}, 1.0, y, y0, "sparse x probe");
+}
+
+TEST(EmitCompile, MergePlanEmitsTheRefusalNote) {
+  const index_t n = 12;
+  SplitMix64 rng(3);
+  TripletBuilder tb(n, n);
+  for (int k = 0; k < 40; ++k)
+    tb.add(rng.next_index(n), rng.next_index(n), rng.next_double(-1, 1));
+  Csr a = Csr::from_coo(std::move(tb).build());
+  formats::SparseVector x(n, {{1, 2.0}, {4, -1.5}, {9, 0.5}});
+  Vector y(static_cast<std::size_t>(n), 0.0);
+  Bindings b;
+  b.bind_csr("A", a);
+  b.bind_sparse_vector("X", x);
+  b.bind_dense_vector("Y", VectorView(y));
+  LoopNest nest{{{"i", n}, {"j", n}},
+                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+  PlannerOptions opts;
+  opts.force_order = std::vector<std::string>{"i", "j"};
+  const CompiledKernel k = compile(nest, b, opts);
+  const LinkedEmission e = emit_linked_c(
+      link_plan(k.plan(), k.query()), link_mac(k.query(), 1, {2, 3}, 1.0),
+      "spmv_merge");
+  ASSERT_FALSE(e.ok);
+  EXPECT_EQ(k.emit("spmv_merge"),
+            "/* spmv_merge not emitted: " + e.note + " */\n");
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ TEST(HashIndex, ValueAccessUnchanged) {
   index_t pos = hashed.level(1).search(3, 3);
   ASSERT_GE(pos, 0);
   EXPECT_DOUBLE_EQ(hashed.value_at(pos), 5.0);
-  EXPECT_EQ(hashed.value_expr("p"), base.value_expr("p"));
+  EXPECT_EQ(hashed.value_array().data(), base.value_array().data());
 }
 
 TEST(HashIndex, QueryThroughWrapperMatchesBase) {
