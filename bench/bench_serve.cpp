@@ -4,7 +4,6 @@
 //
 //   bench_serve [--small] [--check] [--threads=<n>] [--clients=<n>]
 //               [--queries=<m>] [--report=<f>] [--metrics=<f>]
-//               [--exec-json=<f>]
 //
 // Two timed phases over the same precomputed query set:
 //   unbatched  batching off — every request leases a runner and runs the
@@ -19,21 +18,12 @@
 // bitwise-identical to the per-request serial reference (and the
 // reference itself bitwise-identical to blas::spmm over the same
 // right-hand sides), plus a warm cache (hit rate > 0 in steady state).
-//
-// --exec-json=<f> merges a top-level "serve" object into an existing
-// bernoulli.bench.exec.v1 snapshot (committed BENCH_exec.json), whose
-// numeric members report_metrics() derives as exec.serve.<key> — the
-// same names the --report run.v1 document emits, so serve runs diff and
-// regress through the standard `bernoulli_report` flow. Only the
-// speedup-named metric is meant for the CI regress gate (qps/p50/p99 are
-// direction-ambiguous under the name-based higher-is-better rule).
 #include <algorithm>
 #include <barrier>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <map>
 #include <vector>
 
 #include "analysis/report.hpp"
@@ -41,8 +31,6 @@
 #include "blas/spmm.hpp"
 #include "formats/formats.hpp"
 #include "server/kernel_server.hpp"
-#include "support/json_reader.hpp"
-#include "support/json_writer.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -148,100 +136,16 @@ double quantile_us(std::vector<long long> ns, double q) {
   return static_cast<double>(ns[idx]) * 1e-3;
 }
 
-void dump_json(const support::JsonValue& v, support::JsonWriter& w) {
-  using T = support::JsonValue::Type;
-  switch (v.type) {
-    case T::kNull:
-      // JsonWriter spells non-finite numbers as null; reuse that path.
-      w.value(std::numeric_limits<double>::quiet_NaN());
-      break;
-    case T::kBool:
-      w.value(v.boolean);
-      break;
-    case T::kNumber:
-      w.value(v.number);
-      break;
-    case T::kString:
-      w.value(v.str);
-      break;
-    case T::kArray:
-      w.begin_array();
-      for (const support::JsonValue& item : v.items) dump_json(item, w);
-      w.end_array();
-      break;
-    case T::kObject:
-      w.begin_object();
-      for (const auto& [key, member] : v.members) {
-        w.key(key);
-        dump_json(member, w);
-      }
-      w.end_object();
-      break;
-  }
-}
-
-// Replaces (or appends) the top-level "serve" object of an exec.v1
-// snapshot in place, preserving every other member.
-void merge_serve_json(const std::string& path,
-                      const std::map<std::string, double>& serve) {
-  support::JsonValue doc;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::stringstream ss;
-      ss << in.rdbuf();
-      doc = support::json_parse(ss.str());
-      BERNOULLI_CHECK_MSG(doc.is_object(),
-                          path << " is not a JSON object snapshot");
-    } else {
-      doc.type = support::JsonValue::Type::kObject;
-      support::JsonValue schema;
-      schema.type = support::JsonValue::Type::kString;
-      schema.str = "bernoulli.bench.exec.v1";
-      doc.members.emplace_back("schema", std::move(schema));
-      support::JsonValue cases;
-      cases.type = support::JsonValue::Type::kArray;
-      doc.members.emplace_back("cases", std::move(cases));
-    }
-  }
-  support::JsonValue serve_v;
-  serve_v.type = support::JsonValue::Type::kObject;
-  for (const auto& [key, val] : serve) {
-    support::JsonValue num;
-    num.type = support::JsonValue::Type::kNumber;
-    num.number = val;
-    serve_v.members.emplace_back(key, std::move(num));
-  }
-  bool replaced = false;
-  for (auto& [key, member] : doc.members)
-    if (key == "serve") {
-      member = std::move(serve_v);
-      replaced = true;
-      break;
-    }
-  if (!replaced) doc.members.emplace_back("serve", std::move(serve_v));
-
-  support::JsonWriter w(2);
-  dump_json(doc, w);
-  std::ofstream out(path);
-  out << w.str() << "\n";
-  BERNOULLI_CHECK_MSG(out.good(), "failed writing " << path);
-  std::cerr << "merged serve section into " << path << "\n";
-}
-
 }  // namespace
 }  // namespace bernoulli
 
 int main(int argc, char** argv) {
   using namespace bernoulli;
   bench::Options opts = bench::Options::parse(argc, argv);
-  std::string exec_json;
   int clients = opts.small ? 4 : 8;
   int queries = opts.small ? 40 : 120;
   for (const std::string& arg : opts.rest) {
-    if (arg.rfind("--exec-json=", 0) == 0) {
-      exec_json = arg.substr(12);
-    } else if (arg.rfind("--clients=", 0) == 0) {
+    if (arg.rfind("--clients=", 0) == 0) {
       clients = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--queries=", 0) == 0) {
       queries = std::atoi(arg.c_str() + 10);
@@ -329,7 +233,6 @@ int main(int argc, char** argv) {
       report.metric("exec.serve." + key, val);
     report.write(opts.obs.report_path);
   }
-  if (!exec_json.empty()) merge_serve_json(exec_json, serve);
   opts.finish();
 
   if (opts.check) {

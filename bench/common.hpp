@@ -40,16 +40,18 @@ namespace bernoulli::bench {
 ///   --profile=<f>   enables per-level time attribution for the whole run
 ///                   and writes collapsed-stack flamegraph lines
 ///                   (support/profile.hpp) from finish()
-///   --engine=<e> --threads=<n> --small --check   engine-bench knobs
+///   --engine --threads=<n> --small --check   engine-bench knobs (a bare
+///                   --engine selects table2's engine axis, which runs
+///                   every rung)
 /// Arguments no shared flag claims land in `rest` for tool-specific
-/// parsing (e.g. table2's --validate-exec-json=), so parse() never
-/// rejects — except a malformed --threads=, which exits 2 like any usage
-/// error.
+/// parsing (e.g. bench_serve's --clients=), so parse() never rejects —
+/// except a malformed --threads= and the retired --engine=<value> form,
+/// which exit 2 like any usage error.
 struct Options {
   support::ObsOptions obs;
   std::string metrics_path;  // --metrics=<file>; empty = no exposition
   std::string profile_path;  // --profile=<file>; empty = profiling off
-  std::string engine;        // --engine=<name>; empty = tool default
+  bool engine = false;       // --engine
   int threads = 0;           // --threads=<n>; 0 = serial
   bool small = false;        // --small
   bool check = false;        // --check
@@ -65,8 +67,12 @@ struct Options {
       } else if (std::strncmp(arg, "--profile=", 10) == 0) {
         o.profile_path = arg + 10;
         support::set_profiling(true);
+      } else if (std::strcmp(arg, "--engine") == 0) {
+        o.engine = true;
       } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-        o.engine = arg + 9;
+        std::cerr << "error: " << arg << " (the engine axis always runs "
+                     "every rung; use a bare --engine)\n";
+        std::exit(2);
       } else if (std::strncmp(arg, "--threads=", 10) == 0) {
         o.threads = std::atoi(arg + 10);
         if (o.threads < 1) {

@@ -3,11 +3,10 @@
 // run reports as `profile_registry`).
 //
 // Everything here works on the PARSED JSON block, not the live registry, so
-// the same code renders a fresh run, a report file, and a ledger entry —
-// and `bernoulli_report profile` / `regress` cannot drift from what the
-// report embeds. Consumers: `analysis/report.cpp` (report_text), the
-// `bernoulli_report profile` subcommand, and the regression-attribution
-// note `regress` prints when a gate trips.
+// the same code renders a fresh run and a report file — and
+// `bernoulli_report profile` cannot drift from what the report embeds.
+// Consumers: `analysis/report.cpp` (report_text) and the
+// `bernoulli_report profile` subcommand.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +31,7 @@ std::string profile_table_text(const support::JsonValue& profile);
 ///   profile.level<d>.self_ns          per-level estimated self time
 ///   profile.level<d>.<kind>.self_ns   per-kind split
 ///   profile.phase.<phase>.ns          distributed-path phases
-/// These are the names the bench books into run-report metrics (so the
-/// ledger trends them) and the vocabulary `regress` attributes with.
+/// The vocabulary profile_diff_text ranks movements in.
 std::vector<std::pair<std::string, double>> profile_flat_metrics(
     const support::JsonValue& profile);
 

@@ -49,10 +49,6 @@ void RunReport::add_comm_check(const std::string& name, const CommCheck& cc) {
   comm_checks_.emplace_back(name, cc);
 }
 
-void RunReport::add_roofline(const RooflineEntry& entry) {
-  roofline_.push_back(entry);
-}
-
 void RunReport::set_critical_path(const CriticalPathReport& cp) {
   critical_path_json_ = critical_path_json(cp);
 }
@@ -115,25 +111,6 @@ std::string RunReport::json(int indent) const {
     w.end_object();
   }
   w.end_object();
-
-  w.key("roofline").begin_array();
-  for (const RooflineEntry& e : roofline_) {
-    w.begin_object();
-    w.key("name").value(e.name);
-    w.key("bytes").value(e.bytes);
-    w.key("flops").value(e.flops);
-    w.key("seconds").value(e.seconds);
-    w.key("arithmetic_intensity").value(e.arithmetic_intensity());
-    w.key("achieved_bytes_per_s").value(e.achieved_bytes_per_s());
-    w.key("achieved_flops_per_s").value(e.achieved_flops_per_s());
-    w.key("peak_bytes_per_s").value(e.peak_bytes_per_s);
-    w.key("peak_flops_per_s").value(e.peak_flops_per_s);
-    w.key("roof_flops_per_s").value(e.roof_flops_per_s());
-    w.key("fraction_of_roof").value(e.fraction_of_roof());
-    w.key("exact").value(e.exact);
-    w.end_object();
-  }
-  w.end_array();
 
   {
     std::lock_guard<std::mutex> lk(solves_mu_);
@@ -218,49 +195,15 @@ const std::string& doc_schema(const JsonValue& doc) {
 }  // namespace
 
 std::map<std::string, double> report_metrics(const JsonValue& doc) {
-  std::map<std::string, double> out;
   const std::string& schema = doc_schema(doc);
-  if (schema == "bernoulli.run.v1") {
-    const JsonValue* metrics = doc.find("metrics");
-    BERNOULLI_CHECK_MSG(metrics && metrics->is_object(),
-                        "run report has no metrics object");
-    for (const auto& [name, v] : metrics->members) out[name] = v.as_number();
-    return out;
-  }
-  if (schema == "bernoulli.bench.exec.v1") {
-    // Derive the same metric names the engine benches emit in run.v1
-    // reports, so a fresh --report run diffs against the committed
-    // BENCH_exec.json snapshot.
-    const JsonValue* cases = doc.find("cases");
-    BERNOULLI_CHECK_MSG(cases && cases->is_array(),
-                        "exec snapshot has no cases array");
-    for (const JsonValue& c : cases->items) {
-      std::string base = "exec." + c.find("matrix")->as_string() + "." +
-                         c.find("format")->as_string();
-      if (const JsonValue* engines = c.find("engines"))
-        for (const auto& [engine, timing] : engines->members)
-          if (const JsonValue* ns = timing.find("ns_per_nnz"))
-            out[base + "." + engine + ".ns_per_nnz"] = ns->as_number();
-      for (const char* key : {"speedup_linked_over_interpreted",
-                              "slowdown_linked_vs_kernel",
-                              "slowdown_specialized_vs_kernel",
-                              "speedup_linked_threaded_over_serial",
-                              "speedup_bcsr_vs_crs_linked",
-                              "speedup_sell_vs_crs_linked"})
-        if (const JsonValue* v = c.find(key))
-          out[base + "." + key] = v->as_number();
-    }
-    // Optional serving section (bench_serve --exec-json=): every numeric
-    // member becomes exec.serve.<key>, same names bench_serve's run.v1
-    // report emits, so serve snapshots diff/regress like engine ones.
-    if (const JsonValue* serve = doc.find("serve"))
-      for (const auto& [key, v] : serve->members)
-        if (v.type == JsonValue::Type::kNumber)
-          out["exec.serve." + key] = v.as_number();
-    return out;
-  }
-  BERNOULLI_CHECK_MSG(false, "cannot extract metrics from schema '"
-                                 << schema << "'");
+  BERNOULLI_CHECK_MSG(schema == "bernoulli.run.v1",
+                      "cannot extract metrics from schema '" << schema
+                                                             << "'");
+  const JsonValue* metrics = doc.find("metrics");
+  BERNOULLI_CHECK_MSG(metrics && metrics->is_object(),
+                      "run report has no metrics object");
+  std::map<std::string, double> out;
+  for (const auto& [name, v] : metrics->members) out[name] = v.as_number();
   return out;
 }
 
@@ -291,120 +234,25 @@ DiffResult diff_reports(const JsonValue& base, const JsonValue& current,
   return out;
 }
 
-std::string diff_text(const DiffResult& d, double tolerance,
-                      bool only_changed) {
+std::string diff_text(const DiffResult& d, double tolerance) {
   std::ostringstream os;
   char line[240];
   std::snprintf(line, sizeof(line), "%-55s %12s %12s %9s\n", "metric", "base",
                 "current", "change");
   os << line;
-  int suppressed = 0;
   for (const auto& m : d.metrics) {
-    if (only_changed && !m.regressed &&
-        std::fabs(m.rel_change) <= tolerance) {
-      ++suppressed;
-      continue;
-    }
     std::snprintf(line, sizeof(line), "%-55s %12.4g %12.4g %+8.1f%%%s\n",
                   m.name.c_str(), m.base, m.current,
                   100.0 * (m.higher_is_better ? -m.rel_change : m.rel_change),
                   m.regressed ? "  REGRESSED" : "");
     os << line;
   }
-  if (suppressed > 0)
-    os << "(" << suppressed << " metric(s) within tolerance not shown)\n";
   std::snprintf(line, sizeof(line),
                 "%d metrics compared, %d regression(s) at tolerance %.0f%%\n",
                 d.compared, d.regressions, 100.0 * tolerance);
   os << line;
   if (d.compared == 0)
     os << "error: the reports share no comparable metrics\n";
-  return os.str();
-}
-
-// ---- the run ledger ---------------------------------------------------
-
-void ledger_append(const std::string& ledger_path,
-                   const std::string& report_json) {
-  // Validate before writing: a malformed entry would poison every later
-  // trend/regress read of the ledger.
-  support::json_parse(report_json);
-  std::string line;
-  line.reserve(report_json.size());
-  for (char c : report_json)
-    if (c != '\n' && c != '\r') line += c;
-  std::ofstream out(ledger_path, std::ios::binary | std::ios::app);
-  BERNOULLI_CHECK_MSG(out.good(), "cannot open ledger: " << ledger_path);
-  out << line << "\n";
-  BERNOULLI_CHECK_MSG(out.good(), "short write to ledger: " << ledger_path);
-}
-
-std::vector<support::JsonValue> ledger_read(const std::string& ledger_path) {
-  std::ifstream in(ledger_path, std::ios::binary);
-  BERNOULLI_CHECK_MSG(in.good(), "cannot read ledger: " << ledger_path);
-  std::vector<support::JsonValue> entries;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      entries.push_back(support::json_parse(line));
-    } catch (const std::exception& e) {
-      BERNOULLI_CHECK_MSG(false, "ledger " << ledger_path << " line "
-                                           << lineno << ": " << e.what());
-    }
-  }
-  return entries;
-}
-
-std::string ledger_trend_text(const std::vector<support::JsonValue>& entries,
-                              const std::string& metric_filter) {
-  std::ostringstream os;
-  os << "ledger: " << entries.size() << " entries\n";
-  if (entries.empty()) return os.str();
-  // Union of matching metric names across entries; a metric absent from an
-  // entry prints "-" so trajectories stay column-aligned.
-  std::vector<std::map<std::string, double>> per_entry;
-  per_entry.reserve(entries.size());
-  std::map<std::string, int> names;  // name -> #entries present
-  for (const auto& doc : entries) {
-    per_entry.push_back(report_metrics(doc));
-    for (const auto& [name, v] : per_entry.back())
-      if (metric_filter.empty() || name.find(metric_filter) != std::string::npos)
-        ++names[name];
-  }
-  if (names.empty()) {
-    os << "no metrics match filter '" << metric_filter << "'\n";
-    return os.str();
-  }
-  for (const auto& [name, present] : names) {
-    os << name << ":";
-    double first = 0.0, last = 0.0;
-    bool have_first = false;
-    for (const auto& m : per_entry) {
-      auto it = m.find(name);
-      if (it == m.end()) {
-        os << " -";
-        continue;
-      }
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), " %.4g", it->second);
-      os << buf;
-      if (!have_first) {
-        first = it->second;
-        have_first = true;
-      }
-      last = it->second;
-    }
-    if (have_first && first != 0.0) {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "  (%+.1f%% first->last)",
-                    100.0 * (last - first) / std::fabs(first));
-      os << buf;
-    }
-    os << "\n";
-  }
   return os.str();
 }
 
@@ -483,15 +331,6 @@ void render_critical_path(std::ostream& os, const JsonValue& cp) {
 std::string report_text(const JsonValue& doc) {
   std::ostringstream os;
   const std::string& schema = doc_schema(doc);
-  if (schema == "bernoulli.bench.exec.v1") {
-    os << "bernoulli.bench.exec.v1 snapshot\n";
-    for (const auto& [name, v] : report_metrics(doc)) {
-      char line[200];
-      std::snprintf(line, sizeof(line), "  %-55s %12.4g\n", name.c_str(), v);
-      os << line;
-    }
-    return os.str();
-  }
   BERNOULLI_CHECK_MSG(schema == "bernoulli.run.v1",
                       "cannot render schema '" << schema << "'");
   os << "run report: " << doc.find("tool")->as_string() << "\n";
@@ -534,33 +373,6 @@ std::string report_text(const JsonValue& doc) {
          << static_cast<long long>(cc.find("measured_bytes")->as_number())
          << " B"
          << (cc.find("match")->boolean ? " (match)" : " (MISMATCH)") << "\n";
-    }
-
-  if (const JsonValue* roofline = doc.find("roofline"))
-    if (roofline->is_array() && !roofline->items.empty()) {
-      os << "roofline (model peaks: "
-         << roofline->items[0].find("peak_bytes_per_s")->as_number() / 1e9
-         << " GB/s, "
-         << roofline->items[0].find("peak_flops_per_s")->as_number() / 1e9
-         << " GFLOP/s):\n";
-      char line[240];
-      std::snprintf(line, sizeof(line), "  %-34s %12s %10s %10s %10s %7s\n",
-                    "engine", "bytes", "AI", "GB/s", "GFLOP/s", "roof%");
-      os << line;
-      for (const JsonValue& e : roofline->items) {
-        std::snprintf(
-            line, sizeof(line),
-            "  %-34s %12lld %10.3f %10.3f %10.3f %6.1f%%%s\n",
-            e.find("name")->as_string().c_str(),
-            static_cast<long long>(e.find("bytes")->as_number()),
-            e.find("arithmetic_intensity")->as_number(),
-            e.find("achieved_bytes_per_s")->as_number() / 1e9,
-            e.find("achieved_flops_per_s")->as_number() / 1e9,
-            100.0 * e.find("fraction_of_roof")->as_number(),
-            e.find("exact")->boolean ? "" : "  (inexact)");
-        os << line;
-      }
-      os << "\n";
     }
 
   if (const JsonValue* solves = doc.find("solves"))

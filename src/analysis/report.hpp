@@ -22,9 +22,6 @@
 //    "plans": {"name": <bernoulli.explain.v1>},
 //    "model_checks": {"name": <model_check_json>},
 //    "comm_checks": {"name": {"predicted_*": n, "measured_*": n}},
-//    "roofline": [{"name", "bytes", "flops", "seconds",
-//                  "arithmetic_intensity", "achieved_*", "peak_*",
-//                  "fraction_of_roof", "exact"}...],
 //    "solves": [<SolveRecord>...],
 //    "critical_path": <critical_path_json> | null,
 //    "comm_matrix": {...}, "histograms": {...}, "counters": {...},
@@ -33,13 +30,6 @@
 //                        // attribution (support/profile.hpp); {} when the
 //                        // run never enabled profiling
 //
-// The run LEDGER (bench/ledger.jsonl) makes runs accumulate: one report
-// document per line (JSON forbids raw newlines in strings, so stripping
-// '\n' from any valid document is lossless), appended by benches/CI via
-// ledger_append or `bernoulli_report append`. `bernoulli_report trend`
-// prints a metric's trajectory across entries; `bernoulli_report regress`
-// diffs the newest entry against a committed baseline with a tolerance.
-//
 // Diffing. diff_reports() compares the flat metrics of two reports (the
 // other sections are context, not comparison keys). Metric direction is
 // inferred from the name: metrics containing "speedup" are
@@ -47,14 +37,10 @@
 // lower-is-better. A metric regresses when it worsens by more than
 // `tolerance` relative; the CLI exits nonzero on any regression — and
 // also when the reports share NO metrics, so a renamed metric cannot
-// silently pass a gate. bernoulli.bench.exec.v1 snapshots
-// (BENCH_exec.json) are accepted on either side by deriving the same
-// "exec.<case>.<format>.<engine>.ns_per_nnz" / "...speedup_..." metric
-// names the engine benches emit, which is what lets CI gate a fresh
-// --report run against the committed trajectory.
+// silently pass a gate. Only bernoulli.run.v1 documents are read; any
+// other schema is rejected.
 #pragma once
 
-#include <algorithm>
 #include <map>
 #include <mutex>
 #include <string>
@@ -77,42 +63,6 @@ struct CommCheck {
   bool match() const {
     return predicted_messages == measured_messages &&
            predicted_bytes == measured_bytes;
-  }
-};
-
-/// One engine rung's position against the simulated machine's roofline:
-/// the link-time data-movement footprint (bytes, flops — see
-/// compiler::PlanFootprint) over the measured seconds, against the
-/// CostModel peaks. All derived numbers are computed here so the JSON and
-/// the text rendering cannot disagree.
-struct RooflineEntry {
-  std::string name;               // e.g. "psmsx.csr.linked"
-  long long bytes = 0;            // static footprint bytes per run
-  long long flops = 0;            // static footprint flops per run
-  double seconds = 0.0;           // measured seconds per run
-  double peak_bytes_per_s = 0.0;  // CostModel::bytes_per_s
-  double peak_flops_per_s = 0.0;  // CostModel::flops_per_s
-  bool exact = true;              // footprint proof held (PlanFootprint)
-
-  double arithmetic_intensity() const {
-    return bytes > 0 ? static_cast<double>(flops) / static_cast<double>(bytes)
-                     : 0.0;
-  }
-  double achieved_bytes_per_s() const {
-    return seconds > 0 ? static_cast<double>(bytes) / seconds : 0.0;
-  }
-  double achieved_flops_per_s() const {
-    return seconds > 0 ? static_cast<double>(flops) / seconds : 0.0;
-  }
-  /// The model's attainable flop rate at this intensity:
-  /// min(peak_flops, AI * peak_bandwidth).
-  double roof_flops_per_s() const {
-    const double bw_bound = arithmetic_intensity() * peak_bytes_per_s;
-    return std::min(peak_flops_per_s, bw_bound);
-  }
-  double fraction_of_roof() const {
-    const double roof = roof_flops_per_s();
-    return roof > 0 ? achieved_flops_per_s() / roof : 0.0;
   }
 };
 
@@ -139,7 +89,6 @@ class RunReport {
 
   void add_model_check(const std::string& name, const ModelCheckReport& mc);
   void add_comm_check(const std::string& name, const CommCheck& cc);
-  void add_roofline(const RooflineEntry& entry);
   void set_critical_path(const CriticalPathReport& cp);
 
   /// Installs process-global solve hooks (analysis/hooks.hpp) that record
@@ -161,7 +110,6 @@ class RunReport {
   std::vector<std::pair<std::string, std::string>> plans_;    // name, json
   std::vector<std::pair<std::string, std::string>> checks_;   // name, json
   std::vector<std::pair<std::string, CommCheck>> comm_checks_;
-  std::vector<RooflineEntry> roofline_;
   std::string critical_path_json_;  // empty = null
   bool observing_ = false;
   mutable std::mutex solves_mu_;
@@ -170,10 +118,8 @@ class RunReport {
 
 // ---- reading / diffing (tools/bernoulli_report) -----------------------
 
-/// Extracts the flat metric map from a parsed report. Understands
-/// bernoulli.run.v1 ("metrics" object) and bernoulli.bench.exec.v1
-/// (derives exec.* metric names from the cases array). Throws on any
-/// other document.
+/// Extracts the flat metric map (the "metrics" object) from a parsed
+/// bernoulli.run.v1 report. Throws on any other document.
 std::map<std::string, double> report_metrics(const support::JsonValue& doc);
 
 struct MetricDiff {
@@ -200,33 +146,10 @@ DiffResult diff_reports(const support::JsonValue& base,
                         const support::JsonValue& current, double tolerance,
                         const std::string& metric_filter = "");
 
-/// `only_changed` suppresses rows within tolerance — with a tolerance set,
-/// float timing jitter is noise, and the interesting rows are the ones
-/// that moved (the default keeps the historical print-everything shape).
-std::string diff_text(const DiffResult& d, double tolerance,
-                      bool only_changed = false);
+/// One row per compared metric plus a summary line.
+std::string diff_text(const DiffResult& d, double tolerance);
 
-/// Human rendering of a parsed bernoulli.run.v1 (or exec.v1) document.
+/// Human rendering of a parsed bernoulli.run.v1 document.
 std::string report_text(const support::JsonValue& doc);
-
-// ---- the run ledger (bench/ledger.jsonl) ------------------------------
-
-/// Appends `report_json` (a complete bernoulli.run.v1 or exec.v1 document)
-/// to the ledger as ONE line: the document is validated by parsing, then
-/// raw newlines are stripped (lossless for valid JSON) and the compact
-/// line is appended. Creates the file if missing.
-void ledger_append(const std::string& ledger_path,
-                   const std::string& report_json);
-
-/// Parses every non-empty ledger line into a document, oldest first.
-/// Throws on unreadable files or malformed lines (a corrupt ledger should
-/// fail the gate, not skip entries).
-std::vector<support::JsonValue> ledger_read(const std::string& ledger_path);
-
-/// Trajectory of every metric whose name contains `metric_filter` across
-/// the ledger entries, oldest to newest, with the relative change from
-/// first to last entry per metric.
-std::string ledger_trend_text(const std::vector<support::JsonValue>& entries,
-                              const std::string& metric_filter);
 
 }  // namespace bernoulli::analysis

@@ -82,15 +82,15 @@ struct LinkedLevel {
 /// the same flat cursor specs the bulk-drain proof uses: how many index
 /// and value bytes ONE run(LinkedMac) execution touches per operand, and
 /// how many FLOPs it performs, assuming every probe hits (the exactness
-/// conditions below). This is the numerator/denominator pair the roofline
-/// section of a run report needs (arithmetic intensity = flops / bytes).
+/// conditions below). These are the per-run model bytes and flops the
+/// engines book as execute.model_bytes / execute.model_flops.
 ///
 /// `exact` is true only when the walk could prove the totals: every level
 /// enumerates a flat EnumSpec, every probe is an always-hit identity or
 /// affine search with no filtering and no fill-in, and segmented /
 /// per-parent-count levels are invoked exactly once per parent segment.
 /// When false, `note` says which condition failed and the totals are 0 —
-/// callers must not report a roofline from an inexact footprint.
+/// callers must not read an inexact footprint's zeros as traffic.
 struct PlanFootprint {
   struct Operand {
     std::string name;          // RelationView::name()
@@ -137,8 +137,7 @@ struct LinkedPlan {
   // row straddles two threads. 1 = no constraint.
   index_t chunk_align = 1;
   // Static per-run data-movement model (see PlanFootprint). Derived by
-  // link_plan; feeds execute.model_bytes / execute.model_flops metrics and
-  // the roofline section of run reports.
+  // link_plan; feeds execute.model_bytes / execute.model_flops metrics.
   PlanFootprint footprint;
 };
 

@@ -15,8 +15,8 @@
 // Everything degrades gracefully: when the plan has a shape emission does
 // not cover, the toolchain is missing, or the platform cannot dlopen,
 // ok() is false and note() says why — callers fall back to the linked
-// engine (bench_table2_executor --engine=specialized does exactly this
-// and reports the fallback in its output).
+// engine (the specialized rung of bench_table2_executor --engine does
+// exactly this and reports the fallback in its output).
 #pragma once
 
 #include <string>

@@ -34,13 +34,18 @@ Dia Dia::from_coo(const Coo& a) {
     }
   }
 
+  // The padded length sum is formed in 64 bits: a full band of an n x n
+  // matrix stores n^2 slots, past the index type from n = 46341.
   std::vector<index_t> offsets, first, dptr{0};
   offsets.reserve(extent.size());
   first.reserve(extent.size());
+  long long stored = 0;
   for (const auto& [d, fl] : extent) {
     offsets.push_back(d);
     first.push_back(fl.first);
-    dptr.push_back(dptr.back() + (fl.second - fl.first + 1));
+    stored += static_cast<long long>(fl.second) - fl.first + 1;
+    dptr.push_back(
+        checked_index(stored, "DIA padded storage sum of diagonal lengths"));
   }
   std::vector<value_t> vals(static_cast<std::size_t>(dptr.back()), 0.0);
 

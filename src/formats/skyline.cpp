@@ -25,11 +25,16 @@ Skyline Skyline::from_coo(const Coo& a) {
       s.first_[static_cast<std::size_t>(j)] =
           std::min(s.first_[static_cast<std::size_t>(j)], i);
   }
+  // The envelope sum is formed in 64 bits: a full lower triangle holds
+  // n(n+1)/2 entries, past the index type from n = 65536.
   s.rptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t i = 0; i < n; ++i)
+  long long envelope = 0;
+  for (index_t i = 0; i < n; ++i) {
+    envelope +=
+        static_cast<long long>(i) - s.first_[static_cast<std::size_t>(i)] + 1;
     s.rptr_[static_cast<std::size_t>(i) + 1] =
-        s.rptr_[static_cast<std::size_t>(i)] +
-        (i - s.first_[static_cast<std::size_t>(i)] + 1);
+        checked_index(envelope, "Skyline envelope size");
+  }
   s.vals_.assign(static_cast<std::size_t>(s.rptr_.back()), 0.0);
 
   auto vals = a.vals();

@@ -41,10 +41,6 @@ namespace bernoulli::runtime {
 struct CostModel {
   double latency_s = 1e-6;        // per-message overhead
   double bytes_per_s = 2e9;       // link bandwidth
-  // Node compute peak for roofline accounting (analysis/report.cpp): the
-  // paper's ~50 MFLOPS nodes rescaled by the same ~40x host factor as the
-  // communication parameters above.
-  double flops_per_s = 2e9;
 
   double charge(std::size_t bytes) const {
     return latency_s + static_cast<double>(bytes) / bytes_per_s;

@@ -427,29 +427,20 @@ TEST(Report, DiffDetectsRegressionsByMetricDirection) {
   EXPECT_NE(diff_text(slow, 0.25).find("REGRESSED"), std::string::npos);
 }
 
-TEST(Report, ExecV1SnapshotsExposeTheSameMetricNames) {
-  // A bernoulli.bench.exec.v1 snapshot (the committed BENCH_exec.json
-  // shape) must surface the exact metric names a --report run emits, so
-  // the two document generations can gate each other.
+TEST(Report, RejectsDocumentsOtherThanRunV1) {
+  // Unknown documents are rejected loudly, and so is the retired
+  // exec snapshot shape the benches no longer write: only run.v1
+  // reports diff.
+  EXPECT_THROW(report_metrics(json_parse(R"({"schema": "nope"})")),
+               std::exception);
   const std::string exec_doc = R"({
     "schema": "bernoulli.bench.exec.v1",
     "cases": [
       {"matrix": "grid_P1", "format": "csr", "rows": 10, "nnz": 40,
-       "engines": {
-         "interpreted": {"seconds": 0.2, "ns_per_nnz": 50.0},
-         "linked": {"seconds": 0.05, "ns_per_nnz": 12.5}},
-       "speedup_linked_over_interpreted": 4.0}
+       "engines": {"linked": {"seconds": 0.05, "ns_per_nnz": 12.5}}}
     ]})";
-  auto metrics = report_metrics(json_parse(exec_doc));
-  EXPECT_DOUBLE_EQ(metrics.at("exec.grid_P1.csr.interpreted.ns_per_nnz"),
-                   50.0);
-  EXPECT_DOUBLE_EQ(metrics.at("exec.grid_P1.csr.linked.ns_per_nnz"), 12.5);
-  EXPECT_DOUBLE_EQ(
-      metrics.at("exec.grid_P1.csr.speedup_linked_over_interpreted"), 4.0);
-
-  // Unknown documents are rejected loudly.
-  EXPECT_THROW(report_metrics(json_parse(R"({"schema": "nope"})")),
-               std::exception);
+  EXPECT_THROW(report_metrics(json_parse(exec_doc)), std::exception);
+  EXPECT_THROW(report_text(json_parse(exec_doc)), std::exception);
 }
 
 TEST(Report, SolveHooksRecordEveryRankOfACompiledSolve) {

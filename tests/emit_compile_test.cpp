@@ -38,8 +38,8 @@ bool have_cc() {
 // linked engine under the full observability contract: bitwise outputs,
 // identical executor.* counter deltas, identical fan-out histogram
 // deltas, identical per-level stats and per-level profile work. This is
-// the same reconciliation bench_table2_executor --engine=specialized
-// --check enforces, here over every leaf form the emitter chooses.
+// the same reconciliation bench_table2_executor --engine --check
+// enforces, here over every leaf form the emitter chooses.
 
 std::map<std::string, long long> exec_delta(
     const support::CountersSnapshot& before,

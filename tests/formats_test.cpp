@@ -159,6 +159,33 @@ TEST(Dia, SkylineStoresOnlyBetweenFirstAndLast) {
   EXPECT_DOUBLE_EQ(a.at(7, 7), 2.0);
 }
 
+// Entries at both ends of every diagonal of an n x n matrix pad each
+// diagonal to its full length: n^2 stored slots. At n = 66000 that is
+// past the index type; at n = 92682 it is past 2^33 and a 32-bit sum
+// would wrap twice.
+TEST(Dia, OversizedPaddedStorageThrowsBeforeAllocating) {
+  for (const index_t n : {index_t{66000}, index_t{92682}}) {
+    TripletBuilder b(n, n);
+    for (index_t d = 0; d < n; ++d) {
+      b.add(0, d, 1.0);
+      b.add(n - 1 - d, n - 1, 1.0);
+      if (d > 0) {
+        b.add(d, 0, 1.0);
+        b.add(n - 1, n - 1 - d, 1.0);
+      }
+    }
+    const Coo a = std::move(b).build();
+    try {
+      (void)Dia::from_coo(a);
+      FAIL() << "expected an index overflow error at n = " << n;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("DIA padded storage"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Ell, WidthIsMaxRowLength) {
   Ell a = Ell::from_coo(figure1_matrix());
   EXPECT_EQ(a.width(), 2);

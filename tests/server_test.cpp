@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -256,14 +257,36 @@ TEST(KernelServer, BatchedSweepBitwiseEqualsUnbatchedAndSpmm) {
 
 // Shape guard: a request with mismatched vector sizes must be rejected,
 // not silently read out of bounds.
+// A rejected request is not a request: a shape mismatch or a bad handle
+// throws and leaves stats().requests and the server.requests counter
+// where they were.
 TEST(KernelServer, RejectsShapeMismatch) {
   formats::Csr A = random_csr(10, 8, 30, 211);
   server::KernelServer srv;
   const int h = srv.add_csr("A", A);
-  Vector x(8, 1.0), y_bad(9, 0.0);
-  EXPECT_THROW(srv.spmv(h, ConstVectorView(x), VectorView(y_bad)),
-               std::exception);
+  Vector x(8, 1.0), y(10, 0.0), y_bad(9, 0.0);
+  auto served = [] {
+    const auto snap = support::counters_snapshot();
+    const auto it = snap.counts.find("server.requests");
+    return it == snap.counts.end() ? 0LL : it->second;
+  };
+  const long long served0 = served();
+  auto expect_rejected = [&](const std::function<void()>& call) {
+    EXPECT_THROW(call(), std::exception);
+    EXPECT_EQ(srv.stats().requests, 0);
+    EXPECT_EQ(served(), served0);
+  };
+  expect_rejected(
+      [&] { srv.spmv(h, ConstVectorView(x), VectorView(y_bad)); });
+  expect_rejected([&] { srv.spmv(-1, ConstVectorView(x), VectorView(y)); });
+  expect_rejected([&] { srv.spmv(99, ConstVectorView(x), VectorView(y)); });
+  expect_rejected(
+      [&] { srv.spmv("missing", ConstVectorView(x), VectorView(y)); });
   EXPECT_THROW(srv.key_of(99), std::exception);
+  // The server still serves the good handle afterwards.
+  srv.spmv(h, ConstVectorView(x), VectorView(y));
+  EXPECT_EQ(srv.stats().requests, 1);
+  EXPECT_EQ(served(), served0 + 1);
 }
 
 // The specialized-codegen path (when the toolchain accepts) must serve

@@ -17,6 +17,26 @@
 namespace bernoulli::formats {
 namespace {
 
+// Entries only in column 0 stretch every row's envelope back to column 0:
+// n(n+1)/2 stored entries. At n = 66000 that is past the index type; at
+// n = 92682 a 32-bit sum wraps to a small positive size, so a wrapped
+// row pointer would send from_coo writing out of bounds.
+TEST(Skyline, OversizedEnvelopeThrowsBeforeAllocating) {
+  for (const index_t n : {index_t{66000}, index_t{92682}}) {
+    TripletBuilder b(n, n);
+    for (index_t i = 0; i < n; ++i) b.add(i, 0, 1.0);
+    const Coo a = std::move(b).build();
+    try {
+      (void)Skyline::from_coo(a);
+      FAIL() << "expected an index overflow error at n = " << n;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("Skyline envelope size"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Skyline, RoundTripsSymmetricMatrix) {
   auto g = workloads::grid2d_5pt(6, 5, 1, 1);
   Skyline s = Skyline::from_coo(g.matrix);

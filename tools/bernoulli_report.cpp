@@ -1,27 +1,12 @@
-// bernoulli_report: render, diff, and trend bernoulli.run.v1 run reports.
+// bernoulli_report: render and diff bernoulli.run.v1 run reports.
 //
 // Usage:
 //   bernoulli_report <report.json>
 //       Render the report (config, metrics, model checks, comm checks,
-//       solves, roofline, critical path) as text.
+//       solves, critical path, per-level profile) as text.
 //   bernoulli_report --diff <base.json> <new.json>
 //                    [--tol=X | --tolerance=X] [--metrics=<substr>]
-//       Compare the flat metrics of two reports. Either side may also be a
-//       bernoulli.bench.exec.v1 snapshot (BENCH_exec.json); its cases are
-//       mapped onto the same exec.* metric names the benches emit with
-//       --report.
-//   bernoulli_report append <ledger.jsonl> <report.json>
-//       Validate the report and append it to the ledger as one JSONL line.
-//   bernoulli_report trend <ledger.jsonl> <metric-substr>
-//       Print the trajectory of every matching metric across the ledger,
-//       oldest to newest, with the first-to-last relative change.
-//   bernoulli_report regress <ledger.jsonl> <baseline.json>
-//                    [--tol=X | --tolerance=X] [--metrics=<substr>]
-//       Diff the NEWEST ledger entry against the committed baseline — the
-//       CI perf gate. Same semantics as --diff. When the gate trips and
-//       both sides embed a per-level profile, the top-3 profile.level.*
-//       deltas are printed next to the failure so the regression comes
-//       with an attribution, not just a metric name.
+//       Compare the flat metrics of two reports.
 //   bernoulli_report profile <report.json>
 //       Render the report's per-level time-attribution table
 //       (profile_registry, schema bernoulli.profile.v1).
@@ -29,14 +14,13 @@
 //       Top time movements between two profiled reports (next - base).
 //
 // Exit codes (all modes):
-//   0  success; for --diff/regress, no metric worsened beyond tolerance
+//   0  success; for --diff, no metric worsened beyond tolerance
 //   1  regression detected, zero common metrics, or an input failed to
-//      read/parse (a broken gate must fail loudly, not skip)
+//      read/parse (a broken comparison must fail loudly, not skip)
 //   2  usage error (unknown flag, wrong arity, bad tolerance)
 //
-// This is the perf-gate half of the observability loop: CI appends the
-// fresh smoke-run report to a ledger artifact and regresses it against the
-// committed trajectory in BENCH_exec.json.
+// The perf gate itself lives in the benches' --check (bench_table2_executor
+// gates same-run ratios); this tool explains and compares their reports.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -53,10 +37,6 @@ int usage() {
   std::cerr
       << "usage: bernoulli_report <report.json>\n"
          "       bernoulli_report --diff <base.json> <new.json>"
-         " [--tol=X] [--metrics=<substr>]\n"
-         "       bernoulli_report append <ledger.jsonl> <report.json>\n"
-         "       bernoulli_report trend <ledger.jsonl> <metric-substr>\n"
-         "       bernoulli_report regress <ledger.jsonl> <baseline.json>"
          " [--tol=X] [--metrics=<substr>]\n"
          "       bernoulli_report profile <report.json> [<new.json>]\n"
          "exit codes: 0 ok; 1 regression / no common metrics / read or\n"
@@ -90,8 +70,7 @@ bool parse_doc(const std::string& path, bernoulli::support::JsonValue* out) {
 }
 
 /// The profile_registry block of a report document, or null when the
-/// document has none (e.g. a bernoulli.bench.exec.v1 snapshot) or the run
-/// never enabled profiling.
+/// document has none or the run never enabled profiling.
 const bernoulli::support::JsonValue* profile_block(
     const bernoulli::support::JsonValue& doc) {
   const bernoulli::support::JsonValue* prof = doc.find("profile_registry");
@@ -113,8 +92,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--diff") {
       mode = "diff";
-    } else if (i == 1 && (arg == "append" || arg == "trend" ||
-                          arg == "regress" || arg == "profile")) {
+    } else if (i == 1 && arg == "profile") {
       mode = arg;
     } else if (arg == "--help" || arg == "-h") {
       usage();
@@ -160,89 +138,32 @@ int main(int argc, char** argv) {
       std::cout << analysis::diff_text(d, tolerance);
       return d.ok() ? 0 : 1;
     }
-    if (mode == "append") {
-      std::string report_json;
-      if (!read_file(paths[1], &report_json)) {
-        std::cerr << "bernoulli_report: cannot read " << paths[1] << "\n";
-        return 1;
-      }
-      analysis::ledger_append(paths[0], report_json);
-      std::cerr << "appended " << paths[1] << " to " << paths[0] << "\n";
-      return 0;
-    }
-    if (mode == "profile") {
-      support::JsonValue doc;
-      if (!parse_doc(paths[0], &doc)) return 1;
-      const support::JsonValue* prof = profile_block(doc);
-      if (!prof) {
-        std::cerr << "bernoulli_report: " << paths[0]
-                  << " embeds no per-level profile (run the bench with "
-                     "--profile=<file> to record one)\n";
-        return 1;
-      }
-      if (paths.size() == 1) {
-        std::cout << analysis::profile_table_text(*prof);
-        return 0;
-      }
-      support::JsonValue next_doc;
-      if (!parse_doc(paths[1], &next_doc)) return 1;
-      const support::JsonValue* next = profile_block(next_doc);
-      if (!next) {
-        std::cerr << "bernoulli_report: " << paths[1]
-                  << " embeds no per-level profile\n";
-        return 1;
-      }
-      const std::string moved =
-          analysis::profile_diff_text(*prof, *next, /*top_n=*/10);
-      std::cout << (moved.empty() ? "profile: no time moved\n" : moved);
-      return 0;
-    }
-    if (mode == "trend") {
-      std::cout << analysis::ledger_trend_text(analysis::ledger_read(paths[0]),
-                                               paths[1]);
-      return 0;
-    }
-    // regress: newest ledger entry vs the committed baseline.
-    const std::vector<support::JsonValue> entries =
-        analysis::ledger_read(paths[0]);
-    if (entries.empty()) {
-      std::cerr << "bernoulli_report: ledger " << paths[0]
-                << " has no entries\n";
+    // mode == "profile": one report's table, or the movement between two.
+    support::JsonValue doc;
+    if (!parse_doc(paths[0], &doc)) return 1;
+    const support::JsonValue* prof = profile_block(doc);
+    if (!prof) {
+      std::cerr << "bernoulli_report: " << paths[0]
+                << " embeds no per-level profile (run the bench with "
+                   "--profile=<file> to record one)\n";
       return 1;
     }
-    support::JsonValue base;
-    if (!parse_doc(paths[1], &base)) return 1;
-    analysis::DiffResult d = analysis::diff_reports(
-        base, entries.back(), tolerance, metric_filter);
-    std::cout << analysis::diff_text(d, tolerance, /*only_changed=*/true);
-    if (!d.ok()) {
-      std::cerr << "bernoulli_report: REGRESSION — newest ledger entry "
-                   "worsens vs "
-                << paths[1] << " beyond tol=" << tolerance << "\n";
-      // Attribution: point at the levels whose self-time moved the most
-      // between the two newest PROFILED ledger entries. The committed
-      // baseline (BENCH_exec.json) carries no profile, and older ledger
-      // entries may predate the profiler — fall back gracefully.
-      const support::JsonValue* next = profile_block(entries.back());
-      const support::JsonValue* prev = nullptr;
-      for (std::size_t i = entries.size() - 1; i-- > 0 && !prev;)
-        prev = profile_block(entries[i]);
-      if (!prev) prev = profile_block(base);
-      if (next && prev) {
-        const std::string moved =
-            analysis::profile_diff_text(*prev, *next, /*top_n=*/3);
-        if (!moved.empty())
-          std::cerr << "top per-level time movements (vs previous profiled "
-                       "entry):\n"
-                    << moved;
-      } else {
-        std::cerr << "(no per-level attribution: "
-                  << (next ? "no earlier profiled ledger entry or baseline"
-                           : "newest entry carries no profile")
-                  << " — run the bench with --profile to record one)\n";
-      }
+    if (paths.size() == 1) {
+      std::cout << analysis::profile_table_text(*prof);
+      return 0;
     }
-    return d.ok() ? 0 : 1;
+    support::JsonValue next_doc;
+    if (!parse_doc(paths[1], &next_doc)) return 1;
+    const support::JsonValue* next = profile_block(next_doc);
+    if (!next) {
+      std::cerr << "bernoulli_report: " << paths[1]
+                << " embeds no per-level profile\n";
+      return 1;
+    }
+    const std::string moved =
+        analysis::profile_diff_text(*prof, *next, /*top_n=*/10);
+    std::cout << (moved.empty() ? "profile: no time moved\n" : moved);
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "bernoulli_report: " << e.what() << "\n";
     return 1;
