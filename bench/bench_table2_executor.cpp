@@ -55,9 +55,13 @@
 //       floor. A ratio of two rungs timed in the same round on the same
 //       host needs no stored baseline; the upper quartile fails only when
 //       three rounds in four read below the floor, so a few disturbed
-//       rounds cannot trip it. Without --small, linked over linked_tN on
-//       the largest CRS case must reach 2.5 instead of 0.55 (on hosts
-//       with >= N hardware threads).
+//       rounds cannot trip it. The gated ratios are interpreted/linked,
+//       linked/linked_tN, csr/bcsr and csr/sell linked, and kernel/linked
+//       per format (the one that sees a slower linked rung; its floors
+//       come from ten --small runs on one 4-vCPU host, see CHANGES.md).
+//       Without --small, linked over linked_tN on the largest CRS case
+//       must reach 2.5 instead of 0.55 (on hosts with >= N hardware
+//       threads).
 //
 // `--metrics=<file>` (any axis) writes the serving-metrics registry as
 // Prometheus text at exit (bench::Options::finish).
@@ -204,6 +208,19 @@ constexpr Gate kCsrOverSell{"csr_linked/sell_linked",
 // at least N hardware threads.
 constexpr Gate kScaling{"linked/linked_tN (scaling)",
                         "speedup_linked_threaded_over_serial", 2.5};
+// The hand kernel over the linked engine, per format. Unlike
+// interpreted/linked, which reads far above its floor, this ratio falls
+// below its floor when the linked rung runs about 2x slower.
+// Each floor is 0.75 x the lowest upper quartile of ten --engine
+// --threads=4 --small runs on one 4-vCPU host (csr 0.53, ccs 0.68,
+// bcsr 0.66, sell 0.65).
+Gate kernel_over_linked(const std::string& format) {
+  const double floor = format == "csr"    ? 0.39
+                       : format == "ccs"  ? 0.51
+                       : format == "bcsr" ? 0.49
+                                          : 0.48;  // sell
+  return {"kernel/linked", "speedup_linked_over_kernel", floor};
+}
 
 // executor.* counter deltas across a run (zero deltas elided).
 std::map<std::string, long long> exec_delta(
@@ -676,6 +693,8 @@ int run_engines(bool small, bool check, int threads,
         gates.push_back(gate(where,
                              c.format == "bcsr" ? kCsrOverBcsr : kCsrOverSell,
                              *run.find("csr", "linked"), linked));
+      gates.push_back(gate(where, kernel_over_linked(c.format),
+                           *run.find(c.format, "kernel"), linked));
       correct = correct && c.ok;
     }
   }

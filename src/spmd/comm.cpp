@@ -53,70 +53,6 @@ void CommSchedule::exchange(runtime::Process& p, VectorView x_full,
   complete(p, x_full, tag);
 }
 
-void CommSchedule::exchange_block(runtime::Process& p, VectorView x_block,
-                                  index_t width, int tag) const {
-  support::TraceSpan span("exchange_block", "comm");
-  span.arg("ghosts", static_cast<long long>(ghosts))
-      .arg("width", static_cast<long long>(width));
-  support::ProfilePhaseScope prof(support::kProfPhaseExchange);
-  support::phase_counter("comm", "exchanges").add();
-  support::phase_counter("comm", "ghost_values").add(ghosts * width);
-  BERNOULLI_CHECK(width >= 1);
-  BERNOULLI_CHECK(static_cast<index_t>(x_block.size()) ==
-                  full_size() * width);
-  std::vector<value_t> buffer;
-  for (int q = 0; q < nprocs; ++q) {
-    const auto& list = send_local[static_cast<std::size_t>(q)];
-    if (list.empty()) continue;
-    buffer.resize(list.size() * static_cast<std::size_t>(width));
-    for (std::size_t k = 0; k < list.size(); ++k)
-      for (index_t r = 0; r < width; ++r)
-        buffer[k * static_cast<std::size_t>(width) +
-               static_cast<std::size_t>(r)] =
-            x_block[static_cast<std::size_t>(list[k] * width + r)];
-    p.send<value_t>(q, tag, buffer);
-  }
-  for (int q = 0; q < nprocs; ++q) {
-    const index_t count = recv_count[static_cast<std::size_t>(q)];
-    if (count == 0) continue;
-    auto data = p.recv<value_t>(q, tag);
-    BERNOULLI_CHECK(static_cast<index_t>(data.size()) == count * width);
-    const index_t base = ghost_base[static_cast<std::size_t>(q)];
-    for (index_t k = 0; k < count; ++k)
-      for (index_t r = 0; r < width; ++r)
-        x_block[static_cast<std::size_t>((base + k) * width + r)] =
-            data[static_cast<std::size_t>(k * width + r)];
-  }
-}
-
-void CommSchedule::reverse_exchange_add(runtime::Process& p,
-                                        VectorView x_full, int tag) const {
-  support::TraceSpan span("reverse_exchange_add", "comm");
-  span.arg("ghosts", static_cast<long long>(ghosts));
-  support::phase_counter("comm", "reverse_exchanges").add();
-  support::phase_counter("comm", "ghost_values").add(ghosts);
-  BERNOULLI_CHECK(static_cast<index_t>(x_full.size()) == full_size());
-  // Ghost slots -> their owners.
-  for (int q = 0; q < nprocs; ++q) {
-    const index_t count = recv_count[static_cast<std::size_t>(q)];
-    if (count == 0) continue;
-    const index_t base = ghost_base[static_cast<std::size_t>(q)];
-    p.send<value_t>(q, tag,
-                    ConstVectorView(x_full).subspan(
-                        static_cast<std::size_t>(base),
-                        static_cast<std::size_t>(count)));
-  }
-  // Owners accumulate into the entries their peers hold ghosts of.
-  for (int q = 0; q < nprocs; ++q) {
-    const auto& list = send_local[static_cast<std::size_t>(q)];
-    if (list.empty()) continue;
-    auto data = p.recv<value_t>(q, tag);
-    BERNOULLI_CHECK(data.size() == list.size());
-    for (std::size_t k = 0; k < list.size(); ++k)
-      x_full[static_cast<std::size_t>(list[k])] += data[k];
-  }
-}
-
 void CommSchedule::validate() const {
   BERNOULLI_CHECK(nprocs >= 1 && owned >= 0 && ghosts >= 0);
   BERNOULLI_CHECK(send_local.size() == static_cast<std::size_t>(nprocs));

@@ -45,21 +45,6 @@ struct CommSchedule {
   /// post + complete back-to-back (the non-overlapping executor).
   void exchange(runtime::Process& p, VectorView x_full, int tag) const;
 
-  /// Multi-vector exchange for SpMM: x_block is (full_size x width)
-  /// row-major; whole rows travel, so one schedule serves any number of
-  /// right-hand sides (the amortization that makes the skinny-dense
-  /// product attractive).
-  void exchange_block(runtime::Process& p, VectorView x_block, index_t width,
-                      int tag) const;
-
-  /// The REVERSE of exchange(): ghost-region values travel back to their
-  /// owners and are ADDED into the owned entries the schedule's send lists
-  /// name. This turns a gather schedule into a scatter-add schedule — the
-  /// communication pattern of the transpose product y = A^T x on
-  /// row-distributed storage.
-  void reverse_exchange_add(runtime::Process& p, VectorView x_full,
-                            int tag) const;
-
   void validate() const;
 };
 

@@ -1,9 +1,8 @@
-// Sparse BLAS extensions: SpMM, transpose kernels, SpGEMM.
+// Sparse BLAS extensions: SpMM, SpGEMM.
 #include <gtest/gtest.h>
 
 #include "blas/spgemm.hpp"
 #include "blas/spmm.hpp"
-#include "blas/transpose.hpp"
 #include "formats/blocksolve.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -102,32 +101,6 @@ TEST(Spmm, BlockSolveStorageMatchesCsr) {
   for (index_t i = 0; i < c1.rows(); ++i)
     for (index_t j = 0; j < 4; ++j)
       ASSERT_NEAR(c1.at(i, j), c2.at(i, j), 1e-10);
-}
-
-TEST(Transpose, ExplicitMatchesCooTranspose) {
-  Coo a = random_matrix(18, 23, 100, 10);
-  Csr at = transpose(Csr::from_coo(a));
-  at.validate();
-  EXPECT_EQ(at.to_coo(), a.transposed());
-}
-
-TEST(Transpose, TwiceIsIdentity) {
-  Coo a = random_matrix(15, 9, 50, 11);
-  Csr acsr = Csr::from_coo(a);
-  EXPECT_EQ(transpose(transpose(acsr)).to_coo(), a);
-}
-
-TEST(Transpose, SpmvTransposeMatchesExplicit) {
-  Coo a = random_matrix(30, 20, 150, 12);
-  Csr acsr = Csr::from_coo(a);
-  Csr at = transpose(acsr);
-  Vector x(30);
-  SplitMix64 rng(13);
-  for (auto& v : x) v = rng.next_double(-1, 1);
-  Vector y1(20), y2(20);
-  spmv_transpose(acsr, x, y1);
-  formats::spmv(at, x, y2);
-  for (std::size_t i = 0; i < 20; ++i) ASSERT_NEAR(y1[i], y2[i], 1e-12);
 }
 
 TEST(Spgemm, MatchesDenseReference) {

@@ -105,53 +105,24 @@ TEST(CommSchedule, RepeatedExchangesAreStable) {
   EXPECT_DOUBLE_EQ(last[1], 400.0 + 2.0);   // iter 4, rank 0, local 2
 }
 
-TEST(CommSchedule, ReverseExchangeReconcilesWithExchange) {
-  // The scatter-add (reverse) direction walks the SAME send lists as the
-  // gather direction, just transposed: every message an exchange sends,
-  // reverse_exchange_add sends back. So on one schedule the two must book
-  // identical message counts and identical byte totals — both in the
-  // machine's CommStats and in the comm.* counter registry.
+TEST(CommSchedule, ExchangeCountersReconcileWithCommStats) {
+  // An exchange books its messages and bytes once, in the counter registry
+  // and in the machine's CommStats alike (rank threads book under the
+  // default "main" phase), and counts one schedule operation per rank.
   support::counters_reset();
-
   runtime::Machine machine(2);
-  auto fwd = machine.run([&](runtime::Process& p) {
+  auto reports = machine.run([&](runtime::Process& p) {
     CommSchedule s = two_rank_schedule(p.rank());
     Vector x_full{1.0 * p.rank(), 2.0, 3.0, 0.0};
     s.exchange(p, x_full, 21);
   });
-  auto fwd_snap = support::counters_snapshot();
-
-  runtime::Machine machine2(2);
-  auto rev = machine2.run([&](runtime::Process& p) {
-    CommSchedule s = two_rank_schedule(p.rank());
-    Vector x_full{0.0, 0.0, 0.0, 7.0 + p.rank()};
-    s.reverse_exchange_add(p, x_full, 22);
-  });
-  auto rev_snap = support::counters_snapshot();
-
-  long long fwd_msgs = fwd[0].stats.messages + fwd[1].stats.messages;
-  long long fwd_bytes = fwd[0].stats.bytes + fwd[1].stats.bytes;
-  long long rev_msgs = rev[0].stats.messages + rev[1].stats.messages;
-  long long rev_bytes = rev[0].stats.bytes + rev[1].stats.bytes;
-  EXPECT_EQ(fwd_msgs, rev_msgs);
-  EXPECT_EQ(fwd_bytes, rev_bytes);
-  EXPECT_GT(fwd_msgs, 0);
-
-  // Counter registry view of the same runs (rank threads book under the
-  // default "main" phase). fwd_snap holds the exchange only; the reverse
-  // run's delta is rev_snap minus fwd_snap.
-  EXPECT_EQ(fwd_snap.counts["comm.main.messages"], fwd_msgs);
-  EXPECT_EQ(fwd_snap.counts["comm.main.bytes"], fwd_bytes);
-  EXPECT_EQ(rev_snap.counts["comm.main.messages"] -
-                fwd_snap.counts["comm.main.messages"],
-            rev_msgs);
-  EXPECT_EQ(rev_snap.counts["comm.main.bytes"] -
-                fwd_snap.counts["comm.main.bytes"],
-            rev_bytes);
-
-  // Schedule-level operation counters.
-  EXPECT_EQ(fwd_snap.counts["comm.main.exchanges"], 2);  // one per rank
-  EXPECT_EQ(rev_snap.counts["comm.main.reverse_exchanges"], 2);
+  auto snap = support::counters_snapshot();
+  const long long msgs = reports[0].stats.messages + reports[1].stats.messages;
+  const long long bytes = reports[0].stats.bytes + reports[1].stats.bytes;
+  EXPECT_GT(msgs, 0);
+  EXPECT_EQ(snap.counts["comm.main.messages"], msgs);
+  EXPECT_EQ(snap.counts["comm.main.bytes"], bytes);
+  EXPECT_EQ(snap.counts["comm.main.exchanges"], 2);
 }
 
 }  // namespace

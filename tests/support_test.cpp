@@ -8,7 +8,6 @@
 #include "support/error.hpp"
 #include "support/json_reader.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/text_table.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -66,25 +65,6 @@ TEST(Rng, DoubleRangeRespected) {
     EXPECT_GE(d, -2.0);
     EXPECT_LT(d, 3.0);
   }
-}
-
-TEST(Stats, MeanMinMax) {
-  RunningStats s;
-  s.add(1.0);
-  s.add(2.0);
-  s.add(3.0);
-  EXPECT_EQ(s.count(), 3);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-}
-
-TEST(Stats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
 }
 
 TEST(TextTable, AlignsColumns) {

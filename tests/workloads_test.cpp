@@ -2,6 +2,7 @@
 // BlockSolve ordering pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "formats/blocksolve.hpp"
@@ -185,6 +186,26 @@ TEST(BsOrdering, PipelineProducesValidOrdering) {
     for (index_t d = 1; d < 5; ++d)
       EXPECT_EQ(ord.old_to_new[static_cast<std::size_t>(node * 5 + d)],
                 base + d);
+  }
+}
+
+TEST(BsOrdering, ColorsAreIndependentSetsOfThePermutedMatrix) {
+  // With singleton cliques no two unknowns of one color are coupled: no
+  // off-diagonal entry of P·A·Pᵀ has both ends in one color's range. This
+  // is what lets a dependence-bearing sweep process a color in parallel.
+  auto g = grid3d_7pt(4, 4, 3, 1, 4);
+  auto ord = blocksolve_ordering(g.matrix, 1, /*max_clique=*/1);
+  auto color_of = [&](index_t k) {
+    auto it = std::upper_bound(ord.color_ptr.begin(), ord.color_ptr.end(), k);
+    return it - ord.color_ptr.begin() - 1;
+  };
+  Coo pa = formats::BsMatrix::build(g.matrix, ord).to_coo_permuted();
+  for (index_t e = 0; e < pa.nnz(); ++e) {
+    const index_t i = pa.rowind()[static_cast<std::size_t>(e)];
+    const index_t j = pa.colind()[static_cast<std::size_t>(e)];
+    if (i != j) {
+      ASSERT_NE(color_of(i), color_of(j)) << "(" << i << ", " << j << ")";
+    }
   }
 }
 
