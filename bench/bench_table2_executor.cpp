@@ -45,8 +45,8 @@
 //       histogram deltas and the deterministic serving-metrics subset;
 //       every CRS, CCS, BCSR and SELL cell fans out on linked_tN;
 //     - one serial linked run books exactly one execute.latency sample
-//       whose nanoseconds equal the execute.wall_ns rate (same integer,
-//       same flush site) and whose model bytes/flops equal the link-time
+//       whose nanoseconds equal the execute.wall_ns count (same integer,
+//       same commit) and whose model bytes/flops equal the link-time
 //       PlanFootprint; under --profile its per-level self times sum to
 //       that run's wall within the documented tolerance;
 //     - linked beats interpreted: the median per-round ratio exceeds 1;
@@ -63,7 +63,7 @@
 //       must reach 2.5 instead of 0.55 (on hosts with >= N hardware
 //       threads).
 //
-// `--metrics=<file>` (any axis) writes the serving-metrics registry as
+// `--metrics=<file>` (any axis) writes the metrics registry as
 // Prometheus text at exit (bench::Options::finish).
 #include <algorithm>
 #include <functional>
@@ -82,8 +82,6 @@
 #include "formats/bsr.hpp"
 #include "formats/ccs.hpp"
 #include "formats/sell.hpp"
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/rng.hpp"
@@ -224,8 +222,8 @@ Gate kernel_over_linked(const std::string& format) {
 
 // executor.* counter deltas across a run (zero deltas elided).
 std::map<std::string, long long> exec_delta(
-    const support::CountersSnapshot& before,
-    const support::CountersSnapshot& after) {
+    const support::MetricsSnapshot& before,
+    const support::MetricsSnapshot& after) {
   std::map<std::string, long long> d;
   for (const auto& [name, value] : after.counts) {
     if (name.rfind("executor.", 0) != 0) continue;
@@ -257,46 +255,43 @@ std::map<std::string, std::vector<long long>> fanout_delta(
 
 // Serving-metrics deltas across one run window (support/metrics.hpp), for
 // the --check reconciliations: the execute.* registry entries plus the
-// executor.runs counter they must agree with.
+// executor.runs count they must agree with.
 struct ExecMetricsDelta {
-  long long runs = 0;     // executor.runs counter
+  long long runs = 0;     // executor.runs
   long long samples = 0;  // execute.latency histogram count
   long long sum_ns = 0;   // execute.latency histogram sum
-  long long wall_ns = 0;  // execute.wall_ns rate
-  long long bytes = 0;    // execute.model_bytes rate
-  long long flops = 0;    // execute.model_flops rate
+  long long wall_ns = 0;  // execute.wall_ns
+  long long bytes = 0;    // execute.model_bytes
+  long long flops = 0;    // execute.model_flops
 };
 
-ExecMetricsDelta exec_metrics_window(const support::CountersSnapshot& c0,
-                                     const support::MetricsSnapshot& m0,
-                                     const support::CountersSnapshot& c1,
+ExecMetricsDelta exec_metrics_window(const support::MetricsSnapshot& m0,
                                      const support::MetricsSnapshot& m1) {
-  auto cnt = [](const support::CountersSnapshot& s, const char* k) {
-    auto it = s.counts.find(k);
-    return it == s.counts.end() ? 0LL : it->second;
-  };
-  auto rate = [](const support::MetricsSnapshot& s, const char* k) {
-    auto it = s.rates.find(k);
-    return it == s.rates.end() ? 0LL : it->second;
+  auto delta = [&](const char* k) {
+    auto count = [k](const support::MetricsSnapshot& s) {
+      auto it = s.counts.find(k);
+      return it == s.counts.end() ? 0LL : it->second;
+    };
+    return count(m1) - count(m0);
   };
   auto lat = [](const support::MetricsSnapshot& s) {
     auto it = s.latencies.find("execute.latency");
     return it == s.latencies.end() ? support::LatencySnapshot{} : it->second;
   };
   ExecMetricsDelta d;
-  d.runs = cnt(c1, "executor.runs") - cnt(c0, "executor.runs");
+  d.runs = delta("executor.runs");
   d.samples = lat(m1).count - lat(m0).count;
   d.sum_ns = lat(m1).sum_ns - lat(m0).sum_ns;
-  d.wall_ns = rate(m1, "execute.wall_ns") - rate(m0, "execute.wall_ns");
-  d.bytes = rate(m1, "execute.model_bytes") - rate(m0, "execute.model_bytes");
-  d.flops = rate(m1, "execute.model_flops") - rate(m0, "execute.model_flops");
+  d.wall_ns = delta("execute.wall_ns");
+  d.bytes = delta("execute.model_bytes");
+  d.flops = delta("execute.model_flops");
   return d;
 }
 
 // The serial-vs-other serving-metrics invariant: the DETERMINISTIC subset
 // must match exactly (sample count, model traffic — integer sums merged in
 // fixed shard order), and each side's histogram sum must equal its own
-// wall_ns rate (the same integer booked at the same flush site). The
+// wall_ns (the same integer booked by the same commit). The
 // timings themselves legitimately differ between the two runs.
 bool deterministic_metrics_match(const ExecMetricsDelta& a,
                                  const ExecMetricsDelta& b) {
@@ -397,15 +392,11 @@ bool FormatCase::reproduces_serial_linked(const std::function<void()>& other) {
   };
   auto observe = [&](const std::function<void()>& run) {
     std::fill(y.begin(), y.end(), 0.0);
-    const auto h0 = support::histograms_snapshot();
-    const auto c0 = support::counters_snapshot();
-    const auto m0 = support::metrics_snapshot();
+    const support::MetricsSnapshot m0 = support::metrics_snapshot();
     run();
-    const auto c1 = support::counters_snapshot();
-    const auto m1 = support::metrics_snapshot();
-    return Window{exec_delta(c0, c1),
-                  fanout_delta(h0, support::histograms_snapshot()),
-                  exec_metrics_window(c0, m0, c1, m1), y};
+    const support::MetricsSnapshot m1 = support::metrics_snapshot();
+    return Window{exec_delta(m0, m1), fanout_delta(m0.log2, m1.log2),
+                  exec_metrics_window(m0, m1), y};
   };
   compiler::LinkedRunner serial(compiler::link_plan(k.plan(), k.query()));
   const Window a = observe([&] { serial.run(mac); });
@@ -416,22 +407,20 @@ bool FormatCase::reproduces_serial_linked(const std::function<void()>& other) {
 
 // Serving-metrics reconciliation over one warm serial linked run: it books
 // exactly one execute.latency sample, its nanoseconds equal the
-// execute.wall_ns rate delta (the same integer, booked at the same flush
-// site), and the model-traffic rates advance by exactly the link-time
+// execute.wall_ns delta (the same integer, booked by the same commit),
+// and the model-traffic counts advance by exactly the link-time
 // footprint (exact for these flat cases). Under --profile, the per-level
-// self times the flush committed must also sum to the run's wall within
+// self times the run committed must also sum to the run's wall within
 // the documented tolerance — the estimate is sampled + extrapolated, so
 // the bound is [25%, 150%] of wall (the estimator clamps each run's total
 // at 100% of its own wall; the upper slack only absorbs snapshot boundary
 // noise).
 void FormatCase::check_linked_metrics() {
   const compiler::PlanFootprint& footprint = linked->linked().footprint;
-  const auto c0 = support::counters_snapshot();
-  const auto m0 = support::metrics_snapshot();
-  const support::ProfileSnapshot p0 = support::profile_snapshot();
+  const support::MetricsSnapshot m0 = support::metrics_snapshot();
   linked->run(mac);
-  const ExecMetricsDelta d = exec_metrics_window(
-      c0, m0, support::counters_snapshot(), support::metrics_snapshot());
+  const support::MetricsSnapshot m1 = support::metrics_snapshot();
+  const ExecMetricsDelta d = exec_metrics_window(m0, m1);
   if (d.runs != 1 || d.samples != d.runs || d.sum_ns != d.wall_ns ||
       (footprint.exact && (d.bytes != footprint.total_bytes() ||
                            d.flops != footprint.flops))) {
@@ -444,7 +433,7 @@ void FormatCase::check_linked_metrics() {
   }
   if (!support::profiling_enabled()) return;
   const long long self =
-      support::profile_snapshot().total_self_ns() - p0.total_self_ns();
+      m1.profile.total_self_ns() - m0.profile.total_self_ns();
   if (self <= 0 || 2 * self > 3 * d.wall_ns || 4 * self < d.wall_ns) {
     ok = false;
     std::cerr << "  [" << format << " profile reconciliation MISMATCH: "

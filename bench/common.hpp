@@ -35,7 +35,7 @@ namespace bernoulli::bench {
 /// The flags every bench spells identically, parsed in ONE place so a new
 /// flag (like --metrics) lands in every tool at once:
 ///   --trace=<f> --comm-matrix --report=<f>   observability (ObsOptions)
-///   --metrics=<f>   Prometheus text exposition of the serving-metrics
+///   --metrics=<f>   Prometheus text exposition of the metrics
 ///                   registry, written by finish() at the end of the run
 ///   --profile=<f>   enables per-level time attribution for the whole run
 ///                   and writes collapsed-stack flamegraph lines

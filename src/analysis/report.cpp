@@ -8,9 +8,7 @@
 #include <sstream>
 
 #include "analysis/attribution.hpp"
-#include "support/counters.hpp"
 #include "support/error.hpp"
-#include "support/histogram.hpp"
 #include "support/json_writer.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
@@ -152,10 +150,9 @@ std::string RunReport::json(int indent) const {
 
   // Registry snapshots, taken now (build the report after obs_end()).
   w.key("comm_matrix").raw(support::comm_matrix_json());
-  w.key("histograms").raw(support::histograms_json());
-  w.key("counters").raw(support::counters_json());
-  // The serving-metrics registry (support/metrics.hpp), embedded as its
-  // own schema so metrics-only consumers can lift the block out verbatim.
+  // The metrics registry (support/metrics.hpp) — counts, seconds,
+  // gauges, latency and log2 histograms — embedded as its own schema so
+  // metrics-only consumers can lift the block out verbatim.
   w.key("metrics_registry").raw(support::metrics_json());
   // Per-level time attribution (support/profile.hpp): a
   // bernoulli.profile.v1 block when the run profiled, "{}" otherwise —

@@ -24,8 +24,9 @@
 //    "comm_checks": {"name": {"predicted_*": n, "measured_*": n}},
 //    "solves": [<SolveRecord>...],
 //    "critical_path": <critical_path_json> | null,
-//    "comm_matrix": {...}, "histograms": {...}, "counters": {...},
-//    "metrics_registry": <bernoulli.metrics.v1>,
+//    "comm_matrix": {...},
+//    "metrics_registry": <bernoulli.metrics.v2>,  // every count, time,
+//                        // gauge and histogram (support/metrics.hpp)
 //    "profile_registry": <bernoulli.profile.v1> | {}}  // per-level time
 //                        // attribution (support/profile.hpp); {} when the
 //                        // run never enabled profiling

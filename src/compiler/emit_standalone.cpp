@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
-#include "support/histogram.hpp"
+#include "support/metrics.hpp"
 #include "support/profile.hpp"
 
 namespace bernoulli::compiler {

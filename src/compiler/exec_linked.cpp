@@ -15,8 +15,9 @@
 //     cursors instead of materializing every segment first — same step
 //     count, same enumerated totals (unconsumed elements are accounted at
 //     frame close; every cursor knows its extent), no allocation;
-//   - counters and fan-out histograms accumulate in plain locals and
-//     flush once per run instead of one relaxed-atomic add per event.
+//   - counts, fan-out buckets and the profile accumulate in the run
+//     record and commit once per run instead of one registry add per
+//     event.
 //
 // ParallelRunner (bottom of this file) workshares the outermost
 // enumerate level across the shared thread pool when the link-time
@@ -24,8 +25,8 @@
 // grid over the outer cursor range, or for owner-computes plans (CCS
 // y += A·x) one range of output rows per worker with its segment of
 // every column cut by an inspector at construction. Per-worker runners
-// keep private scratch and counter/fan-out shards, merged and flushed
-// once per run so observability stays exact — same executor.* deltas,
+// keep private scratch and run records, merged and committed once per
+// run so observability stays exact — same executor.* deltas,
 // same histogram samples, same trace span totals as a serial run, for
 // any thread count.
 #include <algorithm>
@@ -42,9 +43,7 @@
 #include <vector>
 
 #include "compiler/link.hpp"
-#include "support/counters.hpp"
 #include "support/error.hpp"
-#include "support/histogram.hpp"
 #include "support/json_writer.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
@@ -54,47 +53,6 @@
 namespace bernoulli::compiler {
 
 namespace {
-
-// Same registry names as the interpreter (executor.cpp) — by-name lookup
-// yields the same Counter objects, so the two engines feed one ledger.
-struct LinkedCounters {
-  support::Counter& runs = support::counter("executor.runs");
-  support::Counter& tuples = support::counter("executor.tuples");
-  support::Counter& enumerated = support::counter("executor.enumerated");
-  support::Counter& merge_steps = support::counter("executor.merge_steps");
-  support::Counter& probe_hits = support::counter("executor.probe_hits");
-  support::Counter& probe_misses = support::counter("executor.probe_misses");
-  support::Counter& fill_ins = support::counter("executor.fill_ins");
-  support::Counter& merge_segment_bytes =
-      support::counter("executor.merge_segment_bytes");
-};
-
-LinkedCounters& linked_counters() {
-  static LinkedCounters c;
-  return c;
-}
-
-// Serving-era metrics, booked once per run at the same flush site as the
-// executor.* counters so the two ledgers reconcile: latency histogram
-// count == executor.runs delta, histogram sum == execute.wall_ns (the same
-// integer nanoseconds recorded into both). Same names across the
-// interpreter, linked, threaded and specialized engines.
-struct ServeMetrics {
-  support::LatencyHistogram& latency =
-      support::metric_latency("execute.latency");
-  support::MetricRate& wall_ns = support::metric_rate("execute.wall_ns");
-  support::MetricRate& model_bytes =
-      support::metric_rate("execute.model_bytes");
-  support::MetricRate& model_flops =
-      support::metric_rate("execute.model_flops");
-  support::TimeCounter& wall_seconds =
-      support::time_counter("executor.wall_seconds");
-};
-
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m;
-  return m;
-}
 
 long long wall_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -138,7 +96,8 @@ bool bulk_drain_enabled() {
   return g_bulk_drain.load(std::memory_order_relaxed);
 }
 
-bool LinkedRunner::resolve_probes(const LinkedLevel& lv, LocalCounters& c) {
+bool LinkedRunner::resolve_probes(const LinkedLevel& lv,
+                                  support::WorkCounts& c) {
   for (const LinkedProbe& pr : lv.probes) {
     const index_t idx = vars_[static_cast<std::size_t>(pr.var_slot)];
     const index_t parent =
@@ -221,7 +180,7 @@ void LinkedRunner::open_frame(std::size_t d) {
   }
 }
 
-bool LinkedRunner::next_binding(std::size_t d, LocalCounters& c) {
+bool LinkedRunner::next_binding(std::size_t d, support::WorkCounts& c) {
   Frame& f = frames_[d];
   const LinkedLevel& lv = lp_.levels[d];
 
@@ -299,7 +258,7 @@ bool LinkedRunner::next_binding(std::size_t d, LocalCounters& c) {
   }
 }
 
-void LinkedRunner::close_frame(std::size_t d, LocalCounters& c,
+void LinkedRunner::close_frame(std::size_t d, support::WorkCounts& c,
                                RunStats* stats) {
   Frame& f = frames_[d];
   const LinkedLevel& lv = lp_.levels[d];
@@ -318,8 +277,7 @@ void LinkedRunner::close_frame(std::size_t d, LocalCounters& c,
     // histogram total. Hand the count to the coordinator instead.
     *chunk_outer_produced_ += f.inv_produced;
   } else {
-    ++fanout_local_[d][static_cast<std::size_t>(
-        support::Log2Histogram::bucket_of(f.inv_produced))];
+    rec_.add_fanout(d, f.inv_produced);
   }
   if (stats) {
     stats->levels[d].enumerated += f.inv_enumerated;
@@ -327,56 +285,17 @@ void LinkedRunner::close_frame(std::size_t d, LocalCounters& c,
   }
 }
 
-void LinkedRunner::flush(const LocalCounters& c, RunStats* stats,
-                         long long wall_ns) {
-  if (capture_ != nullptr) {
-    capture_->tuples = c.tuples;
-    capture_->enumerated = c.enumerated;
-    capture_->merge_steps = c.merge_steps;
-    capture_->probe_hits = c.probe_hits;
-    capture_->probe_misses = c.probe_misses;
-    capture_->fill_ins = c.fill_ins;
-    capture_->merge_segment_bytes = c.merge_segment_bytes;
-    capture_->fanout = fanout_local_;  // copy BEFORE booking zeroes it
-  }
-  // The whole group below — latency sample, wall_ns, counters, fan-out,
-  // profile — commits under the observability commit lock so a concurrent
-  // metrics_snapshot() can never see half of this run (the
-  // execute.latency.sum_ns == execute.wall_ns invariant).
-  const std::unique_lock<std::mutex> commit = support::metrics_commit_lock();
-  ServeMetrics& m = serve_metrics();
-  m.latency.record_ns(wall_ns);
-  m.wall_ns.add(wall_ns);
-  m.wall_seconds.add(static_cast<double>(wall_ns) * 1e-9);
-  if (lp_.footprint.exact) {
-    m.model_bytes.add(lp_.footprint.total_bytes());
-    m.model_flops.add(lp_.footprint.flops);
-  }
-  LinkedCounters& ctr = linked_counters();
-  ctr.runs.add(1);
-  ctr.tuples.add(c.tuples);
-  ctr.enumerated.add(c.enumerated);
-  ctr.merge_steps.add(c.merge_steps);
-  ctr.probe_hits.add(c.probe_hits);
-  ctr.probe_misses.add(c.probe_misses);
-  ctr.fill_ins.add(c.fill_ins);
-  ctr.merge_segment_bytes.add(c.merge_segment_bytes);
-  for (std::size_t d = 0; d < fanout_local_.size(); ++d) {
-    for (int b = 0; b < support::Log2Histogram::kBuckets; ++b) {
-      long long& n = fanout_local_[d][static_cast<std::size_t>(b)];
-      if (n == 0) continue;
-      // Bucket b's representative value: bucket_of(rep) == b.
-      lp_.levels[d].fanout->add(b == 0 ? 0 : (1LL << (b - 1)), n);
-      n = 0;
-    }
-  }
-  if (stats) stats->tuples = c.tuples;
-  // Per-level time attribution rides the same once-per-run flush; the
-  // scratch is zero unless profiling was enabled during the run.
-  if (prof_.any()) {
-    support::profile_flush(prof_, wall_ns);
-    prof_.reset(0);
-  }
+void LinkedRunner::begin_record() {
+  rec_.begin(lp_.levels.size());
+  if (support::profiling_enabled())
+    rec_.profile.levels = static_cast<int>(
+        std::min<std::size_t>(lp_.levels.size(), support::kProfileMaxLevels));
+}
+
+void LinkedRunner::commit(RunStats* stats, long long wall_ns) {
+  rec_.wall_ns = wall_ns;
+  lp_.sink.commit(rec_);
+  if (stats) stats->tuples = rec_.work.tuples;
 }
 
 // Classifies the mac operands against the leaf level so try_bulk (below)
@@ -725,7 +644,7 @@ struct LinkedRunner::MacSink {
   // fused loop, booking counters/stats in bulk. Returns false (nothing
   // consumed, nothing booked) when the invocation is not provably all-hit,
   // so the caller's per-element path keeps exact miss semantics.
-  bool try_bulk(std::size_t d, LocalCounters& c) const {
+  bool try_bulk(std::size_t d, support::WorkCounts& c) const {
     if (!r.bulk_ok_ || !bulk_drain_enabled()) return false;
     Frame& f = r.frames_[d];
     const LinkedLevel& lv = r.lp_.levels[d];
@@ -893,7 +812,7 @@ struct LinkedRunner::MacSink {
   long long drain_rows(index_t k0, index_t k1,
                        const OwnerPart* part = nullptr) const {
     const relation::LevelDescriptor& leaf = r.lp_.levels[1].drivers[0].desc;
-    long long* const fan1 = r.fanout_local_[1].data();
+    long long* const fan1 = r.rec_.fanout_level(1);
     using K = relation::LevelDescriptor::Kind;
     const index_t p0 = r.outer_parent_off_ + k0;  // leaf parent at row k0
     const index_t* const ptr = leaf.ptr;
@@ -987,7 +906,7 @@ struct LinkedRunner::MacSink {
   // Books w drained leaf tuples: each enumerates, hits every leaf probe
   // and produces; with profiling on (prof), one exact interval since
   // prof_t0 under the leaf's drain kind.
-  void book_leaf(LocalCounters& c, RunStats* st, long long w, bool prof,
+  void book_leaf(support::WorkCounts& c, RunStats* st, long long w, bool prof,
                  long long prof_t0) const {
     const LinkedLevel& lv1 = r.lp_.levels[1];
     c.tuples += w;
@@ -1003,9 +922,9 @@ struct LinkedRunner::MacSink {
       const int pk = kind == K::kBlocked  ? support::kProfBlocked
                      : kind == K::kSliced ? support::kProfSliced
                                           : support::kProfBulk;
-      r.prof_.add_work(1, pk, w);
+      r.rec_.profile.add_work(1, pk, w);
       if (w > 0)
-        r.prof_.book_ns(1, pk, support::profile_now_ns() - prof_t0, w);
+        r.rec_.profile.book_ns(1, pk, support::profile_now_ns() - prof_t0, w);
     }
   }
 
@@ -1019,7 +938,7 @@ struct LinkedRunner::MacSink {
   // samples, per-level stats and profile work counts book exactly what
   // the per-row path books (order-invariant totals). Chunk clamps are
   // respected: only the frame's own [cur, end) is consumed.
-  void try_outer(LocalCounters& c, RunStats* st) const {
+  void try_outer(support::WorkCounts& c, RunStats* st) const {
     if (!r.outer_ok_ || !bulk_drain_enabled()) return;
     relation::Cursor& cur = r.frames_[0].cursors[0];  // a dense row range
     if (!cur.valid()) return;
@@ -1042,7 +961,7 @@ struct LinkedRunner::MacSink {
     r.frames_[0].inv_enumerated += rows;
     r.frames_[0].inv_produced += rows;
     c.probe_hits += rows * static_cast<long long>(lv0.probes.size());
-    if (prof) r.prof_.add_work(0, support::kProfTuple, rows);
+    if (prof) r.rec_.profile.add_work(0, support::kProfTuple, rows);
     book_leaf(c, st, w, prof, prof_t0);
   }
 
@@ -1052,7 +971,7 @@ struct LinkedRunner::MacSink {
   // level-1 fan-out of its slice of columns from FULL column lengths —
   // the samples the serial drain books per column. Level 0 is booked by
   // the coordinator.
-  void drain_owned(LocalCounters& c, RunStats* st,
+  void drain_owned(support::WorkCounts& c, RunStats* st,
                    const OwnerPart& part) const {
     const bool prof = support::profiling_enabled();
     const long long prof_t0 = prof ? support::profile_now_ns() : 0;
@@ -1061,7 +980,7 @@ struct LinkedRunner::MacSink {
             ? drain_rows<false>(part.col_lo, part.col_hi, &part)
             : 0;
     const index_t* const ptr = r.lp_.levels[1].drivers[0].desc.ptr;
-    long long* const fan1 = r.fanout_local_[1].data();
+    long long* const fan1 = r.rec_.fanout_level(1);
     for (index_t k = part.fan_lo; k < part.fan_hi; ++k) {
       const index_t p = r.outer_parent_off_ + k;
       ++fan1[static_cast<std::size_t>(
@@ -1072,7 +991,7 @@ struct LinkedRunner::MacSink {
 };
 
 template <class Sink>
-void LinkedRunner::drain_enumerate_leaf(std::size_t d, LocalCounters& c,
+void LinkedRunner::drain_enumerate_leaf(std::size_t d, support::WorkCounts& c,
                                         Sink&& sink, bool prof_time) {
   // Drain-kind attribution: the whole invocation books one work count (and,
   // inside a sampled bracket, one timestamp pair — never per tuple) under
@@ -1088,10 +1007,10 @@ void LinkedRunner::drain_enumerate_leaf(std::size_t d, LocalCounters& c,
         const int kind =
             blocked ? support::kProfBlocked : support::kProfBulk;
         const long long w = c.tuples - prof_w0;
-        prof_.add_work(static_cast<int>(d), kind, w);
+        rec_.profile.add_work(static_cast<int>(d), kind, w);
         if (prof_time)
-          prof_.book_ns(static_cast<int>(d), kind,
-                        support::profile_now_ns() - prof_t0, w);
+          rec_.profile.book_ns(static_cast<int>(d), kind,
+                               support::profile_now_ns() - prof_t0, w);
       }
       return;
     }
@@ -1155,38 +1074,35 @@ void LinkedRunner::drain_enumerate_leaf(std::size_t d, LocalCounters& c,
   }
   f.inv_produced += produced;
   if (profiling) {
-    prof_.add_work(static_cast<int>(d), support::kProfTuple, produced);
+    rec_.profile.add_work(static_cast<int>(d), support::kProfTuple, produced);
     if (prof_time)
-      prof_.book_ns(static_cast<int>(d), support::kProfTuple,
-                    support::profile_now_ns() - prof_t0, produced);
+      rec_.profile.book_ns(static_cast<int>(d), support::kProfTuple,
+                           support::profile_now_ns() - prof_t0, produced);
   }
 }
 
 template <class Sink>
 void LinkedRunner::run_impl(Sink&& sink, RunStats* stats) {
-  LocalCounters c;
   const long long t0 = wall_now_ns();
   const std::size_t L = lp_.levels.size();
-  if (support::profiling_enabled())
-    prof_.levels = static_cast<int>(
-        std::min<std::size_t>(L, support::kProfileMaxLevels));
+  begin_record();
   if (stats) {
     stats->tuples = 0;
     stats->levels.assign(L, LevelRunStats{});
   }
   if (L == 0) {
-    ++c.tuples;
+    ++rec_.work.tuples;
     sink();
-    flush(c, stats, wall_now_ns() - t0);
-    return;
+  } else {
+    run_span(sink, rec_.work, stats, 0, -1);
   }
-  run_span(sink, c, stats, 0, -1);
-  flush(c, stats, wall_now_ns() - t0);
+  commit(stats, wall_now_ns() - t0);
 }
 
 template <class Sink>
-void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
-                            index_t chunk_begin, index_t chunk_count) {
+void LinkedRunner::run_span(Sink&& sink, support::WorkCounts& c,
+                            RunStats* stats, index_t chunk_begin,
+                            index_t chunk_count) {
   std::fill(vars_.begin(), vars_.end(), static_cast<index_t>(-1));
   std::fill(pos_.begin(), pos_.end(), static_cast<index_t>(-1));
 
@@ -1209,7 +1125,7 @@ void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
   // per level TRANSITION books the elapsed segment to the level the engine
   // was executing (self time; book_ns also feeds every enclosing level's
   // inclusive slot). Leaf drains bracket the whole invocation. Work counts
-  // are always on while profiling so the flush can extrapolate sampled
+  // are always on while profiling so the commit can extrapolate sampled
   // nanoseconds by the exact work ratio.
   const bool prof_on = support::profiling_enabled();
   bool prof_bracket = false;
@@ -1229,8 +1145,8 @@ void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
       if (prof_bracket) {
         // Segment since the last transition: this level's frame setup.
         const long long t = support::profile_now_ns();
-        prof_.book_ns(static_cast<int>(d), prof_kind_of(d), t - prof_last,
-                      0);
+        rec_.profile.book_ns(static_cast<int>(d), prof_kind_of(d),
+                             t - prof_last, 0);
       }
       // A single-level plan drains the whole run in one invocation —
       // bracket it exactly rather than sampling.
@@ -1242,14 +1158,14 @@ void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
       --d;
     } else if (next_binding(d, c)) {
       if (prof_on) {
-        prof_.add_work(static_cast<int>(d), prof_kind_of(d), 1);
+        rec_.profile.add_work(static_cast<int>(d), prof_kind_of(d), 1);
         if (d == 0) {
           // Outer-binding boundary: close the open bracket (the trailing
           // segment covers this binding's enumeration) and open a new one
           // every kProfileSampleEvery-th binding.
           if (prof_bracket) {
             const long long t = support::profile_now_ns();
-            prof_.book_ns(0, prof_kind_of(0), t - prof_last, 1);
+            rec_.profile.book_ns(0, prof_kind_of(0), t - prof_last, 1);
             prof_bracket = false;
           }
           if (prof_outer_++ % support::kProfileSampleEvery == 0) {
@@ -1259,8 +1175,8 @@ void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
         } else if (prof_bracket && d != leaf) {
           // Descending: the segment was level-d enumeration + probes.
           const long long t = support::profile_now_ns();
-          prof_.book_ns(static_cast<int>(d), prof_kind_of(d),
-                        t - prof_last, 1);
+          rec_.profile.book_ns(static_cast<int>(d), prof_kind_of(d),
+                               t - prof_last, 1);
           prof_last = t;
         }
         // Per-tuple leaf bindings take no stamp; their time books at the
@@ -1276,8 +1192,8 @@ void LinkedRunner::run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
     } else {
       if (prof_bracket) {
         const long long t = support::profile_now_ns();
-        prof_.book_ns(static_cast<int>(d), prof_kind_of(d), t - prof_last,
-                      0);
+        rec_.profile.book_ns(static_cast<int>(d), prof_kind_of(d),
+                             t - prof_last, 0);
         prof_last = t;
         if (d == 0) prof_bracket = false;
       }
@@ -1447,52 +1363,33 @@ void ParallelRunner::inspect_owner() {
   }
 }
 
-void ParallelRunner::merge_flush(const std::vector<Shard>& shards,
-                                 RunStats* st, long long t0) {
+void ParallelRunner::merge_commit(const std::vector<Shard>& shards,
+                                  RunStats* st, long long t0) {
   LinkedRunner& r0 = *workers_.front();
   const std::size_t L = r0.lp_.levels.size();
-  LinkedRunner::LocalCounters total;
   long long outer_produced = 0;
   RunStats merged;
   merged.levels.assign(L, LevelRunStats{});
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     const Shard& ws = shards[w];
-    total.tuples += ws.c.tuples;
-    total.enumerated += ws.c.enumerated;
-    total.merge_steps += ws.c.merge_steps;
-    total.probe_hits += ws.c.probe_hits;
-    total.probe_misses += ws.c.probe_misses;
-    total.fill_ins += ws.c.fill_ins;
-    total.merge_segment_bytes += ws.c.merge_segment_bytes;
     outer_produced += ws.outer_produced;
     for (std::size_t d = 0; d < L; ++d) {
       merged.levels[d].enumerated += ws.stats.levels[d].enumerated;
       merged.levels[d].produced += ws.stats.levels[d].produced;
     }
-    if (w != 0) {
-      for (std::size_t d = 0; d < L; ++d)
-        for (std::size_t b = 0; b < r0.fanout_local_[d].size(); ++b)
-          r0.fanout_local_[d][b] += workers_[w]->fanout_local_[d][b];
-      for (auto& buckets : workers_[w]->fanout_local_)
-        std::fill(buckets.begin(), buckets.end(), 0);
-      // Profile shards merge exactly like the counter shards: plain
-      // sums into the coordinator's scratch, flushed once below.
-      r0.prof_.merge(workers_[w]->prof_);
-      workers_[w]->prof_.reset(0);
-    }
+    if (w != 0) r0.rec_.merge(workers_[w]->rec_);
   }
-  ++r0.fanout_local_[0][static_cast<std::size_t>(
-      support::Log2Histogram::bucket_of(outer_produced))];
-  r0.flush(total, nullptr, wall_now_ns() - t0);
+  r0.rec_.add_fanout(0, outer_produced);
+  r0.commit(nullptr, wall_now_ns() - t0);
   if (st) {
-    st->tuples = total.tuples;
+    st->tuples = r0.rec_.work.tuples;
     st->levels = std::move(merged.levels);
   }
 }
 
 // The coordinator: deterministic chunk grid over the outer cursor range,
 // guided assignment (workers pull the next chunk off one atomic), shards
-// merged and flushed ONCE — counters, fan-out histograms, stats and the
+// merged and committed ONCE — counts, fan-out buckets, stats and the
 // trace all reconcile exactly with a serial run of the same plan.
 template <class MakeSink>
 void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
@@ -1501,7 +1398,7 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
   run_note_.clear();
   traced(r0.lp_, stats, [&](RunStats* st) {
     // One latency sample per run covering the whole fan-out, booked by the
-    // coordinator's single flush — same sample count as a serial run.
+    // coordinator's single commit — same sample count as a serial run.
     const long long t0 = wall_now_ns();
     // The outer extent, probed once: every worker's level-0 cursor opens
     // on the same root parent, so worker 0's view of the range is THE
@@ -1536,9 +1433,7 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
           Shard& ws = shards[static_cast<std::size_t>(slot)];
           ws.stats.levels.assign(L, LevelRunStats{});
           r.chunk_outer_produced_ = &ws.outer_produced;
-          if (support::profiling_enabled())
-            r.prof_.levels = static_cast<int>(
-                std::min<std::size_t>(L, support::kProfileMaxLevels));
+          r.begin_record();
           auto sink = make_sink(r);
           std::unique_ptr<support::TraceSpan> span;
           if (tracing) span = worker_span(slot, coordinator);
@@ -1546,14 +1441,14 @@ void ParallelRunner::run_parallel(MakeSink&& make_sink, RunStats* stats) {
             const index_t k = next.fetch_add(1, std::memory_order_relaxed);
             const index_t begin = k * chunk;
             if (begin >= extent) break;
-            r.run_span(sink, ws.c, &ws.stats, begin, chunk);
+            r.run_span(sink, r.rec_.work, &ws.stats, begin, chunk);
             ++ws.chunks;
           }
           r.chunk_outer_produced_ = nullptr;
           if (span)
-            span->arg("chunks", ws.chunks).arg("tuples", ws.c.tuples);
+            span->arg("chunks", ws.chunks).arg("tuples", r.rec_.work.tuples);
         });
-    merge_flush(shards, st, t0);
+    merge_commit(shards, st, t0);
   });
 }
 
@@ -1579,7 +1474,7 @@ void ParallelRunner::run_owner(const LinkedMac& mac, RunStats* stats) {
       const LinkedRunner::OwnerPart& part =
           parts_[static_cast<std::size_t>(slot)];
       ws.stats.levels.assign(L, LevelRunStats{});
-      if (prof) r.prof_.levels = static_cast<int>(L);
+      r.begin_record();
       std::unique_ptr<support::TraceSpan> span;
       if (tracing) {
         span = worker_span(slot, coordinator);
@@ -1592,20 +1487,21 @@ void ParallelRunner::run_owner(const LinkedMac& mac, RunStats* stats) {
         r.prepare_bulk(mac);
         r.prepare_outer();
       }
-      LinkedRunner::MacSink{r, mac, tslot}.drain_owned(ws.c, &ws.stats, part);
-      if (span) span->arg("tuples", ws.c.tuples);
+      LinkedRunner::MacSink{r, mac, tslot}.drain_owned(r.rec_.work, &ws.stats,
+                                                       part);
+      if (span) span->arg("tuples", r.rec_.work.tuples);
     });
     const index_t cols = r0.lp_.levels[0].drivers[0].desc.extent;
     Shard& s0 = shards.front();
     s0.outer_produced = cols;
-    s0.c.enumerated += cols;
-    s0.c.probe_hits +=
+    r0.rec_.work.enumerated += cols;
+    r0.rec_.work.probe_hits +=
         static_cast<long long>(cols) *
         static_cast<long long>(r0.lp_.levels[0].probes.size());
     s0.stats.levels[0].enumerated += cols;
     s0.stats.levels[0].produced += cols;
-    if (prof) r0.prof_.add_work(0, support::kProfTuple, cols);
-    merge_flush(shards, st, t0);
+    if (prof) r0.rec_.profile.add_work(0, support::kProfTuple, cols);
+    merge_commit(shards, st, t0);
   });
 }
 

@@ -13,7 +13,7 @@
 //
 // The estimates printed here are exactly Plan::est_iterations/est_cost —
 // EXPLAIN never recomputes costs, so what it shows is what the planner
-// ranked. Pair with support/counters.hpp snapshots to compare estimates
+// ranked. Pair with support/metrics.hpp snapshots to compare estimates
 // against measured probe/merge/tuple counts.
 #pragma once
 

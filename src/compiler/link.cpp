@@ -8,7 +8,7 @@
 
 #include "compiler/explain.hpp"
 #include "support/error.hpp"
-#include "support/histogram.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::compiler {
 
@@ -214,8 +214,6 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
       if (pr.insert_on_miss) pr.search = relation::SearchSpec{};
       ll.probes.push_back(pr);
     }
-    ll.fanout =
-        &support::histogram("executor.fanout.level" + std::to_string(d));
     ll.proved_all_hit = prove_all_hit(pl, q);
     lp.levels.push_back(std::move(ll));
   }
@@ -240,6 +238,7 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
   lp.owner_computes = leg.owner_computes;
   lp.parallel_note = std::move(leg.note);
   lp.footprint = derive_footprint(plan, q);
+  lp.sink = support::RunSink(lp.levels.size());
   return lp;
 }
 
@@ -586,11 +585,14 @@ LinkedRunner::LinkedRunner(LinkedPlan lp) : lp_(std::move(lp)) {
   pos_.assign(static_cast<std::size_t>(lp_.pos_slots), -1);
   leaf_.assign(q.relations.size(), -1);
   frames_.resize(lp_.levels.size());
-  fanout_local_.resize(lp_.levels.size());
   for (std::size_t d = 0; d < lp_.levels.size(); ++d) {
     frames_[d].cursors.resize(lp_.levels[d].drivers.size());
     frames_[d].bufs.resize(lp_.levels[d].drivers.size());
-    fanout_local_[d].assign(support::Log2Histogram::kBuckets, 0);
+  }
+  rec_.begin(lp_.levels.size());
+  if (lp_.footprint.exact) {
+    rec_.model_bytes = lp_.footprint.total_bytes();
+    rec_.model_flops = lp_.footprint.flops;
   }
 }
 

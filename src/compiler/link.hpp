@@ -33,11 +33,7 @@
 
 #include "compiler/executor.hpp"
 #include "relation/cursor.hpp"
-#include "support/profile.hpp"
-
-namespace bernoulli::support {
-class Log2Histogram;
-}
+#include "support/metrics.hpp"
 
 namespace bernoulli::compiler {
 
@@ -70,7 +66,6 @@ struct LinkedLevel {
   int var_slot = 0;
   std::vector<LinkedAccess> drivers;  // 1 for enumerate, 2+ for merge
   std::vector<LinkedProbe> probes;
-  support::Log2Histogram* fanout = nullptr;  // executor.fanout.level<d>
   // Link-time always-hit proof: every probe at this level is an identity /
   // affine search with no insert-on-miss, and the driver's whole index
   // range provably lands inside every probe's accepting window. When true
@@ -139,6 +134,10 @@ struct LinkedPlan {
   // Static per-run data-movement model (see PlanFootprint). Derived by
   // link_plan; feeds execute.model_bytes / execute.model_flops metrics.
   PlanFootprint footprint;
+  // The registry handles every run of this plan commits its RunRecord
+  // through (executor.*, execute.*, executor.fanout.level<d>), resolved
+  // by link_plan so no run does a by-name lookup.
+  support::RunSink sink;
 };
 
 /// Validates `q` and lowers the pair. The result borrows both arguments.
@@ -232,11 +231,11 @@ bool bulk_drain_enabled();
 bool leaf_probes_allow_bulk(const LinkedLevel& lv);
 
 /// Runs a LinkedPlan. Owns all executor scratch (frames, cursor buffers,
-/// merge state, local counter blocks), reused across runs — after the
-/// first run of a given plan, steady state performs no heap allocation.
-/// Observability is batched: executor.* counters and fan-out histograms
-/// are accumulated in plain locals and flushed once per run, preserving
-/// the exact totals the interpreter books per event.
+/// merge state, the run record), reused across runs — after the first
+/// run of a given plan, steady state performs no heap allocation.
+/// Observability is batched: executor.* counts, fan-out buckets and the
+/// profile accumulate in a support::RunRecord and commit once per run,
+/// preserving the exact totals the interpreter books.
 class LinkedRunner {
  public:
   explicit LinkedRunner(LinkedPlan lp);
@@ -251,30 +250,11 @@ class LinkedRunner {
   /// that also skips the per-tuple std::function and virtual value access.
   void run(const LinkedMac& mac, RunStats* stats = nullptr);
 
-  /// One run's observability delta — exactly what flush() books into the
-  /// executor.* counters and the per-level fan-out histograms, captured as
-  /// plain numbers. The KernelServer records one of these from a cached
-  /// plan's first run and REPLAYS it (times k, under the metrics commit
-  /// lock) when a batched multi-vector sweep stands in for k engine runs,
-  /// so counters and histograms reconcile exactly with the unbatched path.
-  struct FlushDelta {
-    long long tuples = 0;
-    long long enumerated = 0;
-    long long merge_steps = 0;
-    long long probe_hits = 0;
-    long long probe_misses = 0;
-    long long fill_ins = 0;
-    long long merge_segment_bytes = 0;
-    /// Per-level fan-out bucket counts, kBuckets wide per level
-    /// (support/histogram.hpp); bucket b's representative value is
-    /// 0 for b == 0, else 1 << (b - 1).
-    std::vector<std::vector<long long>> fanout;
-  };
-
-  /// Installs (nullptr clears) a capture target the next flush fills
-  /// before booking. The captured run still books its own group normally —
-  /// capture is observation, not redirection.
-  void set_flush_capture(FlushDelta* capture) { capture_ = capture; }
+  /// The last run's record (work counts, fan-out buckets, wall time,
+  /// footprint) — what that run committed. The KernelServer keeps the
+  /// warmup run's record and commits it k-fold when a batched
+  /// multi-vector sweep stands in for k engine runs.
+  const support::RunRecord& record() const { return rec_; }
 
  private:
   struct Frame {
@@ -286,27 +266,17 @@ class LinkedRunner {
     long long inv_produced = 0;
   };
 
-  struct LocalCounters {
-    long long tuples = 0;
-    long long enumerated = 0;
-    long long merge_steps = 0;
-    long long probe_hits = 0;
-    long long probe_misses = 0;
-    long long fill_ins = 0;
-    long long merge_segment_bytes = 0;
-  };
-
   template <class Sink>
   void run_impl(Sink&& sink, RunStats* stats);
 
   // Shared body of the serial run and the parallel chunk run: iterates
   // the level stack over outer-cursor offsets [chunk_begin, chunk_begin +
   // chunk_count) (chunk_count < 0 = the whole range), accumulating into
-  // caller-owned locals without flushing. In chunk mode (see
+  // the run record without committing. In chunk mode (see
   // chunk_outer_produced_) the level-0 fan-out sample is withheld so the
   // coordinator can book ONE merged sample per run, exactly like serial.
   template <class Sink>
-  void run_span(Sink&& sink, LocalCounters& c, RunStats* stats,
+  void run_span(Sink&& sink, support::WorkCounts& c, RunStats* stats,
                 index_t chunk_begin, index_t chunk_count);
 
   // Innermost-level fast path: produces every binding of an enumerate leaf
@@ -315,20 +285,21 @@ class LinkedRunner {
   // level state machine per element. `prof_time` brackets the invocation
   // with one timestamp pair (set inside sampled profiler brackets only).
   template <class Sink>
-  void drain_enumerate_leaf(std::size_t d, LocalCounters& c, Sink&& sink,
-                            bool prof_time);
+  void drain_enumerate_leaf(std::size_t d, support::WorkCounts& c,
+                            Sink&& sink, bool prof_time);
 
   void open_frame(std::size_t d);
-  void close_frame(std::size_t d, LocalCounters& c, RunStats* stats);
-  bool next_binding(std::size_t d, LocalCounters& c);
-  bool resolve_probes(const LinkedLevel& lv, LocalCounters& c);
-  // Flushes the per-run local counters into the registries and books the
-  // run's serving metrics (execute.latency / execute.wall_ns and, when the
-  // footprint is exact, execute.model_bytes / execute.model_flops) from
-  // `wall_ns`, the measured wall time of this run. The parallel runner
-  // times the whole fan-out and flushes ONCE through the coordinator, so
-  // serial and threaded runs book the same number of samples.
-  void flush(const LocalCounters& c, RunStats* stats, long long wall_ns);
+  void close_frame(std::size_t d, support::WorkCounts& c, RunStats* stats);
+  bool next_binding(std::size_t d, support::WorkCounts& c);
+  bool resolve_probes(const LinkedLevel& lv, support::WorkCounts& c);
+  // Starts a run's record: zeroed counts and fan-out, profile levels set
+  // when profiling is on.
+  void begin_record();
+  // Commits the run record with `wall_ns`, the measured wall time of this
+  // run, through the plan's sink. The parallel runner times the whole
+  // fan-out and commits ONCE through the coordinator, so serial and
+  // threaded runs book the same number of samples.
+  void commit(RunStats* stats, long long wall_ns);
 
   // --- Bulk leaf-range drain (run(LinkedMac) only) -------------------
   // One mac operand's leaf position, classified against the leaf level:
@@ -409,9 +380,6 @@ class LinkedRunner {
   index_t outer_parent_off_ = 0;
   BulkOp outer_target_;
   std::vector<BulkOp> outer_ops_;
-  // Per-level local fan-out buckets, flushed to the registry histograms
-  // once per run (kBuckets wide, see support/histogram.hpp).
-  std::vector<std::vector<long long>> fanout_local_;
   // One owner-computes worker's share (built by ParallelRunner): the
   // output rows [row_lo, row_hi) it owns, its segment [lo[p], hi[p]) of
   // every column p, the outer rows [col_lo, col_hi) from its first to its
@@ -428,18 +396,17 @@ class LinkedRunner {
   // level's produced count here instead of booking a fan-out sample per
   // chunk — the serial engine books exactly one sample per run.
   long long* chunk_outer_produced_ = nullptr;
-  // Per-run time-attribution scratch (support/profile.hpp): exact per-
-  // (level, drain-kind) work counts plus sampled level-transition
-  // intervals, flushed once per run by flush(). The ParallelRunner merges
-  // worker shards into the coordinator's scratch before its single flush,
-  // so work counts stay bitwise serial-identical for any thread count.
-  support::ProfileScratch prof_;
+  // The run record (support/metrics.hpp): executor.* work counts, per-
+  // level fan-out buckets, the footprint, and the time-attribution scratch
+  // (exact per-(level, drain-kind) work counts plus sampled level-
+  // transition intervals), committed once per run by commit(). The
+  // ParallelRunner merges worker records into the coordinator's before
+  // its single commit, so counts stay bitwise serial-identical for any
+  // thread count.
+  support::RunRecord rec_;
   // Outer-binding counter driving the sampling gate (every
   // kProfileSampleEvery-th outer binding opens a timing bracket).
   long long prof_outer_ = 0;
-  // Optional per-run delta capture target (set_flush_capture); filled by
-  // flush() before it books, then left installed for the next run.
-  FlushDelta* capture_ = nullptr;
 
   friend class ParallelRunner;
 };
@@ -447,9 +414,9 @@ class LinkedRunner {
 /// Runs a LinkedPlan across the shared thread pool by chunking the
 /// outermost enumerate level: a deterministic chunk grid over the outer
 /// cursor range, pulled guided-style by `threads` workers, each with its
-/// own LinkedRunner (scratch, counters, fan-out shards, trace buffer).
-/// Shards merge once per run into the same registry objects the serial
-/// engine feeds, so executor.* deltas, fan-out histograms and per-level
+/// own LinkedRunner (scratch, run record, trace buffer). Worker records
+/// merge once per run into the same registry objects the serial engine
+/// feeds, so executor.* deltas, fan-out histograms and per-level
 /// stats are EXACTLY the serial engine's, for any thread count.
 ///
 /// Owner-computes plans (LinkedPlan::owner_computes, CCS SpMV) split the
@@ -490,18 +457,18 @@ class ParallelRunner {
   template <class MakeSink>
   void run_parallel(MakeSink&& make_sink, RunStats* stats);
 
-  // Per-worker observability shard, merged by merge_flush.
+  // Per-worker run state beside its record, merged by merge_commit.
   struct Shard {
-    LinkedRunner::LocalCounters c;
     RunStats stats;
     long long outer_produced = 0;  // level-0 count, booked as one sample
     long long chunks = 0;
   };
-  // Merges the shards into worker 0 and flushes once: plain sums for
-  // counters, per-level stats, fan-out buckets and profile work, and the
-  // summed level-0 count as the single sample a serial run books.
-  void merge_flush(const std::vector<Shard>& shards, RunStats* st,
-                   long long t0);
+  // Merges the worker records and stats into worker 0 and commits once:
+  // plain sums for counts, per-level stats, fan-out buckets and profile
+  // work, and the summed level-0 count as the single sample a serial run
+  // books.
+  void merge_commit(const std::vector<Shard>& shards, RunStats* st,
+                    long long t0);
   // Owner-computes partition and inspector: fills parts_ and cuts_.
   void inspect_owner();
   void run_owner(const LinkedMac& mac, RunStats* stats);

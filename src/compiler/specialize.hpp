@@ -42,7 +42,7 @@ SpecializeLegality plan_specialize_legality(const Plan& plan,
                                             const relation::Query& q);
 
 /// One specialized kernel: emits, compiles and loads at construction;
-/// run() executes the loaded code and flushes linked-engine-identical
+/// run() executes the loaded code and commits linked-engine-identical
 /// observability. Borrows the plan and mac (and, through them, the views
 /// and their arrays) — all must outlive the kernel. The temporary build
 /// directory is removed on destruction.
@@ -80,12 +80,13 @@ class SpecializedKernel {
   std::string dir_;  // temp build dir; removed in the destructor
   support::DynLib lib_;
   KernelFn fn_ = nullptr;
-  // Per-run counter scratch, zeroed before each call.
+  // Per-run counter scratch, zeroed before each call. The kernel writes
+  // its fan-out buckets straight into the run record's.
   std::vector<long long> ctr_;
   std::vector<long long> lvl_enum_;
   std::vector<long long> lvl_prod_;
-  std::vector<long long> fanout_;
   std::vector<long long> lvl_ns_;  // 3 slots/level: raw_ns, samples, work
+  support::RunRecord rec_;
 };
 
 }  // namespace bernoulli::compiler

@@ -1,7 +1,7 @@
 #include "distrib/chaos.hpp"
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace bernoulli::distrib {

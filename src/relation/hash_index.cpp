@@ -1,7 +1,7 @@
 #include "relation/hash_index.hpp"
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::relation {
 

@@ -1,7 +1,7 @@
 #include "relation/spa_view.hpp"
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::relation {
 

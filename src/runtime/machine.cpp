@@ -5,8 +5,6 @@
 #include <optional>
 #include <thread>
 
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
 #include "support/timer.hpp"
 
 namespace bernoulli::runtime {
@@ -90,7 +88,7 @@ void Process::advance_clock() {
   if (!manual_compute_) {
     vclock_ += now - cpu_mark_;
     if (now > cpu_mark_)
-      support::phase_time_counter("vtime", "compute").add(now - cpu_mark_);
+      support::phase_counters().vtime_compute.add(now - cpu_mark_);
   }
   cpu_mark_ = now;
 }
@@ -115,7 +113,7 @@ void Process::solo(const std::function<void()>& fn) {
 void Process::charge_seconds(double s) {
   BERNOULLI_CHECK(s >= 0.0);
   vclock_ += s;
-  support::phase_time_counter("vtime", "compute").add(s);
+  support::phase_counters().vtime_compute.add(s);
 }
 
 double Process::virtual_time() {
@@ -135,15 +133,11 @@ void Process::send_bytes(int dst, int tag, std::span<const std::byte> data) {
     stats_.bytes += static_cast<long long>(data.size());
     // Phase-split mirror of CommStats: comm.<phase>.messages/bytes sum to
     // the CommStats totals across ranks (reconciled by bench reports).
-    support::phase_counter("comm", "messages").add();
-    support::phase_counter("comm", "bytes")
-        .add(static_cast<long long>(data.size()));
-    support::phase_time_counter("vtime", "comm").add(machine_.cost_.latency_s);
-    {
-      static support::Log2Histogram& sizes =
-          support::histogram("comm.message_bytes");
-      sizes.add(static_cast<long long>(data.size()));
-    }
+    const support::PhaseCounters& phase = support::phase_counters();
+    phase.messages.add();
+    phase.bytes.add(static_cast<long long>(data.size()));
+    phase.vtime_comm.add(machine_.cost_.latency_s);
+    machine_.message_bytes_.add(static_cast<long long>(data.size()));
     // Single-booking invariant: the comm matrix and the send span are fed
     // from this one site, under the same dst != rank_ condition as
     // CommStats and the comm.* counters, so all four reconcile exactly.
@@ -203,7 +197,7 @@ std::vector<std::byte> Process::recv_bytes(int src, int tag) {
   // (condition-variable wakeup churn) is simulation infrastructure and is
   // discarded; see send_bytes.
   if (msg.arrival > vclock_)
-    support::phase_time_counter("vtime", "comm").add(msg.arrival - vclock_);
+    support::phase_counters().vtime_comm.add(msg.arrival - vclock_);
   vclock_ = std::max(vclock_, msg.arrival);
   cpu_mark_ = ThreadCpuTimer::now();
   if (trace_pid_ >= 0 && support::trace_enabled()) {
@@ -264,7 +258,7 @@ double Process::allreduce_max(double x) {
 Process::Reduced Process::reduce_rendezvous(double x, const char* span_name) {
   advance_clock();
   ++stats_.collectives;
-  support::phase_counter("comm", "collectives").add();
+  support::phase_counters().collectives.add();
   const double entered = vclock_;
   auto& r = machine_.rendezvous_;
   Reduced out{};
@@ -296,7 +290,7 @@ Process::Reduced Process::reduce_rendezvous(double x, const char* span_name) {
   vclock_ =
       out.clock + collective_charge(machine_.cost_, nprocs_, sizeof(double));
   if (vclock_ > entered)
-    support::phase_time_counter("vtime", "comm").add(vclock_ - entered);
+    support::phase_counters().vtime_comm.add(vclock_ - entered);
   cpu_mark_ = ThreadCpuTimer::now();
   if (trace_pid_ >= 0 && support::trace_enabled())
     // Span width = wait for the slowest rank + the modeled tree rounds.

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "support/types.hpp"
 
@@ -262,6 +263,10 @@ class Machine {
   // Process::solo serializes only when ranks outnumber hardware threads.
   bool solo_serializes_ = false;
   std::mutex solo_mu_;
+  // comm.message_bytes: payload size of every modeled point-to-point
+  // message (resolved at construction, booked per send).
+  support::Log2Histogram& message_bytes_ =
+      support::histogram("comm.message_bytes");
 };
 
 }  // namespace bernoulli::runtime

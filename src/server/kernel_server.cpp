@@ -5,9 +5,7 @@
 #include <sstream>
 #include <thread>
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
-#include "support/histogram.hpp"
 #include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
 
@@ -19,23 +17,6 @@ long long now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Process-global server counters (one registry across servers, like the
-// executor.* family). Per-server ServerStats mirror these so tests on a
-// fresh server see deterministic numbers.
-struct ServerCounters {
-  support::Counter& requests = support::counter("server.requests");
-  support::Counter& hits = support::counter("server.cache.hits");
-  support::Counter& misses = support::counter("server.cache.misses");
-  support::Counter& evictions = support::counter("server.cache.evictions");
-  support::Counter& batches = support::counter("server.batches");
-  support::Counter& batched = support::counter("server.batched_requests");
-};
-
-ServerCounters& server_counters() {
-  static ServerCounters c;
-  return c;
 }
 
 // The canonical SpMV loop nest every registered CSR matrix compiles:
@@ -85,10 +66,10 @@ struct KernelServer::CacheEntry {
   compiler::LinkedMac mac0;        // template mac; requests copy + rebind
   std::size_t x_factor = 0;        // mac0.factors index bound to "x"
 
-  // One engine run's observability, captured from the warmup run and
-  // replayed k-fold when a batched sweep stands in for k engine runs.
-  // SpMV enumeration is structure-only, so the delta is x-independent.
-  compiler::LinkedRunner::FlushDelta delta;
+  // The warmup run's record, committed k-fold when a batched sweep stands
+  // in for k engine runs (SpMV enumeration is structure-only, so the
+  // record is x-independent). Only the entry's batch leader touches it.
+  support::RunRecord record;
 
   // Runner freelist: each concurrent unbatched request leases a runner
   // (scratch reuse in steady state), growing on demand under pool_mu.
@@ -107,7 +88,15 @@ struct KernelServer::CacheEntry {
   std::unique_ptr<compiler::SpecializedKernel> spec;
 };
 
-KernelServer::KernelServer(ServerOptions opts) : opts_(opts) {
+KernelServer::KernelServer(ServerOptions opts)
+    : opts_(opts),
+      requests_counter_(support::counter("server.requests")),
+      hits_counter_(support::counter("server.cache.hits")),
+      misses_counter_(support::counter("server.cache.misses")),
+      evictions_counter_(support::counter("server.cache.evictions")),
+      batches_counter_(support::counter("server.batches")),
+      batched_counter_(support::counter("server.batched_requests")),
+      request_latency_(support::metric_latency("server.request.latency")) {
   BERNOULLI_CHECK_MSG(opts_.plan_cache_capacity >= 1,
                       "plan cache capacity must be >= 1");
   BERNOULLI_CHECK_MSG(opts_.max_batch >= 1, "max_batch must be >= 1");
@@ -187,13 +176,14 @@ std::shared_ptr<KernelServer::CacheEntry> KernelServer::build_entry(
                       "no dense-vector factor named x in the SpMV mac");
 
   // Warmup run: pays the engine's first-run scratch allocation off the
-  // request path AND captures the per-run FlushDelta the batched path
-  // replays. It books observability normally — one extra engine run per
-  // cache miss, which the counter-reconciliation tests account for.
+  // request path AND leaves the run record the batched path commits
+  // k-fold (without its profile: a sweep is not profiled). It books
+  // observability normally — one extra engine run per cache miss, which
+  // the counter-reconciliation tests account for.
   auto runner = std::make_unique<compiler::LinkedRunner>(e->lp);
-  runner->set_flush_capture(&e->delta);
   runner->run(e->mac0);
-  runner->set_flush_capture(nullptr);
+  e->record = runner->record();
+  e->record.profile = support::ProfileScratch{};
   e->free_runners.push_back(std::move(runner));
 
   if (opts_.use_specialized) {
@@ -203,23 +193,35 @@ std::shared_ptr<KernelServer::CacheEntry> KernelServer::build_entry(
   return e;
 }
 
-std::shared_ptr<KernelServer::CacheEntry> KernelServer::get_entry(int handle) {
+std::shared_ptr<KernelServer::CacheEntry> KernelServer::get_entry(
+    int handle, std::size_t x_size, std::size_t y_size) {
   MatrixRec rec;
   {
+    // One critical section per cache hit: the handle and shape checks,
+    // the request count and the lookup. A rejected request never reaches
+    // the cache, so it books no miss and builds nothing.
     const std::lock_guard<std::mutex> lk(cache_mu_);
     BERNOULLI_CHECK_MSG(
         handle >= 0 && static_cast<std::size_t>(handle) < matrices_.size(),
         "unknown server handle " << handle);
     rec = matrices_[static_cast<std::size_t>(handle)];
+    const std::size_t rows = static_cast<std::size_t>(rec.matrix->rows());
+    const std::size_t cols = static_cast<std::size_t>(rec.matrix->cols());
+    BERNOULLI_CHECK_MSG(x_size == cols && y_size == rows,
+                        "spmv request shape mismatch: x "
+                            << x_size << " y " << y_size << " vs matrix "
+                            << rows << "x" << cols);
+    ++stats_.requests;
+    requests_counter_.add(1);
     auto it = cache_.find(rec.key);
     if (it != cache_.end()) {
       ++stats_.cache_hits;
-      server_counters().hits.add(1);
+      hits_counter_.add(1);
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       return it->second.entry;
     }
     ++stats_.cache_misses;
-    server_counters().misses.add(1);
+    misses_counter_.add(1);
   }
 
   // Build outside the lock (compile + link + warmup is the expensive
@@ -240,7 +242,7 @@ std::shared_ptr<KernelServer::CacheEntry> KernelServer::get_entry(int handle) {
     lru_.pop_back();
     cache_.erase(victim);
     ++stats_.cache_evictions;
-    server_counters().evictions.add(1);
+    evictions_counter_.add(1);
   }
   return built;
 }
@@ -259,21 +261,12 @@ void KernelServer::spmv(const std::string& name, ConstVectorView x,
 
 void KernelServer::spmv(int handle, ConstVectorView x, VectorView y) {
   const long long t0 = now_ns();
-  std::shared_ptr<CacheEntry> e = get_entry(handle);
-  BERNOULLI_CHECK_MSG(
-      x.size() == e->proto_x.size() && y.size() == e->proto_y.size(),
-      "spmv request shape mismatch: x " << x.size() << " y " << y.size()
-      << " vs matrix " << e->proto_y.size() << "x" << e->proto_x.size());
-  {
-    const std::lock_guard<std::mutex> lk(cache_mu_);
-    ++stats_.requests;
-  }
-  server_counters().requests.add(1);
+  std::shared_ptr<CacheEntry> e = get_entry(handle, x.size(), y.size());
   if (opts_.batching)
     serve_batched(e, x, y);
   else
     run_single(*e, x, y);
-  support::metric_latency("server.request.latency").record_ns(now_ns() - t0);
+  request_latency_.record_ns(now_ns() - t0);
 }
 
 void KernelServer::run_single(CacheEntry& e, ConstVectorView x, VectorView y) {
@@ -383,8 +376,8 @@ void KernelServer::run_batch(CacheEntry& e, const std::vector<Pending*>& batch) 
     ++stats_.batches;
     stats_.batched_requests += k;
   }
-  server_counters().batches.add(1);
-  server_counters().batched.add(k);
+  batches_counter_.add(1);
+  batched_counter_.add(k);
 
   // SpMM-style multi-vector sweep: one pass over the sparse rows serves
   // all k right-hand sides (src/blas spmm's loop order, row-outer /
@@ -441,46 +434,11 @@ void KernelServer::run_batch(CacheEntry& e, const std::vector<Pending*>& batch) 
       sweep_rows(begin, end);
     });
   }
-  commit_batch_observability(e, k, now_ns() - t0);
-}
-
-void KernelServer::commit_batch_observability(CacheEntry& e, int k,
-                                              long long wall_ns) {
-  // The sweep stood in for k engine runs; book what those k runs would
-  // have booked, as ONE atomic group under the commit lock. Latency
-  // samples split the sweep's wall time with an exact integer sum, so
-  // execute.latency.sum_ns == execute.wall_ns holds through batching.
-  const std::unique_lock<std::mutex> commit = support::metrics_commit_lock();
-  const long long base = wall_ns / k;
-  const long long rem = wall_ns % k;
-  support::LatencyHistogram& lat = support::metric_latency("execute.latency");
-  for (int i = 0; i < k; ++i) lat.record_ns(base + (i < rem ? 1 : 0));
-  support::metric_rate("execute.wall_ns").add(wall_ns);
-  support::time_counter("executor.wall_seconds")
-      .add(static_cast<double>(wall_ns) * 1e-9);
-  if (e.lp.footprint.exact) {
-    support::metric_rate("execute.model_bytes")
-        .add(e.lp.footprint.total_bytes() * k);
-    support::metric_rate("execute.model_flops").add(e.lp.footprint.flops * k);
-  }
-  support::counter("executor.runs").add(k);
-  const compiler::LinkedRunner::FlushDelta& d = e.delta;
-  support::counter("executor.tuples").add(d.tuples * k);
-  support::counter("executor.enumerated").add(d.enumerated * k);
-  support::counter("executor.merge_steps").add(d.merge_steps * k);
-  support::counter("executor.probe_hits").add(d.probe_hits * k);
-  support::counter("executor.probe_misses").add(d.probe_misses * k);
-  support::counter("executor.fill_ins").add(d.fill_ins * k);
-  support::counter("executor.merge_segment_bytes")
-      .add(d.merge_segment_bytes * k);
-  for (std::size_t lvl = 0; lvl < d.fanout.size(); ++lvl) {
-    for (std::size_t b = 0; b < d.fanout[lvl].size(); ++b) {
-      const long long n = d.fanout[lvl][b];
-      if (n == 0) continue;
-      e.lp.levels[lvl].fanout->add(
-          b == 0 ? 0 : (1LL << (b - 1)), n * k);
-    }
-  }
+  // The sweep stood in for k engine runs: commit what those k runs would
+  // have booked, as one group, with the latency samples splitting the
+  // sweep's wall time by an exact integer sum.
+  e.record.wall_ns = now_ns() - t0;
+  e.lp.sink.commit(e.record, k);
 }
 
 }  // namespace bernoulli::server

@@ -27,12 +27,13 @@
 // against serial CompiledKernel execution and blas::spmm.
 //
 // Observability: every request books the same execute.* group an engine
-// run books. Unbatched requests run the engine, which flushes itself; a
-// batched sweep REPLAYS the entry's captured per-run FlushDelta k times
-// and splits the sweep's wall time across the k requests with an exact
-// integer sum — all under the metrics commit lock — so
-// execute.latency.sum_ns == execute.wall_ns and the executor.* counters
-// reconcile with an unbatched serve of the same traffic. Server-level
+// run books. Unbatched requests run the engine, which commits its own run
+// record; a batched sweep commits the entry's warmup-run record k-fold
+// (support::RunSink::commit), splitting the sweep's wall time across the
+// k requests with an exact integer sum — one commit under the calling
+// thread's registry shard lock — so execute.latency.sum_ns ==
+// execute.wall_ns and the executor.* counters reconcile with an
+// unbatched serve of the same traffic. Server-level
 // counters (server.cache.hits/misses/evictions, server.requests,
 // server.batches, server.batched_requests) and the server.request.latency
 // histogram layer on top; see docs/SERVING.md for which layer owns what.
@@ -106,7 +107,8 @@ class KernelServer {
 
   /// y = A x against the cached plan (y is overwritten). Thread-safe;
   /// callers may issue concurrent requests from any thread, including
-  /// pool worker threads. x must have A.cols() elements, y A.rows().
+  /// pool worker threads. x must have A.cols() elements, y A.rows(); a
+  /// request of another shape throws before it touches the cache.
   void spmv(int handle, ConstVectorView x, VectorView y);
   void spmv(const std::string& name, ConstVectorView x, VectorView y);
 
@@ -128,15 +130,25 @@ class KernelServer {
     std::string key;
   };
 
-  std::shared_ptr<CacheEntry> get_entry(int handle);
+  std::shared_ptr<CacheEntry> get_entry(int handle, std::size_t x_size,
+                                        std::size_t y_size);
   std::shared_ptr<CacheEntry> build_entry(const MatrixRec& rec);
   void run_single(CacheEntry& e, ConstVectorView x, VectorView y);
   void run_batch(CacheEntry& e, const std::vector<Pending*>& batch);
   void serve_batched(const std::shared_ptr<CacheEntry>& e, ConstVectorView x,
                      VectorView y);
-  void commit_batch_observability(CacheEntry& e, int k, long long wall_ns);
 
   ServerOptions opts_;
+  // Process-global server.* handles (one registry across servers, like the
+  // executor.* family), resolved at construction. ServerStats mirror the
+  // counts per server.
+  support::Counter& requests_counter_;
+  support::Counter& hits_counter_;
+  support::Counter& misses_counter_;
+  support::Counter& evictions_counter_;
+  support::Counter& batches_counter_;
+  support::Counter& batched_counter_;
+  support::LatencyHistogram& request_latency_;
 
   mutable std::mutex cache_mu_;  // guards matrices_, cache_, lru_, stats_
   std::vector<MatrixRec> matrices_;

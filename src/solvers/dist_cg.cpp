@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "analysis/hooks.hpp"
-#include "support/counters.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
@@ -57,6 +56,10 @@ DistCgResult run_pcg(runtime::Process& p, std::size_t n,
   const value_t threshold =
       opts.tolerance > 0 ? opts.tolerance * (bnorm > 0 ? bnorm : 1.0) : -1.0;
 
+  support::Counter& iterations = support::counter("cg.iterations");
+  support::MetricGauge& residual = support::metric_gauge("cg.residual");
+  support::LatencyHistogram& iteration_latency =
+      support::metric_latency("cg.iteration.latency");
   DistCgResult result;
   for (int it = 0; it < opts.max_iterations; ++it) {
     support::TraceSpan iter_span("cg.iteration", "solvers");
@@ -65,15 +68,15 @@ DistCgResult run_pcg(runtime::Process& p, std::size_t n,
     // iteration rate, and the current residual as a gauge — the admission
     // stats a KernelServer needs from a long-running solve.
     const auto iter_t0 = std::chrono::steady_clock::now();
-    support::metric_rate("cg.iterations").add(1);
+    iterations.add(1);
     result.residual_norm = std::sqrt(gdot(r, r));
     iter_span.arg("residual", result.residual_norm);
-    support::metric_gauge("cg.residual").set(result.residual_norm);
+    residual.set(result.residual_norm);
     const auto book_iter = [&] {
-      support::metric_latency("cg.iteration.latency")
-          .record_ns(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - iter_t0)
-                         .count());
+      iteration_latency.record_ns(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - iter_t0)
+              .count());
     };
     if (threshold >= 0 && result.residual_norm <= threshold) {
       result.converged = true;

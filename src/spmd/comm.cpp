@@ -1,7 +1,7 @@
 #include "spmd/comm.hpp"
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/trace.hpp"
 
@@ -47,8 +47,9 @@ void CommSchedule::exchange(runtime::Process& p, VectorView x_full,
   support::TraceSpan span("exchange", "comm");
   span.arg("ghosts", static_cast<long long>(ghosts));
   support::ProfilePhaseScope prof(support::kProfPhaseExchange);
-  support::phase_counter("comm", "exchanges").add();
-  support::phase_counter("comm", "ghost_values").add(ghosts);
+  const support::PhaseCounters& phase = support::phase_counters();
+  phase.exchanges.add();
+  phase.ghost_values.add(ghosts);
   post(p, x_full, tag);
   complete(p, x_full, tag);
 }

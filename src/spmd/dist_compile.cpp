@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace bernoulli::spmd {

@@ -8,8 +8,8 @@
 #include "compiler/planner.hpp"
 #include "distrib/chaos.hpp"
 #include "relation/array_views.hpp"
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace bernoulli::spmd {

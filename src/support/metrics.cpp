@@ -1,51 +1,85 @@
 #include "support/metrics.hpp"
 
-#include <algorithm>
-#include <bit>
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <tuple>
+#include <type_traits>
+#include <variant>
 
+#include "support/error.hpp"
 #include "support/json_writer.hpp"
 
 namespace bernoulli::support {
 
 namespace {
 
-// Leaked on purpose, like the counter registry: worker threads may outlive
+// One shard: the lock a run commit holds and that snapshot/reset take for
+// every shard, plus this shard's slice of the profile store.
+struct alignas(64) Shard {
+  std::mutex mu;
+  ProfileSnapshot profile;
+};
+
+// The one name table. Leaked on purpose: worker threads may outlive
 // static-destruction order, and a leaked registry keeps every returned
 // reference valid for the whole process lifetime.
-template <typename T>
 struct Registry {
-  std::mutex mu;
-  std::map<std::string, T*> by_name;
-  std::deque<T> storage;
+  using Metric = std::variant<Counter*, TimeCounter*, MetricGauge*,
+                              LatencyHistogram*, Log2Histogram*>;
 
+  std::mutex names_mu;  // registration and name-table walks
+  std::map<std::string, Metric> names;
+  std::tuple<std::deque<Counter>, std::deque<TimeCounter>,
+             std::deque<MetricGauge>, std::deque<LatencyHistogram>,
+             std::deque<Log2Histogram>>
+      storage;
+  Shard shards[kMetricShards];
+
+  template <typename T>
   T& get(const std::string& name) {
-    std::lock_guard<std::mutex> lk(mu);
-    auto it = by_name.find(name);
-    if (it != by_name.end()) return *it->second;
-    storage.emplace_back();
-    by_name.emplace(name, &storage.back());
-    return storage.back();
+    const std::lock_guard<std::mutex> lk(names_mu);
+    auto [it, fresh] = names.try_emplace(name);
+    if (fresh) it->second = &std::get<std::deque<T>>(storage).emplace_back();
+    T* const* m = std::get_if<T*>(&it->second);
+    BERNOULLI_CHECK_MSG(m != nullptr,
+                        "metric " << name << " is registered as another kind");
+    return **m;
+  }
+
+  // Calls fn(name, metric) for every metric, sorted by name. Callers hold
+  // names_mu.
+  template <typename Fn>
+  void each(Fn&& fn) {
+    for (const auto& [name, m] : names)
+      std::visit([&](auto* metric) { fn(name, *metric); }, m);
   }
 };
 
-Registry<MetricRate>& rate_registry() {
-  static Registry<MetricRate>* r = new Registry<MetricRate>();
+Registry& registry() {
+  static Registry* r = new Registry();
   return *r;
 }
 
-Registry<MetricGauge>& gauge_registry() {
-  static Registry<MetricGauge>* r = new Registry<MetricGauge>();
-  return *r;
+// Every shard's lock, taken in shard order (released in reverse): while
+// held, no run commit is in flight anywhere.
+std::array<std::unique_lock<std::mutex>, kMetricShards> lock_all_shards() {
+  std::array<std::unique_lock<std::mutex>, kMetricShards> locks;
+  for (int i = 0; i < kMetricShards; ++i)
+    locks[i] = std::unique_lock<std::mutex>(registry().shards[i].mu);
+  return locks;
 }
 
-Registry<LatencyHistogram>& latency_registry() {
-  static Registry<LatencyHistogram>* r = new Registry<LatencyHistogram>();
-  return *r;
+// Callers hold every shard's lock.
+ProfileSnapshot merged_profile() {
+  ProfileSnapshot p;
+  for (const Shard& s : registry().shards) p.merge(s.profile);
+  p.timer_cost_ns = profile_timer_cost_ns();
+  return p;
 }
 
 // `a.b.c` -> `a_b_c`: Prometheus metric names allow [a-zA-Z0-9_:] only.
@@ -64,6 +98,13 @@ std::string prom_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+thread_local const PhaseCounters* t_phase = nullptr;
+
+const PhaseCounters& main_phase() {
+  static const PhaseCounters* main = new PhaseCounters("main");
+  return *main;
 }
 
 }  // namespace
@@ -163,72 +204,78 @@ long long LatencySnapshot::quantile_ns(double q) const {
   return max_ns;
 }
 
-MetricRate& metric_rate(const std::string& name) {
-  return rate_registry().get(name);
+std::string Log2Histogram::bucket_label(int i) {
+  if (i == 0) return "0";
+  if (i == 1) return "1";
+  long long lo = 1LL << (i - 1);
+  if (i == kBuckets - 1) return std::to_string(lo) + "+";
+  long long hi = (1LL << i) - 1;
+  return std::to_string(lo) + "-" + std::to_string(hi);
+}
+
+Counter& counter(const std::string& name) {
+  return registry().get<Counter>(name);
+}
+
+TimeCounter& time_counter(const std::string& name) {
+  return registry().get<TimeCounter>(name);
 }
 
 MetricGauge& metric_gauge(const std::string& name) {
-  return gauge_registry().get(name);
+  return registry().get<MetricGauge>(name);
 }
 
 LatencyHistogram& metric_latency(const std::string& name) {
-  return latency_registry().get(name);
+  return registry().get<LatencyHistogram>(name);
 }
 
-std::mutex& metrics_commit_mutex() {
-  // Leaked like the registries: flush sites may run during late shutdown.
-  static std::mutex* mu = new std::mutex();
-  return *mu;
+Log2Histogram& histogram(const std::string& name) {
+  return registry().get<Log2Histogram>(name);
 }
 
 MetricsSnapshot metrics_snapshot() {
   MetricsSnapshot snap;
-  const std::unique_lock<std::mutex> commit = metrics_commit_lock();
-  {
-    auto& r = rate_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, m] : r.by_name) snap.rates[name] = m->value();
-  }
-  {
-    auto& r = gauge_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, m] : r.by_name) snap.gauges[name] = m->value();
-  }
-  {
-    auto& r = latency_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (const auto& [name, m] : r.by_name)
-      snap.latencies[name] = m->snapshot();
-  }
+  Registry& r = registry();
+  const auto all = lock_all_shards();
+  const std::lock_guard<std::mutex> lk(r.names_mu);
+  r.each([&](const std::string& name, const auto& m) {
+    using T = std::decay_t<decltype(m)>;
+    if constexpr (std::is_same_v<T, Counter>) {
+      snap.counts.emplace(name, m.value());
+    } else if constexpr (std::is_same_v<T, TimeCounter>) {
+      snap.seconds.emplace(name, m.seconds());
+    } else if constexpr (std::is_same_v<T, MetricGauge>) {
+      snap.gauges.emplace(name, m.value());
+    } else if constexpr (std::is_same_v<T, LatencyHistogram>) {
+      snap.latencies.emplace(name, m.snapshot());
+    } else {
+      std::vector<long long>& buckets = snap.log2[name];
+      for (int i = 0; i < Log2Histogram::kBuckets; ++i)
+        buckets.push_back(m.bucket(i));
+    }
+  });
+  snap.profile = merged_profile();
   return snap;
 }
 
 void metrics_reset() {
-  const std::unique_lock<std::mutex> commit = metrics_commit_lock();
-  {
-    auto& r = rate_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (auto& [name, m] : r.by_name) m->reset();
-  }
-  {
-    auto& r = gauge_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (auto& [name, m] : r.by_name) m->reset();
-  }
-  {
-    auto& r = latency_registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    for (auto& [name, m] : r.by_name) m->reset();
-  }
+  Registry& r = registry();
+  const auto all = lock_all_shards();
+  const std::lock_guard<std::mutex> lk(r.names_mu);
+  r.each([](const std::string&, auto& m) { m.reset(); });
+  for (Shard& s : r.shards) s.profile = ProfileSnapshot{};
 }
 
 std::string metrics_json(int indent) {
-  MetricsSnapshot snap = metrics_snapshot();
+  const MetricsSnapshot snap = metrics_snapshot();
   JsonWriter w(indent);
   w.begin_object();
-  w.key("schema").value("bernoulli.metrics.v1");
-  w.key("rates").begin_object();
-  for (const auto& [name, v] : snap.rates) w.key(name).value(v);
+  w.key("schema").value("bernoulli.metrics.v2");
+  w.key("counts").begin_object();
+  for (const auto& [name, v] : snap.counts) w.key(name).value(v);
+  w.end_object();
+  w.key("seconds").begin_object();
+  for (const auto& [name, v] : snap.seconds) w.key(name).value(v);
   w.end_object();
   w.key("gauges").begin_object();
   for (const auto& [name, v] : snap.gauges) w.key(name).value(v);
@@ -240,7 +287,9 @@ std::string metrics_json(int indent) {
     w.key("sum_ns").value(h.sum_ns);
     w.key("min_ns").value(h.min_ns);
     w.key("max_ns").value(h.max_ns);
-    w.key("mean_ns").value(h.mean_ns());
+    w.key("mean_ns").value(h.count == 0 ? 0.0
+                                        : static_cast<double>(h.sum_ns) /
+                                              static_cast<double>(h.count));
     w.key("p50_ns").value(h.p50_ns());
     w.key("p95_ns").value(h.p95_ns());
     w.key("p99_ns").value(h.p99_ns());
@@ -256,14 +305,34 @@ std::string metrics_json(int indent) {
     w.end_object();
   }
   w.end_object();
+  w.key("log2").begin_object();
+  for (const auto& [name, buckets] : snap.log2) {
+    long long total = 0;
+    for (long long c : buckets) total += c;
+    if (total == 0) continue;
+    w.key(name).begin_object();
+    w.key("buckets").begin_array();
+    for (int i = 0; i < Log2Histogram::kBuckets; ++i) {
+      const long long c = buckets[static_cast<std::size_t>(i)];
+      if (c == 0) continue;
+      w.begin_object();
+      w.key("range").value(Log2Histogram::bucket_label(i));
+      w.key("count").value(c);
+      w.end_object();
+    }
+    w.end_array();
+    w.key("total").value(total);
+    w.end_object();
+  }
+  w.end_object();
   w.end_object();
   return w.str();
 }
 
 std::string metrics_prometheus_text() {
-  MetricsSnapshot snap = metrics_snapshot();
+  const MetricsSnapshot snap = metrics_snapshot();
   std::ostringstream os;
-  for (const auto& [name, v] : snap.rates) {
+  for (const auto& [name, v] : snap.counts) {
     const std::string p = "bernoulli_" + prom_name(name) + "_total";
     os << "# TYPE " << p << " counter\n" << p << " " << v << "\n";
   }
@@ -274,9 +343,8 @@ std::string metrics_prometheus_text() {
   for (const auto& [name, h] : snap.latencies) {
     // Prometheus histograms are conventionally in seconds; `le` bounds are
     // the exact integer-ns bucket uppers scaled down.
-    std::string base = prom_name(name);
     // "execute.latency" -> bernoulli_execute_latency_seconds
-    const std::string p = "bernoulli_" + base + "_seconds";
+    const std::string p = "bernoulli_" + prom_name(name) + "_seconds";
     os << "# TYPE " << p << " histogram\n";
     long long cum = 0;
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
@@ -306,32 +374,104 @@ bool metrics_write_prometheus(const std::string& path) {
   return static_cast<bool>(out);
 }
 
-std::string metrics_text(bool skip_zero) {
-  MetricsSnapshot snap = metrics_snapshot();
-  std::size_t width = 0;
-  for (const auto& [name, v] : snap.rates)
-    if (!skip_zero || v != 0) width = std::max(width, name.size());
-  for (const auto& [name, v] : snap.gauges)
-    if (!skip_zero || v != 0.0) width = std::max(width, name.size());
-  for (const auto& [name, h] : snap.latencies)
-    if (!skip_zero || h.count != 0) width = std::max(width, name.size());
-  std::ostringstream os;
-  for (const auto& [name, v] : snap.rates) {
-    if (skip_zero && v == 0) continue;
-    os << name << std::string(width - name.size() + 2, ' ') << v << "\n";
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    if (skip_zero && v == 0.0) continue;
-    os << name << std::string(width - name.size() + 2, ' ') << v << "\n";
-  }
-  for (const auto& [name, h] : snap.latencies) {
-    if (skip_zero && h.count == 0) continue;
-    os << name << std::string(width - name.size() + 2, ' ') << "count="
-       << h.count << " sum=" << h.sum_ns << "ns p50=" << h.p50_ns()
-       << "ns p95=" << h.p95_ns() << "ns p99=" << h.p99_ns()
-       << "ns max=" << h.max_ns << "ns\n";
-  }
-  return os.str();
+ProfileSnapshot profile_snapshot() {
+  const auto all = lock_all_shards();
+  return merged_profile();
 }
+
+void profile_reset() {
+  const auto all = lock_all_shards();
+  for (Shard& s : registry().shards) s.profile = ProfileSnapshot{};
+}
+
+void profile_phase_add(int phase, long long ns) {
+  if (phase < 0 || phase >= kProfPhases) return;
+  Shard& s = registry().shards[metric_shard()];
+  const std::lock_guard<std::mutex> lk(s.mu);
+  s.profile.phase_ns[phase] += ns < 0 ? 0 : ns;
+  s.profile.phase_calls[phase] += 1;
+}
+
+WorkCounts& WorkCounts::operator+=(const WorkCounts& o) {
+  for (const auto& [name, field] : kWorkCountFields) this->*field += o.*field;
+  return *this;
+}
+
+void RunRecord::begin(std::size_t levels) {
+  wall_ns = 0;
+  work = WorkCounts{};
+  fanout.assign(levels * static_cast<std::size_t>(Log2Histogram::kBuckets),
+                0);
+  if (profile.any()) profile = ProfileScratch{};
+}
+
+void RunRecord::merge(const RunRecord& o) {
+  work += o.work;
+  for (std::size_t i = 0; i < fanout.size() && i < o.fanout.size(); ++i)
+    fanout[i] += o.fanout[i];
+  profile.merge(o.profile);
+}
+
+RunSink::RunSink(std::size_t levels)
+    : latency_(&metric_latency("execute.latency")),
+      wall_ns_(&counter("execute.wall_ns")),
+      model_bytes_(&counter("execute.model_bytes")),
+      model_flops_(&counter("execute.model_flops")),
+      runs_(&counter("executor.runs")) {
+  for (std::size_t i = 0; i < work_.size(); ++i)
+    work_[i] = &counter(kWorkCountFields[i].first);
+  fanout_.reserve(levels);
+  for (std::size_t d = 0; d < levels; ++d)
+    fanout_.push_back(&histogram("executor.fanout.level" + std::to_string(d)));
+}
+
+void RunSink::commit(const RunRecord& rec, long long runs,
+                     const ProfileFlush* profile) const {
+  Shard& s = registry().shards[metric_shard()];
+  const std::lock_guard<std::mutex> lk(s.mu);
+  // `runs` latency samples whose exact integer sum is rec.wall_ns, so
+  // execute.latency.sum_ns == execute.wall_ns holds for any `runs`.
+  const long long base = rec.wall_ns / runs;
+  const long long rem = rec.wall_ns % runs;
+  for (long long i = 0; i < runs; ++i)
+    latency_->record_ns(base + (i < rem ? 1 : 0));
+  wall_ns_->add(rec.wall_ns);
+  model_bytes_->add(rec.model_bytes * runs);
+  model_flops_->add(rec.model_flops * runs);
+  runs_->add(runs);
+  for (std::size_t i = 0; i < work_.size(); ++i)
+    work_[i]->add(rec.work.*kWorkCountFields[i].second * runs);
+  constexpr std::size_t kB = Log2Histogram::kBuckets;
+  const std::size_t levels = std::min(fanout_.size(), rec.fanout.size() / kB);
+  for (std::size_t d = 0; d < levels; ++d)
+    for (std::size_t b = 0; b < kB; ++b)
+      if (const long long n = rec.fanout[d * kB + b]; n != 0)
+        fanout_[d]->add_bucket(static_cast<int>(b), n * runs);
+  if (profile != nullptr)
+    s.profile.add(*profile);
+  else if (rec.profile.any())
+    s.profile.add(profile_estimate(rec.profile, rec.wall_ns));
+}
+
+PhaseCounters::PhaseCounters(std::string phase_name)
+    : phase(std::move(phase_name)),
+      messages(counter("comm." + phase + ".messages")),
+      bytes(counter("comm." + phase + ".bytes")),
+      collectives(counter("comm." + phase + ".collectives")),
+      exchanges(counter("comm." + phase + ".exchanges")),
+      ghost_values(counter("comm." + phase + ".ghost_values")),
+      vtime_compute(time_counter("vtime." + phase + ".compute")),
+      vtime_comm(time_counter("vtime." + phase + ".comm")) {}
+
+const PhaseCounters& phase_counters() {
+  return t_phase != nullptr ? *t_phase : main_phase();
+}
+
+PhaseScope::PhaseScope(std::string phase)
+    : counters_(std::move(phase)), saved_(t_phase) {
+  t_phase = &counters_;
+}
+
+PhaseScope::~PhaseScope() { t_phase = saved_; }
 
 }  // namespace bernoulli::support

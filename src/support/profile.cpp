@@ -3,9 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <mutex>
 
 #include "support/json_writer.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
 
@@ -17,29 +17,6 @@ const char* const kKindNames[kProfKinds] = {"tuple", "merge", "bulk",
                                             "blocked", "sliced"};
 const char* const kPhaseNames[kProfPhases] = {"inspector", "exchange",
                                               "compute"};
-
-// The global profile registry. Flushes are once per run and snapshots are
-// cold, so a mutex (not sharded atomics) is the right tool — and it keeps
-// the self/inclusive raw values coherent, which relaxed per-field atomics
-// would not.
-struct ProfileRegistry {
-  std::mutex mu;
-  int levels = 0;
-  long long self_ns[kProfileMaxLevels][kProfKinds] = {};
-  long long work[kProfileMaxLevels][kProfKinds] = {};
-  long long samples[kProfileMaxLevels][kProfKinds] = {};
-  long long raw_ns[kProfileMaxLevels][kProfKinds] = {};
-  long long raw_incl_ns[kProfileMaxLevels] = {};
-  long long phase_ns[kProfPhases] = {};
-  long long phase_calls[kProfPhases] = {};
-  long long runs = 0;
-  long long wall_ns = 0;
-};
-
-ProfileRegistry& registry() {
-  static ProfileRegistry* r = new ProfileRegistry();  // leaked: outlive exit
-  return *r;
-}
 
 long long calibrate_timer_cost() {
   // Cost of one profile_now_ns() call: time a tight loop of calls, best of
@@ -57,6 +34,21 @@ long long calibrate_timer_cost() {
     if (per < best) best = per;
   }
   return best < 0 ? 0 : best;
+}
+
+// into += f over every ProfileFlush field.
+void sum_flush(ProfileFlush& into, const ProfileFlush& f) {
+  if (f.levels > into.levels) into.levels = f.levels;
+  for (int d = 0; d < kProfileMaxLevels; ++d) {
+    into.raw_incl_ns[d] += f.raw_incl_ns[d];
+    for (int k = 0; k < kProfKinds; ++k) {
+      into.self_ns[d][k] += f.self_ns[d][k];
+      into.work[d][k] += f.work[d][k];
+      into.samples[d][k] += f.samples[d][k];
+      into.raw_ns[d][k] += f.raw_ns[d][k];
+    }
+  }
+  into.wall_ns += f.wall_ns;
 }
 
 }  // namespace
@@ -93,21 +85,6 @@ long long profile_timer_cost_ns() {
 // ProfileScratch
 // ---------------------------------------------------------------------------
 
-void ProfileScratch::reset(int num_levels) {
-  levels = num_levels < 0 ? 0
-           : num_levels > kProfileMaxLevels ? kProfileMaxLevels
-                                            : num_levels;
-  for (int d = 0; d < kProfileMaxLevels; ++d) {
-    incl_ns[d] = 0;
-    for (int k = 0; k < kProfKinds; ++k) {
-      work[d][k] = 0;
-      sampled_work[d][k] = 0;
-      sampled_ns[d][k] = 0;
-      samples[d][k] = 0;
-    }
-  }
-}
-
 void ProfileScratch::merge(const ProfileScratch& other) {
   if (other.levels > levels) levels = other.levels;
   for (int d = 0; d < kProfileMaxLevels; ++d) {
@@ -129,7 +106,7 @@ bool ProfileScratch::any() const {
 }
 
 // ---------------------------------------------------------------------------
-// Estimation + commit
+// Estimation
 // ---------------------------------------------------------------------------
 
 ProfileFlush profile_estimate(const ProfileScratch& s, long long wall_ns) {
@@ -179,36 +156,6 @@ ProfileFlush profile_estimate(const ProfileScratch& s, long long wall_ns) {
   return f;
 }
 
-void profile_commit(const ProfileFlush& f) {
-  ProfileRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  if (f.levels > r.levels) r.levels = f.levels;
-  for (int d = 0; d < kProfileMaxLevels; ++d) {
-    r.raw_incl_ns[d] += f.raw_incl_ns[d];
-    for (int k = 0; k < kProfKinds; ++k) {
-      r.self_ns[d][k] += f.self_ns[d][k];
-      r.work[d][k] += f.work[d][k];
-      r.samples[d][k] += f.samples[d][k];
-      r.raw_ns[d][k] += f.raw_ns[d][k];
-    }
-  }
-  r.runs += 1;
-  r.wall_ns += f.wall_ns;
-}
-
-void profile_flush(const ProfileScratch& s, long long wall_ns) {
-  if (!s.any()) return;
-  profile_commit(profile_estimate(s, wall_ns));
-}
-
-void profile_phase_add(int phase, long long ns) {
-  if (phase < 0 || phase >= kProfPhases) return;
-  ProfileRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.phase_ns[phase] += ns < 0 ? 0 : ns;
-  r.phase_calls[phase] += 1;
-}
-
 ProfilePhaseScope::ProfilePhaseScope(int phase)
     : phase_(phase), t0_(0), on_(profiling_enabled()) {
   if (on_) t0_ = profile_now_ns();
@@ -219,7 +166,7 @@ ProfilePhaseScope::~ProfilePhaseScope() {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot + reset
+// Snapshot arithmetic
 // ---------------------------------------------------------------------------
 
 long long ProfileSnapshot::level_self_ns(int level) const {
@@ -245,49 +192,18 @@ long long ProfileSnapshot::level_work(int level) const {
   return total;
 }
 
-ProfileSnapshot profile_snapshot() {
-  ProfileRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  ProfileSnapshot s;
-  s.levels = r.levels;
-  for (int d = 0; d < kProfileMaxLevels; ++d) {
-    s.raw_incl_ns[d] = r.raw_incl_ns[d];
-    for (int k = 0; k < kProfKinds; ++k) {
-      s.self_ns[d][k] = r.self_ns[d][k];
-      s.work[d][k] = r.work[d][k];
-      s.samples[d][k] = r.samples[d][k];
-      s.raw_ns[d][k] = r.raw_ns[d][k];
-    }
-  }
-  for (int p = 0; p < kProfPhases; ++p) {
-    s.phase_ns[p] = r.phase_ns[p];
-    s.phase_calls[p] = r.phase_calls[p];
-  }
-  s.runs = r.runs;
-  s.wall_ns = r.wall_ns;
-  s.timer_cost_ns = profile_timer_cost_ns();
-  return s;
+void ProfileSnapshot::add(const ProfileFlush& f) {
+  sum_flush(*this, f);
+  runs += 1;
 }
 
-void profile_reset() {
-  ProfileRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.levels = 0;
-  for (int d = 0; d < kProfileMaxLevels; ++d) {
-    r.raw_incl_ns[d] = 0;
-    for (int k = 0; k < kProfKinds; ++k) {
-      r.self_ns[d][k] = 0;
-      r.work[d][k] = 0;
-      r.samples[d][k] = 0;
-      r.raw_ns[d][k] = 0;
-    }
-  }
+void ProfileSnapshot::merge(const ProfileSnapshot& o) {
+  sum_flush(*this, o);
+  runs += o.runs;
   for (int p = 0; p < kProfPhases; ++p) {
-    r.phase_ns[p] = 0;
-    r.phase_calls[p] = 0;
+    phase_ns[p] += o.phase_ns[p];
+    phase_calls[p] += o.phase_calls[p];
   }
-  r.runs = 0;
-  r.wall_ns = 0;
 }
 
 // ---------------------------------------------------------------------------

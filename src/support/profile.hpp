@@ -1,38 +1,25 @@
-// Per-level time attribution: the fifth observability layer.
+// Per-level time attribution (docs/OBSERVABILITY.md, "Per-level
+// attribution and flamegraphs").
 //
-// The counters say how much join work a run did, the metrics registry says
-// how long runs take in distribution — this layer says WHERE the time went:
-// which plan level, under which drain kind (per-tuple, merge, bulk, blocked,
-// sliced), plus coarse phase attribution (inspector / exchange / compute) on
-// the distributed path. One schema covers every engine rung: the interpreter
-// and the linked engine feed a per-runner `ProfileScratch` flushed once per
-// run; the specialized `.so` backend reports per-level `lvl_ns` slots across
-// its ABI and the host commits the same shape (`docs/CODEGEN.md`).
+// The registry's counts say how much join work a run did and its latency
+// histograms how long runs take — this layer says WHERE the time went:
+// which plan level, under which drain kind (per-tuple, merge, bulk,
+// blocked, sliced), plus coarse phase attribution (inspector / exchange /
+// compute) on the distributed path. The interpreter and the linked engine
+// fill the `ProfileScratch` of their run record (support/metrics.hpp); the
+// specialized `.so` reports per-level `lvl_ns` slots across its ABI
+// (docs/CODEGEN.md). Either way one estimate per run commits into the
+// profile store, which lives in the registry's shards.
 //
-// The overhead model (documented in docs/OBSERVABILITY.md):
-//
-//  - WORK counts — one plain array increment per binding / one per drained
-//    range — are exact and always on while profiling is enabled. They are
-//    integer sums of per-event contributions, so a serial run and a
-//    `--threads=N` run produce bitwise-identical work counts (the same
-//    shard-and-merge discipline as the counter registry).
-//  - TIME is *sampled*: every `kProfileSampleEvery`-th outer-level binding
-//    opens a bracket; inside a bracket the engine takes one steady_clock
-//    stamp per level transition (never per tuple) and books the elapsed
-//    segment to the level it was executing. Bulk/blocked/sliced drains book
-//    one interval per drained range. At flush, the calibrated timer cost is
-//    subtracted per sample and the sampled nanoseconds are extrapolated by
-//    the exact work ratio (`work / sampled_work`). Sampling keeps the
-//    profiler under the 2% wall budget asserted by tests/profile_test.cpp;
-//    the price is that ns values are estimates and — unlike the work
-//    counts — not bitwise-reproducible across thread counts (chunk
-//    boundaries reset the sampling phase).
-//  - Inclusive time is accumulated alongside self time: every sampled
-//    segment booked to level d is also added to the inclusive slot of every
-//    level on the current stack (depth <= 3 in practice), so the raw
-//    sampled values obey `incl[d] == sum_kind self[d][*] + incl[d+1]`
-//    exactly — the invariant tests/profile_test.cpp asserts to catch
-//    shard-merge and flush bugs.
+// WORK counts (one plain increment per binding or drained range) are
+// exact and shard-merge bitwise across thread counts. TIME is sampled:
+// every `kProfileSampleEvery`-th outer binding opens a bracket with one
+// steady_clock stamp per level transition (never per tuple); at commit the
+// calibrated timer cost is subtracted per sample and the sampled ns are
+// extrapolated by the exact work ratio, under the 2% wall budget
+// tests/profile_test.cpp asserts. Sampled segments also feed every
+// enclosing level's inclusive slot, so the raw values obey
+// `incl[d] == sum_kind self[d][*] + incl[d+1]` exactly.
 //
 // Surfaces: `profile_json()` (schema `bernoulli.profile.v1`, embedded in
 // run reports), `profile_collapsed()` (collapsed-stack flamegraph lines,
@@ -94,7 +81,7 @@ bool profiling_enabled();
 long long profile_now_ns();
 
 /// Measured cost of one profile_now_ns() call, calibrated once per process
-/// on first use and subtracted per sample at flush time.
+/// on first use and subtracted per sample at commit time.
 long long profile_timer_cost_ns();
 
 // ---------------------------------------------------------------------------
@@ -102,7 +89,7 @@ long long profile_timer_cost_ns();
 // ---------------------------------------------------------------------------
 
 /// Plain per-run accumulator — no atomics; lives in the runner (or one per
-/// ParallelRunner worker, merged before the single flush).
+/// ParallelRunner worker, merged before the single commit).
 struct ProfileScratch {
   int levels = 0;
   long long work[kProfileMaxLevels][kProfKinds] = {};
@@ -111,7 +98,6 @@ struct ProfileScratch {
   long long samples[kProfileMaxLevels][kProfKinds] = {};
   long long incl_ns[kProfileMaxLevels] = {};
 
-  void reset(int num_levels);
   void merge(const ProfileScratch& other);
   bool any() const;
 
@@ -140,11 +126,12 @@ struct ProfileScratch {
 };
 
 // ---------------------------------------------------------------------------
-// Flush: compensate, extrapolate, commit
+// Estimate: compensate, extrapolate
 // ---------------------------------------------------------------------------
 
-/// What one run commits to the global profile registry. `self_ns` holds the
-/// compensated + extrapolated estimates; the raw sampled values ride along
+/// What one run commits to the profile store (support/metrics.hpp, one
+/// slice per registry shard). `self_ns` holds the compensated +
+/// extrapolated estimates; the raw sampled values ride along
 /// so the self/inclusive invariant stays checkable after the merge.
 struct ProfileFlush {
   int levels = 0;
@@ -160,16 +147,6 @@ struct ProfileFlush {
 ///   comp = max(0, sampled_ns - samples * timer_cost)
 ///   self = comp * work / sampled_work   (comp when never sampled)
 ProfileFlush profile_estimate(const ProfileScratch& s, long long wall_ns);
-
-/// Adds a flush into the global registry (one mutex acquisition per run).
-void profile_commit(const ProfileFlush& f);
-
-/// profile_commit(profile_estimate(s, wall_ns)) — the once-per-run flush
-/// the engines call; a no-op when the scratch saw no work.
-void profile_flush(const ProfileScratch& s, long long wall_ns);
-
-/// Exact phase interval on the distributed path.
-void profile_phase_add(int phase, long long ns);
 
 /// RAII phase bracket; books nothing when profiling is off.
 class ProfilePhaseScope {
@@ -238,21 +215,21 @@ class ProfileClock {
 };
 
 // ---------------------------------------------------------------------------
-// Registry snapshot + exports
+// Store snapshot + exports
 // ---------------------------------------------------------------------------
 
-struct ProfileSnapshot {
-  int levels = 0;
-  long long self_ns[kProfileMaxLevels][kProfKinds] = {};
-  long long work[kProfileMaxLevels][kProfKinds] = {};
-  long long samples[kProfileMaxLevels][kProfKinds] = {};
-  long long raw_ns[kProfileMaxLevels][kProfKinds] = {};
-  long long raw_incl_ns[kProfileMaxLevels] = {};
+/// Summed flushes (the ProfileFlush fields, wall_ns included) plus the
+/// phase intervals and the run count.
+struct ProfileSnapshot : ProfileFlush {
   long long phase_ns[kProfPhases] = {};
   long long phase_calls[kProfPhases] = {};
   long long runs = 0;
-  long long wall_ns = 0;
   long long timer_cost_ns = 0;
+
+  /// Books one run's flush (a shard's slice of the store).
+  void add(const ProfileFlush& f);
+  /// Adds another slice (shards merged in fixed order).
+  void merge(const ProfileSnapshot& o);
 
   /// Estimated self time of one level summed over kinds.
   long long level_self_ns(int level) const;
@@ -265,14 +242,11 @@ struct ProfileSnapshot {
   long long level_work(int level) const;
 };
 
-ProfileSnapshot profile_snapshot();
-void profile_reset();
-
-/// The registry as a `bernoulli.profile.v1` JSON document (embedded in run
-/// reports as `profile_registry`; "{}" when nothing was profiled).
+/// The profile store as a `bernoulli.profile.v1` JSON document (embedded
+/// in run reports as `profile_registry`; "{}" when nothing was profiled).
 std::string profile_json();
 
-/// Collapsed-stack flamegraph lines from the current registry:
+/// Collapsed-stack flamegraph lines from the current profile store:
 ///   plan;level0;...;level<d>;<kind> <self_ns>
 /// with phases as `plan;<phase> <ns>`. Empty string when nothing profiled.
 std::string profile_collapsed();

@@ -5,7 +5,7 @@
 // only needs "run body(slot) on N threads and wait".
 //
 // Threads are lazily spawned and kept for the life of the process (same
-// leak-on-purpose policy as the counter registry), so steady-state
+// leak-on-purpose policy as the metrics registry), so steady-state
 // parallel runs pay no thread creation. Each pool thread is an ordinary
 // host thread to the tracing layer: it gets its own (pid 1, tid) track
 // on first use, which is what tags per-worker TraceSpans.

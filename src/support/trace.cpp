@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/histogram.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
 
@@ -28,7 +28,7 @@ struct TraceEvent {
   std::string args;     // pre-rendered JSON object; empty = none
 };
 
-// Leaked on purpose (same policy as the counter registry): thread-local
+// Leaked on purpose (same policy as the metrics registry): thread-local
 // pointers into the registry stay valid for the whole process lifetime
 // even if threads outlive static destruction order.
 struct ThreadBuffer {
@@ -360,7 +360,7 @@ std::string trace_json(int indent) {
   w.key("bernoulli").begin_object();
   w.key("schema").value("bernoulli.trace.v1");
   w.key("comm_matrix").raw(comm_matrix_json());
-  w.key("histograms").raw(histograms_json());
+  w.key("metrics_registry").raw(metrics_json());
   w.end_object();
   w.end_object();
   return w.str();

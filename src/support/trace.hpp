@@ -152,7 +152,8 @@ void trace_emit_counter(std::string name, double value, double ts_us,
 
 /// The whole trace as a Chrome trace-event JSON document:
 ///   {"traceEvents": [...], "displayTimeUnit": "ms",
-///    "bernoulli": {"comm_matrix": ..., "histograms": ...}}
+///    "bernoulli": {"comm_matrix": ...,
+///                  "metrics_registry": <bernoulli.metrics.v2>}}
 /// Perfetto ignores the extra top-level keys; the derived reports ride
 /// along in the same file.
 std::string trace_json(int indent = 0);

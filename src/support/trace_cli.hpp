@@ -18,9 +18,9 @@
 #include <iostream>
 #include <string>
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
 #include "support/json_reader.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace bernoulli::support {
@@ -57,11 +57,12 @@ inline bool obs_parse_flag(const char* arg, ObsOptions& o) {
   return false;
 }
 
-/// Starts recording. Resets the counter registry so obs_end can reconcile
-/// comm.* against exactly the machine runs inside the window.
+/// Starts recording. Resets the whole metrics registry, so obs_end's
+/// comm.* reconciliation, the embedded comm.message_bytes histogram and
+/// the execute.* metrics all cover exactly the window.
 inline void obs_begin(const ObsOptions& o) {
   if (!o.active()) return;
-  counters_reset();
+  metrics_reset();
   if (o.tracing())
     trace_start();  // implies comm-matrix recording
   else
@@ -87,7 +88,7 @@ inline void obs_end(const ObsOptions& o, long long commstats_messages,
 
   long long counter_messages = 0;
   long long counter_bytes = 0;
-  auto snap = counters_snapshot();
+  const MetricsSnapshot snap = metrics_snapshot();
   for (const auto& [name, v] : snap.counts) {
     if (!name.starts_with("comm.")) continue;
     if (name.ends_with(".messages")) counter_messages += v;

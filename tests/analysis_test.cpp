@@ -26,9 +26,8 @@
 #include "solvers/dist_cg.hpp"
 #include "spmd/dist_compile.hpp"
 #include "spmd/matvec.hpp"
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
 #include "support/json_reader.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "support/trace_cli.hpp"
 #include "workloads/grid.hpp"
@@ -211,8 +210,7 @@ TEST(CriticalPath, FourRankSpmvReconcilesAllViews) {
   const int P = 4;
   distrib::BlockDist rows(a.rows(), P);
 
-  support::counters_reset();
-  support::histograms_reset();
+  support::metrics_reset();
   support::trace_start();
   runtime::Machine machine(P);
   machine.set_manual_compute(true);  // only modeled comm advances the clock
@@ -262,7 +260,7 @@ TEST(CriticalPath, FourRankSpmvReconcilesAllViews) {
 
   // ...and with the comm.* counter registry in aggregate.
   long long counter_bytes = 0, counter_messages = 0;
-  for (const auto& [name, v] : support::counters_snapshot().counts) {
+  for (const auto& [name, v] : support::metrics_snapshot().counts) {
     if (name.rfind("comm.", 0) != 0) continue;
     if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".bytes") == 0)
       counter_bytes += v;

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "spmd/comm.hpp"
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::spmd {
 namespace {
@@ -109,14 +109,14 @@ TEST(CommSchedule, ExchangeCountersReconcileWithCommStats) {
   // An exchange books its messages and bytes once, in the counter registry
   // and in the machine's CommStats alike (rank threads book under the
   // default "main" phase), and counts one schedule operation per rank.
-  support::counters_reset();
+  support::metrics_reset();
   runtime::Machine machine(2);
   auto reports = machine.run([&](runtime::Process& p) {
     CommSchedule s = two_rank_schedule(p.rank());
     Vector x_full{1.0 * p.rank(), 2.0, 3.0, 0.0};
     s.exchange(p, x_full, 21);
   });
-  auto snap = support::counters_snapshot();
+  auto snap = support::metrics_snapshot();
   const long long msgs = reports[0].stats.messages + reports[1].stats.messages;
   const long long bytes = reports[0].stats.bytes + reports[1].stats.bytes;
   EXPECT_GT(msgs, 0);

@@ -1,14 +1,15 @@
 // Unit tests for the observability substrate: the JSON writer's encoding
-// contract and the counter registry's semantics (identity, snapshot/reset,
-// phase tagging, thread-local phase isolation).
+// contract and the registry's count/seconds semantics (identity, one kind
+// per name, snapshot/reset, phase tagging, thread-local phase isolation).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <thread>
 
-#include "support/counters.hpp"
 #include "support/error.hpp"
+#include "support/json_reader.hpp"
 #include "support/json_writer.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
 namespace {
@@ -134,17 +135,27 @@ TEST(Counters, SnapshotAndReset) {
   counter("test.snap").add(5);
   time_counter("test.snap_time").reset();
   time_counter("test.snap_time").add(0.25);
-  auto snap = counters_snapshot();
+  auto snap = metrics_snapshot();
   EXPECT_EQ(snap.counts["test.snap"], 5);
   EXPECT_DOUBLE_EQ(snap.seconds["test.snap_time"], 0.25);
 
-  counters_reset();
-  snap = counters_snapshot();
+  metrics_reset();
+  snap = metrics_snapshot();
   EXPECT_EQ(snap.counts["test.snap"], 0);
   EXPECT_DOUBLE_EQ(snap.seconds["test.snap_time"], 0.0);
 }
 
+TEST(Counters, NameBelongsToOneKind) {
+  counter("test.one_kind").add(1);
+  EXPECT_THROW(histogram("test.one_kind"), Error);
+  EXPECT_THROW(time_counter("test.one_kind"), Error);
+  EXPECT_EQ(counter("test.one_kind").value(), 1);
+}
+
 TEST(Counters, PhaseScopingRestores) {
+  // Each scope books through the handles it resolved when it opened.
+  const long long executor0 = counter("comm.executor.exchanges").value();
+  const long long inspector0 = counter("comm.inspector.exchanges").value();
   EXPECT_EQ(counter_phase(), "main");
   {
     PhaseScope inspector("inspector");
@@ -152,14 +163,14 @@ TEST(Counters, PhaseScopingRestores) {
     {
       PhaseScope executor("executor");
       EXPECT_EQ(counter_phase(), "executor");
-      phase_counter("test.fam", "hits").add(1);
+      phase_counters().exchanges.add(1);
     }
     EXPECT_EQ(counter_phase(), "inspector");
-    phase_counter("test.fam", "hits").add(1);
+    phase_counters().exchanges.add(1);
   }
   EXPECT_EQ(counter_phase(), "main");
-  EXPECT_EQ(counter("test.fam.executor.hits").value(), 1);
-  EXPECT_EQ(counter("test.fam.inspector.hits").value(), 1);
+  EXPECT_EQ(counter("comm.executor.exchanges").value() - executor0, 1);
+  EXPECT_EQ(counter("comm.inspector.exchanges").value() - inspector0, 1);
 }
 
 TEST(Counters, PhaseIsThreadLocal) {
@@ -185,30 +196,14 @@ TEST(Counters, PhaseScopeRestoresOnException) {
   EXPECT_EQ(counter_phase(), "main");
 }
 
-TEST(Counters, TextRenderingIsDeterministicGolden) {
-  counters_reset();
-  counter("test.golden.b").add(2);
-  counter("test.golden.a").add(11);
-  time_counter("test.golden.t").add(0.5);
-  // skip_zero drops every other (reset) counter in the process-wide
-  // registry, leaving exactly the three set above — sorted by name,
-  // counts before seconds, two spaces of padding to the widest included
-  // name, times in scientific notation with an " s" suffix.
-  EXPECT_EQ(counters_text(/*skip_zero=*/true),
-            "test.golden.a  11\n"
-            "test.golden.b  2\n"
-            "test.golden.t  5.000e-01 s\n");
-}
-
-TEST(Counters, TextAndJsonRenderings) {
-  counters_reset();
+TEST(Counters, JsonRendering) {
+  metrics_reset();
   counter("test.render").add(9);
   time_counter("test.render_time").add(1.5);
-  std::string text = counters_text();
-  EXPECT_NE(text.find("test.render"), std::string::npos);
-  std::string json = counters_json();
-  EXPECT_NE(json.find("\"test.render\":9"), std::string::npos);
-  EXPECT_NE(json.find("\"test.render_time\":1.5"), std::string::npos);
+  const JsonValue doc = json_parse(metrics_json());
+  EXPECT_EQ(doc.find("schema")->as_string(), "bernoulli.metrics.v2");
+  EXPECT_EQ(doc.find("counts")->find("test.render")->as_number(), 9);
+  EXPECT_EQ(doc.find("seconds")->find("test.render_time")->as_number(), 1.5);
 }
 
 }  // namespace

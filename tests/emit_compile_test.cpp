@@ -14,9 +14,8 @@
 #include "compiler/specialize.hpp"
 #include "formats/formats.hpp"
 #include "formats/sparse_vector.hpp"
-#include "support/counters.hpp"
 #include "support/dynlib.hpp"
-#include "support/histogram.hpp"
+#include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/rng.hpp"
 
@@ -42,8 +41,8 @@ bool have_cc() {
 // enforces, here over every leaf form the emitter chooses.
 
 std::map<std::string, long long> exec_delta(
-    const support::CountersSnapshot& before,
-    const support::CountersSnapshot& after) {
+    const support::MetricsSnapshot& before,
+    const support::MetricsSnapshot& after) {
   std::map<std::string, long long> d;
   for (const auto& [name, v] : after.counts) {
     if (name.rfind("executor.", 0) != 0) continue;
@@ -89,11 +88,11 @@ Observed observe(bool profile, Vector& y, const Vector& y0, Engine&& engine) {
   y = y0;
   support::set_profiling(profile);
   support::profile_reset();
-  const auto hb = support::histograms_snapshot();
-  const auto cb = support::counters_snapshot();
+  const auto cb = support::metrics_snapshot();
+  const auto& hb = cb.log2;
   engine(&o.stats);
-  o.deltas = exec_delta(cb, support::counters_snapshot());
-  o.fanout = fanout_delta(hb, support::histograms_snapshot());
+  o.deltas = exec_delta(cb, support::metrics_snapshot());
+  o.fanout = fanout_delta(hb, support::metrics_snapshot().log2);
   if (profile) {
     const support::ProfileSnapshot prof = support::profile_snapshot();
     for (int d = 0; d < support::kProfileMaxLevels; ++d)

@@ -21,8 +21,7 @@
 #include "relation/jds_view.hpp"
 #include "relation/spa_view.hpp"
 #include "relation/sparse_vector_view.hpp"
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
+#include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/rng.hpp"
 
@@ -46,8 +45,8 @@ Coo random_matrix(index_t rows, index_t cols, index_t nnz,
 // executor.* counter deltas across a run (zero deltas elided, so the
 // comparison is independent of which counters other tests registered).
 std::map<std::string, long long> exec_delta(
-    const support::CountersSnapshot& before,
-    const support::CountersSnapshot& after) {
+    const support::MetricsSnapshot& before,
+    const support::MetricsSnapshot& after) {
   std::map<std::string, long long> d;
   for (const auto& [name, v] : after.counts) {
     if (name.rfind("executor.", 0) != 0) continue;
@@ -67,18 +66,18 @@ struct EngineRun {
 EngineRun run_interpreted(const Plan& plan, const Query& q,
                           const Action& action) {
   EngineRun r;
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   execute_interpreted(plan, q, action, &r.stats);
-  r.deltas = exec_delta(before, support::counters_snapshot());
+  r.deltas = exec_delta(before, support::metrics_snapshot());
   return r;
 }
 
 EngineRun run_linked(const Plan& plan, const Query& q, const Action& action) {
   EngineRun r;
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   LinkedRunner runner(link_plan(plan, q));
   runner.run(action, &r.stats);
-  r.deltas = exec_delta(before, support::counters_snapshot());
+  r.deltas = exec_delta(before, support::metrics_snapshot());
   return r;
 }
 
@@ -86,10 +85,10 @@ EngineRun run_linked_mac(const Plan& plan, const Query& q, index_t target,
                          const std::vector<index_t>& factors,
                          value_t scale = 1.0) {
   EngineRun r;
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   LinkedRunner runner(link_plan(plan, q));
   runner.run(link_mac(q, target, factors, scale), &r.stats);
-  r.deltas = exec_delta(before, support::counters_snapshot());
+  r.deltas = exec_delta(before, support::metrics_snapshot());
   return r;
 }
 
@@ -460,17 +459,17 @@ TEST(LinkedExec, RunnerReuseKeepsCountsStable) {
   LinkedMac mac = link_mac(k.query(), 1, {2, 3});
   EngineRun first;
   {
-    auto before = support::counters_snapshot();
+    auto before = support::metrics_snapshot();
     runner.run(mac, &first.stats);
-    first.deltas = exec_delta(before, support::counters_snapshot());
+    first.deltas = exec_delta(before, support::metrics_snapshot());
   }
   Vector y_first = y;
   for (int rep = 0; rep < 3; ++rep) {
     std::fill(y.begin(), y.end(), 0.0);
     EngineRun again;
-    auto before = support::counters_snapshot();
+    auto before = support::metrics_snapshot();
     runner.run(mac, &again.stats);
-    again.deltas = exec_delta(before, support::counters_snapshot());
+    again.deltas = exec_delta(before, support::metrics_snapshot());
     expect_same_work(first, again);
     for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_first[i]);
   }
@@ -555,11 +554,11 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
   const index_t target = 1;
   const std::vector<index_t> factors{2, 3};
 
-  auto hist_before = support::histograms_snapshot();
+  auto hist_before = support::metrics_snapshot().log2;
   EngineRun ir =
       run_interpreted(k.plan(), k.query(),
                       multiply_accumulate(k.query(), target, factors));
-  auto ir_fanout = fanout_delta(hist_before, support::histograms_snapshot());
+  auto ir_fanout = fanout_delta(hist_before, support::metrics_snapshot().log2);
   Vector y_interp = y;
 
   // Profile work counts are exact integer sums: the serial linked run's
@@ -574,15 +573,15 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     std::fill(y.begin(), y.end(), 0.0);
     support::profile_reset();
-    auto hb = support::histograms_snapshot();
-    auto before = support::counters_snapshot();
+    auto before = support::metrics_snapshot();
+    const auto& hb = before.log2;
     ParallelRunner runner(link_plan(k.plan(), k.query()), threads);
     EngineRun pr;
     runner.run(link_mac(k.query(), target, factors), &pr.stats);
-    pr.deltas = exec_delta(before, support::counters_snapshot());
+    pr.deltas = exec_delta(before, support::metrics_snapshot());
     expect_same_work(ir, pr);
     EXPECT_EQ(ir_fanout,
-              fanout_delta(hb, support::histograms_snapshot()))
+              fanout_delta(hb, support::metrics_snapshot().log2))
         << "threads=" << threads;
     EXPECT_EQ(serial_work, profile_work(support::profile_snapshot()))
         << "threads=" << threads;
@@ -595,11 +594,11 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
   // The Action-sink path fans out too (distinct outer bindings only, so a
   // concurrently-invoked accumulate into disjoint rows is safe).
   std::fill(y.begin(), y.end(), 0.0);
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   ParallelRunner runner(link_plan(k.plan(), k.query()), 4);
   EngineRun pa;
   runner.run(multiply_accumulate(k.query(), target, factors), &pa.stats);
-  pa.deltas = exec_delta(before, support::counters_snapshot());
+  pa.deltas = exec_delta(before, support::metrics_snapshot());
   expect_same_work(ir, pa);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_interp[i]);
 }
@@ -664,10 +663,10 @@ TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
   support::set_profiling(true);
   support::profile_reset();
   set_bulk_drain(false);
-  auto hb_slow = support::histograms_snapshot();
+  auto hb_slow = support::metrics_snapshot().log2;
   EngineRun slow = run_linked_mac(k.plan(), k.query(), target, factors);
   auto slow_fanout =
-      fanout_delta(hb_slow, support::histograms_snapshot());
+      fanout_delta(hb_slow, support::metrics_snapshot().log2);
   const support::ProfileSnapshot slow_prof = support::profile_snapshot();
   Vector y_slow = y;
 
@@ -676,7 +675,7 @@ TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
   set_bulk_drain(true);
   support::profile_reset();
   std::fill(y.begin(), y.end(), 0.0);
-  auto hb_fast = support::histograms_snapshot();
+  auto hb_fast = support::metrics_snapshot().log2;
   EngineRun fast = run_linked_mac(k.plan(), k.query(), target, factors);
   const support::ProfileSnapshot fast_prof = support::profile_snapshot();
   support::set_profiling(false);
@@ -684,7 +683,7 @@ TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
 
   expect_same_work(slow, fast);
   EXPECT_EQ(slow_fanout,
-            fanout_delta(hb_fast, support::histograms_snapshot()));
+            fanout_delta(hb_fast, support::metrics_snapshot().log2));
   for (int d = 0; d < support::kProfileMaxLevels; ++d)
     EXPECT_EQ(slow_prof.level_work(d), fast_prof.level_work(d))
         << "level " << d;
@@ -751,8 +750,8 @@ DrainRun run_drains(const DrainMode& mode, const CompiledKernel& k,
   set_bulk_drain(mode.drains);
   support::set_profiling(mode.profiled);
   support::profile_reset();
-  auto hb = support::histograms_snapshot();
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
+  const auto& hb = before.log2;
   const LinkedMac mac = link_mac(k.query(), 1, factors, mode.scale);
   if (mode.threads == 1) {
     LinkedRunner runner(link_plan(k.plan(), k.query()));
@@ -762,8 +761,8 @@ DrainRun run_drains(const DrainMode& mode, const CompiledKernel& k,
     runner.run(mac, &out.run.stats);
     out.note = runner.run_note();
   }
-  out.run.deltas = exec_delta(before, support::counters_snapshot());
-  out.fanout = fanout_delta(hb, support::histograms_snapshot());
+  out.run.deltas = exec_delta(before, support::metrics_snapshot());
+  out.fanout = fanout_delta(hb, support::metrics_snapshot().log2);
   const support::ProfileSnapshot prof = support::profile_snapshot();
   for (int d = 0; d < support::kProfileMaxLevels; ++d)
     out.level_work.push_back(prof.level_work(d));
@@ -1152,10 +1151,10 @@ TEST(OwnerComputes, SerialCasesNameTheirReason) {
     const Vector want = y;
     y = y0;
     ParallelRunner runner(link_plan(k.plan(), k.query()), 4);
-    auto before = support::counters_snapshot();
+    auto before = support::metrics_snapshot();
     EngineRun got;
     runner.run(multiply_accumulate(k.query(), 1, {2, 3}), &got.stats);
-    got.deltas = exec_delta(before, support::counters_snapshot());
+    got.deltas = exec_delta(before, support::metrics_snapshot());
     expect_same_work(ref, got);
     EXPECT_EQ(runner.run_note(),
               "owner-computes runs only the multiply-accumulate; "
@@ -1257,24 +1256,24 @@ TEST_P(ProfilingSweep, ProfiledRunIndistinguishableFromUnprofiled) {
   const std::vector<index_t> factors{2, 3};
 
   // Reference: profiling off (the process default).
-  auto hb_plain = support::histograms_snapshot();
+  auto hb_plain = support::metrics_snapshot().log2;
   EngineRun plain = run_linked_mac(k.plan(), k.query(), target, factors);
   auto plain_fanout =
-      fanout_delta(hb_plain, support::histograms_snapshot());
+      fanout_delta(hb_plain, support::metrics_snapshot().log2);
   Vector y_plain = y;
 
   // Profiling on — restored before any assertion can bail out of the
   // test body.
   support::set_profiling(true);
   std::fill(y.begin(), y.end(), 0.0);
-  auto hb_prof = support::histograms_snapshot();
+  auto hb_prof = support::metrics_snapshot().log2;
   EngineRun prof = run_linked_mac(k.plan(), k.query(), target, factors);
   support::set_profiling(false);
   support::profile_reset();
 
   expect_same_work(plain, prof);
   EXPECT_EQ(plain_fanout,
-            fanout_delta(hb_prof, support::histograms_snapshot()));
+            fanout_delta(hb_prof, support::metrics_snapshot().log2));
   for (std::size_t i = 0; i < y.size(); ++i)
     EXPECT_EQ(y[i], y_plain[i]) << "row " << i;  // bitwise
 }
@@ -1326,10 +1325,10 @@ RungRef drive_all_rungs(Bindings& b, index_t rows, index_t cols, Vector& y,
   // Serial linked rung (bulk drains on) — the rung whose observables we
   // hand back, and the in-test reference when none was supplied.
   std::fill(y.begin(), y.end(), 0.0);
-  auto hb = support::histograms_snapshot();
+  auto hb = support::metrics_snapshot().log2;
   RungRef ref;
   ref.linked = run_linked_mac(k.plan(), k.query(), target, factors);
-  ref.fanout = fanout_delta(hb, support::histograms_snapshot());
+  ref.fanout = fanout_delta(hb, support::metrics_snapshot().log2);
   ref.y = y;
   const Vector& want = y_ref ? *y_ref : ref.y;
   for (std::size_t i = 0; i < y.size(); ++i)
@@ -1347,14 +1346,14 @@ RungRef drive_all_rungs(Bindings& b, index_t rows, index_t cols, Vector& y,
   // Threaded rung (exercises the block-aligned chunk grid for BCSR).
   for (int threads : {2, 4}) {
     std::fill(y.begin(), y.end(), 0.0);
-    auto hb_t = support::histograms_snapshot();
-    auto cb_t = support::counters_snapshot();
+    auto cb_t = support::metrics_snapshot();
+    const auto& hb_t = cb_t.log2;
     ParallelRunner runner(link_plan(k.plan(), k.query()), threads);
     EngineRun pr;
     runner.run(link_mac(k.query(), target, factors), &pr.stats);
-    pr.deltas = exec_delta(cb_t, support::counters_snapshot());
+    pr.deltas = exec_delta(cb_t, support::metrics_snapshot());
     expect_same_work(ref.linked, pr);
-    EXPECT_EQ(ref.fanout, fanout_delta(hb_t, support::histograms_snapshot()))
+    EXPECT_EQ(ref.fanout, fanout_delta(hb_t, support::metrics_snapshot().log2))
         << label << " threads=" << threads;
     for (std::size_t i = 0; i < y.size(); ++i)
       EXPECT_EQ(y[i], want[i])
@@ -1369,13 +1368,13 @@ RungRef drive_all_rungs(Bindings& b, index_t rows, index_t cols, Vector& y,
   SpecializedKernel spec(lp, mac);
   if (spec.ok()) {
     std::fill(y.begin(), y.end(), 0.0);
-    auto hb_s = support::histograms_snapshot();
-    auto cb_s = support::counters_snapshot();
+    auto cb_s = support::metrics_snapshot();
+    const auto& hb_s = cb_s.log2;
     EngineRun sr;
     spec.run(&sr.stats);
-    sr.deltas = exec_delta(cb_s, support::counters_snapshot());
+    sr.deltas = exec_delta(cb_s, support::metrics_snapshot());
     expect_same_work(ref.linked, sr);
-    EXPECT_EQ(ref.fanout, fanout_delta(hb_s, support::histograms_snapshot()))
+    EXPECT_EQ(ref.fanout, fanout_delta(hb_s, support::metrics_snapshot().log2))
         << label << " specialized";
     for (std::size_t i = 0; i < y.size(); ++i)
       EXPECT_EQ(y[i], want[i]) << label << " specialized row " << i;
@@ -1540,12 +1539,12 @@ TEST(ParallelExec, OuterMergeJoinFallsBackToSerial) {
       run_interpreted(plan, q, multiply_accumulate(q, 3, {1, 2}));
   Vector y_interp = y;
   std::fill(y.begin(), y.end(), 0.0);
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   ParallelRunner runner(link_plan(plan, q), 8);
   EXPECT_FALSE(runner.parallel());
   EngineRun pr;
   runner.run(multiply_accumulate(q, 3, {1, 2}), &pr.stats);
-  pr.deltas = exec_delta(before, support::counters_snapshot());
+  pr.deltas = exec_delta(before, support::metrics_snapshot());
   expect_same_work(ir, pr);
   for (std::size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_interp[i]);
 }
@@ -1606,16 +1605,16 @@ TEST(CompiledKernelCache, CopyAndMoveKeepLinkedProgram) {
 
   // Reference run (also builds the cache the copies must re-establish).
   std::fill(y.begin(), y.end(), 0.0);
-  auto before = support::counters_snapshot();
+  auto before = support::metrics_snapshot();
   k.run();
-  auto ref_delta = exec_delta(before, support::counters_snapshot());
+  auto ref_delta = exec_delta(before, support::metrics_snapshot());
   Vector y_ref = y;
 
   auto run_and_compare = [&](const CompiledKernel& kk, const char* label) {
     std::fill(y.begin(), y.end(), 0.0);
-    auto b0 = support::counters_snapshot();
+    auto b0 = support::metrics_snapshot();
     kk.run();
-    EXPECT_EQ(exec_delta(b0, support::counters_snapshot()), ref_delta)
+    EXPECT_EQ(exec_delta(b0, support::metrics_snapshot()), ref_delta)
         << label;
     for (std::size_t i = 0; i < y.size(); ++i)
       EXPECT_EQ(y[i], y_ref[i]) << label << " row " << i;

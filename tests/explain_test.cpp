@@ -13,7 +13,7 @@
 #include "formats/sparse_vector.hpp"
 #include "relation/array_views.hpp"
 #include "relation/hash_index.hpp"
-#include "support/counters.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace bernoulli::compiler {
@@ -346,9 +346,9 @@ TEST(Explain, CountersMatchPlanGroundTruth) {
   b.bind_dense_vector("Y", VectorView(y));
   auto k = compile(matvec_nest(n, n), b);
 
-  support::counters_reset();
+  support::metrics_reset();
   k.run();
-  auto snap = support::counters_snapshot();
+  auto snap = support::metrics_snapshot();
   EXPECT_EQ(snap.counts["executor.runs"], 1);
   EXPECT_EQ(snap.counts["executor.tuples"], csr.nnz());
   EXPECT_EQ(snap.counts["executor.probe_misses"], 0);

@@ -23,7 +23,6 @@
 #include "compiler/link.hpp"
 #include "compiler/loopnest.hpp"
 #include "formats/formats.hpp"
-#include "support/counters.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 
@@ -83,8 +82,8 @@ std::unique_ptr<Spmv> make_spmv(Fmt fmt, index_t rows, index_t cols,
 long long rate_delta(const support::MetricsSnapshot& m0,
                      const support::MetricsSnapshot& m1, const char* name) {
   auto get = [&](const support::MetricsSnapshot& s) {
-    auto it = s.rates.find(name);
-    return it == s.rates.end() ? 0LL : it->second;
+    auto it = s.counts.find(name);
+    return it == s.counts.end() ? 0LL : it->second;
   };
   return get(m1) - get(m0);
 }
@@ -128,11 +127,11 @@ TEST_P(FootprintFmt, SpmvFootprintIsExactAndMatchesMeasuredWork) {
   LinkedRunner runner(std::move(lp));
   LinkedMac mac = link_mac(s->kernel.query(), s->target, s->factors);
   RunStats stats;
-  auto c0 = support::counters_snapshot();
+  auto c0 = support::metrics_snapshot();
   runner.run(mac, &stats);
-  auto c1 = support::counters_snapshot();
+  auto c1 = support::metrics_snapshot();
   EXPECT_EQ(stats.tuples, fp.leaf_tuples);
-  auto count = [](const support::CountersSnapshot& snap, const char* k) {
+  auto count = [](const support::MetricsSnapshot& snap, const char* k) {
     auto it = snap.counts.find(k);
     return it == snap.counts.end() ? 0LL : it->second;
   };

@@ -1,13 +1,13 @@
-// Unit tests for the log2 histogram substrate (support/histogram.hpp):
-// bucket geometry, labels, registry identity, and the text/JSON
-// renderings the trace exporter embeds.
+// Unit tests for the registry's log2 histograms (support/metrics.hpp):
+// bucket geometry, labels, registry identity, and the "log2" block of the
+// bernoulli.metrics.v2 document that traces and run reports embed.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <vector>
 
-#include "support/histogram.hpp"
 #include "support/json_reader.hpp"
+#include "support/metrics.hpp"
 
 namespace bernoulli::support {
 namespace {
@@ -68,16 +68,19 @@ TEST(Log2Histogram, BitWidthMatchesLinearScan) {
     EXPECT_EQ(Log2Histogram::bucket_of(v), scan(v)) << "value " << v;
 }
 
-TEST(Log2Histogram, FlushRepresentativeRoundTrips) {
-  // The linked executor's counter flush re-books per-thread shard grids
-  // into the registry by synthesizing one representative value per bucket
-  // (0 for bucket 0, 2^(b-1) otherwise). That convention is only sound if
-  // every representative maps back to its own bucket — lock it here so
-  // bucket-geometry changes cannot silently skew merged histograms.
-  for (int b = 0; b < Log2Histogram::kBuckets; ++b) {
-    const long long rep = b == 0 ? 0 : 1LL << (b - 1);
-    EXPECT_EQ(Log2Histogram::bucket_of(rep), b) << "bucket " << b;
+TEST(Log2Histogram, AddBucketMatchesPerEventAdds) {
+  // A run commit books its locally bucketed fan-out counts with
+  // add_bucket(bucket_of(v), n); that must land exactly where n per-event
+  // add(v) calls would, for every bucket edge.
+  Log2Histogram per_event, bucketed;
+  for (int k = 0; k < 45; ++k) {
+    for (const long long v : {(1LL << k) - 1, 1LL << k}) {
+      per_event.add(v, 3);
+      bucketed.add_bucket(Log2Histogram::bucket_of(v), 3);
+    }
   }
+  for (int b = 0; b < Log2Histogram::kBuckets; ++b)
+    EXPECT_EQ(bucketed.bucket(b), per_event.bucket(b)) << "bucket " << b;
 }
 
 TEST(Log2Histogram, BucketLabels) {
@@ -113,26 +116,22 @@ TEST(HistogramRegistry, SameNameSameHistogram) {
   EXPECT_EQ(a.total(), 2);
 }
 
-TEST(HistogramRegistry, SnapshotAndRenderings) {
-  histograms_reset();
+TEST(HistogramRegistry, SnapshotAndJson) {
+  metrics_reset();
   histogram("test.hist.empty");  // registered, never fed
   histogram("test.hist.render").add(3, 4);
 
-  auto snap = histograms_snapshot();
+  auto snap = metrics_snapshot().log2;
   ASSERT_TRUE(snap.count("test.hist.render"));
   EXPECT_EQ(snap["test.hist.render"][2], 4);  // 3 lands in [2,3]
 
-  std::string text = histograms_text();
-  EXPECT_NE(text.find("test.hist.render"), std::string::npos);
-  EXPECT_NE(text.find("2-3"), std::string::npos);
-  // Empty histograms are skipped by default...
-  EXPECT_EQ(text.find("test.hist.empty"), std::string::npos);
-  // ...and shown when asked for.
-  EXPECT_NE(histograms_text(/*include_empty=*/true).find("test.hist.empty"),
-            std::string::npos);
-
-  JsonValue doc = json_parse(histograms_json());
-  const JsonValue* h = doc.find("test.hist.render");
+  // Registered-but-empty histograms are in the snapshot, not the JSON.
+  EXPECT_TRUE(snap.count("test.hist.empty"));
+  JsonValue doc = json_parse(metrics_json());
+  const JsonValue* log2 = doc.find("log2");
+  ASSERT_NE(log2, nullptr);
+  EXPECT_EQ(log2->find("test.hist.empty"), nullptr);
+  const JsonValue* h = log2->find("test.hist.render");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->find("total")->as_number(), 4);
   const JsonValue* buckets = h->find("buckets");

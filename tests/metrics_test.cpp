@@ -1,7 +1,7 @@
-// Unit tests for the serving-era metrics registry: bucket math, exact
-// percentile semantics, the shard-and-merge determinism contract (N
-// threads recording a known multiset must snapshot bitwise-identical to
-// the serial merge), and the JSON / Prometheus export formats.
+// Unit tests for the metrics registry: bucket math, exact percentile
+// semantics, the shard-and-merge determinism contract (N threads
+// recording a known multiset must snapshot bitwise-identical to the
+// serial merge), and the JSON / Prometheus export formats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "formats/csr.hpp"
+#include "server/kernel_server.hpp"
 #include "support/metrics.hpp"
 
 namespace bernoulli::support {
@@ -142,8 +144,8 @@ TEST(LatencyHistogramTest, ThreadedMergeEqualsSerialMergeBitwise) {
   }
 }
 
-TEST(MetricRateTest, ThreadedAddsMergeExactly) {
-  MetricRate r;
+TEST(CounterTest, ThreadedAddsMergeExactly) {
+  Counter r;
   std::vector<std::thread> pool;
   for (int t = 0; t < 8; ++t)
     pool.emplace_back([&r] {
@@ -157,31 +159,31 @@ TEST(MetricRateTest, ThreadedAddsMergeExactly) {
 
 TEST(MetricsRegistry, IdentityAndSnapshotAndReset) {
   metrics_reset();
-  MetricRate& a = metric_rate("test.metrics.rate");
-  EXPECT_EQ(&a, &metric_rate("test.metrics.rate"));
+  Counter& a = counter("test.metrics.rate");
+  EXPECT_EQ(&a, &counter("test.metrics.rate"));
   a.add(7);
   metric_gauge("test.metrics.gauge").set(2.5);
   metric_latency("test.metrics.lat").record_ns(100);
 
   MetricsSnapshot snap = metrics_snapshot();
-  EXPECT_EQ(snap.rates.at("test.metrics.rate"), 7);
+  EXPECT_EQ(snap.counts.at("test.metrics.rate"), 7);
   EXPECT_EQ(snap.gauges.at("test.metrics.gauge"), 2.5);
   EXPECT_EQ(snap.latencies.at("test.metrics.lat").count, 1);
   EXPECT_EQ(snap.latencies.at("test.metrics.lat").sum_ns, 100);
 
   metrics_reset();
   snap = metrics_snapshot();
-  EXPECT_EQ(snap.rates.at("test.metrics.rate"), 0);
+  EXPECT_EQ(snap.counts.at("test.metrics.rate"), 0);
   EXPECT_EQ(snap.gauges.at("test.metrics.gauge"), 0.0);
   EXPECT_EQ(snap.latencies.at("test.metrics.lat").count, 0);
 }
 
 TEST(MetricsExport, JsonCarriesSchemaAndHistogram) {
   metrics_reset();
-  metric_rate("test.export.rate").add(5);
+  counter("test.export.rate").add(5);
   metric_latency("test.export.lat").record_ns(42);
   const std::string doc = metrics_json();
-  EXPECT_NE(doc.find("\"schema\":\"bernoulli.metrics.v1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"schema\":\"bernoulli.metrics.v2\""), std::string::npos);
   EXPECT_NE(doc.find("\"test.export.rate\":5"), std::string::npos);
   EXPECT_NE(doc.find("\"test.export.lat\""), std::string::npos);
   // Value 42 lands in its own bucket pair [40, 1].
@@ -191,10 +193,24 @@ TEST(MetricsExport, JsonCarriesSchemaAndHistogram) {
 
 TEST(MetricsExport, PrometheusTextShape) {
   metrics_reset();
-  metric_rate("test.prom.rate").add(5);
+  counter("test.prom.rate").add(5);
   metric_gauge("test.prom.gauge").set(1.5);
   metric_latency("test.prom.lat").record_ns(1000);
+  // One served request: the exposition carries every count, the server's
+  // and the engine's included.
+  formats::TripletBuilder b(2, 2);
+  b.add(0, 0, 1.0);
+  b.add(1, 1, 2.0);
+  const formats::Csr a = formats::Csr::from_coo(std::move(b).build());
+  server::KernelServer srv;
+  const int h = srv.add_csr("A", a);
+  Vector x(2, 1.0), y(2, 0.0);
+  srv.spmv(h, ConstVectorView(x), VectorView(y));
   const std::string text = metrics_prometheus_text();
+  EXPECT_NE(text.find("bernoulli_server_requests_total 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE bernoulli_executor_runs_total counter"),
+            std::string::npos);
   EXPECT_NE(text.find("# TYPE bernoulli_test_prom_rate_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("bernoulli_test_prom_rate_total 5"), std::string::npos);

@@ -27,6 +27,7 @@
 #include "compiler/link.hpp"
 #include "compiler/loopnest.hpp"
 #include "formats/formats.hpp"
+#include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "support/rng.hpp"
 

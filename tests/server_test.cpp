@@ -13,7 +13,6 @@
 #include "blas/spmm.hpp"
 #include "formats/formats.hpp"
 #include "server/kernel_server.hpp"
-#include "support/counters.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 
@@ -58,7 +57,7 @@ Vector reference_spmv(const formats::Csr& A, const Vector& x) {
   return y;
 }
 
-long long counter_of(const support::CountersSnapshot& s,
+long long counter_of(const support::MetricsSnapshot& s,
                      const std::string& name) {
   auto it = s.counts.find(name);
   return it == s.counts.end() ? 0 : it->second;
@@ -166,7 +165,7 @@ TEST(KernelServer, ConcurrentClientsMatchSerialBitwiseAndReconcile) {
 
   server::KernelServer srv;
   const int h = srv.add_csr("A", A);
-  const support::CountersSnapshot before = support::counters_snapshot();
+  const support::MetricsSnapshot before = support::metrics_snapshot();
 
   std::vector<Vector> ys(xs.size(), Vector(120, 0.0));
   std::vector<std::thread> clients;
@@ -185,7 +184,7 @@ TEST(KernelServer, ConcurrentClientsMatchSerialBitwiseAndReconcile) {
   // Counter reconciliation: each request books one engine-run group
   // (batched sweeps replay the cached delta per request), plus one
   // warmup run per cache miss.
-  const support::CountersSnapshot after = support::counters_snapshot();
+  const support::MetricsSnapshot after = support::metrics_snapshot();
   const server::ServerStats s = srv.stats();
   EXPECT_EQ(s.requests, kClients * kQueries);
   EXPECT_EQ(counter_of(after, "executor.runs") -
@@ -197,7 +196,7 @@ TEST(KernelServer, ConcurrentClientsMatchSerialBitwiseAndReconcile) {
   const support::MetricsSnapshot m = support::metrics_snapshot();
   ASSERT_TRUE(m.latencies.count("execute.latency"));
   EXPECT_EQ(m.latencies.at("execute.latency").sum_ns,
-            m.rates.at("execute.wall_ns"));
+            m.counts.at("execute.wall_ns"));
 }
 
 // The batched sweep must reproduce per-request results bitwise. Drive
@@ -265,16 +264,20 @@ TEST(KernelServer, RejectsShapeMismatch) {
   server::KernelServer srv;
   const int h = srv.add_csr("A", A);
   Vector x(8, 1.0), y(10, 0.0), y_bad(9, 0.0);
-  auto served = [] {
-    const auto snap = support::counters_snapshot();
-    const auto it = snap.counts.find("server.requests");
-    return it == snap.counts.end() ? 0LL : it->second;
+  auto count = [](const char* name) {
+    return counter_of(support::metrics_snapshot(), name);
   };
-  const long long served0 = served();
+  const long long served0 = count("server.requests");
+  const long long runs0 = count("executor.runs");
+  // A rejected request never reaches the cache: on this cold handle it
+  // books no miss, builds and caches no entry, and runs no warmup.
   auto expect_rejected = [&](const std::function<void()>& call) {
     EXPECT_THROW(call(), std::exception);
     EXPECT_EQ(srv.stats().requests, 0);
-    EXPECT_EQ(served(), served0);
+    EXPECT_EQ(srv.stats().cache_misses, 0);
+    EXPECT_EQ(srv.cache_size(), 0u);
+    EXPECT_EQ(count("server.requests"), served0);
+    EXPECT_EQ(count("executor.runs"), runs0);
   };
   expect_rejected(
       [&] { srv.spmv(h, ConstVectorView(x), VectorView(y_bad)); });
@@ -286,7 +289,7 @@ TEST(KernelServer, RejectsShapeMismatch) {
   // The server still serves the good handle afterwards.
   srv.spmv(h, ConstVectorView(x), VectorView(y));
   EXPECT_EQ(srv.stats().requests, 1);
-  EXPECT_EQ(served(), served0 + 1);
+  EXPECT_EQ(count("server.requests"), served0 + 1);
 }
 
 // The specialized-codegen path (when the toolchain accepts) must serve

@@ -10,7 +10,7 @@
 #include "formats/csr.hpp"
 #include "formats/dense.hpp"
 #include "spmd/matvec.hpp"
-#include "support/counters.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "workloads/grid.hpp"
 
@@ -257,7 +257,7 @@ TEST(CompiledUsed, MatchesDirectReference) {
       for (const auto& [dname, rows] : dists) {
         auto build_all = [&](Variant v) {
           std::vector<Built> out(static_cast<std::size_t>(P));
-          support::counters_reset();
+          support::metrics_reset();
           runtime::Machine machine(P);
           auto reports = machine.run([&](runtime::Process& p) {
             DistSpmv d = build_dist_spmv(p, a, *rows, v);
@@ -271,7 +271,7 @@ TEST(CompiledUsed, MatchesDirectReference) {
             msgs += r.stats.messages;
             bytes += r.stats.bytes;
           }
-          for (const auto& [name, val] : support::counters_snapshot().counts) {
+          for (const auto& [name, val] : support::metrics_snapshot().counts) {
             if (!name.starts_with("comm.")) continue;
             if (name.ends_with(".messages")) cmsgs += val;
             if (name.ends_with(".bytes")) cbytes += val;

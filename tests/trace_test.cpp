@@ -16,9 +16,8 @@
 #include "formats/csr.hpp"
 #include "runtime/machine.hpp"
 #include "spmd/matvec.hpp"
-#include "support/counters.hpp"
-#include "support/histogram.hpp"
 #include "support/json_reader.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "support/trace_cli.hpp"
 #include "workloads/grid.hpp"
@@ -96,8 +95,7 @@ TEST(Trace, FourRankMatvecFlowsAndReconciliation) {
   const int P = 4;
   distrib::BlockDist rows(a.rows(), P);
 
-  counters_reset();
-  histograms_reset();
+  metrics_reset();
   trace_start();
   runtime::Machine machine(P);
   auto reports = machine.run([&](runtime::Process& p) {
@@ -169,7 +167,7 @@ TEST(Trace, FourRankMatvecFlowsAndReconciliation) {
   EXPECT_EQ(span_send_count, stats_messages);
 
   long long counter_bytes = 0, counter_messages = 0;
-  auto snap = counters_snapshot();
+  auto snap = metrics_snapshot();
   for (const auto& [name, v] : snap.counts) {
     if (name.rfind("comm.", 0) != 0) continue;
     if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".bytes") == 0)
@@ -188,7 +186,7 @@ TEST(Trace, FourRankMatvecFlowsAndReconciliation) {
             static_cast<double>(stats_bytes));
 
   // The message-size histogram saw every message exactly once.
-  auto hists = histograms_snapshot();
+  auto hists = metrics_snapshot().log2;
   long long hist_total = 0;
   for (long long c : hists.at("comm.message_bytes")) hist_total += c;
   EXPECT_EQ(hist_total, stats_messages);
@@ -220,7 +218,7 @@ TEST(Trace, CommMatrixWithoutTracing) {
 // reconciliation epilogue must accept the all-zeros totals instead of
 // aborting on an empty comm matrix / empty histogram set.
 TEST(Trace, ZeroSpanZeroMessageRunExportsAndReconciles) {
-  histograms_reset();
+  metrics_reset();
   const std::string path =
       ::testing::TempDir() + "/zero_span_trace_test.json";
   ObsOptions o;
@@ -243,14 +241,69 @@ TEST(Trace, ZeroSpanZeroMessageRunExportsAndReconciles) {
   ASSERT_NE(mat, nullptr);
   EXPECT_EQ(mat->find("nprocs")->as_number(), 0);
   EXPECT_EQ(mat->find("total_bytes")->as_number(), 0);
-  const JsonValue* hist = meta->find("histograms");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_TRUE(hist->members.empty());
+  const JsonValue* reg = meta->find("metrics_registry");
+  ASSERT_NE(reg, nullptr);
+  EXPECT_EQ(reg->find("schema")->as_string(), "bernoulli.metrics.v2");
+  EXPECT_TRUE(reg->find("log2")->members.empty());
   const JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   // Only metadata events (process/thread names), no "X" spans.
   for (const JsonValue& ev : events->items)
     EXPECT_NE(ev.find("ph")->as_string(), "X");
+  std::remove(path.c_str());
+}
+
+// obs_begin opens the window over the WHOLE registry: messages sent
+// before it must not leak into the trace document's embedded
+// comm.message_bytes histogram, which must count exactly the window's
+// comm.<phase>.messages.
+TEST(Trace, ObservationWindowResetsWholeRegistry) {
+  auto g = workloads::grid3d_7pt(4, 4, 3, 2, 21);
+  formats::Csr a = formats::Csr::from_coo(g.matrix);
+  const int P = 4;
+  distrib::BlockDist rows(a.rows(), P);
+  auto matvec = [&] {
+    runtime::Machine machine(P);
+    auto reports = machine.run([&](runtime::Process& p) {
+      spmd::DistSpmv dist = spmd::build_dist_spmv(
+          p, a, rows, spmd::Variant::kBernoulliMixed);
+      Vector x_full(static_cast<std::size_t>(dist.sched.full_size()), 1.0);
+      Vector y(static_cast<std::size_t>(dist.sched.owned), 0.0);
+      dist.apply(p, x_full, y, /*tag=*/7);
+    });
+    std::pair<long long, long long> totals{0, 0};
+    for (const auto& r : reports) {
+      totals.first += r.stats.messages;
+      totals.second += r.stats.bytes;
+    }
+    return totals;
+  };
+  matvec();  // traffic before the window
+
+  const std::string path = ::testing::TempDir() + "/window_trace_test.json";
+  ObsOptions o;
+  o.trace_path = path;
+  obs_begin(o);
+  const auto [messages, bytes] = matvec();
+  obs_end(o, messages, bytes);
+  ASSERT_GT(messages, 0);
+
+  std::ifstream f(path);
+  ASSERT_TRUE(f.good()) << path;
+  std::stringstream ss;
+  ss << f.rdbuf();
+  const JsonValue doc = json_parse(ss.str());
+  const JsonValue* reg = doc.find("bernoulli")->find("metrics_registry");
+  ASSERT_NE(reg, nullptr);
+  long long window_messages = 0;
+  for (const auto& [name, v] : reg->find("counts")->members)
+    if (name.starts_with("comm.") && name.ends_with(".messages"))
+      window_messages += static_cast<long long>(v.as_number());
+  EXPECT_EQ(window_messages, messages);
+  const JsonValue* hist = reg->find("log2")->find("comm.message_bytes");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(static_cast<long long>(hist->find("total")->as_number()),
+            window_messages);
   std::remove(path.c_str());
 }
 
