@@ -44,6 +44,9 @@
 //       bitwise, with identical executor.* counter and executor.fanout.*
 //       histogram deltas and the deterministic serving-metrics subset;
 //       every CRS, CCS, BCSR and SELL cell fans out on linked_tN;
+//     - every cell takes its format's fused leaf form (compiler::
+//       leaf_form): accumulator for CRS and SELL, hoisted-factor for
+//       CCS, block-row for BCSR; a failure names the cell and the note;
 //     - one serial linked run books exactly one execute.latency sample
 //       whose nanoseconds equal the execute.wall_ns count (same integer,
 //       same commit) and whose model bytes/flops equal the link-time
@@ -334,6 +337,9 @@ struct FormatCase {
   compiler::RunStats stats;
   bool fanned_out = false;  // linked_tN ran in parallel (no serial note)
   bool ok = true;           // every --check correctness reconciliation held
+  // Empty when the pair takes its format's leaf form (expected_leaf_form);
+  // otherwise the form it took and leaf_form()'s note.
+  std::string leaf_error;
 
   explicit FormatCase(const EngineMatrix& m);
   bool reproduces_serial_linked(const std::function<void()>& other);
@@ -493,6 +499,7 @@ struct MatrixRun {
     index_t nnz = 0;
     bool ok = true;
     bool fanned_out = false;
+    std::string leaf_error;
     analysis::ModelCheckReport model;
   };
   std::string label;
@@ -505,6 +512,17 @@ struct MatrixRun {
     return nullptr;
   }
 };
+
+// The leaf form each format's SpMV must take on every engine rung: a
+// register accumulator per row for CRS and SELL, x[j] loaded once per
+// column for CCS, one block row per step for BCSR. A leaf-form verdict
+// that drops a cell to the per-element leaf fails --check by name.
+compiler::LeafForm expected_leaf_form(const std::string& format) {
+  using compiler::LeafForm;
+  if (format == "ccs") return LeafForm::kHoistedFactor;
+  if (format == "bcsr") return LeafForm::kBlockRow;
+  return LeafForm::kAccumulator;
+}
 
 // Builds every format's case and cells for one matrix, runs the --check
 // reconciliations, then times all cells in one interleaved loop.
@@ -523,6 +541,11 @@ MatrixRun run_matrix(const std::string& label,
     FormatCase& c = *cases.emplace_back(std::make_unique<FormatCase>(m));
     c.linked->run(c.mac);  // warm the cursor scratch
     if (check) c.check_linked_metrics();
+    std::string note;
+    const LeafForm form = leaf_form(c.linked->linked(), c.mac, &note);
+    if (const LeafForm want = expected_leaf_form(c.format); form != want)
+      c.leaf_error = std::string("leaf form ") + leaf_form_name(form) +
+                     ", want " + leaf_form_name(want) + " (" + note + ")";
     add_cell(c, "interpreted", [&c] {
       execute_interpreted(c.k.plan(), c.k.query(), c.act);
     });
@@ -574,6 +597,7 @@ MatrixRun run_matrix(const std::string& label,
   for (Cell& cell : out.cells) cell.run = nullptr;
   for (const auto& c : cases)
     out.cases.push_back({c->format, c->rows, c->nnz, c->ok, c->fanned_out,
+                         c->leaf_error,
                          analysis::model_check(c->k.plan(), c->stats)});
   std::cerr << "  [" << label << " done]\n";
   return out;
@@ -642,6 +666,7 @@ int run_engines(bool small, bool check, int threads,
   bool correct = true;
   bool linked_beats_interpreted = true;
   bool fanned_out = true;
+  std::vector<std::string> leaf_errors;
   for (const MatrixRun& run : runs) {
     for (const auto& c : run.cases) {
       const std::string where = run.label + "." + c.format;
@@ -685,6 +710,8 @@ int run_engines(bool small, bool check, int threads,
       gates.push_back(gate(where, kernel_over_linked(c.format),
                            *run.find(c.format, "kernel"), linked));
       correct = correct && c.ok;
+      if (!c.leaf_error.empty())
+        leaf_errors.push_back(where + ": " + c.leaf_error);
     }
   }
   for (const GateResult& g : gates) report.metric(g.metric, g.q.median);
@@ -726,6 +753,7 @@ int run_engines(bool small, bool check, int threads,
   if (!fanned_out)
     fail("a CRS, CCS, BCSR or SELL SpMV cell ran serially on the threaded "
          "engine");
+  for (const std::string& e : leaf_errors) fail(e);
   if (!linked_beats_interpreted)
     fail("linked not faster than interpreted on at least one case (median "
          "per-round interpreted/linked ratio at or below 1)");
@@ -740,7 +768,8 @@ int run_engines(bool small, bool check, int threads,
   std::cerr << "check ok: threaded and specialized runs reproduce serial "
                "linked bitwise; serving metrics"
             << (support::profiling_enabled() ? " and per-level profile" : "")
-            << " reconcile; every threaded cell fanned out; "
+            << " reconcile; every threaded cell fanned out; every cell "
+               "took its leaf form; "
             << gates.size() << " ratio gates hold\n";
   return 0;
 }

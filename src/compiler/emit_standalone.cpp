@@ -38,62 +38,6 @@ struct ArgPool {
   }
 };
 
-// Emission-time index range of everything a level can enumerate, for
-// always-hit probe proofs. mx < mn means the level enumerates nothing
-// (vacuously in any range).
-struct IndexRange {
-  index_t mn = 0;
-  index_t mx = -1;
-};
-
-IndexRange scan_range(const index_t* a, index_t n) {
-  IndexRange r;
-  if (a == nullptr || n <= 0) return r;
-  r.mn = r.mx = a[0];
-  for (index_t k = 1; k < n; ++k) {
-    r.mn = std::min(r.mn, a[k]);
-    r.mx = std::max(r.mx, a[k]);
-  }
-  return r;
-}
-
-IndexRange enum_index_range(const relation::EnumSpec& es) {
-  using Kind = relation::EnumSpec::Kind;
-  switch (es.kind) {
-    case Kind::kDense: {
-      IndexRange r;
-      if (es.extent > 0) {
-        r.mn = 0;
-        r.mx = es.extent - 1;
-      }
-      return r;
-    }
-    case Kind::kSegmented:
-    case Kind::kList:
-    case Kind::kStrided:
-    case Kind::kOffsets:
-      return scan_range(es.ind, es.ind_len);
-    case Kind::kBlocked: {
-      // ind holds block columns; each expands to block_c lanes.
-      IndexRange r = scan_range(es.ind, es.ind_len);
-      if (r.mx >= r.mn) {
-        r.mn = r.mn * es.block_c;
-        r.mx = r.mx * es.block_c + es.block_c - 1;
-      }
-      return r;
-    }
-    case Kind::kSliced:
-      // Whole lane-major array including padding (padding holds column 0,
-      // which only widens the range toward 0 — safe for the proofs).
-      return scan_range(es.ind, es.ind_len);
-    case Kind::kFunction:
-      return scan_range(es.map, es.map_len);
-    case Kind::kNone:
-      break;
-  }
-  return {};
-}
-
 // parent*stride + k, with the degenerate forms collapsed.
 std::string affine_expr(const std::string& parent, index_t stride,
                         const std::string& k) {
@@ -136,24 +80,21 @@ struct CBody {
 
 // Always-hit proof for an identity/affine probe: it checks
 // 0 <= idx < extent and the idx it sees is its level's variable, whose
-// full enumerated range was scanned at emission time.
-bool probe_proved(const LinkedLevel& lv, const LinkedProbe& pr,
-                  const IndexRange& er) {
-  return pr.var_slot == lv.var_slot && er.mn >= 0 &&
-         (er.mx < er.mn || er.mx < pr.search.extent);
+// enumerated range link_plan stored.
+bool probe_proved(const LinkedLevel& lv, const LinkedProbe& pr) {
+  return pr.var_slot == lv.var_slot && lv.range.within(pr.search.extent);
 }
 
 // One probe's position: a bare assignment when proved, else the bounds
 // test or search, a miss either `continue`-ing (filtering relation) or
 // failing the run.
-void emit_probe(CBody& b, const LinkedLevel& lv, const LinkedProbe& pr,
-                const IndexRange& er) {
+void emit_probe(CBody& b, const LinkedLevel& lv, const LinkedProbe& pr) {
   const std::string pv = vvar(pr.var_slot);
   const std::string pp = parent_expr(pr.access.parent_slot);
   const std::string ps = pvar(pr.access.pos_slot);
   const std::string miss =
       pr.filters ? "{ ++misses; continue; }" : "return 1;";
-  const bool proved = probe_proved(lv, pr, er);
+  const bool proved = probe_proved(lv, pr);
   using SKind = relation::SearchSpec::Kind;
   switch (pr.search.kind) {
     case SKind::kIdentity:
@@ -219,95 +160,12 @@ void emit_product(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
   }
 }
 
-// The leaf form emit_fused takes, with the reason, proved once from the
-// plan's index ranges and the mac's value spans. The fused forms need the
-// shape the linked engine's fused outer-range drain (prepare_outer)
-// drains:
-//   - two levels, the outer one a dense range;
-//   - every probe at both levels an identity/affine search proved at link
-//     time to hit (proved_all_hit: no row or leaf element can miss or
-//     filter), every level-0 probe rooted, so every level-0 position
-//     equals the outer counter;
-//   - a compressed, sliced or blocked leaf hanging off a level-0 position;
-//   - a target whose storage overlaps no factor's, so neither a register
-//     accumulator nor a factor loaded once per row can miss a store;
-//   - the target or a factor bound at level 0: the operand a fused form
-//     keeps in a register.
-// Everything else keeps the per-element leaf.
-struct LeafShape {
-  LeafForm form = LeafForm::kPerElement;
-  std::string note;
-  std::vector<bool> outer;  // per position slot: written at level 0
-};
-
-LeafShape classify_leaf(const LinkedPlan& lp, const LinkedMac& mac,
-                        const std::vector<relation::EnumSpec>& specs) {
-  LeafShape s;
-  auto per_element = [&](const std::string& why) {
-    s.form = LeafForm::kPerElement;
-    s.note = "per-element leaf: " + why;
-    return s;
-  };
-  if (lp.levels.size() != 2)
-    return per_element("the fused forms cover two-level plans, this one has " +
-                       std::to_string(lp.levels.size()));
-  using EKind = relation::EnumSpec::Kind;
-  const LinkedLevel& lv0 = lp.levels[0];
-  const LinkedLevel& lv1 = lp.levels[1];
-  if (specs[0].kind != EKind::kDense)
-    return per_element("level 0 is not a dense range");
-  for (std::size_t d = 0; d < 2; ++d)
-    if (!lp.levels[d].proved_all_hit)
-      return per_element("a probe at level " + std::to_string(d) +
-                         " may miss");
-  for (const LinkedProbe& pr : lv0.probes)
-    if (pr.access.parent_slot >= 0)
-      return per_element("the level-0 probe of " +
-                         rel_name(lp, pr.access.rel) + " is not rooted");
-  s.outer.assign(static_cast<std::size_t>(lp.pos_slots), false);
-  s.outer[static_cast<std::size_t>(lv0.drivers[0].pos_slot)] = true;
-  for (const LinkedProbe& pr : lv0.probes)
-    s.outer[static_cast<std::size_t>(pr.access.pos_slot)] = true;
-  const EKind leaf = specs[1].kind;
-  const int parent = lv1.drivers[0].parent_slot;
-  if (leaf != EKind::kSegmented && leaf != EKind::kSliced &&
-      leaf != EKind::kBlocked)
-    return per_element(rel_name(lp, lv1.drivers[0].rel) +
-                       "'s leaf is not compressed, sliced or blocked");
-  if (parent < 0 || !s.outer[static_cast<std::size_t>(parent)])
-    return per_element(rel_name(lp, lv1.drivers[0].rel) +
-                       "'s leaf does not hang off level 0");
-  if (const LinkedMac::Factor* f = overlapping_factor(mac))
-    return per_element("target " + mac.target->name() + " overlaps factor " +
-                       f->view->name());
-  auto is_outer = [&](std::size_t rel) {
-    return s.outer[static_cast<std::size_t>(lp.leaf_slot[rel])];
-  };
-  if (is_outer(mac.target_slot)) {
-    s.form = leaf == EKind::kBlocked ? LeafForm::kBlockRow
-                                     : LeafForm::kAccumulator;
-    s.note = std::string(leaf_form_name(s.form)) + " leaf: " +
-             mac.target->name() + " accumulates in registers per " +
-             (leaf == EKind::kBlocked ? "block row" : "row");
-    return s;
-  }
-  for (const LinkedMac::Factor& f : mac.factors)
-    if (is_outer(f.slot)) {
-      s.form = LeafForm::kHoistedFactor;
-      s.note = "hoisted-factor leaf: " + f.view->name() +
-               " is loaded once per row";
-      return s;
-    }
-  return per_element("no operand is bound at level 0");
-}
-
 // Today's general form: one loop block per level, counters booked per
 // tuple, one store per product. Covers every plan emission accepts.
-void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
-                 const std::vector<relation::EnumSpec>& specs) {
+void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac) {
   for (std::size_t d = 0; d < lp.levels.size(); ++d) {
     const LinkedLevel& lv = lp.levels[d];
-    const relation::EnumSpec& es = specs[d];
+    const relation::LevelDescriptor& es = lv.drivers[0].desc;
     const std::string D = std::to_string(d);
     const std::string en = "en" + D;
     const std::string prn = "prn" + D;
@@ -330,16 +188,16 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
              std::to_string(support::kProfileSampleEvery) + " == 1;");
     }
     b.line("const long long pns" + D + " = pon" + D + " ? now_ns() : 0;");
-    using EKind = relation::EnumSpec::Kind;
+    using K = relation::LevelDescriptor::Kind;
     switch (es.kind) {
-      case EKind::kDense:
+      case K::kDense:
         b.open("for (int " + k + " = 0; " + k + " < " +
                std::to_string(es.extent) + "; ++" + k + ") {");
         b.line("++" + en + ";");
         b.line("const int " + v + " = " + k + ";");
         b.line("const int " + p + " = " + affine_expr(P, es.stride, k) + ";");
         break;
-      case EKind::kSegmented: {
+      case K::kCompressed: {
         const std::string ptr = b.pool.int_name(es.ptr);
         const std::string ind_a = b.pool.int_name(es.ind);
         b.open("for (int " + p + " = " + ptr + "[" + P + "]; " + p + " < " +
@@ -348,15 +206,15 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
         b.line("const int " + v + " = " + ind_a + "[" + p + "];");
         break;
       }
-      case EKind::kList: {
+      case K::kList: {
         const std::string ind_a = b.pool.int_name(es.ind);
         b.open("for (int " + p + " = 0; " + p + " < " +
-               std::to_string(es.extent) + "; ++" + p + ") {");
+               std::to_string(es.ind_len) + "; ++" + p + ") {");
         b.line("++" + en + ";");
         b.line("const int " + v + " = " + ind_a + "[" + p + "];");
         break;
       }
-      case EKind::kFunction: {
+      case K::kSingleton: {
         const std::string map = b.pool.int_name(es.map);
         // A single child; the loop form keeps `continue` meaningful for
         // filtering probes.
@@ -366,7 +224,7 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
         b.line("const int " + p + " = " + P + ";");
         break;
       }
-      case EKind::kStrided: {
+      case K::kStrided: {
         const std::string ind_a = b.pool.int_name(es.ind);
         const std::string len = b.pool.int_name(es.len);
         b.open("for (int " + k + " = 0; " + k + " < " + len + "[" + P +
@@ -377,7 +235,7 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
         b.line("const int " + v + " = " + ind_a + "[" + p + "];");
         break;
       }
-      case EKind::kOffsets: {
+      case K::kOffsets: {
         const std::string ind_a = b.pool.int_name(es.ind);
         const std::string off = b.pool.int_name(es.off);
         const std::string len = b.pool.int_name(es.len);
@@ -388,7 +246,7 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
         b.line("const int " + v + " = " + ind_a + "[" + p + "];");
         break;
       }
-      case EKind::kBlocked: {
+      case K::kBlocked: {
         // One block row per parent row: the block loop walks the stored
         // blocks, the lane loop has a literal trip count (block_c), which
         // cc -O2 fully unrolls. The lane body is the loop's compound
@@ -414,7 +272,7 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
                " + " + cc + ";");
         break;
       }
-      case EKind::kSliced: {
+      case K::kSliced: {
         // len[]-bounded lane walk: padding slots past a row's length are
         // never touched, so the emitted kernel books the same counters as
         // the engines.
@@ -426,17 +284,16 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
                "]; ++" + k + ") {");
         b.line("++" + en + ";");
         b.line("const int " + p + " = sb" + D + " + " + k + " * " +
-               std::to_string(es.stride) + ";");
+               std::to_string(es.chunk) + ";");
         b.line("const int " + v + " = " + ind_a + "[" + p + "];");
         break;
       }
-      case EKind::kNone:
+      case K::kOpaque:
         break;  // refused before emission
     }
 
-    const IndexRange er = enum_index_range(es);
     for (const LinkedProbe& pr : lv.probes) {
-      emit_probe(b, lv, pr, er);
+      emit_probe(b, lv, pr);
       b.line("++hits;");
     }
     b.line("++" + prn + ";");
@@ -465,7 +322,7 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
   }
 }
 
-// The fused forms (see classify_leaf): one loop over the outer range whose
+// The fused forms (see leaf_form): one loop over the outer range whose
 // rows bind level 0 arithmetically (every level-0 position is the outer
 // counter k0), a leaf loop per row that keeps the row's target element or
 // its level-0 factors in registers, and counters booked per row as element
@@ -479,16 +336,18 @@ void emit_nested(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
 // bracket, so the row loop itself makes no call and tests no sampling
 // condition. The sampled rows are the per-element form's (en0 % 64 == 1).
 void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
-                const std::vector<relation::EnumSpec>& specs,
-                const LeafShape& shape) {
-  using EKind = relation::EnumSpec::Kind;
+                LeafForm form, const std::string& note) {
+  using K = relation::LevelDescriptor::Kind;
   const LinkedLevel& lv0 = lp.levels[0];
   const LinkedLevel& lv1 = lp.levels[1];
-  const relation::EnumSpec& es = specs[1];
-  const IndexRange er0 = enum_index_range(specs[0]);
-  const IndexRange er1 = enum_index_range(es);
-  const bool tile = shape.form == LeafForm::kBlockRow;
-  const index_t n = specs[0].extent;
+  const relation::LevelDescriptor& es = lv1.drivers[0].desc;
+  // Per position slot: written at level 0, so it holds the outer counter.
+  std::vector<bool> outer(static_cast<std::size_t>(lp.pos_slots), false);
+  outer[static_cast<std::size_t>(lv0.drivers[0].pos_slot)] = true;
+  for (const LinkedProbe& pr : lv0.probes)
+    outer[static_cast<std::size_t>(pr.access.pos_slot)] = true;
+  const bool tile = form == LeafForm::kBlockRow;
+  const index_t n = lv0.drivers[0].desc.extent;
   const index_t step = tile ? es.block_r : 1;
   const index_t strip =
       step * std::max<index_t>(1, support::kProfileSampleEvery / step);
@@ -511,10 +370,10 @@ void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
     b.line("const int " + vvar(lv0.var_slot) + " = " + k + ";");
     b.line("const int " + pvar(lv0.drivers[0].pos_slot) + " = " +
            vvar(lv0.var_slot) + ";");
-    for (const LinkedProbe& pr : lv0.probes) emit_probe(b, lv0, pr, er0);
+    for (const LinkedProbe& pr : lv0.probes) emit_probe(b, lv0, pr);
   };
   auto leaf_probes = [&] {
-    for (const LinkedProbe& pr : lv1.probes) emit_probe(b, lv1, pr, er1);
+    for (const LinkedProbe& pr : lv1.probes) emit_probe(b, lv1, pr);
   };
 
   // One row: its leaf range [lo1, hi1) or n1 lanes from sb1, the operands
@@ -522,14 +381,14 @@ void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
   auto row = [&] {
     bind_outer("k0");
     switch (es.kind) {
-      case EKind::kSegmented: {
+      case K::kCompressed: {
         const std::string ptr = b.pool.int_name(es.ptr);
         b.line("const int lo1 = " + ptr + "[" + P + "], hi1 = " + ptr + "[" +
                P + " + 1];");
         b.line("const int n1 = hi1 - lo1;");
         break;
       }
-      case EKind::kSliced:
+      case K::kSliced:
         b.line("const int sb1 = " + b.pool.int_name(es.off) + "[" + P + "];");
         b.line("const int n1 = " + b.pool.int_name(es.len) + "[" + P + "];");
         break;
@@ -544,12 +403,12 @@ void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
         break;
       }
     }
-    const bool acc = shape.form == LeafForm::kAccumulator;
+    const bool acc = form == LeafForm::kAccumulator;
     if (acc) b.line("double acc = " + W + "[" + tpos + "];");
     std::vector<std::string> held(mac.factors.size());
     for (std::size_t i = 0; i < mac.factors.size(); ++i) {
       const int s = lp.leaf_slot[mac.factors[i].slot];
-      if (!shape.outer[static_cast<std::size_t>(s)]) continue;
+      if (!outer[static_cast<std::size_t>(s)]) continue;
       held[i] = "h" + std::to_string(i);
       b.line("const double " + held[i] + " = " +
              b.pool.const_name(mac.factors[i].data.data()) + "[" + pvar(s) +
@@ -557,15 +416,15 @@ void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
     }
     const std::string ind = b.pool.int_name(es.ind);
     switch (es.kind) {
-      case EKind::kSegmented:
+      case K::kCompressed:
         b.open("for (int " + pd + " = lo1; " + pd + " < hi1; ++" + pd +
                ") {");
         b.line("const int " + vd + " = " + ind + "[" + pd + "];");
         break;
-      case EKind::kSliced:
+      case K::kSliced:
         b.open("for (int k1 = 0; k1 < n1; ++k1) {");
         b.line("const int " + pd + " = sb1 + k1 * " +
-               std::to_string(es.stride) + ";");
+               std::to_string(es.chunk) + ";");
         b.line("const int " + vd + " = " + ind + "[" + pd + "];");
         break;
       default:  // kBlocked
@@ -653,7 +512,7 @@ void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
 
   b.open("{  /* levels 0-1 fused: enumerate " +
          rel_name(lp, lv0.drivers[0].rel) + ", then " +
-         rel_name(lp, lv1.drivers[0].rel) + " (" + shape.note + ") */");
+         rel_name(lp, lv1.drivers[0].rel) + " (" + note + ") */");
   b.line("long long w1 = 0;  /* leaf tuples */");
   b.line("const int pon0 = prof;");
   b.line("const long long pns0 = pon0 ? now_ns() : 0;");
@@ -698,14 +557,34 @@ void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
 
 }  // namespace
 
-const char* leaf_form_name(LeafForm form) {
-  switch (form) {
-    case LeafForm::kPerElement: return "per-element";
-    case LeafForm::kAccumulator: return "accumulator";
-    case LeafForm::kHoistedFactor: return "hoisted-factor";
-    case LeafForm::kBlockRow: return "block-row";
+SpecializeLegality plan_specialize_legality(const LinkedPlan& lp) {
+  auto refuse = [](std::string note) {
+    return SpecializeLegality{false, std::move(note)};
+  };
+  if (lp.levels.empty()) return refuse("plan has no levels");
+  for (std::size_t d = 0; d < lp.levels.size(); ++d) {
+    const LinkedLevel& lv = lp.levels[d];
+    if (lv.method != JoinMethod::kEnumerate)
+      return refuse("level " + std::to_string(d) +
+                    " is a merge join; specialization covers enumerate-only "
+                    "plans");
+    if (lv.drivers[0].desc.kind == relation::LevelDescriptor::Kind::kOpaque)
+      return refuse(rel_name(lp, lv.drivers[0].rel) +
+                    " has no flat enumeration shape at level " +
+                    std::to_string(d));
+    for (const LinkedProbe& pr : lv.probes) {
+      if (pr.insert_on_miss)
+        return refuse(rel_name(lp, pr.access.rel) +
+                      " inserts on miss (sparse fill-in grows storage "
+                      "mid-run)");
+      if (pr.search.kind == relation::SearchSpec::Kind::kVirtual)
+        return refuse(rel_name(lp, pr.access.rel) +
+                      " probes through a virtual search (no flat lowering)");
+    }
   }
-  return "?";
+  return {true,
+          "every level enumerates a flat shape and every probe lowers to "
+          "inline checks or binary searches"};
 }
 
 LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
@@ -720,62 +599,28 @@ LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
     return out;
   };
 
-  if (lp.levels.empty()) return refuse("plan has no levels");
+  if (const SpecializeLegality leg = plan_specialize_legality(lp); !leg.ok)
+    return refuse(leg.note);
   if (mac.target_data.empty())
     return refuse(mac.target->name() + " exposes no flat value array");
   for (const LinkedMac::Factor& f : mac.factors)
     if (f.data.empty())
       return refuse(f.view->name() + " exposes no flat value array");
 
-  std::vector<relation::EnumSpec> specs;
-  for (std::size_t d = 0; d < lp.levels.size(); ++d) {
-    const LinkedLevel& lv = lp.levels[d];
-    if (lv.method != JoinMethod::kEnumerate)
-      return refuse("level " + std::to_string(d) +
-                    " is a merge join; specialization covers enumerate-only "
-                    "plans");
-    const relation::EnumSpec es = lv.drivers[0].level->enum_spec();
-    if (es.kind == relation::EnumSpec::Kind::kNone)
-      return refuse(rel_name(lp, lv.drivers[0].rel) +
-                    " has no flat enumeration shape at level " +
-                    std::to_string(d));
-    for (const LinkedProbe& pr : lv.probes) {
-      if (pr.insert_on_miss)
-        return refuse(rel_name(lp, pr.access.rel) +
-                      " inserts on miss (sparse fill-in)");
-      if (pr.search.kind == relation::SearchSpec::Kind::kVirtual)
-        return refuse(rel_name(lp, pr.access.rel) +
-                      " probes through a virtual search");
-    }
-    specs.push_back(es);
-  }
-
-  // Drain-kind attribution per level for the host's profile commit: the
-  // leaf loop is the moral equivalent of a linked-engine bulk drain
-  // (blocked/sliced for those storages) when the linked engine would take
-  // one; everything above, and a leaf whose probes rule the bulk drain
-  // out, is per-tuple.
-  for (std::size_t d = 0; d < specs.size(); ++d) {
-    int kind = support::kProfTuple;
-    if (d + 1 == specs.size() && leaf_probes_allow_bulk(lp.levels[d])) {
-      using EKind = relation::EnumSpec::Kind;
-      kind = specs[d].kind == EKind::kBlocked  ? support::kProfBlocked
-             : specs[d].kind == EKind::kSliced ? support::kProfSliced
-                                               : support::kProfBulk;
-    }
-    out.level_kinds.push_back(kind);
-  }
-
-  // One leaf form per plan, chosen here: the fused forms when their
-  // legality is proved, else the per-element form.
-  const LeafShape shape = classify_leaf(lp, mac, specs);
-  out.leaf_form = shape.form;
-  out.leaf_note = shape.note;
+  // One leaf form per pair, the one the linked engine runs (leaf_form),
+  // and per level the drain kind the host's profile commit books: the
+  // fused leaf under its storage's kind, everything else per tuple.
+  out.leaf_form = leaf_form(lp, mac, &out.leaf_note);
+  for (std::size_t d = 0; d < lp.levels.size(); ++d)
+    out.level_kinds.push_back(d + 1 == lp.levels.size() &&
+                                      out.leaf_form != LeafForm::kPerElement
+                                  ? fused_drain_kind(lp)
+                                  : support::kProfTuple);
   CBody body;
-  if (shape.form == LeafForm::kPerElement)
-    emit_nested(body, lp, mac, specs);
+  if (out.leaf_form == LeafForm::kPerElement)
+    emit_nested(body, lp, mac);
   else
-    emit_fused(body, lp, mac, specs, shape);
+    emit_fused(body, lp, mac, out.leaf_form, out.leaf_note);
   body.line("ctr[0] += tuples;");
   body.line("ctr[1] += hits;");
   body.line("ctr[2] += misses;");

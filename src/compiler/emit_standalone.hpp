@@ -14,20 +14,17 @@
 
 namespace bernoulli::compiler {
 
-/// The leaf loop emit_linked_c chose. The fused forms apply to two-level
-/// plans with a dense outer range whose probes all provably hit and whose
-/// target overlaps no factor (docs/CODEGEN.md, "Rung 4"); they keep the
-/// level-0 operand in registers and book counters per row:
-///   kAccumulator   — the target element accumulates in a register per row
-///                    (CSR, SELL-C-σ);
-///   kHoistedFactor — a level-0 factor loads once per row and the target
-///                    is stored per element (CCS's x[j]);
-///   kBlockRow      — a blocked leaf walks one block row per step with one
-///                    accumulator per row (BCSR);
-///   kPerElement    — every other plan: one store and one counter update
-///                    per tuple.
-enum class LeafForm { kPerElement, kAccumulator, kHoistedFactor, kBlockRow };
-const char* leaf_form_name(LeafForm form);
+/// Whether emit_linked_c covers a linked plan's shape, and why (not) —
+/// the EXPLAIN `specialize:` footer and emission's own refusal, one
+/// verdict. Covered iff the plan has levels, every level enumerates (no
+/// merge joins) a flat (non-opaque) driver, and every probe lowers to a
+/// flat SearchSpec with no sparse fill-in. The value arrays are a property
+/// of the statement, not the plan, so emit_linked_c checks them itself.
+struct SpecializeLegality {
+  bool ok = false;
+  std::string note;
+};
+SpecializeLegality plan_specialize_legality(const LinkedPlan& lp);
 
 /// A (LinkedPlan, LinkedMac) pair rendered as one compilable C translation
 /// unit — the input to the runtime-specialization backend
@@ -72,11 +69,10 @@ struct LinkedEmission {
 };
 
 /// Emits C for the pair, or refuses with a note when the plan uses a shape
-/// specialization does not cover: merge levels, virtual probes or
-/// enumerations (no flat SearchSpec/EnumSpec), sparse fill-in, or operands
-/// without flat value arrays. Emits exactly one leaf form (leaf_form),
-/// whose legality — hits and non-aliasing — is proved here from the arrays
-/// the plan and mac hold. The emission borrows the plan's arrays; it
+/// specialization does not cover (plan_specialize_legality) or an operand
+/// has no flat value array. Emits exactly the leaf form leaf_form() gives
+/// the pair — the form the linked engine runs — from the ranges and
+/// proofs link_plan stored. The emission borrows the plan's arrays; it
 /// is valid only while the views behind `lp` stay alive and unmoved.
 LinkedEmission emit_linked_c(const LinkedPlan& lp, const LinkedMac& mac,
                              const std::string& symbol);

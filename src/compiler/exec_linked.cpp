@@ -72,22 +72,6 @@ std::atomic<bool> g_bulk_drain{true};
 
 }  // namespace
 
-bool leaf_probes_allow_bulk(const LinkedLevel& lv) {
-  using SK = relation::SearchSpec::Kind;
-  for (const LinkedProbe& pr : lv.probes) {
-    if (pr.insert_on_miss || pr.var_slot != lv.var_slot) return false;
-    if (pr.search.kind != SK::kIdentity && pr.search.kind != SK::kAffine)
-      return false;
-    if (pr.search.kind == SK::kAffine &&
-        std::any_of(lv.probes.begin(), lv.probes.end(),
-                    [&](const LinkedProbe& q) {
-                      return q.access.pos_slot == pr.access.parent_slot;
-                    }))
-      return false;
-  }
-  return true;
-}
-
 void set_bulk_drain(bool enabled) {
   g_bulk_drain.store(enabled, std::memory_order_relaxed);
 }
@@ -294,82 +278,13 @@ void LinkedRunner::begin_record() {
 
 void LinkedRunner::commit(RunStats* stats, long long wall_ns) {
   rec_.wall_ns = wall_ns;
-  lp_.sink.commit(rec_);
+  lp_.sink->commit(rec_);
   if (stats) stats->tuples = rec_.work.tuples;
 }
 
-// Classifies the mac operands against the leaf level so try_bulk (below)
-// can stream whole cursor ranges. Bulk drains engage only when:
-//   - the leaf level is an enumerate (drain_enumerate_leaf's precondition);
-//   - every leaf probe is an identity/affine bounds check (no binary
-//     searches, no virtual probes, no fill-in inserts) — those are the
-//     probes whose all-hit outcome is provable from an index range;
-//   - every leaf probe searches by the leaf's own variable, and an affine
-//     probe's parent is bound above the leaf — the flattened forms are
-//     functions of the enumerated index and of outer bindings only;
-//   - the target and every factor expose flat value arrays (no virtual
-//     value access mid-loop).
-// Everything else falls back to the per-element path, which stays the
-// ground truth the bulk path must reproduce bitwise.
-void LinkedRunner::prepare_bulk(const LinkedMac& mac) {
-  bulk_ok_ = false;
-  bulk_acc_ok_ = false;
-  bulk_alias_ = false;
-  bulk_ops_.clear();
-  if (lp_.levels.empty()) return;
-  const std::size_t leaf = lp_.levels.size() - 1;
-  const LinkedLevel& lv = lp_.levels[leaf];
-  if (lv.method != JoinMethod::kEnumerate || !leaf_probes_allow_bulk(lv))
-    return;
-  if (mac.target_data.empty()) return;
-  for (const LinkedMac::Factor& f : mac.factors)
-    if (f.data.empty()) return;
-
-  const int driver_slot = lv.drivers[0].pos_slot;
-  auto classify = [&](std::size_t rel_slot) {
-    BulkOp op;
-    const int s = lp_.leaf_slot[rel_slot];
-    if (s == driver_slot) {
-      op.src = BulkOp::Src::kDriver;
-      return op;
-    }
-    for (const LinkedProbe& pr : lv.probes) {
-      if (pr.access.pos_slot != s) continue;
-      if (pr.search.kind == relation::SearchSpec::Kind::kIdentity) {
-        op.src = BulkOp::Src::kIdentity;
-      } else {
-        op.src = BulkOp::Src::kAffine;
-        op.stride = pr.search.stride;
-        op.parent_slot = pr.access.parent_slot;
-      }
-      return op;
-    }
-    // Bound at an outer level: constant for the whole drain.
-    op.src = BulkOp::Src::kConst;
-    op.slot = static_cast<std::size_t>(s);
-    return op;
-  };
-
-  bulk_target_ = classify(mac.target_slot);
-  for (const LinkedMac::Factor& f : mac.factors) {
-    BulkOp op = classify(f.slot);
-    op.data = f.data.data();
-    bulk_ops_.push_back(op);
-  }
-  bulk_ok_ = true;
-  // The accumulator register cache is only safe when the target element is
-  // fixed for the whole drain AND no factor can read the target storage
-  // mid-loop (the deferred store would then be observable); likewise a
-  // factor element fixed for the range may be loaded once only when no
-  // store can reach it.
-  bulk_alias_ = overlapping_factor(mac) != nullptr;
-  bulk_acc_ok_ = bulk_target_.src == BulkOp::Src::kConst && !bulk_alias_;
-}
-
-// Flattens one operand to its BulkOp::at form. `slot_form(s)` gives the
-// pos_ slot s as base + k*step: the current binding with step 0 (try_bulk's
-// per-invocation refresh) or level 0's affine lowering (prepare_outer).
-// Bases form in 64 bits and must fit index_t over rows [0, rows).
+// Lowers one operand to its BulkOp::at form. `slot_form(s)` gives the
+// pos_ slot s as base + k*step (level 0's affine lowering). Bases form in
+// 64 bits and must fit index_t over rows [0, rows).
 template <class SlotForm>
 void LinkedRunner::flatten(BulkOp& o, index_t rows, SlotForm slot_form) {
   using Src = BulkOp::Src;
@@ -391,77 +306,74 @@ void LinkedRunner::flatten(BulkOp& o, index_t rows, SlotForm slot_form) {
                 "operand base at the last outer row");
 }
 
-// Classifies the whole plan for the fused outer-range drain. It engages
-// only for the shape whose per-row work needs no level stack:
-//   - two enumerate levels, one driver each, the outer one a dense range;
-//   - every probe at BOTH levels is proved all-hit at link time and none
-//     inserts, so no row or leaf element can be filtered or fill in;
-//   - every level-0 probe is rooted (its relation starts at level 0);
-//   - the leaf driver is a compressed (CSR/CCS segment), sliced (SELL-C-σ
-//     lane run) or blocked (BCSR) level, whose per-row element range
-//     comes straight from its ptr, off/len or block ptr;
-//   - the leaf qualifies for bulk drains (bulk_ok_).
-// Level 0 is then lowered to affine offsets (see outer_slots_), so the
-// drain computes every per-row position arithmetically. Everything else
-// keeps the per-row path, which stays the ground truth the drain must
-// reproduce bitwise.
-void LinkedRunner::prepare_outer() {
+// Plans the fused outer-range drain for `mac`: engages exactly when the
+// drains are on and leaf_form() gives the pair a fused form, which proves
+// the shape the drain relies on — two enumerate levels, a dense outer
+// range whose probes are rooted, both levels all-hit, a compressed,
+// sliced or blocked leaf hanging off level 0, flat alias-free operands,
+// every operand position bound at level 0 or derived at the leaf. Level 0
+// is then lowered to affine offsets (see outer_slots_) and each operand
+// to its BulkOp form, so the drain computes every per-row position
+// arithmetically. Everything else keeps the level stack, which stays the
+// ground truth the drain must reproduce bitwise.
+void LinkedRunner::prepare_outer(const LinkedMac& mac) {
   outer_ok_ = false;
-  if (!bulk_ok_ || lp_.levels.size() != 2) return;
-  for (const LinkedLevel& lv : lp_.levels) {
-    if (lv.method != JoinMethod::kEnumerate || lv.drivers.size() != 1) return;
-    if (!lv.probes.empty() && !lv.proved_all_hit) return;
-  }
-  using K = relation::LevelDescriptor::Kind;
+  if (!bulk_drain_enabled() || leaf_form(lp_, mac) == LeafForm::kPerElement)
+    return;
   const LinkedLevel& l0 = lp_.levels[0];
-  const relation::LevelDescriptor& d0 = l0.drivers[0].desc;
-  const relation::LevelDescriptor& leaf = lp_.levels[1].drivers[0].desc;
-  if (d0.kind != K::kDense) return;
-
+  const LinkedLevel& lv = lp_.levels[1];
   // The dense root driver opens at base 0·stride, so its position is k;
   // a rooted identity/affine probe yields 0·stride + idx with idx = k.
   outer_slots_.clear();
   outer_slots_.push_back({l0.drivers[0].pos_slot, 0});
-  for (const LinkedProbe& pr : l0.probes) {
-    if (pr.access.parent_slot >= 0) return;
+  for (const LinkedProbe& pr : l0.probes)
     outer_slots_.push_back({pr.access.pos_slot, 0});
-  }
   auto find = [this](int slot) {
-    return std::find_if(outer_slots_.begin(), outer_slots_.end(),
-                        [slot](const OuterSlot& s) { return s.slot == slot; });
+    const auto s =
+        std::find_if(outer_slots_.begin(), outer_slots_.end(),
+                     [slot](const OuterSlot& o) { return o.slot == slot; });
+    BERNOULLI_CHECK(s != outer_slots_.end());
+    return s;
   };
-  const auto parent = find(lp_.levels[1].drivers[0].parent_slot);
-  if (parent == outer_slots_.end()) return;
-  outer_parent_off_ = parent->off;
+  outer_parent_off_ = find(lv.drivers[0].parent_slot)->off;
   // Operands bound at level 0 read a lowered slot: base off, step 1.
-  // Two-level plans bind nothing else outside the leaf.
-  bool bound = true;
   auto slot_form = [&](int slot) -> std::pair<long long, long long> {
-    const auto s = find(slot);
-    if (s == outer_slots_.end()) {
-      bound = false;
-      return {0, 0};
-    }
-    return {s->off, 1};
+    return {find(slot)->off, 1};
   };
-  outer_target_ = bulk_target_;
-  flatten(outer_target_, d0.extent, slot_form);
-  outer_ops_ = bulk_ops_;
-  for (BulkOp& o : outer_ops_) flatten(o, d0.extent, slot_form);
-  if (!bound) return;
-
-  outer_ok_ = leaf.kind == K::kCompressed ||
-              (leaf.kind == K::kSliced && leaf.chunk > 0) ||
-              (leaf.kind == K::kBlocked && leaf.block_r > 0 &&
-               leaf.block_c > 0);
+  const index_t rows = l0.drivers[0].desc.extent;
+  auto lower = [&](std::size_t rel_slot, const value_t* data) {
+    BulkOp op;
+    op.data = data;
+    const int s = lp_.leaf_slot[rel_slot];
+    if (s == lv.drivers[0].pos_slot) op.src = BulkOp::Src::kDriver;
+    for (const LinkedProbe& pr : lv.probes) {
+      if (pr.access.pos_slot != s) continue;
+      if (pr.search.kind == relation::SearchSpec::Kind::kIdentity) {
+        op.src = BulkOp::Src::kIdentity;
+      } else {
+        op.src = BulkOp::Src::kAffine;
+        op.stride = pr.search.stride;
+        op.parent_slot = pr.access.parent_slot;
+      }
+    }
+    op.slot = static_cast<std::size_t>(s);  // read when kConst
+    flatten(op, rows, slot_form);
+    return op;
+  };
+  outer_target_ = lower(mac.target_slot, nullptr);
+  outer_ops_.clear();
+  for (const LinkedMac::Factor& f : mac.factors)
+    outer_ops_.push_back(lower(f.slot, f.data.data()));
+  // The target element is fixed per row when bound at level 0; no factor
+  // aliases it (leaf_form proved that), so it may live in a register.
+  bulk_acc_ok_ = outer_target_.src == BulkOp::Src::kConst;
+  outer_ok_ = true;
 }
 
 // The run(LinkedMac) sink. operator() is the per-element multiply-
-// accumulate (unchanged semantics); try_bulk is the hook
-// drain_enumerate_leaf offers a whole leaf invocation to, try_outer the
-// hook run_span offers the open outer range to. A local
-// class cannot befriend templates, so this lives at class scope with full
-// access to the runner internals.
+// accumulate (unchanged semantics); try_outer is the hook run_span offers
+// the open outer range to. A local class cannot befriend templates, so
+// this lives at class scope with full access to the runner internals.
 struct LinkedRunner::MacSink {
   LinkedRunner& r;
   const LinkedMac& mac;
@@ -482,26 +394,17 @@ struct LinkedRunner::MacSink {
       mac.target_data[static_cast<std::size_t>(tp)] += prod;
   }
 
-  // Flattens the operands for the current bindings (kConst slots and
-  // affine parents read from pos_).
-  void refresh_ops() const {
-    auto current = [this](int slot) -> std::pair<long long, long long> {
-      return {r.pos_[static_cast<std::size_t>(slot)], 0};
-    };
-    flatten(r.bulk_target_, 1, current);
-    for (BulkOp& o : r.bulk_ops_) flatten(o, 1, current);
-  }
-
-  // ---- Loop bodies shared by every bulk drain ----------------------
+  // ---- Loop bodies shared by every fused drain ---------------------
   // with_factors(ops, fn) picks the factor form once and calls
   // fn(factors): factors(k) is the product functor prod(pos, idx) at
   // outer row k — scale first, then every factor in order, operator()'s
   // multiplication order. Two-factor products specialize the SpMV operand
   // pairs — matrix values at the driver position times a dense vector at
   // the index (row-major) or at a per-row element (column-major, loaded
-  // once per row unless the target aliases it) — so they load with no
-  // address selects, and a unit scale is not multiplied at all (1·a == a
-  // exactly for every double a, so the product is bitwise the same).
+  // once per row: leaf_form admits no target that aliases it) — so they
+  // load with no address selects, and a unit scale is not multiplied at
+  // all (1·a == a exactly for every double a, so the product is bitwise
+  // the same).
   template <class Fn>
   void with_factors(const std::vector<BulkOp>& ops, Fn&& fn) const {
     using Src = BulkOp::Src;
@@ -539,23 +442,12 @@ struct LinkedRunner::MacSink {
             return prod;
           };
         });
-      } else if (o0.src == Src::kDriver && o1.src == Src::kConst &&
-                 !r.bulk_alias_) {
+      } else if (o0.src == Src::kDriver && o1.src == Src::kConst) {
         fn([=](index_t k) {
           const value_t v1 = d1[o1.row_base(k)];
           return [=](index_t pos, index_t) {
             value_t prod = first(d0[pos]);
             prod *= v1;
-            return prod;
-          };
-        });
-      } else if (o0.src == Src::kDriver && o1.src == Src::kConst) {
-        fn([=](index_t k) {
-          // Re-read per element: the target aliases a factor.
-          const value_t* const p1 = d1 + o1.row_base(k);
-          return [=](index_t pos, index_t) {
-            value_t prod = first(d0[pos]);
-            prod *= *p1;
             return prod;
           };
         });
@@ -638,128 +530,6 @@ struct LinkedRunner::MacSink {
           elem(jb + cc, pb + cc);
       }
     };
-  }
-
-  // Streams the whole remaining cursor range of leaf invocation `d` as one
-  // fused loop, booking counters/stats in bulk. Returns false (nothing
-  // consumed, nothing booked) when the invocation is not provably all-hit,
-  // so the caller's per-element path keeps exact miss semantics.
-  bool try_bulk(std::size_t d, support::WorkCounts& c) const {
-    if (!r.bulk_ok_ || !bulk_drain_enabled()) return false;
-    Frame& f = r.frames_[d];
-    const LinkedLevel& lv = r.lp_.levels[d];
-    relation::Cursor& cur = f.cursors[0];
-    const index_t k0 = cur.cur;
-    const index_t k1 = cur.end;
-    if (k1 <= k0) return false;
-    // proved_all_hit settled the window at link time from the level's
-    // whole enumerable range; only unproved levels pay the per-invocation
-    // min/max scan. Identity/affine probes hit iff 0 <= idx < extent, so
-    // range membership of [mn, mx] settles every element of an invocation.
-    const bool scan = !lv.probes.empty() && !lv.proved_all_hit;
-    auto probes_hit = [&](index_t mn, index_t mx) {
-      for (const LinkedProbe& pr : lv.probes)
-        if (mn < 0 || mx >= pr.search.extent) return false;
-      return true;
-    };
-    // Consume the invocation, booked in bulk: every element enumerates,
-    // hits every probe, and produces — identical totals to the per-element
-    // path in any order, because no element misses. Then drain it with
-    // the operands flattened for the current bindings (row 0 of a step-0
-    // form).
-    auto consume = [&](const auto& walk) {
-      const long long n = k1 - k0;
-      f.inv_enumerated += n;
-      f.inv_produced += n;
-      c.tuples += n;
-      c.probe_hits += n * static_cast<long long>(lv.probes.size());
-      refresh_ops();
-      cur.cur = k1;
-      with_drain(r.bulk_target_, r.bulk_ops_,
-                 [&](const auto& drain) { drain(walk, 0); });
-    };
-
-    auto flat = [&](auto index_of, auto pos_of, bool ascending) -> bool {
-      if (scan) {
-        index_t mn, mx;
-        if (ascending) {
-          mn = index_of(k0);
-          mx = index_of(k1 - 1);
-        } else {
-          mn = mx = index_of(k0);
-          for (index_t k = k0 + 1; k < k1; ++k) {
-            const index_t v = index_of(k);
-            mn = std::min(mn, v);
-            mx = std::max(mx, v);
-          }
-        }
-        if (!probes_hit(mn, mx)) return false;
-      }
-      consume(flat_walk(index_of, pos_of, k0, k1));
-      return true;
-    };
-
-    switch (cur.kind) {
-      case relation::Cursor::Kind::kDenseRange: {
-        const index_t base = cur.base;
-        return flat([](index_t k) { return k; },
-                    [base](index_t k) { return base + k; },
-                    /*ascending=*/true);
-      }
-      case relation::Cursor::Kind::kIndArray: {
-        const index_t* ind = cur.ind;
-        return flat([ind](index_t k) { return ind[k]; },
-                    [](index_t k) { return k; },
-                    /*ascending=*/false);
-      }
-      case relation::Cursor::Kind::kStrided: {
-        const index_t* ind = cur.ind;
-        const index_t base = cur.base;
-        const index_t stride = cur.stride;
-        return flat([=](index_t k) { return ind[base + k * stride]; },
-                    [=](index_t k) { return base + k * stride; },
-                    /*ascending=*/false);
-      }
-      case relation::Cursor::Kind::kOffsets: {
-        const index_t* ind = cur.ind;
-        const index_t* off = cur.off;
-        const index_t base = cur.base;
-        return flat([=](index_t k) { return ind[off[k] + base]; },
-                    [=](index_t k) { return off[k] + base; },
-                    /*ascending=*/false);
-      }
-      case relation::Cursor::Kind::kBuffered: {
-        const relation::IndexPos* buf = cur.buf;
-        return flat([buf](index_t k) { return buf[k].idx; },
-                    [buf](index_t k) { return buf[k].pos; },
-                    /*ascending=*/false);
-      }
-      case relation::Cursor::Kind::kBlocked: {
-        // The lane range may start or end mid-block (k0/k1 are arbitrary
-        // lane counters), so the end blocks are found once here.
-        const index_t* ind = cur.ind;
-        const index_t c0 = cur.stride;  // block width (lanes per block)
-        const index_t b0 = cur.base + k0 / c0;
-        const index_t bN = cur.base + (k1 - 1) / c0;
-        if (scan) {
-          // Conservative lane window from the block columns this range
-          // touches: every lane of block b lies in [ind[b]*c, ind[b]*c+c).
-          index_t mnb = ind[b0];
-          index_t mxb = ind[b0];
-          for (index_t b = b0 + 1; b <= bN; ++b) {
-            mnb = std::min(mnb, ind[b]);
-            mxb = std::max(mxb, ind[b]);
-          }
-          if (!probes_hit(mnb * c0, mxb * c0 + c0 - 1)) return false;
-        }
-        consume(blocked_walk(ind, c0, cur.bsz, cur.rofs, b0, k0 % c0, bN,
-                             (k1 - 1) % c0 + 1));
-        return true;
-      }
-      case relation::Cursor::Kind::kSingleton:
-        return false;  // one element: the per-element path is already tight
-    }
-    return false;
   }
 
   // BCSR block-row form of the fused drain: block rows [q0, q0 + nq),
@@ -917,11 +687,7 @@ struct LinkedRunner::MacSink {
       st->levels[1].produced += w;
     }
     if (prof) {
-      using K = relation::LevelDescriptor::Kind;
-      const K kind = lv1.drivers[0].desc.kind;
-      const int pk = kind == K::kBlocked  ? support::kProfBlocked
-                     : kind == K::kSliced ? support::kProfSliced
-                                          : support::kProfBulk;
+      const int pk = fused_drain_kind(r.lp_);
       r.rec_.profile.add_work(1, pk, w);
       if (w > 0)
         r.rec_.profile.book_ns(1, pk, support::profile_now_ns() - prof_t0, w);
@@ -933,11 +699,11 @@ struct LinkedRunner::MacSink {
   // engaged, the whole remaining outer range [cur, end) drains in one
   // drain_rows loop instead of one next_binding / open_frame /
   // drain_enumerate_leaf / close_frame round trip per row. Rows drain in
-  // order and each row's segment runs the very loop body try_bulk would,
-  // so outputs are bitwise-identical; counters, the level-1 fan-out
-  // samples, per-level stats and profile work counts book exactly what
-  // the per-row path books (order-invariant totals). Chunk clamps are
-  // respected: only the frame's own [cur, end) is consumed.
+  // order and each row's segment forms its products in the per-element
+  // order, so outputs are bitwise-identical; counters, the level-1
+  // fan-out samples, per-level stats and profile work counts book exactly
+  // what the per-row path books (order-invariant totals). Chunk clamps
+  // are respected: only the frame's own [cur, end) is consumed.
   void try_outer(support::WorkCounts& c, RunStats* st) const {
     if (!r.outer_ok_ || !bulk_drain_enabled()) return;
     relation::Cursor& cur = r.frames_[0].cursors[0];  // a dense row range
@@ -994,27 +760,10 @@ template <class Sink>
 void LinkedRunner::drain_enumerate_leaf(std::size_t d, support::WorkCounts& c,
                                         Sink&& sink, bool prof_time) {
   // Drain-kind attribution: the whole invocation books one work count (and,
-  // inside a sampled bracket, one timestamp pair — never per tuple) under
-  // the kind that actually drained it.
+  // inside a sampled bracket, one timestamp pair — never per tuple) as
+  // tuple work.
   const bool profiling = support::profiling_enabled();
-  const long long prof_w0 = profiling ? c.tuples : 0;
   const long long prof_t0 = prof_time ? support::profile_now_ns() : 0;
-  if constexpr (requires { sink.try_bulk(d, c); }) {
-    const bool blocked =
-        frames_[d].cursors[0].kind == relation::Cursor::Kind::kBlocked;
-    if (sink.try_bulk(d, c)) {
-      if (profiling) {
-        const int kind =
-            blocked ? support::kProfBlocked : support::kProfBulk;
-        const long long w = c.tuples - prof_w0;
-        rec_.profile.add_work(static_cast<int>(d), kind, w);
-        if (prof_time)
-          rec_.profile.book_ns(static_cast<int>(d), kind,
-                               support::profile_now_ns() - prof_t0, w);
-      }
-      return;
-    }
-  }
   Frame& f = frames_[d];
   const LinkedLevel& lv = lp_.levels[d];
   relation::Cursor& cur = f.cursors[0];
@@ -1260,8 +1009,7 @@ void LinkedRunner::run(const LinkedMac& mac, RunStats* stats) {
     mac_pslots_.push_back(static_cast<std::size_t>(lp_.leaf_slot[f.slot]));
   const std::size_t tslot =
       static_cast<std::size_t>(lp_.leaf_slot[mac.target_slot]);
-  prepare_bulk(mac);
-  prepare_outer();
+  prepare_outer(mac);
   traced(lp_, stats, [&](RunStats* st) {
     run_impl(MacSink{*this, mac, tslot}, st);
   });
@@ -1483,10 +1231,7 @@ void ParallelRunner::run_owner(const LinkedMac& mac, RunStats* stats) {
             .arg("col_lo", part.col_lo)
             .arg("col_hi", part.col_hi);
       }
-      if (slot != 0) {  // worker 0 was prepared by run()
-        r.prepare_bulk(mac);
-        r.prepare_outer();
-      }
+      r.prepare_outer(mac);
       LinkedRunner::MacSink{r, mac, tslot}.drain_owned(r.rec_.work, &ws.stats,
                                                        part);
       if (span) span->arg("tuples", r.rec_.work.tuples);
@@ -1532,11 +1277,8 @@ void ParallelRunner::run(const LinkedMac& mac, RunStats* stats) {
   LinkedRunner& r0 = *workers_.front();
   if (!parts_.empty()) {
     // Owner-computes needs the fused drain with an alias-free target
-    // scattered by the leaf index; anything else runs serially, named.
-    r0.prepare_bulk(mac);
-    r0.prepare_outer();
-    using Src = LinkedRunner::BulkOp::Src;
-    const LinkedRunner::BulkOp& t = r0.outer_target_;
+    // scattered by the leaf index — the hoisted-factor leaf form; anything
+    // else runs serially, named.
     if (!bulk_drain_enabled()) {
       run_note_ = "bulk drains are switched off; owner-computes runs the "
                   "fused drain";
@@ -1544,9 +1286,7 @@ void ParallelRunner::run(const LinkedMac& mac, RunStats* stats) {
       run_note_ = "target " + mac.target->name() + " overlaps factor " +
                   f->view->name() + "; owner-computes needs an alias-free "
                   "target";
-    } else if (!r0.outer_ok_ ||
-               !(t.src == Src::kIdentity ||
-                 (t.src == Src::kAffine && t.parent_slot < 0))) {
+    } else if (leaf_form(r0.lp_, mac) != LeafForm::kHoistedFactor) {
       run_note_ = "the multiply-accumulate does not take the fused drain "
                   "owner-computes runs";
     } else {
@@ -1564,15 +1304,14 @@ void ParallelRunner::run(const LinkedMac& mac, RunStats* stats) {
   run_parallel(
       [&](LinkedRunner& r) {
         // Per-worker copy of the serial mac fast path: operand leaf slots
-        // and the bulk-drain plan resolved once per run per worker.
+        // and the fused-drain plan resolved once per run per worker.
         r.mac_pslots_.clear();
         for (const LinkedMac::Factor& f : mac.factors)
           r.mac_pslots_.push_back(
               static_cast<std::size_t>(r.lp_.leaf_slot[f.slot]));
         const std::size_t tslot =
             static_cast<std::size_t>(r.lp_.leaf_slot[mac.target_slot]);
-        r.prepare_bulk(mac);
-        r.prepare_outer();
+        r.prepare_outer(mac);
         return LinkedRunner::MacSink{r, mac, tslot};
       },
       stats);

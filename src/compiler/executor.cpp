@@ -316,9 +316,9 @@ void emit_join_spans(const Plan& plan, const RunStats& stats, double t0,
 void execute_interpreted(const Plan& plan, const Query& q,
                          const Action& action, RunStats* stats) {
   q.validate();
-  // The interpreter has no link step: it resolves its sink per call (it is
-  // the differential reference, not a serving path).
-  const support::RunSink sink(plan.levels.size());
+  // The interpreter has no link step: it takes the process's sink for its
+  // level count, resolved once.
+  const support::RunSink& sink = support::run_sink(plan.levels.size());
   const auto wall_t0 = std::chrono::steady_clock::now();
   Interpreter interp(plan, q, action);
   const bool tracing = support::trace_enabled();

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "compiler/link.hpp"
-#include "compiler/specialize.hpp"
+#include "compiler/emit_standalone.hpp"
 #include "support/json_writer.hpp"
 
 namespace bernoulli::compiler {
@@ -95,6 +95,8 @@ void access_json(support::JsonWriter& w, const Query& q, const Access& a) {
 }  // namespace
 
 std::string explain(const Plan& plan, const Query& q) {
+  // One link: the parallel and specialization verdicts both read it.
+  const LinkedPlan lp = link_plan(plan, q);
   std::ostringstream os;
   os << "plan: " << plan.levels.size() << " level"
      << (plan.levels.size() == 1 ? "" : "s") << ", est. total cost "
@@ -112,25 +114,21 @@ std::string explain(const Plan& plan, const Query& q) {
        << (level.est_iterations == 1.0 ? "" : "s") << ", cost "
        << num(level.est_cost) << " per outer iteration\n";
   }
-  const ParallelLegality leg = plan_parallel_legality(plan, q);
-  os << "parallel: " << (leg.ok ? "" : "serial fallback — ") << leg.note
-     << "\n";
-  const SpecializeLegality spec = plan_specialize_legality(plan, q);
+  os << "parallel: " << (lp.parallel_ok ? "" : "serial fallback — ")
+     << lp.parallel_note << "\n";
+  const SpecializeLegality spec = plan_specialize_legality(lp);
   os << "specialize: " << (spec.ok ? "" : "linked fallback — ") << spec.note
      << "\n";
   // Per-level storage descriptors of the driving access methods — the
   // shapes the cursor lowering switches on (blocked 4x4, sliced C=8 ...).
-  for (std::size_t d = 0; d < plan.levels.size(); ++d) {
-    const Access& a = plan.levels[d].drivers[0];
-    const auto& rel = q.relations[static_cast<std::size_t>(a.rel)];
+  for (std::size_t d = 0; d < lp.levels.size(); ++d)
     os << "level " << d << ": "
-       << relation::descriptor_text(rel.view->level(a.depth).describe())
-       << "\n";
-  }
+       << relation::descriptor_text(lp.levels[d].drivers[0].desc) << "\n";
   return os.str();
 }
 
 std::string explain_json(const Plan& plan, const Query& q, int indent) {
+  const LinkedPlan lp = link_plan(plan, q);
   support::JsonWriter w(indent);
   w.begin_object();
   w.key("schema").value("bernoulli.explain.v1");
@@ -151,23 +149,18 @@ std::string explain_json(const Plan& plan, const Query& q, int indent) {
     w.end_object();
   }
   w.end_array();
-  const ParallelLegality leg = plan_parallel_legality(plan, q);
   w.key("parallel").begin_object();
-  w.key("ok").value(leg.ok);
-  w.key("note").value(leg.note);
+  w.key("ok").value(lp.parallel_ok);
+  w.key("note").value(lp.parallel_note);
   w.end_object();
-  const SpecializeLegality spec = plan_specialize_legality(plan, q);
+  const SpecializeLegality spec = plan_specialize_legality(lp);
   w.key("specialize").begin_object();
   w.key("ok").value(spec.ok);
   w.key("note").value(spec.note);
   w.end_object();
   w.key("descriptors").begin_array();
-  for (const auto& level : plan.levels) {
-    const Access& a = level.drivers[0];
-    const auto& rel = q.relations[static_cast<std::size_t>(a.rel)];
-    w.value(
-        relation::descriptor_text(rel.view->level(a.depth).describe()));
-  }
+  for (const LinkedLevel& lv : lp.levels)
+    w.value(relation::descriptor_text(lv.drivers[0].desc));
   w.end_array();
   w.end_object();
   return w.str();

@@ -9,6 +9,7 @@
 #include "compiler/explain.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
+#include "support/profile.hpp"
 
 namespace bernoulli::compiler {
 
@@ -22,132 +23,420 @@ int find_var_slot(const Query& q, const std::string& v) {
   return static_cast<int>(it - q.vars.begin());
 }
 
-// Link-time index range of everything a level can enumerate — the same
-// whole-structure scan the specializing emitter uses for its always-hit
-// probe proofs (emit_standalone.cpp). O(nnz) once at link time, i.e.
-// inspector-phase work. mx < mn means the level enumerates nothing.
-struct IndexRange {
-  index_t mn = 0;
-  index_t mx = -1;
-};
+// Widens `r` by ind[lo, hi).
+void widen(IndexRange& r, const index_t* ind, index_t lo, index_t hi) {
+  if (lo >= hi) return;
+  index_t mn = ind[lo];
+  index_t mx = ind[lo];
+  for (index_t k = lo + 1; k < hi; ++k) {
+    mn = std::min(mn, ind[k]);
+    mx = std::max(mx, ind[k]);
+  }
+  if (r.empty()) {
+    r = {mn, mx};
+  } else {
+    r.mn = std::min(r.mn, mn);
+    r.mx = std::max(r.mx, mx);
+  }
+}
 
-IndexRange scan_index_range(const index_t* a, index_t n) {
+// Whether level `depth` of `v` holds any position: a depth-first walk
+// from the root through the cursors, stopping at the first one found.
+bool holds_positions(const relation::RelationView& v, index_t depth,
+                     index_t d = 0, index_t parent = 0) {
+  relation::Cursor c;
+  relation::CursorBuffer buf;
+  v.level(d).begin_cursor(parent, c, buf);
+  for (; c.valid(); c.advance())
+    if (d == depth || holds_positions(v, depth, d + 1, c.pos())) return true;
+  return false;
+}
+
+// The indices a flat driver's cursors enumerate over every parent its
+// relation holds, walking the stored structure as descriptor_cursor does:
+// per-parent counts bound the lane walks (SELL-C-σ and ELLPACK padding is
+// never read), a blocked level expands each stored block to its c lanes,
+// and a dense or list level — the same children under every parent —
+// enumerates nothing when no parent exists.
+IndexRange driver_range(const relation::RelationView& v, index_t depth,
+                        const relation::LevelDescriptor& d) {
+  using K = relation::LevelDescriptor::Kind;
   IndexRange r;
-  if (a == nullptr || n <= 0) return r;
-  r.mn = r.mx = a[0];
-  for (index_t k = 1; k < n; ++k) {
-    r.mn = std::min(r.mn, a[k]);
-    r.mx = std::max(r.mx, a[k]);
+  const bool has_parent = depth == 0 || holds_positions(v, depth - 1);
+  switch (d.kind) {
+    case K::kDense:
+      if (has_parent && d.extent > 0) r = {0, d.extent - 1};
+      break;
+    case K::kList:
+      if (has_parent) widen(r, d.ind, 0, d.ind_len);
+      break;
+    case K::kCompressed:
+      if (d.ptr_len >= 2) widen(r, d.ind, d.ptr[0], d.ptr[d.ptr_len - 1]);
+      break;
+    case K::kSingleton:
+      widen(r, d.map, 0, d.map_len);
+      break;
+    case K::kBlocked:
+      if (d.ptr_len >= 2) widen(r, d.ind, d.ptr[0], d.ptr[d.ptr_len - 1]);
+      if (!r.empty()) r = {r.mn * d.block_c, r.mx * d.block_c + d.block_c - 1};
+      break;
+    case K::kStrided:
+    case K::kOffsets:
+    case K::kSliced:
+      for (index_t p = 0; p < d.len_len; ++p)
+        for (index_t k = 0; k < d.len[p]; ++k) {
+          const index_t pos = d.kind == K::kStrided  ? p + k * d.stride
+                              : d.kind == K::kOffsets ? d.off[k] + p
+                                                      : d.off[p] + k * d.chunk;
+          widen(r, d.ind, pos, pos + 1);
+        }
+      break;
+    case K::kOpaque:
+      break;
   }
   return r;
 }
 
-IndexRange enum_index_range(const relation::EnumSpec& es) {
-  using Kind = relation::EnumSpec::Kind;
-  switch (es.kind) {
-    case Kind::kDense: {
-      IndexRange r;
-      if (es.extent > 0) {
-        r.mn = 0;
-        r.mx = es.extent - 1;
-      }
-      return r;
-    }
-    case Kind::kSegmented:
-    case Kind::kList:
-    case Kind::kStrided:
-    case Kind::kOffsets:
-      return scan_index_range(es.ind, es.ind_len);
-    case Kind::kBlocked: {
-      // ind holds block columns; each expands to lanes
-      // [ind[b]*c, ind[b]*c + c - 1].
-      IndexRange r = scan_index_range(es.ind, es.ind_len);
-      if (r.mx >= r.mn) {
-        r.mn = r.mn * es.block_c;
-        r.mx = r.mx * es.block_c + es.block_c - 1;
-      }
-      return r;
-    }
-    case Kind::kSliced:
-      // Scans the whole lane-major array including padding slots; padding
-      // holds column 0, which can only widen the range toward 0 — a safe
-      // over-approximation for the in-window proofs below.
-      return scan_index_range(es.ind, es.ind_len);
-    case Kind::kFunction:
-      return scan_index_range(es.map, es.map_len);
-    case Kind::kNone:
-      break;
-  }
-  return {};
-}
-
-// Link-time always-hit proof for one enumerate level: every probe lowers
-// to pure arithmetic (identity/affine), never inserts, searches by the
-// level's own variable, and the driver's whole enumerable index range
-// provably lands inside every probe's accepting window. The bulk leaf
-// drain then skips its per-invocation min/max scan of the cursor range.
-// (A probe searching by an outer variable — B[i,j] probed at i's level
-// for its j child — sees a different index than the driver enumerates.)
-bool prove_all_hit(const PlanLevel& pl, const Query& q) {
-  if (pl.method != JoinMethod::kEnumerate || pl.drivers.size() != 1)
+// Link-time always-hit proof for one level (see LinkedLevel::
+// proved_all_hit). A probe searching by an outer variable — B[i,j] probed
+// at i's level for its j child — sees a different index than the driver
+// enumerates, so it is never proved here.
+bool prove_all_hit(const LinkedLevel& lv) {
+  using SK = relation::SearchSpec::Kind;
+  if (lv.method != JoinMethod::kEnumerate ||
+      lv.drivers[0].desc.kind == relation::LevelDescriptor::Kind::kOpaque)
     return false;
-  const Access& d = pl.drivers[0];
-  const relation::EnumSpec es =
-      q.relations[static_cast<std::size_t>(d.rel)].view->level(d.depth)
-          .enum_spec();
-  if (es.kind == relation::EnumSpec::Kind::kNone) return false;
-  const IndexRange r = enum_index_range(es);
-  for (const Access& a : pl.probes) {
-    const auto& rel = q.relations[static_cast<std::size_t>(a.rel)];
-    const relation::IndexLevel& level = rel.view->level(a.depth);
-    if (rel.writes && level.insertable()) return false;
-    if (rel.vars[static_cast<std::size_t>(a.depth)] != pl.var) return false;
-    const relation::SearchSpec ss = level.search_spec();
-    if (ss.kind != relation::SearchSpec::Kind::kIdentity &&
-        ss.kind != relation::SearchSpec::Kind::kAffine)
+  for (const LinkedProbe& pr : lv.probes) {
+    if (pr.insert_on_miss || pr.var_slot != lv.var_slot) return false;
+    if (pr.search.kind != SK::kIdentity && pr.search.kind != SK::kAffine)
       return false;
-    if (r.mx >= r.mn && (r.mn < 0 || r.mx >= ss.extent)) return false;
+    if (!lv.range.within(pr.search.extent)) return false;
   }
   return true;
 }
 
-// Owner-computes shape (see ParallelLegality): a two-level enumerate plan
-// over a dense outer range whose leaf walks sorted compressed segments of
-// the outer variable, every probe proved all-hit, and every written
-// relation a vector of the leaf variable probed there (the all-hit proof
-// makes that probe an identity or affine search).
-bool owner_computes_shape(const Plan& plan, const Query& q) {
+const relation::BoundRelation& rel_of(const LinkedPlan& lp, index_t rel) {
+  return lp.query->relations[static_cast<std::size_t>(rel)];
+}
+
+const std::string& var_of(const LinkedPlan& lp, const LinkedLevel& lv) {
+  return lp.query->vars[static_cast<std::size_t>(lv.var_slot)];
+}
+
+// Owner-computes shape (see LinkedPlan::owner_computes): a two-level
+// enumerate plan over a dense outer range whose leaf walks sorted
+// compressed segments of the outer variable, both levels proved all-hit,
+// and every written relation a vector of the leaf variable probed there.
+bool owner_computes_shape(const LinkedPlan& lp) {
   using K = relation::LevelDescriptor::Kind;
-  if (plan.levels.size() != 2) return false;
-  for (const PlanLevel& pl : plan.levels)
-    if (!prove_all_hit(pl, q)) return false;
-  const PlanLevel& outer = plan.levels[0];
-  const PlanLevel& leaf = plan.levels[1];
-  auto rel_of = [&](const Access& a) -> const auto& {
-    return q.relations[static_cast<std::size_t>(a.rel)];
-  };
-  const Access& od = outer.drivers[0];
-  if (rel_of(od).view->level(od.depth).describe().kind != K::kDense)
+  if (lp.levels.size() != 2) return false;
+  for (const LinkedLevel& lv : lp.levels)
+    if (!lv.proved_all_hit) return false;
+  const LinkedLevel& outer = lp.levels[0];
+  const LinkedLevel& leaf = lp.levels[1];
+  if (outer.drivers[0].desc.kind != K::kDense) return false;
+  for (const LinkedProbe& pr : outer.probes)
+    if (pr.access.depth != 0) return false;
+  const LinkedAccess& ld = leaf.drivers[0];
+  if (ld.desc.kind != K::kCompressed || !ld.desc.sorted || ld.depth != 1 ||
+      rel_of(lp, ld.rel).vars[0] != var_of(lp, outer))
     return false;
-  for (const Access& a : outer.probes)
-    if (a.depth != 0) return false;
-  const Access& ld = leaf.drivers[0];
-  const relation::LevelDescriptor ldesc =
-      rel_of(ld).view->level(ld.depth).describe();
-  if (ldesc.kind != K::kCompressed || !ldesc.sorted || ld.depth != 1 ||
-      rel_of(ld).vars[0] != outer.var)
-    return false;
-  for (std::size_t r = 0; r < q.relations.size(); ++r) {
-    const auto& rel = q.relations[r];
+  for (std::size_t r = 0; r < lp.query->relations.size(); ++r) {
+    const auto& rel = lp.query->relations[r];
     if (!rel.writes) continue;
-    if (rel.vars.size() != 1 || rel.vars[0] != leaf.var ||
+    if (rel.vars.size() != 1 || rel.vars[0] != var_of(lp, leaf) ||
         std::none_of(leaf.probes.begin(), leaf.probes.end(),
-                     [&](const Access& a) {
-                       return a.rel == static_cast<index_t>(r);
+                     [&](const LinkedProbe& pr) {
+                       return pr.access.rel == static_cast<index_t>(r);
                      }))
       return false;
   }
   return true;
+}
+
+// The parallel verdict (see LinkedPlan::parallel_ok): sets parallel_ok,
+// owner_computes and parallel_note.
+void decide_parallel(LinkedPlan& lp) {
+  auto verdict = [&lp](bool ok, std::string note, bool owner = false) {
+    lp.parallel_ok = ok;
+    lp.owner_computes = owner;
+    lp.parallel_note = std::move(note);
+  };
+  if (lp.levels.empty()) return verdict(false, "plan has no levels");
+  const LinkedLevel& outer = lp.levels[0];
+  const std::string& outer_var = var_of(lp, outer);
+  if (outer.method == JoinMethod::kMerge)
+    return verdict(false, "outer level " + outer_var +
+                              " is a merge join (chunking the k-finger "
+                              "sweep would change merge_steps)");
+  // Scan every access the plan touches for mid-run mutation or stateful
+  // virtual search; either makes concurrent frames unsafe.
+  auto inserts = [&](const LinkedAccess& a) -> std::string {
+    const auto& rel = rel_of(lp, a.rel);
+    if (rel.writes && a.level->insertable())
+      return rel.view->name() + " inserts on miss at " +
+             rel.vars[static_cast<std::size_t>(a.depth)] +
+             " (fill-in grows shared storage)";
+    return "";
+  };
+  for (const LinkedLevel& lv : lp.levels) {
+    for (const LinkedAccess& a : lv.drivers)
+      if (std::string why = inserts(a); !why.empty())
+        return verdict(false, std::move(why));
+    for (const LinkedProbe& pr : lv.probes) {
+      if (std::string why = inserts(pr.access); !why.empty())
+        return verdict(false, std::move(why));
+      if (pr.search.kind == relation::SearchSpec::Kind::kVirtual) {
+        const auto& rel = rel_of(lp, pr.access.rel);
+        return verdict(false,
+                       rel.view->name() + " probes " +
+                           rel.vars[static_cast<std::size_t>(pr.access.depth)] +
+                           " through a stateful virtual search");
+      }
+    }
+  }
+  // Disjoint output rows: every written relation must bind the outer
+  // variable at its root level, so distinct outer bindings land in
+  // disjoint storage segments and no cross-thread reduction is needed.
+  for (const auto& rel : lp.query->relations) {
+    if (!rel.writes) continue;
+    if (rel.vars.empty() || rel.vars[0] != outer_var) {
+      // The output is indexed by an inner variable: chunking the outer
+      // level would race on it. A column walk into a vector of the leaf
+      // variable can still split the OUTPUT instead (owner-computes).
+      if (owner_computes_shape(lp))
+        return verdict(true,
+                       "owner-computes — rows of " + rel.view->name() +
+                           " split across T threads; each walks its segment "
+                           "of every column",
+                       true);
+      return verdict(false, "output " + rel.view->name() +
+                                " rows are not partitioned by the outer "
+                                "variable " +
+                                outer_var);
+    }
+  }
+  verdict(true, "outer level " + outer_var +
+                    " chunked across threads (disjoint output rows)");
+}
+
+// Walks the linked levels and derives the static data-movement footprint
+// (see PlanFootprint).
+PlanFootprint derive_footprint(const LinkedPlan& lp) {
+  const Query& q = *lp.query;
+  PlanFootprint fp;
+  fp.operands.reserve(q.relations.size());
+  for (const auto& rel : q.relations)
+    fp.operands.push_back({rel.view->name(), 0, 0});
+
+  auto inexact = [&](std::string why) {
+    fp = PlanFootprint{};
+    for (const auto& rel : q.relations)
+      fp.operands.push_back({rel.view->name(), 0, 0});
+    fp.note = std::move(why);
+    return fp;
+  };
+
+  constexpr long long szi = static_cast<long long>(sizeof(index_t));
+  constexpr long long szv = static_cast<long long>(sizeof(value_t));
+
+  // Walk the plan levels tracking `produced`, the number of times the next
+  // level's frame opens (= tuples surviving this level). Exactness needs
+  // every enumeration count to be a static function of the descriptors:
+  // flat enumerate levels, always-hit arithmetic probes, segment levels
+  // invoked once per parent. (rel, depth) pairs bound by a DRIVER are
+  // recorded so segmented / per-parent-count levels can require
+  // once-per-parent coverage (a parent bound by a probe could repeat or
+  // skip segments).
+  std::vector<std::vector<bool>> driver_bound(q.relations.size());
+  for (std::size_t r = 0; r < q.relations.size(); ++r)
+    driver_bound[r].assign(q.relations[r].vars.size(), false);
+
+  using K = relation::LevelDescriptor::Kind;
+  long long produced = 1;  // root invocation
+  for (const LinkedLevel& lv : lp.levels) {
+    const std::string& var = var_of(lp, lv);
+    const long long parents = produced;  // frames opening this level
+    if (lv.method != JoinMethod::kEnumerate)
+      return inexact("level " + var +
+                     " is a merge join (enumeration count is data-dependent "
+                     "on finger interleaving)");
+    const LinkedAccess& a = lv.drivers[0];
+    const relation::LevelDescriptor& es = a.desc;
+    const std::string name = rel_of(lp, a.rel).view->name();
+    PlanFootprint::Operand& op = fp.operands[static_cast<std::size_t>(a.rel)];
+    const bool root_parent = a.depth == 0;
+    const bool parent_covered =
+        root_parent ||
+        driver_bound[static_cast<std::size_t>(a.rel)]
+                    [static_cast<std::size_t>(a.depth) - 1];
+    long long enumerated = 0;
+    switch (es.kind) {
+      case K::kOpaque:
+        return inexact(name + " level " + var +
+                       " has no flat enumeration shape");
+      case K::kDense:
+        enumerated = produced * es.extent;
+        break;
+      case K::kList:
+        enumerated = produced * es.ind_len;
+        op.index_bytes += enumerated * szi;  // ind[p] per element
+        break;
+      case K::kSingleton:
+        enumerated = produced;               // the single child
+        op.index_bytes += produced * szi;    // map[parent] per invocation
+        break;
+      case K::kCompressed: {
+        if (root_parent) {
+          if (es.ptr_len < 2)
+            return inexact(name + " segmented level " + var +
+                           " has an empty ptr array");
+          enumerated = produced * (es.ptr[1] - es.ptr[0]);
+        } else {
+          if (!parent_covered || produced != es.ptr_len - 1)
+            return inexact(name + " segmented level " + var +
+                           " is not invoked exactly once per segment");
+          enumerated = es.ptr[es.ptr_len - 1] - es.ptr[0];
+        }
+        op.index_bytes += enumerated * szi;      // ind[p] per element
+        op.index_bytes += 2 * produced * szi;    // segment bounds
+        break;
+      }
+      case K::kStrided:
+      case K::kOffsets: {
+        long long count = 0;
+        if (root_parent) {
+          if (es.len_len < 1)
+            return inexact(name + " level " + var +
+                           " has an empty len array");
+          count = produced * es.len[0];
+        } else {
+          if (!parent_covered || produced != es.len_len)
+            return inexact(name + " level " + var +
+                           " is not invoked exactly once per parent");
+          for (index_t p = 0; p < es.len_len; ++p) count += es.len[p];
+        }
+        enumerated = count;
+        op.index_bytes += produced * szi;    // len[parent] per invocation
+        op.index_bytes += enumerated * szi;  // ind[pos] per element
+        if (es.kind == K::kOffsets)
+          op.index_bytes += enumerated * szi;  // off[k] per element
+        break;
+      }
+      case K::kBlocked: {
+        // Block rows group block_r parents; each parent row re-walks its
+        // block row's (ptr[br+1]-ptr[br]) blocks, c lanes per block. Fill
+        // zeros inside stored blocks ARE enumerated, so no padding here.
+        if (es.ptr_len < 2)
+          return inexact(name + " blocked level " + var +
+                         " has an empty block ptr array");
+        if (root_parent) {
+          enumerated =
+              produced * (es.ptr[1] - es.ptr[0]) * es.block_c;
+        } else {
+          if (!parent_covered ||
+              produced != static_cast<long long>(es.block_r) *
+                              (es.ptr_len - 1))
+            return inexact(name + " blocked level " + var +
+                           " is not invoked once per row of every block row");
+          enumerated = static_cast<long long>(es.ptr[es.ptr_len - 1] -
+                                              es.ptr[0]) *
+                       es.block_r * es.block_c;
+        }
+        op.index_bytes += 2 * produced * szi;    // block-row bounds
+        op.index_bytes += enumerated * szi;      // ind[b] per lane visit
+        break;
+      }
+      case K::kSliced: {
+        // Chunk-sliced (SELL-C-σ): each parent row walks len[parent]
+        // lane-strided slots starting at off[parent]. Padding lanes past a
+        // row's length are stored but never enumerated — booked as
+        // padding_bytes, not traffic.
+        long long count = 0;
+        if (root_parent) {
+          if (es.len_len < 1)
+            return inexact(name + " sliced level " + var +
+                           " has an empty len array");
+          count = produced * es.len[0];
+        } else {
+          if (!parent_covered || produced != es.len_len)
+            return inexact(name + " sliced level " + var +
+                           " is not invoked exactly once per row");
+          for (index_t p = 0; p < es.len_len; ++p) count += es.len[p];
+          fp.padding_bytes += (es.ind_len - count) * (szi + szv);
+        }
+        enumerated = count;
+        op.index_bytes += produced * szi;    // len[parent] per invocation
+        op.index_bytes += produced * szi;    // off[parent] per invocation
+        op.index_bytes += enumerated * szi;  // ind[pos] per element
+        break;
+      }
+    }
+    driver_bound[static_cast<std::size_t>(a.rel)]
+                [static_cast<std::size_t>(a.depth)] = true;
+    for (const LinkedProbe& pr : lv.probes) {
+      const auto& prel = rel_of(lp, pr.access.rel);
+      const relation::SearchSpec& ss = pr.search;
+      if (pr.insert_on_miss)
+        return inexact(prel.view->name() +
+                       " inserts on miss (fill-in count is data-dependent)");
+      if (ss.kind != relation::SearchSpec::Kind::kIdentity &&
+          ss.kind != relation::SearchSpec::Kind::kAffine)
+        return inexact(prel.view->name() + " probe at " + var +
+                       " is not an always-hit arithmetic search");
+      // A filtering identity/affine probe rejects indices outside
+      // [0, ss.extent) — data-dependent in general, but exact when the
+      // driver's stored range fits the accepting window (the iteration-
+      // space relation I always filters, so CSR/CCS SpMV depends on this
+      // proof).
+      if (prel.filters && !lv.range.within(ss.extent))
+        return inexact(prel.view->name() + " filter at " + var +
+                       " may reject (driver enumerates [" +
+                       std::to_string(lv.range.mn) + ", " +
+                       std::to_string(lv.range.mx) + "], probe accepts [0, " +
+                       std::to_string(ss.extent) + "))");
+      // Identity/affine probes are pure arithmetic: no index bytes.
+      //
+      // A single frame enumerating a dense range [0, extent) and probing
+      // an identity level of the same extent visits each position exactly
+      // once — the bijection a driver would give. Mark the probed
+      // (rel, depth) covered so a segmented child below it can still prove
+      // once-per-segment (CSR/CCS SpMV drives rows from the iteration
+      // space and identity-probes the matrix's row level).
+      if (parents == 1 && ss.kind == relation::SearchSpec::Kind::kIdentity &&
+          es.kind == K::kDense && es.extent == ss.extent)
+        driver_bound[static_cast<std::size_t>(pr.access.rel)]
+                    [static_cast<std::size_t>(pr.access.depth)] = true;
+    }
+    produced = enumerated;
+  }
+  fp.leaf_tuples = produced;
+
+  // Value traffic and flops for the multiply-accumulate statement: each
+  // read operand with values streams one value per leaf tuple; a written
+  // operand is read-modify-write (2x). The iteration-space relation I has
+  // no values (RelationView::has_value) and contributes nothing.
+  long long writes = 0;
+  long long reads = 0;
+  for (std::size_t r = 0; r < q.relations.size(); ++r) {
+    const auto& rel = q.relations[r];
+    if (!rel.view->has_value()) continue;
+    if (rel.writes) {
+      fp.operands[r].value_bytes = 2 * fp.leaf_tuples * szv;
+      ++writes;
+    } else {
+      fp.operands[r].value_bytes = fp.leaf_tuples * szv;
+      ++reads;
+    }
+  }
+  // Per leaf tuple: one multiply + one add per written target, plus one
+  // extra multiply per factor beyond the first two value operands.
+  fp.flops = 2 * fp.leaf_tuples * writes +
+             std::max(0LL, reads - 2) * fp.leaf_tuples;
+  fp.exact = true;
+  fp.note = "exact: " + std::to_string(lp.levels.size()) + " flat levels, " +
+            std::to_string(fp.leaf_tuples) + " leaf tuples";
+  return fp;
 }
 
 }  // namespace
@@ -214,7 +503,11 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
       if (pr.insert_on_miss) pr.search = relation::SearchSpec{};
       ll.probes.push_back(pr);
     }
-    ll.proved_all_hit = prove_all_hit(pl, q);
+    const LinkedAccess& d0 = ll.drivers[0];
+    if (ll.method == JoinMethod::kEnumerate &&
+        d0.desc.kind != relation::LevelDescriptor::Kind::kOpaque)
+      ll.range = driver_range(*rel_of(lp, d0.rel).view, d0.depth, d0.desc);
+    ll.proved_all_hit = prove_all_hit(ll);
     lp.levels.push_back(std::move(ll));
   }
   // Blocked levels group block_r consecutive parent bindings into one
@@ -233,12 +526,9 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
           lp.chunk_align = std::max(lp.chunk_align, a.desc.block_r);
       }
   }
-  ParallelLegality leg = plan_parallel_legality(plan, q);
-  lp.parallel_ok = leg.ok;
-  lp.owner_computes = leg.owner_computes;
-  lp.parallel_note = std::move(leg.note);
-  lp.footprint = derive_footprint(plan, q);
-  lp.sink = support::RunSink(lp.levels.size());
+  decide_parallel(lp);
+  lp.footprint = derive_footprint(lp);
+  lp.sink = &support::run_sink(lp.levels.size());
   return lp;
 }
 
@@ -264,285 +554,6 @@ std::uint64_t plan_fingerprint(const Plan& plan, const relation::Query& q) {
     mix(rel.writes ? "w" : (rel.filters ? "f" : "r"));
   }
   return h;
-}
-
-PlanFootprint derive_footprint(const Plan& plan, const Query& q) {
-  PlanFootprint fp;
-  fp.operands.reserve(q.relations.size());
-  for (const auto& rel : q.relations)
-    fp.operands.push_back({rel.view->name(), 0, 0});
-
-  auto inexact = [&](std::string why) {
-    fp = PlanFootprint{};
-    for (const auto& rel : q.relations)
-      fp.operands.push_back({rel.view->name(), 0, 0});
-    fp.note = std::move(why);
-    return fp;
-  };
-
-  constexpr long long szi = static_cast<long long>(sizeof(index_t));
-  constexpr long long szv = static_cast<long long>(sizeof(value_t));
-
-  // Walk the plan levels tracking `produced`, the number of times the next
-  // level's frame opens (= tuples surviving this level). Exactness needs
-  // every enumeration count to be a static function of the specs, which is
-  // the same discipline as the bulk-drain proof: flat enumerate levels,
-  // always-hit arithmetic probes, segment levels invoked once per parent.
-  // (rel, depth) pairs bound by a DRIVER are recorded so segmented /
-  // per-parent-count levels can require once-per-parent coverage (a parent
-  // bound by a probe could repeat or skip segments).
-  std::vector<std::vector<bool>> driver_bound(q.relations.size());
-  for (std::size_t r = 0; r < q.relations.size(); ++r)
-    driver_bound[r].assign(q.relations[r].vars.size(), false);
-
-  long long produced = 1;  // root invocation
-  for (std::size_t d = 0; d < plan.levels.size(); ++d) {
-    const PlanLevel& pl = plan.levels[d];
-    const long long parents = produced;  // frames opening this level
-    if (pl.method != JoinMethod::kEnumerate)
-      return inexact("level " + pl.var +
-                     " is a merge join (enumeration count is data-dependent "
-                     "on finger interleaving)");
-    const Access& a = pl.drivers[0];
-    const auto& rel = q.relations[static_cast<std::size_t>(a.rel)];
-    const relation::EnumSpec es = rel.view->level(a.depth).enum_spec();
-    PlanFootprint::Operand& op = fp.operands[static_cast<std::size_t>(a.rel)];
-    const bool root_parent = a.depth == 0;
-    const bool parent_covered =
-        root_parent ||
-        driver_bound[static_cast<std::size_t>(a.rel)]
-                    [static_cast<std::size_t>(a.depth) - 1];
-    long long enumerated = 0;
-    switch (es.kind) {
-      case relation::EnumSpec::Kind::kNone:
-        return inexact(rel.view->name() + " level " + pl.var +
-                       " has no flat enumeration spec");
-      case relation::EnumSpec::Kind::kDense:
-        enumerated = produced * es.extent;
-        break;
-      case relation::EnumSpec::Kind::kList:
-        enumerated = produced * es.extent;
-        op.index_bytes += enumerated * szi;  // ind[p] per element
-        break;
-      case relation::EnumSpec::Kind::kFunction:
-        enumerated = produced;               // the single child
-        op.index_bytes += produced * szi;    // map[parent] per invocation
-        break;
-      case relation::EnumSpec::Kind::kSegmented: {
-        if (root_parent) {
-          if (es.ptr_len < 2)
-            return inexact(rel.view->name() + " segmented level " + pl.var +
-                           " has an empty ptr array");
-          enumerated = produced * (es.ptr[1] - es.ptr[0]);
-        } else {
-          if (!parent_covered || produced != es.ptr_len - 1)
-            return inexact(rel.view->name() + " segmented level " + pl.var +
-                           " is not invoked exactly once per segment");
-          enumerated = es.ptr[es.ptr_len - 1] - es.ptr[0];
-        }
-        op.index_bytes += enumerated * szi;      // ind[p] per element
-        op.index_bytes += 2 * produced * szi;    // segment bounds
-        break;
-      }
-      case relation::EnumSpec::Kind::kStrided:
-      case relation::EnumSpec::Kind::kOffsets: {
-        long long count = 0;
-        if (root_parent) {
-          if (es.len_len < 1)
-            return inexact(rel.view->name() + " level " + pl.var +
-                           " has an empty len array");
-          count = produced * es.len[0];
-        } else {
-          if (!parent_covered || produced != es.len_len)
-            return inexact(rel.view->name() + " level " + pl.var +
-                           " is not invoked exactly once per parent");
-          for (index_t p = 0; p < es.len_len; ++p) count += es.len[p];
-        }
-        enumerated = count;
-        op.index_bytes += produced * szi;    // len[parent] per invocation
-        op.index_bytes += enumerated * szi;  // ind[pos] per element
-        if (es.kind == relation::EnumSpec::Kind::kOffsets)
-          op.index_bytes += enumerated * szi;  // off[k] per element
-        break;
-      }
-      case relation::EnumSpec::Kind::kBlocked: {
-        // Block rows group block_r parents; each parent row re-walks its
-        // block row's (ptr[br+1]-ptr[br]) blocks, c lanes per block. Fill
-        // zeros inside stored blocks ARE enumerated, so no padding here.
-        if (es.ptr_len < 2)
-          return inexact(rel.view->name() + " blocked level " + pl.var +
-                         " has an empty block ptr array");
-        if (root_parent) {
-          enumerated =
-              produced * (es.ptr[1] - es.ptr[0]) * es.block_c;
-        } else {
-          if (!parent_covered ||
-              produced != static_cast<long long>(es.block_r) *
-                              (es.ptr_len - 1))
-            return inexact(rel.view->name() + " blocked level " + pl.var +
-                           " is not invoked once per row of every block row");
-          enumerated = static_cast<long long>(es.ptr[es.ptr_len - 1] -
-                                              es.ptr[0]) *
-                       es.block_r * es.block_c;
-        }
-        op.index_bytes += 2 * produced * szi;    // block-row bounds
-        op.index_bytes += enumerated * szi;      // ind[b] per lane visit
-        break;
-      }
-      case relation::EnumSpec::Kind::kSliced: {
-        // Chunk-sliced (SELL-C-σ): each parent row walks len[parent]
-        // lane-strided slots starting at off[parent]. Padding lanes past a
-        // row's length are stored but never enumerated — booked as
-        // padding_bytes, not traffic.
-        long long count = 0;
-        if (root_parent) {
-          if (es.len_len < 1)
-            return inexact(rel.view->name() + " sliced level " + pl.var +
-                           " has an empty len array");
-          count = produced * es.len[0];
-        } else {
-          if (!parent_covered || produced != es.len_len)
-            return inexact(rel.view->name() + " sliced level " + pl.var +
-                           " is not invoked exactly once per row");
-          for (index_t p = 0; p < es.len_len; ++p) count += es.len[p];
-          fp.padding_bytes += (es.ind_len - count) * (szi + szv);
-        }
-        enumerated = count;
-        op.index_bytes += produced * szi;    // len[parent] per invocation
-        op.index_bytes += produced * szi;    // off[parent] per invocation
-        op.index_bytes += enumerated * szi;  // ind[pos] per element
-        break;
-      }
-    }
-    driver_bound[static_cast<std::size_t>(a.rel)]
-                [static_cast<std::size_t>(a.depth)] = true;
-    for (const Access& pa : pl.probes) {
-      const auto& prel = q.relations[static_cast<std::size_t>(pa.rel)];
-      const relation::IndexLevel& plevel = prel.view->level(pa.depth);
-      const relation::SearchSpec ss = plevel.search_spec();
-      if (prel.writes && plevel.insertable())
-        return inexact(prel.view->name() +
-                       " inserts on miss (fill-in count is data-dependent)");
-      if (ss.kind != relation::SearchSpec::Kind::kIdentity &&
-          ss.kind != relation::SearchSpec::Kind::kAffine)
-        return inexact(prel.view->name() + " probe at " + pl.var +
-                       " is not an always-hit arithmetic search");
-      if (prel.filters) {
-        // A filtering identity/affine probe rejects indices outside
-        // [0, ss.extent) — data-dependent in general, but exact when the
-        // driver's whole index range provably fits the accepting window
-        // (the iteration-space relation I always filters, so CSR/CCS SpMV
-        // depends on this proof).
-        const IndexRange r = enum_index_range(es);
-        if (r.mx >= r.mn && (r.mn < 0 || r.mx >= ss.extent))
-          return inexact(prel.view->name() + " filter at " + pl.var +
-                         " may reject (driver enumerates [" +
-                         std::to_string(r.mn) + ", " + std::to_string(r.mx) +
-                         "], probe accepts [0, " + std::to_string(ss.extent) +
-                         "))");
-      }
-      // Identity/affine probes are pure arithmetic: no index bytes.
-      //
-      // A single frame enumerating a dense range [0, extent) and probing
-      // an identity level of the same extent visits each position exactly
-      // once — the bijection a driver would give. Mark the probed
-      // (rel, depth) covered so a segmented child below it can still prove
-      // once-per-segment (CSR/CCS SpMV drives rows from the iteration
-      // space and identity-probes the matrix's row level).
-      if (parents == 1 && ss.kind == relation::SearchSpec::Kind::kIdentity &&
-          es.kind == relation::EnumSpec::Kind::kDense &&
-          es.extent == ss.extent)
-        driver_bound[static_cast<std::size_t>(pa.rel)]
-                    [static_cast<std::size_t>(pa.depth)] = true;
-    }
-    produced = enumerated;
-  }
-  fp.leaf_tuples = produced;
-
-  // Value traffic and flops for the multiply-accumulate statement: each
-  // read operand with values streams one value per leaf tuple; a written
-  // operand is read-modify-write (2x). The iteration-space relation I has
-  // no values (RelationView::has_value) and contributes nothing.
-  long long writes = 0;
-  long long reads = 0;
-  for (std::size_t r = 0; r < q.relations.size(); ++r) {
-    const auto& rel = q.relations[r];
-    if (!rel.view->has_value()) continue;
-    if (rel.writes) {
-      fp.operands[r].value_bytes = 2 * fp.leaf_tuples * szv;
-      ++writes;
-    } else {
-      fp.operands[r].value_bytes = fp.leaf_tuples * szv;
-      ++reads;
-    }
-  }
-  // Per leaf tuple: one multiply + one add per written target, plus one
-  // extra multiply per factor beyond the first two value operands.
-  fp.flops = 2 * fp.leaf_tuples * writes +
-             std::max(0LL, reads - 2) * fp.leaf_tuples;
-  fp.exact = true;
-  fp.note = "exact: " + std::to_string(plan.levels.size()) + " flat levels, " +
-            std::to_string(fp.leaf_tuples) + " leaf tuples";
-  return fp;
-}
-
-ParallelLegality plan_parallel_legality(const Plan& plan, const Query& q) {
-  if (plan.levels.empty())
-    return {false, "plan has no levels"};
-  const PlanLevel& outer = plan.levels[0];
-  if (outer.method == JoinMethod::kMerge)
-    return {false, "outer level " + outer.var +
-                       " is a merge join (chunking the k-finger sweep "
-                       "would change merge_steps)"};
-  // Scan every access the plan touches for mid-run mutation or stateful
-  // virtual search; either makes concurrent frames unsafe.
-  auto scan_access = [&](const Access& a) -> std::string {
-    const auto& rel = q.relations[static_cast<std::size_t>(a.rel)];
-    const relation::IndexLevel& level = rel.view->level(a.depth);
-    const std::string var = rel.vars[static_cast<std::size_t>(a.depth)];
-    if (rel.writes && level.insertable())
-      return rel.view->name() + " inserts on miss at " + var +
-             " (fill-in grows shared storage)";
-    return "";
-  };
-  auto scan_probe = [&](const Access& a) -> std::string {
-    if (std::string why = scan_access(a); !why.empty()) return why;
-    const auto& rel = q.relations[static_cast<std::size_t>(a.rel)];
-    const relation::IndexLevel& level = rel.view->level(a.depth);
-    if (level.search_spec().kind == relation::SearchSpec::Kind::kVirtual)
-      return rel.view->name() + " probes " +
-             rel.vars[static_cast<std::size_t>(a.depth)] +
-             " through a stateful virtual search";
-    return "";
-  };
-  for (const PlanLevel& pl : plan.levels) {
-    for (const Access& a : pl.drivers)
-      if (std::string why = scan_access(a); !why.empty()) return {false, why};
-    for (const Access& a : pl.probes)
-      if (std::string why = scan_probe(a); !why.empty()) return {false, why};
-  }
-  // Disjoint output rows: every written relation must bind the outer
-  // variable at its root level, so distinct outer bindings land in
-  // disjoint storage segments and no cross-thread reduction is needed.
-  for (const auto& rel : q.relations) {
-    if (!rel.writes) continue;
-    if (rel.vars.empty() || rel.vars[0] != outer.var) {
-      // The output is indexed by an inner variable: chunking the outer
-      // level would race on it. A column walk into a vector of the leaf
-      // variable can still split the OUTPUT instead (owner-computes).
-      if (owner_computes_shape(plan, q))
-        return {true,
-                "owner-computes — rows of " + rel.view->name() +
-                    " split across T threads; each walks its segment of "
-                    "every column",
-                true};
-      return {false, "output " + rel.view->name() +
-                         " rows are not partitioned by the outer variable " +
-                         outer.var};
-    }
-  }
-  return {true, "outer level " + outer.var +
-                    " chunked across threads (disjoint output rows)"};
 }
 
 LinkedMac link_mac(const Query& q, index_t target_rel,
@@ -577,6 +588,112 @@ const LinkedMac::Factor* overlapping_factor(const LinkedMac& mac) {
       return &f;
   }
   return nullptr;
+}
+
+const char* leaf_form_name(LeafForm form) {
+  switch (form) {
+    case LeafForm::kPerElement: return "per-element";
+    case LeafForm::kAccumulator: return "accumulator";
+    case LeafForm::kHoistedFactor: return "hoisted-factor";
+    case LeafForm::kBlockRow: return "block-row";
+  }
+  return "?";
+}
+
+LeafForm leaf_form(const LinkedPlan& lp, const LinkedMac& mac,
+                   std::string* note) {
+  using K = relation::LevelDescriptor::Kind;
+  // `why` runs only when a note was asked for.
+  auto per_element = [note](const auto& why) {
+    if (note != nullptr) *note = "per-element leaf: " + why();
+    return LeafForm::kPerElement;
+  };
+  auto name = [&lp](index_t rel) { return rel_of(lp, rel).view->name(); };
+  if (mac.target_data.empty())
+    return per_element(
+        [&] { return mac.target->name() + " exposes no flat value array"; });
+  for (const LinkedMac::Factor& f : mac.factors)
+    if (f.data.empty())
+      return per_element(
+          [&] { return f.view->name() + " exposes no flat value array"; });
+  if (lp.levels.size() != 2)
+    return per_element([&] {
+      return "the fused forms cover two-level plans, this one has " +
+             std::to_string(lp.levels.size());
+    });
+  const LinkedLevel& lv0 = lp.levels[0];
+  const LinkedLevel& lv1 = lp.levels[1];
+  if (lv0.drivers[0].desc.kind != K::kDense)
+    return per_element([] { return std::string("level 0 is not a dense range"); });
+  for (std::size_t d = 0; d < 2; ++d)
+    if (!lp.levels[d].proved_all_hit)
+      return per_element([d] {
+        return "a probe at level " + std::to_string(d) + " may miss";
+      });
+  for (const LinkedProbe& pr : lv0.probes)
+    if (pr.access.parent_slot >= 0)
+      return per_element([&] {
+        return "the level-0 probe of " + name(pr.access.rel) +
+               " is not rooted";
+      });
+  // Every position slot level 0 writes holds the outer counter.
+  auto at_level0 = [&lv0](int slot) {
+    return slot == lv0.drivers[0].pos_slot ||
+           std::any_of(lv0.probes.begin(), lv0.probes.end(),
+                       [slot](const LinkedProbe& pr) {
+                         return pr.access.pos_slot == slot;
+                       });
+  };
+  const LinkedAccess& leaf = lv1.drivers[0];
+  if (leaf.desc.kind != K::kCompressed && leaf.desc.kind != K::kSliced &&
+      leaf.desc.kind != K::kBlocked)
+    return per_element([&] {
+      return name(leaf.rel) + "'s leaf is not compressed, sliced or blocked";
+    });
+  if (leaf.parent_slot < 0 || !at_level0(leaf.parent_slot))
+    return per_element(
+        [&] { return name(leaf.rel) + "'s leaf does not hang off level 0"; });
+  for (const LinkedProbe& pr : lv1.probes)
+    if (pr.search.kind == relation::SearchSpec::Kind::kAffine &&
+        pr.access.parent_slot >= 0 && !at_level0(pr.access.parent_slot))
+      return per_element([&] {
+        return "the leaf probe of " + name(pr.access.rel) +
+               " takes its parent from the leaf level";
+      });
+  if (const LinkedMac::Factor* f = overlapping_factor(mac))
+    return per_element([&] {
+      return "target " + mac.target->name() + " overlaps factor " +
+             f->view->name();
+    });
+  auto bound_at_level0 = [&](std::size_t rel) {
+    return at_level0(lp.leaf_slot[rel]);
+  };
+  if (bound_at_level0(mac.target_slot)) {
+    const bool blocked = leaf.desc.kind == K::kBlocked;
+    const LeafForm form = blocked ? LeafForm::kBlockRow : LeafForm::kAccumulator;
+    if (note != nullptr)
+      *note = std::string(leaf_form_name(form)) + " leaf: " +
+              mac.target->name() + " accumulates in registers per " +
+              (blocked ? "block row" : "row");
+    return form;
+  }
+  for (const LinkedMac::Factor& f : mac.factors)
+    if (bound_at_level0(f.slot)) {
+      if (note != nullptr)
+        *note = "hoisted-factor leaf: " + f.view->name() +
+                " is loaded once per row";
+      return LeafForm::kHoistedFactor;
+    }
+  return per_element(
+      [] { return std::string("no operand is bound at level 0"); });
+}
+
+int fused_drain_kind(const LinkedPlan& lp) {
+  using K = relation::LevelDescriptor::Kind;
+  const K kind = lp.levels.back().drivers[0].desc.kind;
+  return kind == K::kBlocked  ? support::kProfBlocked
+         : kind == K::kSliced ? support::kProfSliced
+                              : support::kProfBulk;
 }
 
 LinkedRunner::LinkedRunner(LinkedPlan lp) : lp_(std::move(lp)) {

@@ -18,12 +18,15 @@
 // LinkedRunner so linking and scratch allocation happen once, not per
 // iteration.
 //
-// Linking also READS the index structure behind the views, once: the
-// always-hit proofs scan every enumerable index range (prove_all_hit),
-// and an owner-computes ParallelRunner builds its per-thread column cut
-// tables from the leaf's ptr/ind arrays at construction. Both assume the
-// structure is fixed after link — values may change between runs, ptr and
-// ind may not (re-link after changing them).
+// Linking also READS the index structure behind the views, once: it scans
+// every enumerate level's index range (LinkedLevel::range), and every
+// verdict about the plan's shape — the always-hit proofs, the parallel
+// mode, the footprint, the specialization refusal and the leaf form —
+// reads that scan instead of re-deriving it. An owner-computes
+// ParallelRunner builds its per-thread column cut tables from the leaf's
+// ptr/ind arrays at construction. Both assume the structure is fixed after
+// link — values may change between runs, ptr and ind may not (re-link
+// after changing them).
 #pragma once
 
 #include <cstdint>
@@ -61,29 +64,48 @@ struct LinkedProbe {
   bool insert_on_miss = false;  // written + insertable: sparse fill-in
 };
 
+/// The indices a level's cursors enumerate, over every parent its relation
+/// holds: [mn, mx], or nothing when mx < mn.
+struct IndexRange {
+  index_t mn = 0;
+  index_t mx = -1;
+  bool empty() const { return mx < mn; }
+  /// Every index lies in [0, extent) — vacuously when empty.
+  bool within(index_t extent) const {
+    return empty() || (mn >= 0 && mx < extent);
+  }
+};
+
 struct LinkedLevel {
   JoinMethod method = JoinMethod::kEnumerate;
   int var_slot = 0;
   std::vector<LinkedAccess> drivers;  // 1 for enumerate, 2+ for merge
   std::vector<LinkedProbe> probes;
-  // Link-time always-hit proof: every probe at this level is an identity /
-  // affine search with no insert-on-miss, and the driver's whole index
-  // range provably lands inside every probe's accepting window. When true
-  // the bulk leaf drain skips its per-invocation min/max range scan.
+  // The driver's enumerable index range, scanned once at link time (O(nnz),
+  // inspector work) by walking its stored structure as the cursors do:
+  // padding lanes and levels under an empty parent enumerate nothing. Set
+  // for enumerate levels whose driver has a flat descriptor; empty for
+  // merge levels and opaque drivers, which no proof reads.
+  IndexRange range;
+  // Link-time always-hit proof: an enumerate level over a flat driver
+  // whose every probe is an identity / affine search by the level's own
+  // variable with no insert-on-miss, and whose `range` lies inside every
+  // probe's accepting window — no element of this level can miss.
   bool proved_all_hit = false;
 };
 
 /// Static data-movement footprint of one plan, derived at link time from
-/// the same flat cursor specs the bulk-drain proof uses: how many index
-/// and value bytes ONE run(LinkedMac) execution touches per operand, and
-/// how many FLOPs it performs, assuming every probe hits (the exactness
-/// conditions below). These are the per-run model bytes and flops the
-/// engines book as execute.model_bytes / execute.model_flops.
+/// the level descriptors and the stored ranges: how many index and value
+/// bytes ONE run(LinkedMac) execution touches per operand, and how many
+/// FLOPs it performs, assuming every probe hits (the exactness conditions
+/// below). These are the per-run model bytes and flops the engines book as
+/// execute.model_bytes / execute.model_flops.
 ///
 /// `exact` is true only when the walk could prove the totals: every level
-/// enumerates a flat EnumSpec, every probe is an always-hit identity or
-/// affine search with no filtering and no fill-in, and segmented /
-/// per-parent-count levels are invoked exactly once per parent segment.
+/// enumerates a flat (non-opaque) driver, every probe is an always-hit
+/// identity or affine search with no fill-in (a filtering one only when
+/// the level's range fits its window), and segmented / per-parent-count
+/// levels are invoked exactly once per parent segment.
 /// When false, `note` says which condition failed and the totals are 0 —
 /// callers must not read an inexact footprint's zeros as traffic.
 struct PlanFootprint {
@@ -120,9 +142,27 @@ struct LinkedPlan {
   int pos_slots = 0;           // flat position array size
   const Plan* plan = nullptr;            // borrowed (trace labels)
   const relation::Query* query = nullptr;  // borrowed (diagnostics, arity)
-  // Link-time parallelizability verdict for the outermost level (see
-  // plan_parallel_legality): when false, ParallelRunner runs serially and
-  // parallel_note says why (also surfaced by EXPLAIN).
+  // Link-time verdict on whether the plan may run across threads, how, and
+  // why (not); when false, ParallelRunner runs serially and parallel_note
+  // says why (also surfaced by EXPLAIN).
+  //
+  // Chunked mode splits the outermost level: legal iff the outer level is
+  // an enumerate (a chunked k-finger merge would change merge_steps), no
+  // access anywhere inserts on miss (fill-in grows shared storage
+  // mid-run), no probe goes through a stateful virtual search (e.g. the
+  // lazily built hash index), and every written relation binds the outer
+  // variable at its root level — distinct outer bindings then touch
+  // disjoint output rows, so any chunk assignment reproduces the serial
+  // result bitwise with no reduction.
+  //
+  // Owner-computes mode (owner_computes) splits the OUTPUT instead, for a
+  // column walk that writes a vector of the leaf variable (CCS y += A·x):
+  // a two-level enumerate plan over a dense outer range, a sorted
+  // compressed leaf under it, every level proved all-hit and every written
+  // relation probed at the leaf. Each thread owns a range of output rows
+  // and walks its segment of every column in column order, so every output
+  // element sums in the serial order. Only ParallelRunner::run(LinkedMac)
+  // fans out in this mode.
   bool parallel_ok = false;
   bool owner_computes = false;  // parallel_ok through owner-computes
   std::string parallel_note;
@@ -135,9 +175,9 @@ struct LinkedPlan {
   // link_plan; feeds execute.model_bytes / execute.model_flops metrics.
   PlanFootprint footprint;
   // The registry handles every run of this plan commits its RunRecord
-  // through (executor.*, execute.*, executor.fanout.level<d>), resolved
-  // by link_plan so no run does a by-name lookup.
-  support::RunSink sink;
+  // through (executor.*, execute.*, executor.fanout.level<d>): the
+  // process's sink for this level count, so no run does a by-name lookup.
+  const support::RunSink* sink = nullptr;
 };
 
 /// Validates `q` and lowers the pair. The result borrows both arguments.
@@ -152,38 +192,6 @@ LinkedPlan link_plan(const Plan& plan, const relation::Query& q);
 /// cache key layers those on top (the KernelServer appends the concrete
 /// array identity and the distribution tag; see docs/SERVING.md).
 std::uint64_t plan_fingerprint(const Plan& plan, const relation::Query& q);
-
-/// Whether a plan may run across threads, how, and why (not). Chunked
-/// mode splits the outermost level: legal iff the outer level is an
-/// enumerate (a chunked k-finger merge would change merge_steps), no
-/// access anywhere inserts on miss (fill-in grows shared storage mid-run),
-/// no probe goes through a stateful virtual search (e.g. the lazily built
-/// hash index), and every written relation binds the outer variable at
-/// its root level — distinct outer bindings then touch disjoint output
-/// rows, so any chunk assignment reproduces the serial result bitwise
-/// with no reduction.
-///
-/// Owner-computes mode (owner_computes) splits the OUTPUT instead, for a
-/// column walk that writes a vector of the leaf variable (CCS y += A·x):
-/// a two-level enumerate plan over a dense outer range, a sorted
-/// compressed leaf under it, every probe proved all-hit and every written
-/// relation probed at the leaf through an identity or affine search. Each
-/// thread owns a range of output rows and walks its segment of every
-/// column in column order, so every output element sums in the serial
-/// order. Only ParallelRunner::run(LinkedMac) fans out in this mode.
-struct ParallelLegality {
-  bool ok = false;
-  std::string note;
-  bool owner_computes = false;
-};
-ParallelLegality plan_parallel_legality(const Plan& plan,
-                                        const relation::Query& q);
-
-/// Walks the plan's flat cursor specs and derives the static data-movement
-/// footprint link_plan attaches to the LinkedPlan. Exposed for tests (the
-/// differential footprint test cross-checks leaf_tuples and bytes against
-/// measured executor.* counters).
-PlanFootprint derive_footprint(const Plan& plan, const relation::Query& q);
 
 /// The multiply-accumulate statement, lowered: relation slots resolved and
 /// raw value arrays captured where the views expose them (empty spans fall
@@ -211,24 +219,45 @@ LinkedMac link_mac(const relation::Query& q, index_t target_rel,
 /// element or a factor element in a register across a store.
 const LinkedMac::Factor* overlapping_factor(const LinkedMac& mac);
 
-/// Process-wide toggle for the bulk leaf-range drain (exec_linked.cpp):
-/// when the leaf level of a run(LinkedMac) plan enumerates a flat cursor
-/// range and every leaf probe provably hits, the whole range streams
-/// through one tight multiply-accumulate loop instead of per-element
-/// probe resolution. Outputs, executor.* counter deltas, fan-out
-/// histograms and per-level stats are bitwise-identical either way (the
-/// differential sweep in tests/exec_linked_test.cpp enforces it); the
-/// toggle exists so tests and ablations can compare the two paths.
-/// Default: enabled.
+/// The leaf loop a (LinkedPlan, LinkedMac) pair runs, on the linked engine
+/// and in emitted C alike. The fused forms need a two-level enumerate plan
+/// over a dense outer range whose levels are both proved all-hit, whose
+/// level-0 probes are rooted, whose leaf is a compressed, sliced or
+/// blocked level hanging off level 0, whose operands expose flat value
+/// arrays, whose target overlaps no factor, and which binds the target or
+/// a factor at level 0 (the operand a fused form keeps in a register):
+///   kAccumulator   — the target element accumulates in a register per row
+///                    (CSR, SELL-C-σ);
+///   kHoistedFactor — a level-0 factor loads once per row and the target
+///                    is stored per element (CCS's x[j]);
+///   kBlockRow      — a blocked leaf walks one block row per step with one
+///                    accumulator per row (BCSR);
+///   kPerElement    — every other pair: the level stack, one store and one
+///                    counter update per tuple.
+enum class LeafForm { kPerElement, kAccumulator, kHoistedFactor, kBlockRow };
+const char* leaf_form_name(LeafForm form);
+
+/// The one leaf-form verdict: the form `mac` takes over `lp`, read from
+/// what link_plan proved. When `note` is given it receives the form and
+/// why ("accumulator leaf: Y accumulates in registers per row",
+/// "per-element leaf: target Y overlaps factor X"); without it the verdict
+/// allocates nothing, so an engine may ask on every run.
+LeafForm leaf_form(const LinkedPlan& lp, const LinkedMac& mac,
+                   std::string* note = nullptr);
+
+/// The support::kProf* drain kind a fused leaf form books its work under,
+/// by the leaf's storage: blocked, sliced, else bulk. (A per-element leaf
+/// books tuples.)
+int fused_drain_kind(const LinkedPlan& lp);
+
+/// Process-wide toggle for the fused leaf forms on the linked engine:
+/// when off, every run(LinkedMac) walks the level stack per element.
+/// Outputs, executor.* counter deltas, fan-out histograms and per-level
+/// stats are bitwise-identical either way (the differential sweeps in
+/// tests/exec_linked_test.cpp enforce it); the toggle exists so tests and
+/// ablations can compare the two paths. Default: enabled.
 void set_bulk_drain(bool enabled);
 bool bulk_drain_enabled();
-
-/// Whether the probes of leaf level `lv` admit the bulk drain: every probe
-/// is an identity or affine search by the leaf's own variable with no
-/// insert-on-miss, and no affine probe takes its parent from another leaf
-/// probe. Otherwise the linked engine drains the leaf per tuple, and the
-/// specialized kernel books its leaf work the same way.
-bool leaf_probes_allow_bulk(const LinkedLevel& lv);
 
 /// Runs a LinkedPlan. Owns all executor scratch (frames, cursor buffers,
 /// merge state, the run record), reused across runs — after the first
@@ -281,9 +310,10 @@ class LinkedRunner {
 
   // Innermost-level fast path: produces every binding of an enumerate leaf
   // frame in one tight loop (cursor kind dispatched once per invocation,
-  // not per element) and fires the sink inline, instead of re-entering the
-  // level state machine per element. `prof_time` brackets the invocation
-  // with one timestamp pair (set inside sampled profiler brackets only).
+  // not per element), resolving the leaf probes and firing the sink per
+  // element, instead of re-entering the level state machine per element.
+  // `prof_time` brackets the invocation with one timestamp pair (set
+  // inside sampled profiler brackets only).
   template <class Sink>
   void drain_enumerate_leaf(std::size_t d, support::WorkCounts& c,
                             Sink&& sink, bool prof_time);
@@ -301,13 +331,18 @@ class LinkedRunner {
   // threaded runs book the same number of samples.
   void commit(RunStats* stats, long long wall_ns);
 
-  // --- Bulk leaf-range drain (run(LinkedMac) only) -------------------
+  // --- Fused outer-range drain (run(LinkedMac) only) -----------------
+  // When leaf_form() gives a pair a fused form, the whole outer cursor
+  // range drains in one loop (per row: the leaf element range and the
+  // drain body) instead of walking the level stack once per row. Level 0
+  // is lowered to affine offsets for it: at outer cursor counter k the
+  // dense driver binds var = k, and every position slot level 0 writes
+  // (the driver's, each rooted identity/affine probe's) holds off + k.
+  //
   // One mac operand's leaf position, classified against the leaf level:
-  // constant across the drain (bound at an outer level), the driver's own
-  // position, or derived from the bound index through an identity/affine
-  // probe. Resolved once per run; the flattened bases are refreshed per
-  // leaf invocation inside try_bulk, or lowered once per run to affine
-  // functions of the outer row by prepare_outer.
+  // bound at level 0 (kConst), the leaf driver's own position, or derived
+  // from the leaf index through an identity/affine probe; then lowered
+  // once per run to an affine function of the outer row.
   struct BulkOp {
     enum class Src : unsigned char { kConst, kDriver, kIdentity, kAffine };
     Src src = Src::kConst;
@@ -315,9 +350,8 @@ class LinkedRunner {
     std::size_t slot = 0;           // kConst: pos_ slot it reads
     index_t stride = 0;             // kAffine
     int parent_slot = -1;           // kAffine
-    // Flattened form at outer row k: pos = base + k*step + (mp & driver_pos)
+    // Lowered form at outer row k: pos = base + k*step + (mp & driver_pos)
     // + (mi & idx), mp/mi all-ones or zero — a select, not a multiply.
-    // step is 0 unless the base is an affine function of the outer row.
     index_t base = 0;
     index_t step = 0;
     index_t mp = 0;
@@ -327,18 +361,15 @@ class LinkedRunner {
       return row_base(k) + (mp & pos) + (mi & idx);
     }
   };
-  // The run(LinkedMac) sink: per-element multiply-accumulate plus the
-  // try_bulk hook drain_enumerate_leaf detects. Defined in exec_linked.cpp
-  // (local to the engine); ParallelRunner builds one per worker.
+  // The run(LinkedMac) sink: the per-element multiply-accumulate plus the
+  // fused drains run_span offers the outer range to. Defined in
+  // exec_linked.cpp (local to the engine); ParallelRunner builds one per
+  // worker.
   struct MacSink;
-  // Classifies the mac against the leaf level and fills bulk_* members.
-  void prepare_bulk(const LinkedMac& mac);
-  // Classifies the whole plan for the fused outer-range drain (a two-
-  // level enumerate plan over a dense outer range with every probe proved
-  // all-hit and a compressed, sliced or blocked leaf) and lowers level 0
-  // to affine offsets (outer_* members).
-  void prepare_outer();
-  // Flattens one operand to its BulkOp::at form, with each pos_ slot it
+  // Asks leaf_form() for the mac's form and, for a fused one (with the
+  // drains switched on), lowers level 0 and the operands (outer_* members).
+  void prepare_outer(const LinkedMac& mac);
+  // Lowers one operand to its BulkOp::at form, with each pos_ slot it
   // reads given as base + k*step by `slot_form` (exec_linked.cpp).
   template <class SlotForm>
   static void flatten(BulkOp& o, index_t rows, SlotForm slot_form);
@@ -351,27 +382,10 @@ class LinkedRunner {
   // run(LinkedMac) scratch: each operand's resolved leaf position slot.
   // Member (not a local) so repeated runs reuse the capacity.
   std::vector<std::size_t> mac_pslots_;
-  // Bulk-drain plan (prepare_bulk): factor operand forms in factor order,
-  // the target's form, and the two eligibility verdicts. Members so
-  // steady-state runs allocate nothing.
-  std::vector<BulkOp> bulk_ops_;
-  BulkOp bulk_target_;
-  bool bulk_ok_ = false;      // leaf level + operands admit bulk drains
-  bool bulk_acc_ok_ = false;  // target constant and alias-free: cache it
-  bool bulk_alias_ = false;   // the target's storage overlaps a factor's
-  // --- Fused outer-range drain (run(LinkedMac) only) -----------------
-  // When a two-level plan drives a compressed, sliced or blocked leaf
-  // under a dense outer range with every probe proved all-hit, the whole
-  // outer cursor range drains in one loop (per row: the leaf element
-  // range and the bulk loop body) instead of walking the level stack once
-  // per row. Level 0 is lowered to affine offsets for it: at outer cursor
-  // counter k the dense driver binds var = k, and every position slot
-  // level 0 writes (the driver's, each rooted identity/affine probe's)
-  // holds off + k. Operands bound at level 0 are lowered to base(k) =
-  // base + k*step (outer_target_, outer_ops_) and the leaf's parent to
-  // outer_parent_off_ + k, so no probe call and no operand re-flattening
-  // runs per row.
+  // The fused drain's plan (prepare_outer). Members so steady-state runs
+  // allocate nothing.
   bool outer_ok_ = false;
+  bool bulk_acc_ok_ = false;  // target bound at level 0: cache it per row
   struct OuterSlot {
     int slot = 0;
     index_t off = 0;
@@ -428,15 +442,15 @@ class LinkedRunner {
 /// is booked once by the coordinator and level-1 fan-out from full column
 /// lengths, so counters and histograms stay the serial engine's too.
 ///
-/// When the plan is not parallelizable (see plan_parallel_legality) or
+/// When the plan is not parallelizable (LinkedPlan::parallel_ok) or
 /// threads <= 1 every run delegates to a single serial LinkedRunner —
 /// same results, no pool involvement. Callers of run(Action) must pass an
 /// action that is safe to invoke concurrently for distinct outer
 /// bindings; run(LinkedMac) is safe whenever the plan is parallel-legal
 /// (disjoint output rows). An owner-computes runner runs serially for
 /// run(Action), for a mac whose target overlaps a factor (y += A·y), for
-/// a mac the fused drain does not take, and while bulk drains are off;
-/// run_note() names the reason.
+/// a mac whose leaf_form() is not the hoisted-factor form, and while the
+/// fused drains are off; run_note() names the reason.
 class ParallelRunner {
  public:
   ParallelRunner(LinkedPlan lp, int threads);

@@ -74,51 +74,6 @@ std::string first_diagnostic(const std::string& log_path) {
 
 }  // namespace
 
-SpecializeLegality plan_specialize_legality(const Plan& plan,
-                                            const relation::Query& q) {
-  SpecializeLegality leg;
-  const LinkedPlan lp = link_plan(plan, q);
-  auto rel_name = [&](index_t rel) -> std::string {
-    return q.relations[static_cast<std::size_t>(rel)].view->name();
-  };
-  if (lp.levels.empty()) {
-    leg.note = "plan has no levels";
-    return leg;
-  }
-  for (std::size_t d = 0; d < lp.levels.size(); ++d) {
-    const LinkedLevel& lv = lp.levels[d];
-    if (lv.method == JoinMethod::kMerge) {
-      leg.note = "level " + std::to_string(d) +
-                 " merges " + std::to_string(lv.drivers.size()) +
-                 " drivers; codegen covers enumerate-only plans";
-      return leg;
-    }
-    if (lv.drivers[0].level->enum_spec().kind ==
-        relation::EnumSpec::Kind::kNone) {
-      leg.note = rel_name(lv.drivers[0].rel) +
-                 " has no flat enumeration shape at level " +
-                 std::to_string(d);
-      return leg;
-    }
-    for (const LinkedProbe& pr : lv.probes) {
-      if (pr.insert_on_miss) {
-        leg.note = rel_name(pr.access.rel) +
-                   " inserts on miss (sparse fill-in grows storage mid-run)";
-        return leg;
-      }
-      if (pr.search.kind == relation::SearchSpec::Kind::kVirtual) {
-        leg.note = rel_name(pr.access.rel) + " probes through a virtual "
-                   "search (no flat lowering)";
-        return leg;
-      }
-    }
-  }
-  leg.ok = true;
-  leg.note = "every level enumerates a flat shape and every probe lowers "
-             "to inline checks or binary searches";
-  return leg;
-}
-
 SpecializedKernel::SpecializedKernel(const LinkedPlan& lp,
                                      const LinkedMac& mac)
     : lp_(lp) {
@@ -277,9 +232,9 @@ void SpecializedKernel::run(RunStats* stats) {
       f.samples[d][kind] = lvl_ns_[3 * static_cast<std::size_t>(d) + 1];
       f.work[d][kind] = lvl_prod_[static_cast<std::size_t>(d)];
     }
-    lp_.sink.commit(rec_, 1, &f);
+    lp_.sink->commit(rec_, 1, &f);
   } else {
-    lp_.sink.commit(rec_);
+    lp_.sink->commit(rec_);
   }
   if (st) {
     st->tuples = ctr_[0];

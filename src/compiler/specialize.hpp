@@ -28,19 +28,6 @@
 
 namespace bernoulli::compiler {
 
-/// Whether a (Plan, Query) pair is eligible for specialized codegen, and
-/// why (not) — the EXPLAIN footer. Eligible iff every level enumerates (no
-/// merge joins), every driver level exposes a flat EnumSpec, and every
-/// probe lowers to a flat SearchSpec with no sparse fill-in. The value
-/// arrays are a property of the statement, not the plan, so they are
-/// checked at kernel-build time instead.
-struct SpecializeLegality {
-  bool ok = false;
-  std::string note;
-};
-SpecializeLegality plan_specialize_legality(const Plan& plan,
-                                            const relation::Query& q);
-
 /// One specialized kernel: emits, compiles and loads at construction;
 /// run() executes the loaded code and commits linked-engine-identical
 /// observability. Borrows the plan and mac (and, through them, the views

@@ -11,8 +11,8 @@
 //
 // which is the paper's claim made concrete: a new storage format costs
 // one level spec, and the descriptor lowering gives it the cursor
-// protocol, register-blocked bulk drains, the specializer and EXPLAIN
-// for free. Fill zeros inside stored tiles ARE enumerated (that is BCSR's
+// protocol, the register-blocked block-row drain, the specializer and
+// EXPLAIN for free. Fill zeros inside stored tiles ARE enumerated (that is BCSR's
 // bargain), so outputs match CSR bitwise only on block-dense matrices.
 //
 // The spec's arrays are the matrix's own browptr/bcolind/vals, borrowed:

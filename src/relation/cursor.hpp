@@ -100,56 +100,6 @@ struct Cursor {
   }
 };
 
-/// Flat description of a level's ENUMERATION method, independent of the
-/// parent position — the static counterpart of begin_cursor. Where a
-/// Cursor describes one invocation (children of one concrete parent), an
-/// EnumSpec describes the iteration RULE for every parent at once: which
-/// arrays drive it, how positions derive from the loop counter, and how
-/// large the backing arrays are. The specializing code generator
-/// (compiler/emit_standalone.hpp) renders each kind as a C for-loop and
-/// uses the array extents for whole-structure index scans (always-hit
-/// probe proofs). kNone means the level has no flat enumeration shape and
-/// specialization must fall back to the linked engine.
-struct EnumSpec {
-  enum class Kind : unsigned char {
-    kNone,       // no flat description: reject specialization
-    kDense,      // k in [0, extent):      idx = k, pos = parent*stride + k
-    kSegmented,  // p in [ptr[parent], ptr[parent+1]): idx = ind[p], pos = p
-    kList,       // p in [0, extent):      idx = ind[p], pos = p
-    kFunction,   // the single child:      idx = map[parent], pos = parent
-    kStrided,    // k in [0, len[parent]): pos = parent + k*stride,
-                 //                        idx = ind[pos]         (ELLPACK)
-    kOffsets,    // k in [0, len[parent]): pos = off[k] + parent,
-                 //                        idx = ind[pos]         (JDS)
-    kBlocked,    // b in [ptr[parent/r], ptr[parent/r+1]), cc in [0, c):
-                 //   idx = ind[b]*c + cc,
-                 //   pos = b*r*c + (parent%r)*c + cc          (BCSR)
-    kSliced,     // k in [0, len[parent]): pos = off[parent] + k*stride,
-                 //   idx = ind[pos]                           (SELL-C-σ)
-  };
-
-  Kind kind = Kind::kNone;
-  index_t extent = 0;  // kDense / kList loop bound
-  index_t stride = 0;  // kDense pos stride (0: pos = k) / kStrided stride
-                       // kSliced chunk width C
-  const index_t* ptr = nullptr;  // kSegmented / kBlocked
-  const index_t* ind = nullptr;  // kSegmented / kList / kStrided / kOffsets
-                                 // kBlocked / kSliced
-  const index_t* off = nullptr;  // kOffsets / kSliced per-parent base
-  const index_t* len = nullptr;  // kStrided / kOffsets / kSliced per-parent
-                                 // count
-  const index_t* map = nullptr;  // kFunction
-  index_t block_r = 0;           // kBlocked row dim r
-  index_t block_c = 0;           // kBlocked col dim c
-  // Element counts of the backing arrays (for baking and for specialize-
-  // time min/max scans over every index the structure can enumerate).
-  index_t ind_len = 0;
-  index_t ptr_len = 0;
-  index_t off_len = 0;
-  index_t len_len = 0;
-  index_t map_len = 0;
-};
-
 /// Flat description of a level's search method, independent of the parent
 /// position (the arrays backing a level are fixed; only the segment bounds
 /// move with the parent). Lowered once per probe at link time.
@@ -173,11 +123,11 @@ struct SearchSpec {
 
 /// One record that captures EVERYTHING the linked engine needs to know
 /// about a level: its storage shape plus the raw arrays backing it. A
-/// level describes itself ONCE (IndexLevel::describe); the cursor, the
-/// search spec and the enum spec are all derived mechanically from the
-/// descriptor by the lowering functions below, so adding a format means
-/// writing one describe() — not a cursor backend, a search lowering and
-/// an emitter case by hand. kOpaque means the level has no flat shape
+/// level describes itself ONCE (IndexLevel::describe); the cursor and the
+/// search spec are derived mechanically from the descriptor by the
+/// lowering functions below, and the C emitter switches on the same kind,
+/// so adding a format means writing one describe() — not a cursor backend,
+/// a search lowering and an emitter case by hand. kOpaque means the level has no flat shape
 /// (stateful or growable storage): cursors fall back to the buffered
 /// enumerate adapter and probes stay virtual.
 struct LevelDescriptor {
@@ -217,10 +167,6 @@ void descriptor_cursor(const LevelDescriptor& d, index_t parent, Cursor& c);
 /// has no arithmetic/binary search form — blocked and sliced levels only
 /// ever drive).
 SearchSpec descriptor_search(const LevelDescriptor& d);
-
-/// The flat enumeration rule for the specializing code generator (kNone
-/// only for kOpaque).
-EnumSpec descriptor_enum(const LevelDescriptor& d);
 
 /// Human-readable one-liner for EXPLAIN footers: "dense 64", "compressed",
 /// "blocked 4x4", "sliced C=8 sigma=32", ...

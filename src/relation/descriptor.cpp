@@ -1,4 +1,4 @@
-// Level-kind lowering: LevelDescriptor -> Cursor / SearchSpec / EnumSpec,
+// Level-kind lowering: LevelDescriptor -> Cursor / SearchSpec,
 // and the DescriptorLevel access methods built on the same cursor.
 //
 // Every flat storage shape the engine ladder understands is lowered HERE,
@@ -116,74 +116,6 @@ SearchSpec descriptor_search(const LevelDescriptor& d) {
     case K::kOpaque: return s;
   }
   return s;
-}
-
-EnumSpec descriptor_enum(const LevelDescriptor& d) {
-  using K = LevelDescriptor::Kind;
-  EnumSpec e;
-  switch (d.kind) {
-    case K::kDense:
-      e.kind = EnumSpec::Kind::kDense;
-      e.extent = d.extent;
-      e.stride = d.stride;
-      return e;
-    case K::kCompressed:
-      e.kind = EnumSpec::Kind::kSegmented;
-      e.ptr = d.ptr;
-      e.ind = d.ind;
-      e.ptr_len = d.ptr_len;
-      e.ind_len = d.ind_len;
-      return e;
-    case K::kList:
-      e.kind = EnumSpec::Kind::kList;
-      e.ind = d.ind;
-      e.extent = d.ind_len;
-      e.ind_len = d.ind_len;
-      return e;
-    case K::kSingleton:
-      e.kind = EnumSpec::Kind::kFunction;
-      e.map = d.map;
-      e.map_len = d.map_len;
-      return e;
-    case K::kStrided:
-      e.kind = EnumSpec::Kind::kStrided;
-      e.ind = d.ind;
-      e.len = d.len;
-      e.stride = d.stride;
-      e.ind_len = d.ind_len;
-      e.len_len = d.len_len;
-      return e;
-    case K::kOffsets:
-      e.kind = EnumSpec::Kind::kOffsets;
-      e.ind = d.ind;
-      e.off = d.off;
-      e.len = d.len;
-      e.ind_len = d.ind_len;
-      e.off_len = d.off_len;
-      e.len_len = d.len_len;
-      return e;
-    case K::kBlocked:
-      e.kind = EnumSpec::Kind::kBlocked;
-      e.ptr = d.ptr;
-      e.ind = d.ind;
-      e.block_r = d.block_r;
-      e.block_c = d.block_c;
-      e.ptr_len = d.ptr_len;
-      e.ind_len = d.ind_len;
-      return e;
-    case K::kSliced:
-      e.kind = EnumSpec::Kind::kSliced;
-      e.ind = d.ind;
-      e.off = d.off;
-      e.len = d.len;
-      e.stride = d.chunk;
-      e.ind_len = d.ind_len;
-      e.off_len = d.off_len;
-      e.len_len = d.len_len;
-      return e;
-    case K::kOpaque: return e;
-  }
-  return e;
 }
 
 std::string descriptor_text(const LevelDescriptor& d) {

@@ -73,10 +73,11 @@ class IndexLevel {
   virtual double expected_size() const = 0;
 
   // --- Linked-executor hooks (relation/cursor.hpp) -------------------
-  // A level declares its storage shape ONCE via describe(); the cursor,
-  // search and enumeration lowerings all derive from that descriptor in
-  // relation/descriptor.cpp, so a new format is one describe() — not a
-  // cursor backend, a search lowering and an emitter case by hand.
+  // A level declares its storage shape ONCE via describe(); the cursor
+  // and search lowerings derive from that descriptor in
+  // relation/descriptor.cpp and the C emitter switches on its kind, so a
+  // new format is one describe() — not a cursor backend, a search lowering
+  // and an emitter case by hand.
   // kOpaque (the default) keeps the fully-virtual fallbacks: cursors
   // materialize enumerate() into a buffer, probes go through search().
 
@@ -94,11 +95,6 @@ class IndexLevel {
   /// Flat search descriptor derived from describe(). kVirtual (probe
   /// through IndexLevel::search) for kOpaque and drive-only shapes.
   SearchSpec search_spec() const { return descriptor_search(describe()); }
-
-  /// Flat enumeration descriptor derived from describe() — what the
-  /// specializing code generator compiles into a C loop. kNone for
-  /// kOpaque levels (specialization falls back to the linked engine).
-  EnumSpec enum_spec() const { return descriptor_enum(describe()); }
 };
 
 /// The one IndexLevel for every flat storage shape: all access methods

@@ -282,7 +282,8 @@ void KernelServer::run_single(CacheEntry& e, ConstVectorView x, VectorView y) {
   }
   // Linked path: lease a pooled runner and rebind the mac's value spans
   // to the request buffers. run(LinkedMac) re-resolves operand slots and
-  // re-prepares bulk drains every run, so per-request rebinding is safe.
+  // re-asks leaf_form() every run (a request whose x aliases y takes the
+  // per-element leaf), so per-request rebinding is safe.
   std::unique_ptr<compiler::LinkedRunner> runner;
   {
     const std::lock_guard<std::mutex> lk(e.pool_mu);
@@ -438,7 +439,7 @@ void KernelServer::run_batch(CacheEntry& e, const std::vector<Pending*>& batch) 
   // have booked, as one group, with the latency samples splitting the
   // sweep's wall time by an exact integer sum.
   e.record.wall_ns = now_ns() - t0;
-  e.lp.sink.commit(e.record, k);
+  e.lp.sink->commit(e.record, k);
 }
 
 }  // namespace bernoulli::server

@@ -102,9 +102,30 @@ std::string prom_double(double v) {
 
 thread_local const PhaseCounters* t_phase = nullptr;
 
+// The process's handles for phase `name`, resolved on its first open.
+// metrics_reset zeroes values and keeps every entry, so they stay valid
+// for the process. Each thread remembers the phases it has opened, so a
+// steady-state open builds no name and takes no lock.
+const PhaseCounters& resolved_phase(const std::string& name) {
+  thread_local std::vector<const PhaseCounters*> seen;
+  for (const PhaseCounters* p : seen)
+    if (p->phase == name) return *p;
+  static std::mutex mu;
+  static std::deque<PhaseCounters> all;  // stable addresses
+  const PhaseCounters* found = nullptr;
+  {
+    const std::lock_guard<std::mutex> lk(mu);
+    for (const PhaseCounters& p : all)
+      if (p.phase == name) found = &p;
+    if (found == nullptr) found = &all.emplace_back(name);
+  }
+  seen.push_back(found);
+  return *found;
+}
+
 const PhaseCounters& main_phase() {
-  static const PhaseCounters* main = new PhaseCounters("main");
-  return *main;
+  static const PhaseCounters& main = resolved_phase("main");
+  return main;
 }
 
 }  // namespace
@@ -425,6 +446,14 @@ RunSink::RunSink(std::size_t levels)
     fanout_.push_back(&histogram("executor.fanout.level" + std::to_string(d)));
 }
 
+const RunSink& run_sink(std::size_t levels) {
+  static std::mutex mu;
+  static std::deque<RunSink> sinks;  // sinks[L] has L levels
+  const std::lock_guard<std::mutex> lk(mu);
+  while (sinks.size() <= levels) sinks.emplace_back(sinks.size());
+  return sinks[levels];
+}
+
 void RunSink::commit(const RunRecord& rec, long long runs,
                      const ProfileFlush* profile) const {
   Shard& s = registry().shards[metric_shard()];
@@ -467,9 +496,8 @@ const PhaseCounters& phase_counters() {
   return t_phase != nullptr ? *t_phase : main_phase();
 }
 
-PhaseScope::PhaseScope(std::string phase)
-    : counters_(std::move(phase)), saved_(t_phase) {
-  t_phase = &counters_;
+PhaseScope::PhaseScope(const std::string& phase) : saved_(t_phase) {
+  t_phase = &resolved_phase(phase);
 }
 
 PhaseScope::~PhaseScope() { t_phase = saved_; }

@@ -308,7 +308,8 @@ struct RunRecord {
 
 /// The handles a RunRecord commits through (execute.*, executor.* and
 /// executor.fanout.level<d> for `levels` levels), resolved by the
-/// constructor — when a plan is linked — so a commit looks nothing up.
+/// constructor so a commit looks nothing up. Engines take the process's
+/// shared sink for their level count from run_sink().
 class RunSink {
  public:
   RunSink() = default;  // unresolved; commit() needs a resolved sink
@@ -332,6 +333,11 @@ class RunSink {
   std::array<Counter*, std::size(kWorkCountFields)> work_{};
   std::vector<Log2Histogram*> fanout_;
 };
+
+/// The process's sink for `levels` levels, resolved on first use and
+/// kept for the process (metrics_reset zeroes values, never entries), so
+/// linking a plan or running the interpreter resolves no names.
+const RunSink& run_sink(std::size_t levels);
 
 // ---------------------------------------------------------------------------
 // Phases
@@ -358,18 +364,17 @@ struct PhaseCounters {
 const PhaseCounters& phase_counters();
 inline const std::string& counter_phase() { return phase_counters().phase; }
 
-/// RAII phase scope: resolves `phase`'s handles and installs them for this
-/// thread; restores the previous phase on destruction (including
-/// unwinding).
+/// RAII phase scope: installs `phase`'s handles for this thread (resolved
+/// once per process, remembered per thread) and restores the previous
+/// phase on destruction (including unwinding).
 class PhaseScope {
  public:
-  explicit PhaseScope(std::string phase);
+  explicit PhaseScope(const std::string& phase);
   ~PhaseScope();
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  PhaseCounters counters_;
   const PhaseCounters* saved_;
 };
 

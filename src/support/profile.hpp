@@ -40,7 +40,8 @@ namespace bernoulli::support {
 
 /// Drain kinds a level's time can be attributed to. kProfTuple is the
 /// per-tuple cursor path (and all non-leaf enumeration), kProfMerge the
-/// k-finger merge join, the other three the bulk leaf-range drains.
+/// k-finger merge join, the other three a fused leaf form (compiler::
+/// leaf_form) by its leaf's storage: compressed, blocked, sliced.
 enum : int {
   kProfTuple = 0,
   kProfMerge,
@@ -108,7 +109,7 @@ struct ProfileScratch {
   }
 
   /// Exact event count (always on while profiling): bindings for
-  /// tuple/merge kinds, drained elements for bulk/blocked/sliced.
+  /// tuple/merge kinds, drained leaf elements for bulk/blocked/sliced.
   void add_work(int level, int kind, long long n) {
     work[clamp_level(level)][kind] += n;
   }

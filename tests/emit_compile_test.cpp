@@ -9,11 +9,15 @@
 #include <optional>
 
 #include "compiler/emit_standalone.hpp"
+#include "compiler/explain.hpp"
 #include "compiler/link.hpp"
 #include "compiler/loopnest.hpp"
 #include "compiler/specialize.hpp"
 #include "formats/formats.hpp"
 #include "formats/sparse_vector.hpp"
+#include "relation/array_views.hpp"
+#include "relation/hash_index.hpp"
+#include "relation/spa_view.hpp"
 #include "support/dynlib.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
@@ -523,6 +527,127 @@ TEST(EmitCompile, MergePlanEmitsTheRefusalNote) {
   ASSERT_FALSE(e.ok);
   EXPECT_EQ(k.emit("spmv_merge"),
             "/* spmv_merge not emitted: " + e.note + " */\n");
+}
+
+// ---- EXPLAIN predicts the rung that runs ---------------------------
+// EXPLAIN's `specialize:` footer and the emitter's refusal are one
+// verdict (plan_specialize_legality over one link): for every refused
+// shape EXPLAIN's note is the SpecializedKernel's own note, and a plan
+// EXPLAIN calls eligible loads.
+
+void expect_explain_predicts_rung(const Plan& plan, const relation::Query& q,
+                                  index_t target,
+                                  const std::vector<index_t>& factors,
+                                  bool eligible, const std::string& why,
+                                  const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::string text = explain(plan, q);
+  const std::string json = explain_json(plan, q);
+  const LinkedPlan lp = link_plan(plan, q);
+  SpecializedKernel spec(lp, link_mac(q, target, factors));
+  if (eligible) {
+    EXPECT_NE(text.find("\nspecialize: every level enumerates a flat shape"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(json.find("\"specialize\":{\"ok\":true"), std::string::npos)
+        << json;
+    if (specialization_available()) {
+      EXPECT_TRUE(spec.ok()) << spec.note();
+    }
+    return;
+  }
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.note().find(why), std::string::npos) << spec.note();
+  EXPECT_NE(text.find("\nspecialize: linked fallback — " + spec.note() + "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(json.find("\"specialize\":{\"ok\":false,\"note\":\"" +
+                      spec.note() + "\"}"),
+            std::string::npos)
+      << json;
+}
+
+TEST(ExplainPredictsRung, EveryRefusalShapeAndOneSpecializingPlan) {
+  const index_t n = 12;
+  SplitMix64 rng(31);
+  TripletBuilder tb(n, n);
+  for (int k = 0; k < 40; ++k)
+    tb.add(rng.next_index(n), rng.next_index(n), rng.next_double(-1, 1));
+  const Csr a = Csr::from_coo(std::move(tb).build());
+  const Vector x = random_vector(static_cast<std::size_t>(n), 32);
+  Vector y(static_cast<std::size_t>(n), 0.0);
+  LoopNest nest{{{"i", n}, {"j", n}},
+                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+
+  {  // Specializes: CSR SpMV.
+    Bindings b;
+    b.bind_csr("A", a);
+    b.bind_dense_vector("X", ConstVectorView(x));
+    b.bind_dense_vector("Y", VectorView(y));
+    const CompiledKernel k = compile(nest, b);
+    expect_explain_predicts_rung(k.plan(), k.query(), 1, {2, 3}, true, "",
+                                 "csr");
+  }
+  {  // Merge join: sparse A against a sparse X.
+    const formats::SparseVector sx(n, {{1, 2.0}, {4, -1.5}, {9, 0.5}});
+    Bindings b;
+    b.bind_csr("A", a);
+    b.bind_sparse_vector("X", sx);
+    b.bind_dense_vector("Y", VectorView(y));
+    PlannerOptions opts;
+    opts.force_order = std::vector<std::string>{"i", "j"};
+    const CompiledKernel k = compile(nest, b, opts);
+    ASSERT_EQ(k.plan().levels[1].method, JoinMethod::kMerge);
+    expect_explain_predicts_rung(k.plan(), k.query(), 1, {2, 3}, false,
+                                 "is a merge join", "merge");
+  }
+  {  // Opaque level: the hash-indexed column level drives.
+    relation::CsrView base("A", a);
+    relation::HashIndexedView hashed(base, 1);
+    Bindings b;
+    b.bind_view("A", &hashed, {0, 1}, /*sparse=*/true);
+    b.bind_dense_vector("X", ConstVectorView(x));
+    b.bind_dense_vector("Y", VectorView(y));
+    const CompiledKernel k = compile(nest, b);
+    expect_explain_predicts_rung(k.plan(), k.query(), 1, {2, 3}, false,
+                                 "has no flat enumeration shape", "opaque");
+  }
+  {  // Virtual probe: X drives j and the hashed column level is probed.
+    relation::CsrView base("A", a);
+    relation::HashIndexedView hashed(base, 1);
+    relation::IntervalView iview("I", {n, n});
+    relation::DenseVectorView xv("X", ConstVectorView(x));
+    relation::DenseVectorView yv("Y", VectorView(y));
+    relation::Query q;
+    q.vars = {"i", "j"};
+    q.relations.push_back({&iview, {"i", "j"}, true, false, true});
+    q.relations.push_back({&yv, {"i"}, false, true, false});
+    q.relations.push_back({&hashed, {"i", "j"}, true, false, false});
+    q.relations.push_back({&xv, {"j"}, false, false, false});
+    Plan plan;
+    plan.levels.push_back({"i", JoinMethod::kEnumerate, {{0, 0}},
+                           {{2, 0}, {1, 0}}});
+    plan.levels.push_back({"j", JoinMethod::kEnumerate, {{3, 0}},
+                           {{0, 1}, {2, 1}}});
+    expect_explain_predicts_rung(plan, q, 1, {2, 3}, false,
+                                 "probes through a virtual search",
+                                 "virtual probe");
+  }
+  {  // Fill-in: SpGEMM into a sparse accumulator.
+    const Csr bm = Csr::from_coo(pareto_matrix(n, n, 33, 0, 0));
+    relation::CsrView aview("A", a);
+    relation::CsrView bview("B", bm);
+    relation::IntervalView iview("I", {n, n, n});
+    relation::SpaView cview("C", n, n);
+    relation::Query q;
+    q.vars = {"i", "k", "j"};
+    q.relations.push_back({&iview, {"i", "k", "j"}, true, false, true});
+    q.relations.push_back({&aview, {"i", "k"}, true, false, false});
+    q.relations.push_back({&bview, {"k", "j"}, true, false, false});
+    q.relations.push_back({&cview, {"i", "j"}, false, true, false});
+    expect_explain_predicts_rung(plan_query(q), q, 3, {1, 2}, false, "C ",
+                                 "fill-in");
+  }
 }
 
 }  // namespace

@@ -606,6 +606,53 @@ TEST_P(ParallelSweep, MatchesInterpreterForAllThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(AllStorages, ParallelSweep,
                          ::testing::ValuesIn(make_edge_cases()), case_name);
 
+// ---- Stored index ranges: one link-time scan, checked by brute force --
+
+// Widens `r` by every index the cursors of level `depth` of `v` enumerate,
+// walked from parent `parent` at level `d` through every position the
+// structure holds.
+void cursor_range(const relation::RelationView& v, index_t depth, index_t d,
+                  index_t parent, IndexRange& r) {
+  relation::Cursor c;
+  relation::CursorBuffer buf;
+  v.level(d).begin_cursor(parent, c, buf);
+  for (; c.valid(); c.advance()) {
+    if (d < depth) {
+      cursor_range(v, depth, d + 1, c.pos(), r);
+      continue;
+    }
+    const index_t idx = c.index();
+    r = r.empty() ? IndexRange{idx, idx}
+                  : IndexRange{std::min(r.mn, idx), std::max(r.mx, idx)};
+  }
+}
+
+// Every enumerate level over a flat driver stores exactly the brute-force
+// range of its driver's cursors; merge levels and opaque drivers store
+// nothing. Returns how many levels were checked.
+std::size_t expect_stored_ranges(const LinkedPlan& lp) {
+  std::size_t checked = 0;
+  for (std::size_t d = 0; d < lp.levels.size(); ++d) {
+    const LinkedLevel& lv = lp.levels[d];
+    const LinkedAccess& a = lv.drivers[0];
+    if (lv.method != JoinMethod::kEnumerate ||
+        a.desc.kind == relation::LevelDescriptor::Kind::kOpaque) {
+      EXPECT_TRUE(lv.range.empty()) << "level " << d;
+      continue;
+    }
+    IndexRange want;
+    cursor_range(*lp.query->relations[static_cast<std::size_t>(a.rel)].view,
+                 a.depth, 0, 0, want);
+    EXPECT_EQ(lv.range.empty(), want.empty()) << "level " << d;
+    if (!want.empty()) {
+      EXPECT_EQ(lv.range.mn, want.mn) << "level " << d;
+      EXPECT_EQ(lv.range.mx, want.mx) << "level " << d;
+    }
+    ++checked;
+  }
+  return checked;
+}
+
 // ---- Bulk leaf-range drains: fused loop vs per-tuple callbacks ------
 
 // The bulk path (set_bulk_drain(true), the default) streams a contiguous
@@ -657,6 +704,14 @@ TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
   const index_t target = 1;
   const std::vector<index_t> factors{2, 3};
 
+  // The ranges the drains' all-hit proofs read are the cursors' own; only
+  // the hash-indexed view has an opaque (unscannable) level.
+  const std::size_t checked =
+      expect_stored_ranges(link_plan(k.plan(), k.query()));
+  if (c.storage != Storage::kCsrHashed) {
+    EXPECT_EQ(checked, 2u);
+  }
+
   // Reference: per-tuple callbacks, bulk drains disabled. Profiling is on
   // for both runs: the drains book their work under their own drain kind,
   // but each level's total work must match the per-tuple path's.
@@ -693,6 +748,36 @@ TEST_P(BulkDrainSweep, BulkPathIndistinguishableFromPerTuple) {
 
 INSTANTIATE_TEST_SUITE_P(AllStorages, BulkDrainSweep,
                          ::testing::ValuesIn(make_edge_cases()), case_name);
+
+// SELL-C-sigma padding lanes hold column 0 but are never enumerated, so
+// they must not widen the stored range: with every column at least 3 the
+// leaf's range starts at the smallest real column, and the I filter at
+// that level is still proved.
+TEST(StoredRange, SellPaddingDoesNotWidenTheRange) {
+  const index_t rows = 12, cols = 16;
+  TripletBuilder tb(rows, cols);
+  for (index_t i = 0; i < rows; ++i)
+    for (index_t k = 0; k <= (i % 4 == 0 ? 9 : i % 3); ++k)
+      tb.add(i, 3 + (i + k) % (cols - 3), 1.0);
+  const Coo coo = std::move(tb).build();
+  const formats::Sell sell = formats::Sell::from_coo(coo, 4, 4);
+  ASSERT_GT(sell.stored(), sell.nnz()) << "case must exercise padding";
+  Vector x(static_cast<std::size_t>(cols), 1.0);
+  Vector y(static_cast<std::size_t>(rows), 0.0);
+  Bindings b;
+  b.bind_sell("A", sell);
+  b.bind_dense_vector("X", ConstVectorView(x));
+  b.bind_dense_vector("Y", VectorView(y));
+  LoopNest nest{{{"i", rows}, {"j", cols}},
+                {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+  const CompiledKernel k = compile(nest, b);
+  const LinkedPlan lp = link_plan(k.plan(), k.query());
+  ASSERT_EQ(lp.levels.size(), 2u);
+  EXPECT_EQ(expect_stored_ranges(lp), 2u);
+  EXPECT_EQ(lp.levels[1].range.mn, 3);
+  EXPECT_EQ(lp.levels[1].range.mx, cols - 1);
+  EXPECT_TRUE(lp.levels[1].proved_all_hit);
+}
 
 // ---- Affine-lowered outer drain: drains on vs off -------------------
 
