@@ -68,17 +68,7 @@ index_t bin_search(const index_t* ind, index_t lo, index_t hi, index_t idx) {
   return -1;
 }
 
-std::atomic<bool> g_bulk_drain{true};
-
 }  // namespace
-
-void set_bulk_drain(bool enabled) {
-  g_bulk_drain.store(enabled, std::memory_order_relaxed);
-}
-
-bool bulk_drain_enabled() {
-  return g_bulk_drain.load(std::memory_order_relaxed);
-}
 
 bool LinkedRunner::resolve_probes(const LinkedLevel& lv,
                                   support::WorkCounts& c) {
@@ -306,20 +296,19 @@ void LinkedRunner::flatten(BulkOp& o, index_t rows, SlotForm slot_form) {
                 "operand base at the last outer row");
 }
 
-// Plans the fused outer-range drain for `mac`: engages exactly when the
-// drains are on and leaf_form() gives the pair a fused form, which proves
-// the shape the drain relies on — two enumerate levels, a dense outer
-// range whose probes are rooted, both levels all-hit, a compressed,
-// sliced or blocked leaf hanging off level 0, flat alias-free operands,
-// every operand position bound at level 0 or derived at the leaf. Level 0
-// is then lowered to affine offsets (see outer_slots_) and each operand
-// to its BulkOp form, so the drain computes every per-row position
+// Plans the fused outer-range drain for `mac`: engages exactly when
+// leaf_form() gives the pair a fused form, which proves the shape the
+// drain relies on — two enumerate levels, a dense outer range whose
+// probes are rooted, both levels all-hit, a compressed, sliced or blocked
+// leaf hanging off level 0, flat alias-free operands, every operand
+// position bound at level 0 or derived at the leaf. Level 0 is then
+// lowered to affine offsets (see outer_slots_) and each operand to its
+// BulkOp form, so the drain computes every per-row position
 // arithmetically. Everything else keeps the level stack, which stays the
 // ground truth the drain must reproduce bitwise.
 void LinkedRunner::prepare_outer(const LinkedMac& mac) {
   outer_ok_ = false;
-  if (!bulk_drain_enabled() || leaf_form(lp_, mac) == LeafForm::kPerElement)
-    return;
+  if (leaf_form(lp_, mac) == LeafForm::kPerElement) return;
   const LinkedLevel& l0 = lp_.levels[0];
   const LinkedLevel& lv = lp_.levels[1];
   // The dense root driver opens at base 0·stride, so its position is k;
@@ -705,7 +694,7 @@ struct LinkedRunner::MacSink {
   // what the per-row path books (order-invariant totals). Chunk clamps
   // are respected: only the frame's own [cur, end) is consumed.
   void try_outer(support::WorkCounts& c, RunStats* st) const {
-    if (!r.outer_ok_ || !bulk_drain_enabled()) return;
+    if (!r.outer_ok_) return;
     relation::Cursor& cur = r.frames_[0].cursors[0];  // a dense row range
     if (!cur.valid()) return;
     const LinkedLevel& lv0 = r.lp_.levels[0];
@@ -1275,30 +1264,30 @@ void ParallelRunner::run(const Action& action, RunStats* stats) {
 
 void ParallelRunner::run(const LinkedMac& mac, RunStats* stats) {
   LinkedRunner& r0 = *workers_.front();
-  if (!parts_.empty()) {
-    // Owner-computes needs the fused drain with an alias-free target
-    // scattered by the leaf index — the hoisted-factor leaf form; anything
-    // else runs serially, named.
-    if (!bulk_drain_enabled()) {
-      run_note_ = "bulk drains are switched off; owner-computes runs the "
-                  "fused drain";
-    } else if (const LinkedMac::Factor* f = overlapping_factor(mac)) {
-      run_note_ = "target " + mac.target->name() + " overlaps factor " +
-                  f->view->name() + "; owner-computes needs an alias-free "
-                  "target";
-    } else if (leaf_form(r0.lp_, mac) != LeafForm::kHoistedFactor) {
-      run_note_ = "the multiply-accumulate does not take the fused drain "
-                  "owner-computes runs";
-    } else {
-      run_note_.clear();
-      run_owner(mac, stats);
-      return;
-    }
+  if (!parallel_) {
     r0.run(mac, stats);
     return;
   }
-  if (!parallel_) {
+  // y += A·y: a worker would read elements another one writes, so neither
+  // a chunk grid nor an owner-computes split is safe; run serially, named.
+  if (const LinkedMac::Factor* f = overlapping_factor(mac)) {
+    run_note_ = "target " + mac.target->name() + " overlaps factor " +
+                f->view->name() + "; threads need an alias-free target";
     r0.run(mac, stats);
+    return;
+  }
+  if (!parts_.empty()) {
+    // Owner-computes needs the fused drain with the target scattered by
+    // the leaf index — the hoisted-factor leaf form; anything else runs
+    // serially, named.
+    if (leaf_form(r0.lp_, mac) != LeafForm::kHoistedFactor) {
+      run_note_ = "the multiply-accumulate does not take the fused drain "
+                  "owner-computes runs";
+      r0.run(mac, stats);
+      return;
+    }
+    run_note_.clear();
+    run_owner(mac, stats);
     return;
   }
   run_parallel(
@@ -1315,12 +1304,6 @@ void ParallelRunner::run(const LinkedMac& mac, RunStats* stats) {
         return LinkedRunner::MacSink{r, mac, tslot};
       },
       stats);
-}
-
-void execute_parallel(const Plan& plan, const relation::Query& q,
-                      const Action& action, int threads) {
-  ParallelRunner runner(link_plan(plan, q), threads);
-  runner.run(action);
 }
 
 }  // namespace bernoulli::compiler

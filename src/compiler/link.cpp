@@ -4,9 +4,7 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <string_view>
 
-#include "compiler/explain.hpp"
 #include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
@@ -530,30 +528,6 @@ LinkedPlan link_plan(const Plan& plan, const Query& q) {
   lp.footprint = derive_footprint(lp);
   lp.sink = &support::run_sink(lp.levels.size());
   return lp;
-}
-
-std::uint64_t plan_fingerprint(const Plan& plan, const relation::Query& q) {
-  // FNV-1a 64 over the EXPLAIN document (join order/methods, access paths,
-  // level descriptors — everything structural the linker consumes) plus
-  // each relation's view name, bound variables and access role. EXPLAIN is
-  // deterministic for a given pair, so equal inputs hash equal across
-  // processes and runs.
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::string_view s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= 0xFFu;  // field separator: "ab"+"c" must not collide with "a"+"bc"
-    h *= 1099511628211ULL;
-  };
-  mix(explain_json(plan, q, 0));
-  for (const auto& rel : q.relations) {
-    mix(rel.view->name());
-    for (const std::string& v : rel.vars) mix(v);
-    mix(rel.writes ? "w" : (rel.filters ? "f" : "r"));
-  }
-  return h;
 }
 
 LinkedMac link_mac(const Query& q, index_t target_rel,

@@ -183,16 +183,6 @@ struct LinkedPlan {
 /// Validates `q` and lowers the pair. The result borrows both arguments.
 LinkedPlan link_plan(const Plan& plan, const relation::Query& q);
 
-/// Structural fingerprint of a (Plan, Query) pair: a stable FNV-1a hash
-/// over the plan's EXPLAIN document plus each relation's view name,
-/// variable binding and access role. Two pairs with equal fingerprints
-/// link to the same program STRUCTURE — join order and methods, access
-/// paths, level descriptors and format kinds (all of which EXPLAIN
-/// renders). Deliberately excluded: storage identity and contents — a
-/// cache key layers those on top (the KernelServer appends the concrete
-/// array identity and the distribution tag; see docs/SERVING.md).
-std::uint64_t plan_fingerprint(const Plan& plan, const relation::Query& q);
-
 /// The multiply-accumulate statement, lowered: relation slots resolved and
 /// raw value arrays captured where the views expose them (empty spans fall
 /// back to the virtual value accessors — e.g. sparse accumulators, whose
@@ -249,15 +239,6 @@ LeafForm leaf_form(const LinkedPlan& lp, const LinkedMac& mac,
 /// by the leaf's storage: blocked, sliced, else bulk. (A per-element leaf
 /// books tuples.)
 int fused_drain_kind(const LinkedPlan& lp);
-
-/// Process-wide toggle for the fused leaf forms on the linked engine:
-/// when off, every run(LinkedMac) walks the level stack per element.
-/// Outputs, executor.* counter deltas, fan-out histograms and per-level
-/// stats are bitwise-identical either way (the differential sweeps in
-/// tests/exec_linked_test.cpp enforce it); the toggle exists so tests and
-/// ablations can compare the two paths. Default: enabled.
-void set_bulk_drain(bool enabled);
-bool bulk_drain_enabled();
 
 /// Runs a LinkedPlan. Owns all executor scratch (frames, cursor buffers,
 /// merge state, the run record), reused across runs — after the first
@@ -366,8 +347,8 @@ class LinkedRunner {
   // exec_linked.cpp (local to the engine); ParallelRunner builds one per
   // worker.
   struct MacSink;
-  // Asks leaf_form() for the mac's form and, for a fused one (with the
-  // drains switched on), lowers level 0 and the operands (outer_* members).
+  // Asks leaf_form() for the mac's form and, for a fused one, lowers
+  // level 0 and the operands (outer_* members).
   void prepare_outer(const LinkedMac& mac);
   // Lowers one operand to its BulkOp::at form, with each pos_ slot it
   // reads given as base + k*step by `slot_form` (exec_linked.cpp).
@@ -447,10 +428,10 @@ class LinkedRunner {
 /// same results, no pool involvement. Callers of run(Action) must pass an
 /// action that is safe to invoke concurrently for distinct outer
 /// bindings; run(LinkedMac) is safe whenever the plan is parallel-legal
-/// (disjoint output rows). An owner-computes runner runs serially for
-/// run(Action), for a mac whose target overlaps a factor (y += A·y), for
-/// a mac whose leaf_form() is not the hoisted-factor form, and while the
-/// fused drains are off; run_note() names the reason.
+/// (disjoint output rows). A mac whose target overlaps a factor (y += A·y)
+/// runs serially, and an owner-computes runner also runs run(Action) and a
+/// mac whose leaf_form() is not the hoisted-factor form serially;
+/// run_note() names the reason.
 class ParallelRunner {
  public:
   ParallelRunner(LinkedPlan lp, int threads);
@@ -498,11 +479,5 @@ class ParallelRunner {
   std::vector<index_t> cuts_;
   std::vector<LinkedRunner::OwnerPart> parts_;
 };
-
-/// One-shot parallel execution of a (Plan, Query) pair — links, runs the
-/// action across `threads` workers (serial fallback applies), discards
-/// the program. Repeated runs should hold a ParallelRunner instead.
-void execute_parallel(const Plan& plan, const relation::Query& q,
-                      const Action& action, int threads);
 
 }  // namespace bernoulli::compiler

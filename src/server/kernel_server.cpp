@@ -44,19 +44,18 @@ struct KernelServer::Pending {
 };
 
 /// Everything one cached plan owns. Heap-allocated and address-stable:
-/// the kernel's linked program, the LinkedPlan, the mac and the (optional)
-/// specialized kernel all borrow storage inside this struct, so it is
-/// built in dependency order (buffers -> bindings -> kernel -> linked
-/// artifacts) and never moves afterwards. In-flight requests hold the
-/// shared_ptr, which is what makes LRU eviction safe mid-request.
+/// the kernel's linked program, the LinkedPlan and the mac all borrow
+/// storage inside this struct, so it is built in dependency order
+/// (buffers -> bindings -> kernel -> linked artifacts) and never moves
+/// afterwards. In-flight requests hold the shared_ptr, which is what makes
+/// LRU eviction safe mid-request.
 struct KernelServer::CacheEntry {
   std::string key;
   const formats::Csr* matrix = nullptr;
 
-  // Staging buffers the compiled views bind. The unbatched linked path
-  // never touches them (it rebinds the mac's spans per request); the
-  // specialized kernel captured their addresses at emission, so its path
-  // copies through them under spec_mu.
+  // Placeholder vectors the compiled views bind; only the warmup run
+  // writes them. Each request rebinds the mac's x/y spans to its own
+  // buffers.
   Vector proto_x;
   Vector proto_y;
   compiler::Bindings bindings;
@@ -81,11 +80,6 @@ struct KernelServer::CacheEntry {
   std::condition_variable batch_cv;
   std::deque<Pending*> queue;
   bool leader_active = false;
-
-  // Optional specialized kernel, serialized per entry: the generated code
-  // binds proto_x/proto_y by address.
-  std::mutex spec_mu;
-  std::unique_ptr<compiler::SpecializedKernel> spec;
 };
 
 KernelServer::KernelServer(ServerOptions opts)
@@ -107,27 +101,15 @@ KernelServer::~KernelServer() = default;
 
 int KernelServer::add_csr(const std::string& name, const formats::Csr& m,
                           const std::string& distribution) {
-  // Compile once to fingerprint the plan structure; the linked artifacts
-  // themselves are built lazily by the first request against the key.
-  compiler::Bindings b;
-  Vector dummy_x(static_cast<std::size_t>(m.cols()), 0.0);
-  Vector dummy_y(static_cast<std::size_t>(m.rows()), 0.0);
-  b.bind_csr("A", m);
-  b.bind_dense_vector("x", ConstVectorView(dummy_x));
-  b.bind_dense_vector("y", VectorView(dummy_y));
-  const compiler::CompiledKernel k =
-      compiler::compile(spmv_nest(m.rows(), m.cols()), b);
-  const std::uint64_t fp = compiler::plan_fingerprint(k.plan(), k.query());
-
-  // Cache key = structural fingerprint + storage identity + distribution.
-  // Storage identity is the concrete array addresses and shape: two
+  // Cache key = storage identity + shape + distribution. Every entry
+  // compiles the same SpMV nest over CSR, so these fix the plan: two
   // handles over the SAME arrays share a plan; a rebuilt (moved) matrix
   // does not, because its linked cursors would dangle.
   std::ostringstream key;
-  key << std::hex << fp << '/' << static_cast<const void*>(m.rowptr().data())
-      << ':' << static_cast<const void*>(m.colind().data()) << ':'
-      << static_cast<const void*>(m.vals().data()) << '/' << std::dec
-      << m.rows() << 'x' << m.cols() << ':' << m.nnz() << '/' << distribution;
+  key << static_cast<const void*>(m.rowptr().data()) << ':'
+      << static_cast<const void*>(m.colind().data()) << ':'
+      << static_cast<const void*>(m.vals().data()) << '/' << m.rows() << 'x'
+      << m.cols() << ':' << m.nnz() << '/' << distribution;
 
   const std::lock_guard<std::mutex> lk(cache_mu_);
   matrices_.push_back({name, &m, distribution, key.str()});
@@ -185,11 +167,6 @@ std::shared_ptr<KernelServer::CacheEntry> KernelServer::build_entry(
   e->record = runner->record();
   e->record.profile = support::ProfileScratch{};
   e->free_runners.push_back(std::move(runner));
-
-  if (opts_.use_specialized) {
-    auto spec = std::make_unique<compiler::SpecializedKernel>(e->lp, e->mac0);
-    if (spec->ok()) e->spec = std::move(spec);
-  }
   return e;
 }
 
@@ -270,19 +247,9 @@ void KernelServer::spmv(int handle, ConstVectorView x, VectorView y) {
 }
 
 void KernelServer::run_single(CacheEntry& e, ConstVectorView x, VectorView y) {
-  if (e.spec) {
-    // The specialized kernel captured the staging buffers' addresses at
-    // emission, so this path stages through them, serialized per entry.
-    const std::lock_guard<std::mutex> lk(e.spec_mu);
-    std::copy(x.begin(), x.end(), e.proto_x.begin());
-    std::fill(e.proto_y.begin(), e.proto_y.end(), 0.0);
-    e.spec->run();
-    std::copy(e.proto_y.begin(), e.proto_y.end(), y.begin());
-    return;
-  }
-  // Linked path: lease a pooled runner and rebind the mac's value spans
-  // to the request buffers. run(LinkedMac) re-resolves operand slots and
-  // re-asks leaf_form() every run (a request whose x aliases y takes the
+  // Lease a pooled runner and rebind the mac's value spans to the request
+  // buffers. run(LinkedMac) re-resolves operand slots and re-asks
+  // leaf_form() every run (a request whose x aliases y takes the
   // per-element leaf), so per-request rebinding is safe.
   std::unique_ptr<compiler::LinkedRunner> runner;
   {

@@ -4,17 +4,17 @@
 // The paper's inspector/executor split exists so one expensive
 // compile/inspect amortizes over many executes; the KernelServer turns
 // that into the serving story. Each registered matrix compiles to a
-// (Plan, Query) pair ONCE; the linked artifacts — LinkedPlan, LinkedMac,
-// a pool of LinkedRunners and (optionally, toolchain permitting) a
-// specialized dlopen'd kernel — live in a bounded LRU cache keyed by
+// (Plan, Query) pair ONCE, on the first request against it; the linked
+// artifacts — LinkedPlan, LinkedMac and a pool of LinkedRunners — live in
+// a bounded LRU cache keyed by
 //
-//   (plan fingerprint, storage identity, distribution tag)
+//   (storage identity, shape and nnz, distribution tag)
 //
-// where the plan fingerprint (compiler::plan_fingerprint) pins the
-// structural half (query shape, join order/methods, format access paths)
-// and the storage identity pins the concrete arrays. Requests against a
-// cached key pay zero compile/link work: they lease a pooled runner,
-// rebind the mac's x/y value spans to the request buffers and run.
+// The server compiles one fixed SpMV nest over CSR, so the concrete
+// arrays, the shape and the distribution already fix the plan:
+// registration links nothing. Requests against a cached key pay zero
+// compile/link work: they lease a pooled runner, rebind the mac's x/y
+// value spans to the request buffers and run.
 //
 // Batching: when enabled, concurrent requests against the same cached
 // matrix coalesce leader/follower-style into one SpMM-style multi-vector
@@ -50,7 +50,6 @@
 
 #include "compiler/link.hpp"
 #include "compiler/loopnest.hpp"
-#include "compiler/specialize.hpp"
 #include "formats/csr.hpp"
 
 namespace bernoulli::server {
@@ -70,11 +69,6 @@ struct ServerOptions {
   /// Safe to use when clients themselves run on pool threads — nested
   /// run_slots degrades to inline execution instead of deadlocking.
   int sweep_threads = 1;
-  /// Additionally emit+compile+dlopen a specialized kernel per cached
-  /// plan and serve single requests through it (falls back to the linked
-  /// runner when the toolchain or the plan shape refuses). Serialized per
-  /// entry: the generated code binds the entry's staging buffers.
-  bool use_specialized = false;
 };
 
 /// Point-in-time server statistics (per-server, unlike the process-global
@@ -98,10 +92,9 @@ class KernelServer {
 
   /// Registers a CSR matrix under `name` and returns its handle. The
   /// matrix is BORROWED — the caller keeps it alive and unmoved while the
-  /// server may serve it. Registration compiles the SpMV loop nest once
-  /// to derive the cache key (plan fingerprint + storage identity +
-  /// `distribution`); the linked artifacts themselves are built lazily by
-  /// the first request (a cache miss).
+  /// server may serve it. Registration only records the cache key
+  /// (storage identity + shape + `distribution`); the nest is compiled
+  /// and linked lazily by the first request (a cache miss).
   int add_csr(const std::string& name, const formats::Csr& m,
               const std::string& distribution = "local");
 

@@ -73,8 +73,8 @@ inline constexpr long long kProfileSampleEvery = 64;
 // Global switch + timer calibration
 // ---------------------------------------------------------------------------
 
-/// Process-wide profiling toggle (mirrors `set_bulk_drain`). Off by
-/// default: every instrumentation site is gated on one relaxed load.
+/// Process-wide profiling toggle. Off by default: every instrumentation
+/// site is gated on one relaxed load.
 void set_profiling(bool on);
 bool profiling_enabled();
 

@@ -1,12 +1,11 @@
-// Randomized cross-checks ("fuzz" sweeps with fixed seeds):
-//   1. random matvec/matmat configurations through the compiler vs a
-//      brute-force dense reference, across random storage choices, orders,
-//      and planner options;
-//   2. random point-to-point message patterns on the simulated machine vs
-//      a sequential reference of the same dataflow.
+// Randomized cross-checks ("fuzz" sweeps with fixed seeds): random
+// point-to-point message patterns on the simulated machine vs a
+// sequential reference of the same dataflow, and random COO duplicates vs
+// a dense accumulation. Random matvec configurations through the compiler
+// (storage, shape, planner options, every engine rung) are the seeded
+// harness in exec_linked_test.cpp.
 #include <gtest/gtest.h>
 
-#include "compiler/loopnest.hpp"
 #include "formats/formats.hpp"
 #include "runtime/machine.hpp"
 #include "support/rng.hpp"
@@ -14,75 +13,8 @@
 namespace bernoulli {
 namespace {
 
-using compiler::Bindings;
-using compiler::CompiledKernel;
-using compiler::LoopNest;
-using compiler::PlannerOptions;
 using formats::Coo;
 using formats::TripletBuilder;
-
-TEST(Fuzz, RandomMatvecConfigurations) {
-  SplitMix64 rng(0xF00D);
-  for (int round = 0; round < 60; ++round) {
-    const auto rows = static_cast<index_t>(1 + rng.next_below(24));
-    const auto cols = static_cast<index_t>(1 + rng.next_below(24));
-    const auto nnz = static_cast<index_t>(
-        rng.next_below(static_cast<std::uint64_t>(rows * cols) + 1));
-    TripletBuilder tb(rows, cols);
-    for (index_t k = 0; k < nnz; ++k)
-      tb.add(rng.next_index(rows), rng.next_index(cols),
-             rng.next_double(-2, 2));
-    Coo coo = std::move(tb).build();
-
-    Vector x(static_cast<std::size_t>(cols));
-    for (auto& v : x) v = rng.next_double(-2, 2);
-    Vector y_ref(static_cast<std::size_t>(rows), 0.0);
-    formats::Dense d = formats::Dense::from_coo(coo);
-    formats::spmv(d, x, y_ref);
-    value_t scale = rng.next_double(-2, 2);
-    for (auto& v : y_ref) v *= scale;
-
-    formats::Csr csr = formats::Csr::from_coo(coo);
-    formats::Ccs ccs = formats::Ccs::from_coo(coo);
-    formats::Ell ell = formats::Ell::from_coo(coo);
-
-    Vector y(static_cast<std::size_t>(rows), 0.0);
-    Bindings b;
-    switch (rng.next_below(4)) {
-      case 0: b.bind_csr("A", csr); break;
-      case 1: b.bind_ccs("A", ccs); break;
-      case 2: b.bind_coo("A", coo); break;
-      default: b.bind_ell("A", ell); break;
-    }
-    b.bind_dense_vector("X", ConstVectorView(x));
-    b.bind_dense_vector("Y", VectorView(y));
-
-    LoopNest nest{{{"i", rows}, {"j", cols}},
-                  {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, scale}};
-    PlannerOptions opts;
-    opts.allow_merge = rng.next_below(2) == 0;
-    if (rng.next_below(3) == 0)
-      opts.force_order = rng.next_below(2) == 0
-                             ? std::vector<std::string>{"i", "j"}
-                             : std::vector<std::string>{"j", "i"};
-    CompiledKernel k = [&]() -> CompiledKernel {
-      try {
-        return compiler::compile(nest, b, opts);
-      } catch (const Error&) {
-        // A forced order can be infeasible for the chosen storage (e.g.
-        // CCS forced row-major with no order-free alternative candidates);
-        // retry free.
-        PlannerOptions free;
-        free.allow_merge = opts.allow_merge;
-        return compiler::compile(nest, b, free);
-      }
-    }();
-    k.run();
-    for (std::size_t i = 0; i < y.size(); ++i)
-      ASSERT_NEAR(y[i], y_ref[i], 1e-11)
-          << "round " << round << " row " << i;
-  }
-}
 
 TEST(Fuzz, RandomMessagePatterns) {
   SplitMix64 seeder(0xCAFE);

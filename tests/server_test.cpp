@@ -292,21 +292,5 @@ TEST(KernelServer, RejectsShapeMismatch) {
   EXPECT_EQ(count("server.requests"), served0 + 1);
 }
 
-// The specialized-codegen path (when the toolchain accepts) must serve
-// the same bits; when it refuses, the server falls back to the linked
-// runner and the request still succeeds.
-TEST(KernelServer, SpecializedPathServesSameBits) {
-  formats::Csr A = random_csr(50, 50, 400, 212);
-  server::ServerOptions opts;
-  opts.use_specialized = true;
-  opts.batching = false;
-  server::KernelServer srv(opts);
-  const int h = srv.add_csr("A", A);
-  const Vector x = random_x(50, 213);
-  Vector y(50);
-  srv.spmv(h, ConstVectorView(x), VectorView(y));
-  EXPECT_EQ(y, reference_spmv(A, x));
-}
-
 }  // namespace
 }  // namespace bernoulli
