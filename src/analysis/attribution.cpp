@@ -102,8 +102,11 @@ std::string profile_table_text(const JsonValue& profile) {
         if (!first) line += ", ";
         first = false;
         line += kind_name;
-        if (self_ns > 0)
-          line += " " + fmt("%.0f", 100.0 * kind_ns / self_ns) + "%";
+        if (self_ns > 0) {
+          line += ' ';
+          line += fmt("%.0f", 100.0 * kind_ns / self_ns);
+          line += '%';
+        }
       }
       if (mix.empty()) line += "-";
       out += line + "\n";
@@ -192,7 +195,9 @@ std::string profile_diff_text(const JsonValue& base, const JsonValue& next,
     const double diff = d.next_v - d.base_v;
     std::string line = "  " + d.name;
     pad_to(line, 36);
-    line += (diff >= 0 ? "+" : "") + fmt("%.0f", diff) + " ns";
+    line += diff >= 0 ? "+" : "";
+    line += fmt("%.0f", diff);
+    line += " ns";
     if (d.base_v > 0)
       line += " (" + std::string(diff >= 0 ? "+" : "") +
               fmt("%.1f", 100.0 * diff / d.base_v) + "%)";

@@ -11,6 +11,14 @@ namespace bernoulli::compiler {
 
 namespace {
 
+// `prefix` followed by the decimal `n`. Built by appending: GCC 12 at -O3
+// reports a false -Wrestrict overlap inside `"literal" + std::string&&`.
+std::string numbered(const char* prefix, long long n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
+
 // Runtime arrays the generated code references, deduplicated by pointer
 // and named after their slot in the corresponding argument vector.
 struct ArgPool {
@@ -20,21 +28,21 @@ struct ArgPool {
 
   std::string int_name(const index_t* p) {
     for (std::size_t i = 0; i < ints.size(); ++i)
-      if (ints[i] == p) return "I" + std::to_string(i);
+      if (ints[i] == p) return numbered("I", i);
     ints.push_back(p);
-    return "I" + std::to_string(ints.size() - 1);
+    return numbered("I", ints.size() - 1);
   }
   std::string const_name(const value_t* p) {
     for (std::size_t i = 0; i < consts.size(); ++i)
-      if (consts[i] == p) return "D" + std::to_string(i);
+      if (consts[i] == p) return numbered("D", i);
     consts.push_back(p);
-    return "D" + std::to_string(consts.size() - 1);
+    return numbered("D", consts.size() - 1);
   }
   std::string out_name(value_t* p) {
     for (std::size_t i = 0; i < outs.size(); ++i)
-      if (outs[i] == p) return "W" + std::to_string(i);
+      if (outs[i] == p) return numbered("W", i);
     outs.push_back(p);
-    return "W" + std::to_string(outs.size() - 1);
+    return numbered("W", outs.size() - 1);
   }
 };
 
@@ -45,8 +53,8 @@ std::string affine_expr(const std::string& parent, index_t stride,
   return parent + " * " + std::to_string(stride) + " + " + k;
 }
 
-std::string pvar(int slot) { return "p" + std::to_string(slot); }
-std::string vvar(int slot) { return "v" + std::to_string(slot); }
+std::string pvar(int slot) { return numbered("p", slot); }
+std::string vvar(int slot) { return numbered("v", slot); }
 
 std::string parent_expr(int parent_slot) {
   return parent_slot < 0 ? "0" : pvar(parent_slot);
@@ -409,7 +417,7 @@ void emit_fused(CBody& b, const LinkedPlan& lp, const LinkedMac& mac,
     for (std::size_t i = 0; i < mac.factors.size(); ++i) {
       const int s = lp.leaf_slot[mac.factors[i].slot];
       if (!outer[static_cast<std::size_t>(s)]) continue;
-      held[i] = "h" + std::to_string(i);
+      held[i] = numbered("h", i);
       b.line("const double " + held[i] + " = " +
              b.pool.const_name(mac.factors[i].data.data()) + "[" + pvar(s) +
              "];");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -9,11 +10,53 @@
 
 namespace bernoulli::runtime {
 
+namespace {
+
+// Tells the core this thread is in a spin-wait loop.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// The one wait of the machine: returns, holding `lk`, once `ready()` holds.
+// `ready` is evaluated under the lock, and every change that can make it
+// true bumps `version` under the same lock before notifying `cv`. With
+// `spin`, the waiter first watches `version` without the lock for up to
+// Machine::kSpinBudget, rechecking `ready` after each bump; when the
+// budget runs out it blocks on `cv`, which rechecks `ready` under the lock
+// first, so no wake-up is lost.
+template <class Ready>
+void wait_until(std::unique_lock<std::mutex>& lk, std::condition_variable& cv,
+                const std::atomic<std::uint64_t>& version, bool spin,
+                Ready ready) {
+  if (spin) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + Machine::kSpinBudget;
+    while (!ready()) {
+      const std::uint64_t seen = version.load(std::memory_order_relaxed);
+      lk.unlock();
+      bool bumped = false;
+      while (!(bumped = version.load(std::memory_order_acquire) != seen) &&
+             std::chrono::steady_clock::now() < deadline)
+        cpu_relax();
+      lk.lock();
+      if (!bumped) break;
+    }
+  }
+  cv.wait(lk, ready);
+}
+
+}  // namespace
+
 Machine::Machine(int nprocs, CostModel cost) : nprocs_(nprocs), cost_(cost) {
   BERNOULLI_CHECK(nprocs >= 1);
   // hardware_concurrency() may report 0 (unknown): then assume one core.
   const unsigned hw = std::max(1U, std::thread::hardware_concurrency());
-  solo_serializes_ = static_cast<unsigned>(nprocs) > hw;
+  oversubscribed_ = static_cast<unsigned>(nprocs) > hw;
+  rendezvous_.values.assign(static_cast<std::size_t>(nprocs), 0.0);
   mailboxes_.reserve(static_cast<std::size_t>(nprocs));
   for (int p = 0; p < nprocs; ++p)
     mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -40,7 +83,7 @@ std::vector<Machine::RankReport> Machine::run(
       Process proc(*this, p, nprocs_);
       proc.trace_pid_ = trace_pid;
       proc.manual_compute_ = manual_compute_default_;
-      proc.cpu_mark_ = ThreadCpuTimer::now();
+      proc.discard_cpu();
       {
         std::optional<support::TraceTrackScope> track;
         if (trace_pid >= 0) {
@@ -83,6 +126,8 @@ std::vector<Machine::RankReport> Machine::run(
   return reports;
 }
 
+void Process::discard_cpu() { cpu_mark_ = ThreadCpuTimer::now(); }
+
 void Process::advance_clock() {
   double now = ThreadCpuTimer::now();
   if (!manual_compute_) {
@@ -104,8 +149,8 @@ void Process::solo(const std::function<void()>& fn) {
   // not mis-attributed).
   advance_clock();
   std::unique_lock<std::mutex> lk(machine_.solo_mu_, std::defer_lock);
-  if (machine_.solo_serializes_) lk.lock();
-  cpu_mark_ = ThreadCpuTimer::now();
+  if (machine_.oversubscribed_) lk.lock();
+  discard_cpu();
   fn();
   advance_clock();
 }
@@ -121,36 +166,35 @@ double Process::virtual_time() {
   return vclock_;
 }
 
-void Process::send_bytes(int dst, int tag, std::span<const std::byte> data) {
+void Process::deliver(int dst, int tag, std::vector<std::byte> payload) {
   BERNOULLI_CHECK(dst >= 0 && dst < nprocs_);
-  advance_clock();
   const double t_begin = vclock_;
-  double transfer = dst == rank_ ? 0.0 : machine_.cost_.charge(data.size());
+  const auto bytes = static_cast<long long>(payload.size());
+  double transfer = dst == rank_ ? 0.0 : machine_.cost_.charge(payload.size());
   vclock_ += dst == rank_ ? 0.0 : machine_.cost_.latency_s;  // send overhead
-  Machine::Message msg{{data.begin(), data.end()}, vclock_ + transfer, -1};
+  Machine::Message msg{std::move(payload), vclock_ + transfer, -1};
   if (dst != rank_) {
     ++stats_.messages;
-    stats_.bytes += static_cast<long long>(data.size());
+    stats_.bytes += bytes;
     // Phase-split mirror of CommStats: comm.<phase>.messages/bytes sum to
     // the CommStats totals across ranks (reconciled by bench reports).
     const support::PhaseCounters& phase = support::phase_counters();
     phase.messages.add();
-    phase.bytes.add(static_cast<long long>(data.size()));
+    phase.bytes.add(bytes);
     phase.vtime_comm.add(machine_.cost_.latency_s);
-    machine_.message_bytes_.add(static_cast<long long>(data.size()));
+    machine_.message_bytes_.add(bytes);
     // Single-booking invariant: the comm matrix and the send span are fed
     // from this one site, under the same dst != rank_ condition as
     // CommStats and the comm.* counters, so all four reconcile exactly.
     if (support::comm_record_enabled())
-      support::comm_matrix_record(rank_, dst,
-                                  static_cast<long long>(data.size()));
+      support::comm_matrix_record(rank_, dst, bytes);
     if (trace_pid_ >= 0 && support::trace_enabled()) {
       msg.flow = support::trace_new_flow_id();
       support::JsonWriter args;
       args.begin_object();
       args.key("dst").value(dst);
       args.key("tag").value(tag);
-      args.key("bytes").value(static_cast<long long>(data.size()));
+      args.key("bytes").value(bytes);
       args.end_object();
       support::trace_emit_complete("send", "comm", t_begin * 1e6,
                                    (vclock_ - t_begin) * 1e6, trace_pid_,
@@ -166,12 +210,13 @@ void Process::send_bytes(int dst, int tag, std::span<const std::byte> data) {
   {
     std::lock_guard<std::mutex> lk(mb.mu);
     mb.queues[{rank_, tag}].push_back(std::move(msg));
+    mb.version.fetch_add(1, std::memory_order_release);
   }
   mb.cv.notify_all();
-  // The CPU the mailbox machinery itself burned (locking, copying, waking
+  // The CPU the mailbox machinery itself burned (copying, locking, waking
   // waiters) is simulation infrastructure, not simulated work: the modeled
   // latency/bandwidth charge above replaces it.
-  cpu_mark_ = ThreadCpuTimer::now();
+  discard_cpu();
 }
 
 std::vector<std::byte> Process::recv_bytes(int src, int tag) {
@@ -182,24 +227,25 @@ std::vector<std::byte> Process::recv_bytes(int src, int tag) {
   Machine::Message msg;
   {
     std::unique_lock<std::mutex> lk(mb.mu);
-    auto key = std::make_pair(src, tag);
-    mb.cv.wait(lk, [&] {
-      auto it = mb.queues.find(key);
+    const auto key = std::make_pair(src, tag);
+    auto it = mb.queues.end();
+    wait_until(lk, mb.cv, mb.version, !machine_.oversubscribed_, [&] {
+      it = mb.queues.find(key);
       return it != mb.queues.end() && !it->second.empty();
     });
-    auto& q = mb.queues[key];
+    auto& q = it->second;
     msg = std::move(q.front());
     q.pop_front();
-    if (q.empty()) mb.queues.erase(key);
+    if (q.empty()) mb.queues.erase(it);
   }
   // Happens-before: the receive completes no earlier than the message's
-  // simulated arrival. The CPU burned inside the wait loop itself
-  // (condition-variable wakeup churn) is simulation infrastructure and is
-  // discarded; see send_bytes.
+  // simulated arrival. The CPU burned inside the wait itself (spinning or
+  // condition-variable wakeup churn) is simulation infrastructure and is
+  // discarded; see deliver.
   if (msg.arrival > vclock_)
     support::phase_counters().vtime_comm.add(msg.arrival - vclock_);
   vclock_ = std::max(vclock_, msg.arrival);
-  cpu_mark_ = ThreadCpuTimer::now();
+  discard_cpu();
   if (trace_pid_ >= 0 && support::trace_enabled()) {
     // The recv span covers entry -> message arrival: its width is the
     // virtual time this rank spent waiting on the sender.
@@ -235,17 +281,7 @@ void Process::barrier() {
   reduce_rendezvous(0.0, "barrier");
 }
 
-namespace {
-
-struct ReduceResult {
-  double sum;
-  double max;
-  double clock;
-};
-
-}  // namespace
-
-// Shared rendezvous: accumulates (sum, max, clock) across all ranks and
+// Shared rendezvous: reduces (sum, max, clock) across all ranks and
 // publishes the completed round's results before waking waiters.
 double Process::allreduce_sum(double x) {
   return reduce_rendezvous(x, "allreduce_sum").sum;
@@ -264,24 +300,29 @@ Process::Reduced Process::reduce_rendezvous(double x, const char* span_name) {
   Reduced out{};
   {
     std::unique_lock<std::mutex> lk(r.mu);
-    long long gen = r.generation;
-    if (r.arrived == 0) {
-      r.sum = 0.0;
-      r.maxv = -std::numeric_limits<double>::infinity();
-      r.max_clock = 0.0;
-    }
-    r.sum += x;
-    r.maxv = std::max(r.maxv, x);
+    const std::uint64_t gen = r.generation.load(std::memory_order_relaxed);
+    if (r.arrived == 0) r.max_clock = 0.0;
+    r.values[static_cast<std::size_t>(rank_)] = x;
     r.max_clock = std::max(r.max_clock, vclock_);
     if (++r.arrived == nprocs_) {
-      r.result_sum = r.sum;
-      r.result_max = r.maxv;
+      // Rank order, not arrival order: the reduction is bitwise the same
+      // on every run.
+      double sum = 0.0;
+      double maxv = -std::numeric_limits<double>::infinity();
+      for (double v : r.values) {
+        sum += v;
+        maxv = std::max(maxv, v);
+      }
+      r.result_sum = sum;
+      r.result_max = maxv;
       r.result_clock = r.max_clock;
       r.arrived = 0;
-      ++r.generation;
+      r.generation.fetch_add(1, std::memory_order_release);
       r.cv.notify_all();
     } else {
-      r.cv.wait(lk, [&] { return r.generation != gen; });
+      wait_until(lk, r.cv, r.generation, !machine_.oversubscribed_, [&] {
+        return r.generation.load(std::memory_order_relaxed) != gen;
+      });
     }
     out.sum = r.result_sum;
     out.max = r.result_max;
@@ -291,7 +332,8 @@ Process::Reduced Process::reduce_rendezvous(double x, const char* span_name) {
       out.clock + collective_charge(machine_.cost_, nprocs_, sizeof(double));
   if (vclock_ > entered)
     support::phase_counters().vtime_comm.add(vclock_ - entered);
-  cpu_mark_ = ThreadCpuTimer::now();
+  // The wait (spin included) burned no simulated compute.
+  discard_cpu();
   if (trace_pid_ >= 0 && support::trace_enabled())
     // Span width = wait for the slowest rank + the modeled tree rounds.
     support::trace_emit_complete(span_name, "comm", entered * 1e6,

@@ -16,8 +16,11 @@
 // time over ranks, which is what a dedicated-node MPI run measures.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -70,14 +73,22 @@ class Process {
   int rank() const { return rank_; }
   int nprocs() const { return nprocs_; }
 
-  /// Sends a copy of `data` to `dst` with the given tag. Self-sends are
-  /// allowed (and free of transfer cost).
+  /// Sends `payload` to `dst` with the given tag; the message takes the
+  /// buffer over, so a caller that packs its values straight into it pays
+  /// one copy. Self-sends are allowed (and free of transfer cost).
+  void send_bytes(int dst, int tag, std::vector<std::byte> payload) {
+    advance_clock();  // book the compute that preceded the send
+    deliver(dst, tag, std::move(payload));
+  }
+
+  /// Sends a copy of `data` to `dst` with the given tag. The copy into the
+  /// message is mailbox work, off the virtual clock like the rest of it.
   template <typename T>
   void send(int dst, int tag, std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dst, tag,
-               {reinterpret_cast<const std::byte*>(data.data()),
-                data.size() * sizeof(T)});
+    advance_clock();
+    const auto* bytes = reinterpret_cast<const std::byte*>(data.data());
+    deliver(dst, tag, {bytes, bytes + data.size_bytes()});
   }
 
   template <typename T>
@@ -85,11 +96,36 @@ class Process {
     send<T>(dst, tag, std::span<const T>(&v, 1));
   }
 
-  /// Blocks until a message with matching (src, tag) arrives.
+  /// Blocks until a message with matching (src, tag) arrives and returns
+  /// its payload. This is the one receive path: the typed receives below
+  /// wrap it.
+  std::vector<std::byte> recv_bytes(int src, int tag);
+
+  /// Receives a message with matching (src, tag) straight into `out`,
+  /// which it must fill exactly; a size mismatch throws an Error naming
+  /// the source, the tag and both sizes. Like the copy into a message, the
+  /// copy out of it is mailbox work, off the virtual clock.
+  template <typename T>
+  void recv_into(int src, int tag, std::span<T> out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const std::vector<std::byte> raw = recv_bytes(src, tag);
+    BERNOULLI_CHECK_MSG(raw.size() == out.size_bytes(),
+                        "message from rank " << src << " with tag " << tag
+                                             << " holds " << raw.size()
+                                             << " bytes; the receive expects "
+                                             << out.size_bytes() << " bytes ("
+                                             << out.size() << " values)");
+    // memcpy's pointer arguments must be valid even for a zero-byte copy.
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+    discard_cpu();
+  }
+
+  /// Blocks until a message with matching (src, tag) arrives and returns a
+  /// copy of its values (off the virtual clock, as in recv_into).
   template <typename T>
   std::vector<T> recv(int src, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> raw = recv_bytes(src, tag);
+    const std::vector<std::byte> raw = recv_bytes(src, tag);
     BERNOULLI_CHECK_MSG(raw.size() % sizeof(T) == 0,
                         "message size " << raw.size()
                                         << " not a multiple of element size");
@@ -97,6 +133,7 @@ class Process {
     // An empty message leaves out.data() null, and memcpy's pointer
     // arguments must be valid even for a zero-byte copy.
     if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+    discard_cpu();
     return out;
   }
 
@@ -174,9 +211,15 @@ class Process {
   Process(Machine& machine, int rank, int nprocs)
       : machine_(machine), rank_(rank), nprocs_(nprocs) {}
 
-  void send_bytes(int dst, int tag, std::span<const std::byte> data);
-  std::vector<std::byte> recv_bytes(int src, int tag);
   void advance_clock();  // fold accrued CPU time into the virtual clock
+  // Restarts the CPU clock without booking: what ran since the last mark
+  // (a wait, mailbox copies) was simulation infrastructure, not simulated
+  // work.
+  void discard_cpu();
+  // The one send path: models the message and queues `payload` in dst's
+  // mailbox. The CPU it burns is discarded (the caller has advanced the
+  // clock), so the modeled charges alone stand for it.
+  void deliver(int dst, int tag, std::vector<std::byte> payload);
 
   struct Reduced {
     double sum = 0.0;
@@ -224,6 +267,17 @@ class Machine {
   int nprocs() const { return nprocs_; }
   const CostModel& cost() const { return cost_; }
 
+  /// True when ranks outnumber the host's hardware threads
+  /// (std::thread::hardware_concurrency()). Then solo sections serialize
+  /// and every wait (receive, barrier, allreduce) blocks at once; otherwise
+  /// a wait spins for up to kSpinBudget before it blocks, which saves a
+  /// thread wake-up whenever the partner arrives within the budget. The CPU
+  /// a spin burns is off the virtual clock, like any wait.
+  bool oversubscribed() const { return oversubscribed_; }
+
+  /// How long a wait spins before it blocks, when ranks fit the host.
+  static constexpr std::chrono::microseconds kSpinBudget{200};
+
  private:
   friend class Process;
 
@@ -232,24 +286,27 @@ class Machine {
     double arrival = 0.0;  // sender virtual time + transfer charge
     long long flow = -1;   // trace flow id linking send span -> recv span
   };
+  // `version` is bumped under `mu` by every push, so a receiver can spin
+  // on it without the lock (see wait_until in machine.cpp).
   struct Mailbox {
     std::mutex mu;
     std::condition_variable cv;
+    std::atomic<std::uint64_t> version{0};
     std::map<std::pair<int, int>, std::deque<Message>> queues;  // (src,tag)
   };
 
-  // Barrier/allreduce rendezvous state. Accumulation fields are reset by
-  // the first arriver of a round; the completed round's values are
-  // *published* into the result fields before waiters are woken, so a rank
-  // racing into the next round cannot clobber what slower ranks read.
+  // Barrier/allreduce rendezvous state. Each arriver stores its value in
+  // values[rank]; the last arriver reduces them in rank order (so sums are
+  // bitwise reproducible whatever the arrival order) and *publishes* the
+  // round's results before bumping `generation` and waking waiters, so a
+  // rank racing into the next round cannot clobber what slower ranks read.
   struct Rendezvous {
     std::mutex mu;
     std::condition_variable cv;
+    std::atomic<std::uint64_t> generation{0};
     int arrived = 0;
-    long long generation = 0;
+    std::vector<double> values;
     double max_clock = 0.0;
-    double sum = 0.0;
-    double maxv = 0.0;
     double result_sum = 0.0;
     double result_max = 0.0;
     double result_clock = 0.0;
@@ -260,8 +317,10 @@ class Machine {
   bool manual_compute_default_ = false;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   Rendezvous rendezvous_;
-  // Process::solo serializes only when ranks outnumber hardware threads.
-  bool solo_serializes_ = false;
+  // Ranks outnumber hardware threads: Process::solo serializes, and waits
+  // block at once instead of spinning first (a spinning rank would take a
+  // core from the rank it waits for).
+  bool oversubscribed_ = false;
   std::mutex solo_mu_;
   // comm.message_bytes: payload size of every modeled point-to-point
   // message (resolved at construction, booked per send).

@@ -1,5 +1,6 @@
 #include "solvers/dist_cg.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -15,16 +16,20 @@ namespace {
 
 constexpr int kCgTag = 9301;
 
-// The PCG recurrence, generic in the distributed matvec (out = A * in over
-// local slices). Both the hand-written DistSpmv path and the compiled
-// DistKernel path run exactly this loop, so they match iterate-for-iterate.
+// The PCG recurrence, generic in the distributed matvec: `matvec()` sets
+// q = A * pv over local slices, where pv and q are the matvec's own input
+// and output buffers, so no vector is copied in or out per iteration. Both
+// the hand-written DistSpmv path and the compiled DistKernel path run
+// exactly this loop, so they match iterate-for-iterate.
 template <class MatvecFn>
-DistCgResult run_pcg(runtime::Process& p, std::size_t n,
+DistCgResult run_pcg(runtime::Process& p, VectorView pv, ConstVectorView q,
                      const MatvecFn& matvec,
                      const Preconditioner& precond_local,
                      ConstVectorView b_local, VectorView x_local,
                      const CgOptions& opts) {
-  BERNOULLI_CHECK(b_local.size() == n && x_local.size() == n);
+  const std::size_t n = pv.size();
+  BERNOULLI_CHECK(q.size() == n && b_local.size() == n &&
+                  x_local.size() == n);
 
   // The whole solve is executor-phase work (the inspector ran inside
   // build_dist_spmv / compile_dist_matvec): its allreduces and exchanges
@@ -32,7 +37,7 @@ DistCgResult run_pcg(runtime::Process& p, std::size_t n,
   support::PhaseScope counter_phase("executor");
   support::TraceSpan solve_span("cg.solve", "solvers");
 
-  Vector r(n), z(n), pv(n), q(n);
+  Vector r(n), z(n);
 
   auto gdot = [&](ConstVectorView u, ConstVectorView v) {
     return p.allreduce_sum(dot(u, v));
@@ -41,16 +46,17 @@ DistCgResult run_pcg(runtime::Process& p, std::size_t n,
   // Phase attribution (support/profile.hpp): the matvec — exchange
   // included — is the compute phase; the exchange inside it books its own
   // nested interval, so compute-minus-exchange is the local flops share.
-  auto timed_matvec = [&](ConstVectorView in, VectorView out) {
+  auto timed_matvec = [&] {
     support::ProfilePhaseScope prof(support::kProfPhaseCompute);
-    matvec(in, out);
+    matvec();
   };
 
   // r = b - A x
-  timed_matvec(x_local, q);
+  std::copy(x_local.begin(), x_local.end(), pv.begin());
+  timed_matvec();
   for (std::size_t i = 0; i < n; ++i) r[i] = b_local[i] - q[i];
   precond_local(r, z);
-  pv = z;
+  std::copy(z.begin(), z.end(), pv.begin());
   value_t rz = gdot(r, z);
   const value_t bnorm = std::sqrt(gdot(b_local, b_local));
   const value_t threshold =
@@ -83,7 +89,7 @@ DistCgResult run_pcg(runtime::Process& p, std::size_t n,
       book_iter();
       return result;
     }
-    timed_matvec(pv, q);
+    timed_matvec();
     value_t pq = gdot(pv, q);
     BERNOULLI_CHECK_MSG(pq != 0.0, "CG breakdown: p'Ap == 0");
     value_t alpha = rz / pq;
@@ -120,11 +126,10 @@ DistCgResult dist_cg_preconditioned(runtime::Process& p,
                                     const CgOptions& opts) {
   const auto n = static_cast<std::size_t>(a.local_rows());
   Vector x_full(static_cast<std::size_t>(a.sched.full_size()), 0.0);
-  auto matvec = [&](ConstVectorView in, VectorView out) {
-    std::copy(in.begin(), in.end(), x_full.begin());
-    a.apply(p, x_full, out, kCgTag);
-  };
-  return run_pcg(p, n, matvec, precond_local, b_local, x_local, opts);
+  Vector q(n);
+  auto matvec = [&] { a.apply(p, x_full, q, kCgTag); };
+  return run_pcg(p, VectorView(x_full).first(n), q, matvec, precond_local,
+                 b_local, x_local, opts);
 }
 
 DistCgResult dist_cg(runtime::Process& p, const spmd::DistSpmv& a,
@@ -142,13 +147,7 @@ DistCgResult dist_cg_compiled(runtime::Process& p, spmd::DistKernel& a,
                               const CgOptions& opts) {
   const auto n = static_cast<std::size_t>(a.local_rows());
   BERNOULLI_CHECK(diag_local.size() == n);
-  auto matvec = [&](ConstVectorView in, VectorView out) {
-    VectorView xo = a.x_owned();
-    std::copy(in.begin(), in.end(), xo.begin());
-    a.run(p, kCgTag);
-    ConstVectorView y = a.y_local();
-    std::copy(y.begin(), y.end(), out.begin());
-  };
+  auto matvec = [&] { a.run(p, kCgTag); };
 
   // Run-report hooks (analysis/hooks.hpp): every rank records its own
   // SolveRecord, with comm/vtime measured as deltas around the solve.
@@ -168,8 +167,9 @@ DistCgResult dist_cg_compiled(runtime::Process& p, spmd::DistKernel& a,
     analysis::notify_solve_pre(rec);
   }
 
-  DistCgResult result = run_pcg(p, n, matvec, diagonal_precond(diag_local),
-                                b_local, x_local, opts);
+  DistCgResult result =
+      run_pcg(p, a.x_owned(), a.y_local(), matvec,
+              diagonal_precond(diag_local), b_local, x_local, opts);
 
   if (hooked) {
     rec.iterations = result.iterations;

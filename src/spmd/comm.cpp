@@ -1,5 +1,7 @@
 #include "spmd/comm.hpp"
 
+#include <cstring>
+
 #include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
@@ -9,21 +11,22 @@ namespace bernoulli::spmd {
 
 // Schedule-level counters, split by the caller's counter phase
 // (inspector/executor/main). Message and byte counts are booked once, in
-// runtime::Process::send_bytes, so they reconcile exactly with
+// runtime::Process::deliver, so they reconcile exactly with
 // runtime::CommStats; here we count the schedule OPERATIONS and the
 // values they move.
 
 void CommSchedule::post(runtime::Process& p, ConstVectorView x_full,
                         int tag) const {
   BERNOULLI_CHECK(static_cast<index_t>(x_full.size()) == full_size());
-  std::vector<value_t> buffer;
   for (int q = 0; q < nprocs; ++q) {
     const auto& list = send_local[static_cast<std::size_t>(q)];
     if (list.empty()) continue;
-    buffer.resize(list.size());
+    // Gather straight into the payload the message takes over.
+    std::vector<std::byte> payload(list.size() * sizeof(value_t));
     for (std::size_t k = 0; k < list.size(); ++k)
-      buffer[k] = x_full[static_cast<std::size_t>(list[k])];
-    p.send<value_t>(q, tag, buffer);
+      std::memcpy(payload.data() + k * sizeof(value_t),
+                  &x_full[static_cast<std::size_t>(list[k])], sizeof(value_t));
+    p.send_bytes(q, tag, std::move(payload));
   }
 }
 
@@ -33,12 +36,11 @@ void CommSchedule::complete(runtime::Process& p, VectorView x_full,
   for (int q = 0; q < nprocs; ++q) {
     const index_t count = recv_count[static_cast<std::size_t>(q)];
     if (count == 0) continue;
-    auto data = p.recv<value_t>(q, tag);
-    BERNOULLI_CHECK(static_cast<index_t>(data.size()) == count);
-    const index_t base = ghost_base[static_cast<std::size_t>(q)];
-    for (index_t k = 0; k < count; ++k)
-      x_full[static_cast<std::size_t>(base + k)] =
-          data[static_cast<std::size_t>(k)];
+    p.recv_into<value_t>(
+        q, tag,
+        x_full.subspan(
+            static_cast<std::size_t>(ghost_base[static_cast<std::size_t>(q)]),
+            static_cast<std::size_t>(count)));
   }
 }
 

@@ -34,12 +34,13 @@ struct CommSchedule {
 
   index_t full_size() const { return owned + ghosts; }
 
-  /// Posts all sends for this exchange (gathers owned values into message
-  /// buffers). Split from complete() so executors can overlap computation
-  /// with communication the way the BlockSolve library does.
+  /// Posts all sends for this exchange: gathers owned values straight into
+  /// each message's payload. Split from complete() so executors can overlap
+  /// computation with communication the way the BlockSolve library does.
   void post(runtime::Process& p, ConstVectorView x_full, int tag) const;
 
-  /// Receives all ghost values into x_full's ghost region.
+  /// Receives all ghost values straight into x_full's ghost region; a
+  /// message whose size does not match its peer's ghost range throws.
   void complete(runtime::Process& p, VectorView x_full, int tag) const;
 
   /// post + complete back-to-back (the non-overlapping executor).

@@ -27,7 +27,7 @@
 //                        recv span across rank tracks
 //
 // Alongside the raw trace the module accumulates a communication matrix:
-// per (src, dst) message/byte totals fed by runtime::Process::send_bytes
+// per (src, dst) message/byte totals fed by runtime::Process::deliver
 // from exactly the call sites that book runtime::CommStats and the
 // comm.<phase>.* counters, so matrix row/column sums reconcile exactly
 // with both (asserted by tests/trace_test.cpp and the --trace benches).

@@ -9,7 +9,7 @@
 // gathered over every machine run inside the recording window, the comm
 // matrix, the "send" span args inside the exported trace, and the
 // comm.<phase>.* counter registry must all equal them EXACTLY — they are
-// fed from the single booking site in runtime::Process::send_bytes, and a
+// fed from the single booking site in runtime::Process::deliver, and a
 // mismatch means double-booking or a dropped event, so it aborts loudly.
 // Every traced bench run is thereby a reconciliation test.
 #pragma once

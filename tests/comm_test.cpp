@@ -55,6 +55,35 @@ TEST(CommSchedule, PostCompleteSplitEquivalent) {
   EXPECT_DOUBLE_EQ(xs[1][3], 3.0);  // rank 0 local 2 = 3.0 + 0
 }
 
+TEST(CommSchedule, SizeMismatchNamesSourceTagAndSizes) {
+  // Rank 0 sends two values; rank 1's ghost range from rank 0 holds three.
+  runtime::Machine machine(2);
+  std::string what;
+  try {
+    machine.run([&](runtime::Process& p) {
+      CommSchedule s = two_rank_schedule(p.rank());
+      Vector x_full{1.0, 2.0, 3.0, -1.0};
+      if (p.rank() == 0) {
+        s.send_local[1] = {0, 1};
+        s.post(p, x_full, 11);
+      } else {
+        s.owned = 1;
+        s.recv_count[0] = 3;
+        s.ghost_base[0] = 1;
+        s.ghosts = 3;
+        s.validate();
+        s.complete(p, x_full, 11);
+      }
+    });
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("from rank 0"), std::string::npos) << what;
+  EXPECT_NE(what.find("tag 11"), std::string::npos) << what;
+  EXPECT_NE(what.find("16 bytes"), std::string::npos) << what;
+  EXPECT_NE(what.find("24 bytes"), std::string::npos) << what;
+}
+
 TEST(CommSchedule, ValidateCatchesBadLayout) {
   CommSchedule s = two_rank_schedule(0);
   s.ghosts = 2;  // recv counts sum to 1

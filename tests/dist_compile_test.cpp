@@ -2,6 +2,8 @@
 // generated inspector/executor, checked against the sequential product.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "distrib/distribution.hpp"
 #include "solvers/dist_cg.hpp"
 #include "spmd/dist_compile.hpp"
@@ -140,6 +142,57 @@ TEST(DistCompile, CompiledCgMatchesHandWritten) {
   EXPECT_NEAR(res_hand.residual_norm, res_comp.residual_norm, 1e-9);
   for (std::size_t i = 0; i < x_hand.size(); ++i)
     ASSERT_NEAR(x_hand[i], x_comp[i], 1e-8) << i;
+}
+
+TEST(DistCompile, RepeatedCompiledSolvesAreBitwiseEqual) {
+  // Allreduces sum in rank order, whatever order the ranks arrive in, so
+  // the same P = 4 solve gives bitwise the same iterate every time.
+  auto g = workloads::grid3d_7pt(8, 8, 8, 2, 87);
+  Csr a = Csr::from_coo(g.matrix);
+  const index_t n = a.rows();
+  const int P = 4;
+  constexpr int kSolves = 10;
+  BlockDist rows(n, P);
+  Vector diag = solvers::extract_diagonal(a);
+  Vector b(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = 1.0 + static_cast<double>(i % 7);
+
+  solvers::CgOptions opts;
+  opts.max_iterations = 500;
+  opts.tolerance = 1e-10;
+
+  std::vector<Vector> xs(kSolves, Vector(static_cast<std::size_t>(n), 0.0));
+  std::vector<int> iterations(kSolves, 0);
+  runtime::Machine machine(P);
+  machine.run([&](runtime::Process& p) {
+    auto mine = rows.owned_indices(p.rank());
+    Vector bl(mine.size()), dl(mine.size());
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      bl[i] = b[static_cast<std::size_t>(mine[i])];
+      dl[i] = diag[static_cast<std::size_t>(mine[i])];
+    }
+    DistKernel k = compile_dist_matvec(p, a, rows);
+    for (int s = 0; s < kSolves; ++s) {
+      Vector xl(mine.size(), 0.0);
+      auto res = solvers::dist_cg_compiled(p, k, dl, bl, xl, opts);
+      EXPECT_TRUE(res.converged);
+      // Ranks write disjoint slots; rank 0 alone writes the count.
+      if (p.rank() == 0)
+        iterations[static_cast<std::size_t>(s)] = res.iterations;
+      for (std::size_t i = 0; i < mine.size(); ++i)
+        xs[static_cast<std::size_t>(s)][static_cast<std::size_t>(mine[i])] =
+            xl[i];
+    }
+  });
+
+  for (int s = 1; s < kSolves; ++s) {
+    EXPECT_EQ(iterations[static_cast<std::size_t>(s)], iterations[0]);
+    EXPECT_EQ(std::memcmp(xs[static_cast<std::size_t>(s)].data(),
+                          xs[0].data(), xs[0].size() * sizeof(value_t)),
+              0)
+        << "solve " << s << " differs bitwise from solve 0";
+  }
 }
 
 TEST(DistCompile, EmitsLocalProgram) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "runtime/machine.hpp"
@@ -154,6 +155,76 @@ TEST(Modes, SoloSerializesWhenRanksOutnumberTheHost) {
   for (std::size_t k = 0; k < own.size(); ++k) {
     EXPECT_GE(booked[k], own[k]);
     EXPECT_LT(booked[k], 2.0 * own[k] + 0.01) << "rank " << k;
+  }
+}
+
+TEST(Modes, SpinningWaitsBookNoCompute) {
+  // Rank 0 sleeps well past the spin budget before it sends and again
+  // before it joins an allreduce, so rank 1 spins for the whole budget and
+  // then blocks, twice. Neither the spin's CPU nor the wait may reach rank
+  // 1's clock: it ends at the message's arrival, then at the slower
+  // rank's entry plus the modeled tree round.
+  if (hardware_threads() < 2) GTEST_SKIP() << "needs 2 hardware threads";
+  CostModel cm;
+  Machine m(2, cm);
+  ASSERT_FALSE(m.oversubscribed());
+  double entered = 0, sent_at = 0, received = 0, slowest = 0, reduced = 0;
+  m.run([&](Process& p) {
+    if (p.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      p.send_value<double>(1, 1, p.virtual_time());
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      (void)p.allreduce_max(p.virtual_time());
+    } else {
+      entered = p.virtual_time();
+      // recv_bytes itself, not a typed wrapper: the wait is what is tested.
+      const std::vector<std::byte> raw = p.recv_bytes(0, 1);
+      received = p.virtual_time();
+      std::memcpy(&sent_at, raw.data(), sizeof sent_at);
+      slowest = p.allreduce_max(p.virtual_time());
+      reduced = p.virtual_time();
+    }
+  });
+  const double arrival = sent_at + cm.latency_s + cm.charge(sizeof(double));
+  const double budget =
+      std::chrono::duration<double>(Machine::kSpinBudget).count();
+  EXPECT_GE(received, std::max(entered, arrival) - 1e-9);
+  EXPECT_LT(received - std::max(entered, arrival), budget / 2)
+      << "the receive's spin was booked as compute";
+  const double tree_round = cm.charge(sizeof(double));  // P = 2: one round
+  EXPECT_GE(reduced, slowest + tree_round - 1e-9);
+  EXPECT_LT(reduced - (slowest + tree_round), budget / 2)
+      << "the allreduce's spin was booked as compute";
+}
+
+TEST(Modes, OversubscribedMachineBlocksAndCompletes) {
+  // More ranks than hardware threads: waits skip the spin and block at
+  // once. Ring exchanges and allreduce rounds must still complete.
+  const unsigned hw = hardware_threads();
+  if (hw > 256) GTEST_SKIP() << "too many hardware threads to oversubscribe";
+  const int P = static_cast<int>(hw) + 1;
+  Machine m(P);
+  ASSERT_TRUE(m.oversubscribed());
+  EXPECT_EQ(Machine(1).oversubscribed(), false);
+  std::vector<long long> ring(static_cast<std::size_t>(P), 0);
+  std::vector<double> sums(static_cast<std::size_t>(P), 0.0);
+  m.run([&](Process& p) {
+    const int right = (p.rank() + 1) % P;
+    const int left = (p.rank() + P - 1) % P;
+    long long carried = p.rank();
+    double total = 0;
+    for (int round = 0; round < 20; ++round) {
+      p.send_value<long long>(right, round, carried);
+      carried = p.recv_value<long long>(left, round);
+      total += p.allreduce_sum(static_cast<double>(round));
+    }
+    ring[static_cast<std::size_t>(p.rank())] = carried;
+    sums[static_cast<std::size_t>(p.rank())] = total;
+  });
+  // After 20 hops each rank holds the value of the rank 20 places left.
+  for (int k = 0; k < P; ++k) {
+    EXPECT_EQ(ring[static_cast<std::size_t>(k)], ((k - 20) % P + P) % P);
+    EXPECT_EQ(sums[static_cast<std::size_t>(k)], 190.0 * P);
   }
 }
 

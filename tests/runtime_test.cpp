@@ -2,7 +2,9 @@
 // happens-before, and statistics.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "runtime/machine.hpp"
 #include "support/error.hpp"
@@ -77,6 +79,29 @@ TEST(Machine, AllreduceSum) {
         p.allreduce_sum(static_cast<double>(p.rank() + 1));
   });
   for (double r : results) EXPECT_DOUBLE_EQ(r, 36.0);  // 1+..+8
+}
+
+TEST(Machine, AllreduceSumAddsInRankOrder) {
+  // Floating-point addition does not associate: these four values sum to 1
+  // in rank order but to 0 in reverse. Ranks arrive in reverse (rank 0
+  // last), and every rank must still read the rank-order sum.
+  const std::vector<double> values{1e16, 1.0, -1e16, 1.0};
+  const int P = static_cast<int>(values.size());
+  double rank_order = 0.0;
+  for (double v : values) rank_order += v;
+  double reverse_order = 0.0;
+  for (auto it = values.rbegin(); it != values.rend(); ++it)
+    reverse_order += *it;
+  ASSERT_NE(rank_order, reverse_order);
+
+  Machine m(P);
+  std::vector<double> results(values.size(), 0.0);
+  m.run([&](Process& p) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3 * (P - p.rank())));
+    const auto k = static_cast<std::size_t>(p.rank());
+    results[k] = p.allreduce_sum(values[k]);
+  });
+  for (double r : results) EXPECT_EQ(r, rank_order);
 }
 
 TEST(Machine, AllreduceMax) {

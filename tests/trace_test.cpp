@@ -3,7 +3,7 @@
 // pairing on a 4-rank distributed SpMV, and the reconciliation invariant —
 // comm-matrix totals, send-span byte args, comm.<phase>.bytes counters and
 // runtime::CommStats must all agree exactly, because they are all fed from
-// the single booking site in runtime::Process::send_bytes.
+// the single booking site in runtime::Process::deliver.
 #include <gtest/gtest.h>
 
 #include <cstdio>
