@@ -1,36 +1,28 @@
 // Serving bench: QPS and tail latency of the KernelServer under N
-// concurrent client threads (pool slots), with and without request
-// batching.
+// concurrent client threads (pool slots).
 //
-//   bench_serve [--small] [--check] [--threads=<n>] [--clients=<n>]
-//               [--queries=<m>] [--report=<f>] [--metrics=<f>]
+//   bench_serve [--small] [--check] [--clients=<n>] [--queries=<m>]
+//               [--report=<f>] [--metrics=<f>]
 //
-// Two timed phases over the same precomputed query set:
-//   unbatched  batching off — every request leases a runner and runs the
-//              linked engine (the per-request serial path, differentially
-//              the ground truth);
-//   batched    batching on — concurrent requests against the cached plan
-//              coalesce into SpMM-style multi-vector sweeps. Clients
-//              issue requests in synchronized waves (std::barrier) so
-//              coalescing windows actually form on small hosts.
+// One timed phase over a precomputed query set: clients issue requests in
+// synchronized waves (std::barrier), and every request leases a runner
+// and runs the linked engine once.
 //
-// --check enforces the serving contract: every response from BOTH phases
-// bitwise-identical to the per-request serial reference (and the
-// reference itself bitwise-identical to blas::spmm over the same
-// right-hand sides), plus a warm cache (hit rate > 0 in steady state).
+// --check enforces the serving contract: every response bitwise-identical
+// to the per-request serial reference, a warm cache (hit rate > 0 in
+// steady state), and one engine run (executor.runs) per request served.
 #include <algorithm>
 #include <barrier>
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <vector>
 
 #include "analysis/report.hpp"
 #include "common.hpp"
-#include "blas/spmm.hpp"
 #include "formats/formats.hpp"
 #include "server/kernel_server.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -78,23 +70,27 @@ struct PhaseResult {
   std::vector<long long> latencies_ns;  // one per request
   server::ServerStats stats;
   long long mismatches = 0;  // responses that diverged from the reference
+  long long engine_runs = 0;  // executor.runs booked while serving
 };
 
-// One serving phase: `clients` pool-slot threads each issue `queries`
+long long runs_counter() {
+  const support::MetricsSnapshot s = support::metrics_snapshot();
+  const auto it = s.counts.find("executor.runs");
+  return it == s.counts.end() ? 0 : it->second;
+}
+
+// The serving phase: `clients` pool-slot threads each issue `queries`
 // requests in synchronized waves against a fresh server. Every response
 // is compared bitwise against its precomputed reference.
 PhaseResult run_phase(const formats::Csr& A, const std::vector<Vector>& xs,
                       const std::vector<Vector>& refs, int clients,
-                      int queries, bool batching, int sweep_threads) {
-  server::ServerOptions sopts;
-  sopts.batching = batching;
-  sopts.max_batch = clients;
-  sopts.sweep_threads = sweep_threads;
-  server::KernelServer srv(sopts);
+                      int queries) {
+  server::KernelServer srv;
   const int h = srv.add_csr("A", A);
+  const long long runs0 = runs_counter();
 
-  // Untimed warmup: pays the cache miss (compile + link + warmup run) so
-  // the timed loop measures steady-state serving.
+  // Untimed first request: pays the cache miss (compile + link) so the
+  // timed loop measures steady-state serving.
   {
     Vector y(static_cast<std::size_t>(A.rows()));
     srv.spmv(h, ConstVectorView(xs[0]), VectorView(y));
@@ -124,6 +120,7 @@ PhaseResult run_phase(const formats::Csr& A, const std::vector<Vector>& xs,
   out.wall_s = static_cast<double>(now_ns() - t0) * 1e-9;
   out.stats = srv.stats();
   out.mismatches = mismatches.load();
+  out.engine_runs = runs_counter() - runs0;
   return out;
 }
 
@@ -158,7 +155,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: --clients and --queries must be >= 1\n";
     return 2;
   }
-  const int sweep_threads = std::max(opts.threads, 1);
 
   const index_t rows = opts.small ? 600 : 4000;
   const index_t nnz = rows * 12;
@@ -179,48 +175,30 @@ int main(int argc, char** argv) {
             << " queries, " << rows << "x" << rows << " CSR, " << A.nnz()
             << " nnz ===\n\n";
 
-  const PhaseResult unbatched =
-      run_phase(A, xs, refs, clients, queries, /*batching=*/false,
-                sweep_threads);
-  const PhaseResult batched =
-      run_phase(A, xs, refs, clients, queries, /*batching=*/true,
-                sweep_threads);
+  const PhaseResult r = run_phase(A, xs, refs, clients, queries);
 
   const double total_requests =
       static_cast<double>(clients) * static_cast<double>(queries);
-  const double qps = total_requests / batched.wall_s;
-  const double qps_unbatched = total_requests / unbatched.wall_s;
-  const double p50 = quantile_us(batched.latencies_ns, 0.50);
-  const double p99 = quantile_us(batched.latencies_ns, 0.99);
-  const double speedup = unbatched.wall_s / batched.wall_s;
+  const double qps = total_requests / r.wall_s;
+  const double p50 = quantile_us(r.latencies_ns, 0.50);
+  const double p99 = quantile_us(r.latencies_ns, 0.99);
   const double hit_rate =
-      batched.stats.requests == 0
+      r.stats.requests == 0
           ? 0.0
-          : static_cast<double>(batched.stats.cache_hits) /
-                static_cast<double>(batched.stats.cache_hits +
-                                    batched.stats.cache_misses);
+          : static_cast<double>(r.stats.cache_hits) /
+                static_cast<double>(r.stats.cache_hits +
+                                    r.stats.cache_misses);
 
-  auto print_phase = [&](const char* name, const PhaseResult& r) {
-    std::cout << name << ": " << total_requests / r.wall_s << " qps, p50 "
-              << quantile_us(r.latencies_ns, 0.50) << " us, p99 "
-              << quantile_us(r.latencies_ns, 0.99) << " us, "
-              << r.stats.batches << " sweeps covering "
-              << r.stats.batched_requests << " requests, hits "
-              << r.stats.cache_hits << " misses " << r.stats.cache_misses
-              << "\n";
-  };
-  print_phase("unbatched", unbatched);
-  print_phase("batched  ", batched);
-  std::cout << "speedup batched/unbatched: " << speedup << "\n";
+  std::cout << qps << " qps, p50 " << p50 << " us, p99 " << p99
+            << " us, hits " << r.stats.cache_hits << " misses "
+            << r.stats.cache_misses << ", " << r.engine_runs
+            << " engine runs for " << r.stats.requests << " requests\n";
 
   const std::map<std::string, double> serve = {
       {"qps", qps},
-      {"qps_unbatched", qps_unbatched},
       {"p50_us", p50},
       {"p99_us", p99},
-      {"speedup_batched_over_unbatched", speedup},
       {"cache_hit_rate", hit_rate},
-      {"batched_requests", static_cast<double>(batched.stats.batched_requests)},
   };
 
   if (!opts.obs.report_path.empty()) {
@@ -228,7 +206,6 @@ int main(int argc, char** argv) {
     report.config("clients", static_cast<long long>(clients));
     report.config("queries", static_cast<long long>(queries));
     report.config("small", opts.small ? "true" : "false");
-    report.config("sweep_threads", static_cast<long long>(sweep_threads));
     for (const auto& [key, val] : serve)
       report.metric("exec.serve." + key, val);
     report.write(opts.obs.report_path);
@@ -237,40 +214,27 @@ int main(int argc, char** argv) {
 
   if (opts.check) {
     bool ok = true;
-    if (unbatched.mismatches != 0 || batched.mismatches != 0) {
-      std::cerr << "CHECK FAILED: " << unbatched.mismatches << " unbatched / "
-                << batched.mismatches
-                << " batched responses diverged bitwise from the serial "
+    if (r.mismatches != 0) {
+      std::cerr << "CHECK FAILED: " << r.mismatches
+                << " responses diverged bitwise from the serial "
                    "per-request reference\n";
       ok = false;
     }
-    if (batched.stats.cache_hits <= 0) {
+    if (r.stats.cache_hits <= 0) {
       std::cerr << "CHECK FAILED: steady-state serving never hit the plan "
                    "cache\n";
       ok = false;
     }
-    // Reference triangulation: the engine-order reference must itself be
-    // bitwise-identical to blas::spmm over the same right-hand sides —
-    // the sweep, the engine and spmm share one multiply chain.
-    formats::Dense B(rows, clients), C(rows, clients);
-    for (int r = 0; r < clients; ++r)
-      for (index_t j = 0; j < rows; ++j)
-        B.at(j, r) =
-            xs[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)];
-    blas::spmm(A, B, C);
-    for (int r = 0; r < clients && ok; ++r)
-      for (index_t i = 0; i < rows; ++i)
-        if (C.at(i, r) !=
-            refs[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)]) {
-          std::cerr << "CHECK FAILED: reference diverges from blas::spmm at "
-                       "(" << i << ", " << r << ")\n";
-          ok = false;
-          break;
-        }
+    if (r.engine_runs != r.stats.requests) {
+      std::cerr << "CHECK FAILED: " << r.engine_runs
+                << " engine runs (executor.runs) for " << r.stats.requests
+                << " requests served; want one run per request\n";
+      ok = false;
+    }
     if (!ok) return 1;
-    std::cout << "\nCHECK OK: " << static_cast<long long>(total_requests)
-              << " responses/phase bitwise-identical to the serial "
-                 "reference (and reference == blas::spmm); cache hit rate "
+    std::cout << "\nCHECK OK: " << r.stats.requests
+              << " responses bitwise-identical to the serial reference, "
+                 "one engine run each; cache hit rate "
               << hit_rate << "\n";
   }
   return 0;

@@ -260,12 +260,6 @@ class LinkedRunner {
   /// that also skips the per-tuple std::function and virtual value access.
   void run(const LinkedMac& mac, RunStats* stats = nullptr);
 
-  /// The last run's record (work counts, fan-out buckets, wall time,
-  /// footprint) — what that run committed. The KernelServer keeps the
-  /// warmup run's record and commits it k-fold when a batched
-  /// multi-vector sweep stands in for k engine runs.
-  const support::RunRecord& record() const { return rec_; }
-
  private:
   struct Frame {
     std::vector<relation::Cursor> cursors;     // one per driver

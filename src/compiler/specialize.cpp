@@ -232,7 +232,7 @@ void SpecializedKernel::run(RunStats* stats) {
       f.samples[d][kind] = lvl_ns_[3 * static_cast<std::size_t>(d) + 1];
       f.work[d][kind] = lvl_prod_[static_cast<std::size_t>(d)];
     }
-    lp_.sink->commit(rec_, 1, &f);
+    lp_.sink->commit(rec_, &f);
   } else {
     lp_.sink->commit(rec_);
   }

@@ -16,31 +16,17 @@
 // compile/link work: they lease a pooled runner, rebind the mac's x/y
 // value spans to the request buffers and run.
 //
-// Batching: when enabled, concurrent requests against the same cached
-// matrix coalesce leader/follower-style into one SpMM-style multi-vector
-// sweep (one pass over the sparse rows amortizes across all gathered
-// right-hand sides — the src/blas spmm move applied to in-flight
-// requests). Per-request results are BITWISE identical to the unbatched
-// path: each request's accumulation order (ascending k within a row,
-// scale * A * x multiply chain) is exactly the engine's, only interleaved
-// across requests. tests/server_test.cpp enforces this differentially
-// against serial CompiledKernel execution and blas::spmm.
+// Every request runs the linked engine once: there is one request path.
 //
 // Observability: every request books the same execute.* group an engine
-// run books. Unbatched requests run the engine, which commits its own run
-// record; a batched sweep commits the entry's warmup-run record k-fold
-// (support::RunSink::commit), splitting the sweep's wall time across the
-// k requests with an exact integer sum — one commit under the calling
-// thread's registry shard lock — so execute.latency.sum_ns ==
-// execute.wall_ns and the executor.* counters reconcile with an
-// unbatched serve of the same traffic. Server-level
-// counters (server.cache.hits/misses/evictions, server.requests,
-// server.batches, server.batched_requests) and the server.request.latency
-// histogram layer on top; see docs/SERVING.md for which layer owns what.
+// run books — the engine commits its own run record — so
+// execute.latency.sum_ns == execute.wall_ns and executor.runs counts
+// exactly one run per served request. Server-level counters
+// (server.cache.hits/misses/evictions, server.requests) and the
+// server.request.latency histogram layer on top; see docs/SERVING.md for
+// which layer owns what.
 #pragma once
 
-#include <condition_variable>
-#include <deque>
 #include <list>
 #include <map>
 #include <memory>
@@ -59,16 +45,9 @@ struct ServerOptions {
   /// evicted plan is serving: in-flight requests hold a shared reference
   /// and the entry dies with its last request.
   std::size_t plan_cache_capacity = 8;
-  /// Coalesce concurrent requests against one cached matrix into
-  /// SpMM-style multi-vector sweeps.
-  bool batching = true;
-  /// Max requests per sweep; further arrivals form the next sweep.
-  int max_batch = 8;
-  /// Workers for the batched sweep over support::shared_pool(); 1 = run
-  /// on the leader. Row-chunked, so results stay bitwise-deterministic.
-  /// Safe to use when clients themselves run on pool threads — nested
-  /// run_slots degrades to inline execution instead of deadlocking.
-  int sweep_threads = 1;
+  bool batching = false;  // inert: perfbench still sets it (ROADMAP item 11)
+  int max_batch = 1;      // inert: perfbench still sets it (ROADMAP item 11)
+  int sweep_threads = 1;  // inert: perfbench still sets it (ROADMAP item 11)
 };
 
 /// Point-in-time server statistics (per-server, unlike the process-global
@@ -78,8 +57,8 @@ struct ServerStats {
   long long cache_hits = 0;
   long long cache_misses = 0;
   long long cache_evictions = 0;
-  long long batches = 0;          // multi-request sweeps executed
-  long long batched_requests = 0; // requests served by those sweeps
+  long long batches = 0;           // inert: always 0 (ROADMAP item 11)
+  long long batched_requests = 0;  // inert: always 0 (ROADMAP item 11)
 };
 
 class KernelServer {
@@ -90,18 +69,20 @@ class KernelServer {
   KernelServer(const KernelServer&) = delete;
   KernelServer& operator=(const KernelServer&) = delete;
 
-  /// Registers a CSR matrix under `name` and returns its handle. The
-  /// matrix is BORROWED — the caller keeps it alive and unmoved while the
-  /// server may serve it. Registration only records the cache key
-  /// (storage identity + shape + `distribution`); the nest is compiled
-  /// and linked lazily by the first request (a cache miss).
+  /// Registers a CSR matrix under `name` and returns its handle; a name
+  /// already registered throws. The matrix is BORROWED — the caller keeps
+  /// it alive and unmoved while the server may serve it. Registration
+  /// only records the cache key (storage identity + shape +
+  /// `distribution`); the nest is compiled and linked lazily by the first
+  /// request (a cache miss).
   int add_csr(const std::string& name, const formats::Csr& m,
               const std::string& distribution = "local");
 
   /// y = A x against the cached plan (y is overwritten). Thread-safe;
   /// callers may issue concurrent requests from any thread, including
-  /// pool worker threads. x must have A.cols() elements, y A.rows(); a
-  /// request of another shape throws before it touches the cache.
+  /// pool worker threads. x must have A.cols() elements, y A.rows(), and
+  /// the two must not overlap; any other request throws before it touches
+  /// the cache.
   void spmv(int handle, ConstVectorView x, VectorView y);
   void spmv(const std::string& name, ConstVectorView x, VectorView y);
 
@@ -111,25 +92,19 @@ class KernelServer {
 
   ServerStats stats() const;
   std::size_t cache_size() const;
-  const ServerOptions& options() const { return opts_; }
 
  private:
   struct CacheEntry;
-  struct Pending;
   struct MatrixRec {
     std::string name;
     const formats::Csr* matrix = nullptr;
-    std::string distribution;
     std::string key;
   };
 
-  std::shared_ptr<CacheEntry> get_entry(int handle, std::size_t x_size,
-                                        std::size_t y_size);
-  std::shared_ptr<CacheEntry> build_entry(const MatrixRec& rec);
-  void run_single(CacheEntry& e, ConstVectorView x, VectorView y);
-  void run_batch(CacheEntry& e, const std::vector<Pending*>& batch);
-  void serve_batched(const std::shared_ptr<CacheEntry>& e, ConstVectorView x,
-                     VectorView y);
+  std::shared_ptr<CacheEntry> get_entry(int handle, ConstVectorView x,
+                                        VectorView y);
+  static std::shared_ptr<CacheEntry> build_entry(const MatrixRec& rec);
+  static void run_single(CacheEntry& e, ConstVectorView x, VectorView y);
 
   ServerOptions opts_;
   // Process-global server.* handles (one registry across servers, like the
@@ -139,8 +114,6 @@ class KernelServer {
   support::Counter& hits_counter_;
   support::Counter& misses_counter_;
   support::Counter& evictions_counter_;
-  support::Counter& batches_counter_;
-  support::Counter& batched_counter_;
   support::LatencyHistogram& request_latency_;
 
   mutable std::mutex cache_mu_;  // guards matrices_, cache_, lru_, stats_

@@ -454,28 +454,24 @@ const RunSink& run_sink(std::size_t levels) {
   return sinks[levels];
 }
 
-void RunSink::commit(const RunRecord& rec, long long runs,
-                     const ProfileFlush* profile) const {
+void RunSink::commit(const RunRecord& rec, const ProfileFlush* profile) const {
   Shard& s = registry().shards[metric_shard()];
   const std::lock_guard<std::mutex> lk(s.mu);
-  // `runs` latency samples whose exact integer sum is rec.wall_ns, so
-  // execute.latency.sum_ns == execute.wall_ns holds for any `runs`.
-  const long long base = rec.wall_ns / runs;
-  const long long rem = rec.wall_ns % runs;
-  for (long long i = 0; i < runs; ++i)
-    latency_->record_ns(base + (i < rem ? 1 : 0));
+  // One latency sample of exactly rec.wall_ns, so
+  // execute.latency.sum_ns == execute.wall_ns.
+  latency_->record_ns(rec.wall_ns);
   wall_ns_->add(rec.wall_ns);
-  model_bytes_->add(rec.model_bytes * runs);
-  model_flops_->add(rec.model_flops * runs);
-  runs_->add(runs);
+  model_bytes_->add(rec.model_bytes);
+  model_flops_->add(rec.model_flops);
+  runs_->add(1);
   for (std::size_t i = 0; i < work_.size(); ++i)
-    work_[i]->add(rec.work.*kWorkCountFields[i].second * runs);
+    work_[i]->add(rec.work.*kWorkCountFields[i].second);
   constexpr std::size_t kB = Log2Histogram::kBuckets;
   const std::size_t levels = std::min(fanout_.size(), rec.fanout.size() / kB);
   for (std::size_t d = 0; d < levels; ++d)
     for (std::size_t b = 0; b < kB; ++b)
       if (const long long n = rec.fanout[d * kB + b]; n != 0)
-        fanout_[d]->add_bucket(static_cast<int>(b), n * runs);
+        fanout_[d]->add_bucket(static_cast<int>(b), n);
   if (profile != nullptr)
     s.profile.add(*profile);
   else if (rec.profile.any())

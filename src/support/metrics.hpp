@@ -315,13 +315,12 @@ class RunSink {
   RunSink() = default;  // unresolved; commit() needs a resolved sink
   explicit RunSink(std::size_t levels);
 
-  /// Books `rec` as `runs` engine runs under the calling thread's shard
-  /// lock: `runs` latency samples splitting rec.wall_ns with an exact
-  /// integer sum, execute.wall_ns += rec.wall_ns, and the work counts,
-  /// footprint and fan-out times `runs`. The profile commits `profile`
-  /// when given (an engine that estimates its own), else the estimate of
+  /// Books `rec` as one engine run under the calling thread's shard lock:
+  /// one latency sample and execute.wall_ns += rec.wall_ns, the work
+  /// counts, footprint and fan-out. The profile commits `profile` when
+  /// given (an engine that estimates its own), else the estimate of
   /// rec.profile when it saw work.
-  void commit(const RunRecord& rec, long long runs = 1,
+  void commit(const RunRecord& rec,
               const ProfileFlush* profile = nullptr) const;
 
  private:

@@ -1,16 +1,14 @@
-// KernelServer tests (PR 10 tentpole): plan-cache hit/miss semantics and
-// LRU eviction, concurrent differential serving (N client threads x M
-// queries, outputs bitwise-identical to serial engine execution, counters
-// reconciled), and the batched SpMM-style sweep's bitwise contract with
-// both the per-request path and blas::spmm.
+// KernelServer tests: plan-cache hit/miss semantics and LRU eviction,
+// concurrent differential serving (N client threads x M queries, outputs
+// bitwise-identical to serial engine execution, counters reconciled to
+// one engine run per request), an eviction storm at capacity 1, and the
+// rejection of malformed requests and registrations.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <thread>
 #include <vector>
 
-#include "blas/spmm.hpp"
 #include "formats/formats.hpp"
 #include "server/kernel_server.hpp"
 #include "support/metrics.hpp"
@@ -147,8 +145,8 @@ TEST(KernelServer, LruEvictionIsBoundedAndRecoverable) {
 
 // N client threads x M distinct queries against one server: every
 // response bitwise-equal to serial engine execution, and the executor.*
-// run count reconciles exactly — one engine-run group per request plus
-// one warmup run per cache miss, whether requests were batched or not.
+// run count reconciles exactly — one engine run per request, cache miss
+// or hit.
 TEST(KernelServer, ConcurrentClientsMatchSerialBitwiseAndReconcile) {
   formats::Csr A = random_csr(120, 100, 1400, 209);
   constexpr int kClients = 4;
@@ -181,96 +179,117 @@ TEST(KernelServer, ConcurrentClientsMatchSerialBitwiseAndReconcile) {
   for (std::size_t i = 0; i < xs.size(); ++i)
     EXPECT_EQ(ys[i], expects[i]) << "request " << i;
 
-  // Counter reconciliation: each request books one engine-run group
-  // (batched sweeps replay the cached delta per request), plus one
-  // warmup run per cache miss.
+  // Counter reconciliation: each request books exactly one engine run.
   const support::MetricsSnapshot after = support::metrics_snapshot();
   const server::ServerStats s = srv.stats();
   EXPECT_EQ(s.requests, kClients * kQueries);
   EXPECT_EQ(counter_of(after, "executor.runs") -
                 counter_of(before, "executor.runs"),
-            kClients * kQueries + s.cache_misses);
+            kClients * kQueries);
 
-  // The single-booking invariant holds through concurrent serving and
-  // batched replay: every latency nanosecond is also a wall nanosecond.
+  // The single-booking invariant holds through concurrent serving: every
+  // latency nanosecond is also a wall nanosecond.
   const support::MetricsSnapshot m = support::metrics_snapshot();
   ASSERT_TRUE(m.latencies.count("execute.latency"));
   EXPECT_EQ(m.latencies.at("execute.latency").sum_ns,
             m.counts.at("execute.wall_ns"));
 }
 
-// The batched sweep must reproduce per-request results bitwise. Drive
-// enough concurrent identical traffic that sweeps actually form (leader
-// preemption windows coalesce followers), retrying the workload until
-// the server reports at least one multi-request batch; every response is
-// checked bitwise against the unbatched reference regardless.
-TEST(KernelServer, BatchedSweepBitwiseEqualsUnbatchedAndSpmm) {
-  formats::Csr A = random_csr(200, 200, 3000, 210);
-  constexpr int kClients = 8;
-  constexpr int kQueries = 40;
-
+// Eviction storm: capacity 1 under a seeded, skewed hot set larger than
+// the cache, from concurrent clients. Entries are evicted while other
+// requests still run on them; every response stays bitwise, no request is
+// lost or double-counted, and each one runs the engine exactly once.
+TEST(KernelServer, EvictionStormAtCapacityOneStaysBitwiseAndReconciles) {
+  constexpr int kMatrices = 4;
+  constexpr int kClients = 4;
+  constexpr int kQueries = 100;
+  std::vector<formats::Csr> mats;
   std::vector<Vector> xs, expects;
-  for (int t = 0; t < kClients; ++t) {
-    xs.push_back(random_x(200, 2000 + static_cast<std::uint64_t>(t)));
-    expects.push_back(reference_spmv(A, xs.back()));
+  for (int m = 0; m < kMatrices; ++m) {
+    const auto mu = static_cast<std::uint64_t>(m);
+    mats.push_back(random_csr(40 + 8 * m, 36, 300, 300 + mu));
+    xs.push_back(random_x(36, 400 + mu));
+    expects.push_back(reference_spmv(mats.back(), xs.back()));
   }
-
-  // Differential reference #2: blas::spmm over the same right-hand sides
-  // (column r of B = client r's x) must agree bitwise with the engine
-  // reference — the sweep, the engine and spmm share one multiply chain.
-  formats::Dense B(200, kClients), C(200, kClients);
-  for (int r = 0; r < kClients; ++r)
-    for (index_t j = 0; j < 200; ++j)
-      B.at(j, r) = xs[static_cast<std::size_t>(r)][static_cast<std::size_t>(j)];
-  blas::spmm(A, B, C);
-  for (int r = 0; r < kClients; ++r)
-    for (index_t i = 0; i < 200; ++i)
-      ASSERT_EQ(C.at(i, r),
-                expects[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)]);
-
   server::ServerOptions opts;
-  opts.max_batch = kClients;
+  opts.plan_cache_capacity = 1;
   server::KernelServer srv(opts);
-  const int h = srv.add_csr("A", A);
+  std::vector<int> handles;
+  for (int m = 0; m < kMatrices; ++m)
+    handles.push_back(
+        srv.add_csr("m" + std::to_string(m), mats[static_cast<std::size_t>(m)]));
+  const support::MetricsSnapshot before = support::metrics_snapshot();
 
-  long long batched = 0;
-  for (int round = 0; round < 20 && batched == 0; ++round) {
-    std::vector<std::thread> clients;
-    std::atomic<int> failures{0};
-    for (int t = 0; t < kClients; ++t)
-      clients.emplace_back([&, t] {
-        const std::size_t ti = static_cast<std::size_t>(t);
-        Vector y(200);
-        for (int q = 0; q < kQueries; ++q) {
-          srv.spmv(h, ConstVectorView(xs[ti]), VectorView(y));
-          if (y != expects[ti]) failures.fetch_add(1);
-        }
-      });
-    for (std::thread& c : clients) c.join();
-    ASSERT_EQ(failures.load(), 0) << "batched response diverged bitwise";
-    batched = srv.stats().batched_requests;
-  }
-  EXPECT_GT(batched, 0) << "no multi-request sweep ever formed";
-  EXPECT_GT(srv.stats().batches, 0);
+  std::vector<int> failures(kClients, 0);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t)
+    clients.emplace_back([&, t] {
+      // Skewed choice: matrix 0 half the time, 1 a quarter, the rest the
+      // remainder — a hot set of three or more against a cache of one.
+      SplitMix64 rng(500 + static_cast<std::uint64_t>(t));
+      for (int q = 0; q < kQueries; ++q) {
+        const index_t r = rng.next_index(8);
+        const std::size_t m = r < 4 ? 0 : r < 6 ? 1 : r < 7 ? 2 : 3;
+        Vector y(expects[m].size(), -1.0);
+        srv.spmv(handles[m], ConstVectorView(xs[m]), VectorView(y));
+        if (y != expects[m]) ++failures[static_cast<std::size_t>(t)];
+      }
+    });
+  for (std::thread& c : clients) c.join();
+
+  for (int t = 0; t < kClients; ++t)
+    EXPECT_EQ(failures[static_cast<std::size_t>(t)], 0) << "client " << t;
+  const support::MetricsSnapshot after = support::metrics_snapshot();
+  const server::ServerStats s = srv.stats();
+  EXPECT_EQ(s.requests, kClients * kQueries);
+  EXPECT_EQ(s.cache_hits + s.cache_misses, s.requests);
+  EXPECT_GT(s.cache_evictions, 0);
+  EXPECT_LE(s.cache_evictions, s.cache_misses);
+  EXPECT_EQ(srv.cache_size(), 1u);
+  EXPECT_EQ(counter_of(after, "executor.runs") -
+                counter_of(before, "executor.runs"),
+            s.requests);
 }
 
-// Shape guard: a request with mismatched vector sizes must be rejected,
-// not silently read out of bounds.
-// A rejected request is not a request: a shape mismatch or a bad handle
-// throws and leaves stats().requests and the server.requests counter
-// where they were.
+// A matrix name registers once: a second add_csr under the same name
+// throws, naming it, and the name keeps serving the first matrix.
+TEST(KernelServer, RejectsDuplicateName) {
+  formats::Csr A = random_csr(12, 12, 40, 212);
+  formats::Csr B = random_csr(12, 12, 40, 213);
+  server::KernelServer srv;
+  srv.add_csr("A", A);
+  try {
+    srv.add_csr("A", B);
+    ADD_FAILURE() << "duplicate name accepted";
+  } catch (const std::exception& err) {
+    EXPECT_NE(std::string(err.what()).find("already registered as A"),
+              std::string::npos)
+        << err.what();
+  }
+  const Vector x = random_x(12, 214);
+  Vector y(12);
+  srv.spmv("A", ConstVectorView(x), VectorView(y));
+  EXPECT_EQ(y, reference_spmv(A, x));
+  EXPECT_THROW(srv.key_of(1), std::exception);  // nothing was registered
+}
+
+// Shape and aliasing guards: a request with mismatched vector sizes must
+// be rejected, not silently read out of bounds, and one whose x and y
+// overlap must be rejected, not answered from a zeroed x. A rejected
+// request is not a request: it throws and leaves stats().requests and the
+// server.requests counter where they were.
 TEST(KernelServer, RejectsShapeMismatch) {
   formats::Csr A = random_csr(10, 8, 30, 211);
   server::KernelServer srv;
   const int h = srv.add_csr("A", A);
-  Vector x(8, 1.0), y(10, 0.0), y_bad(9, 0.0);
+  Vector x(8, 1.0), y(10, 0.0), y_bad(9, 0.0), z(18, 1.0);
   auto count = [](const char* name) {
     return counter_of(support::metrics_snapshot(), name);
   };
   const long long served0 = count("server.requests");
   const long long runs0 = count("executor.runs");
   // A rejected request never reaches the cache: on this cold handle it
-  // books no miss, builds and caches no entry, and runs no warmup.
+  // books no miss, builds and caches no entry, and runs no engine.
   auto expect_rejected = [&](const std::function<void()>& call) {
     EXPECT_THROW(call(), std::exception);
     EXPECT_EQ(srv.stats().requests, 0);
@@ -285,11 +304,18 @@ TEST(KernelServer, RejectsShapeMismatch) {
   expect_rejected([&] { srv.spmv(99, ConstVectorView(x), VectorView(y)); });
   expect_rejected(
       [&] { srv.spmv("missing", ConstVectorView(x), VectorView(y)); });
+  const VectorView zv(z);
+  expect_rejected([&] { srv.spmv(h, zv.first(8), zv.first(10)); });
+  expect_rejected([&] { srv.spmv(h, zv.subspan(2, 8), zv.first(10)); });
+  expect_rejected([&] { srv.spmv(h, zv.first(8), zv.subspan(7, 10)); });
   EXPECT_THROW(srv.key_of(99), std::exception);
-  // The server still serves the good handle afterwards.
+  // The server still serves the good handle afterwards, and adjacent,
+  // non-overlapping x and y in one buffer are not aliased.
   srv.spmv(h, ConstVectorView(x), VectorView(y));
   EXPECT_EQ(srv.stats().requests, 1);
   EXPECT_EQ(count("server.requests"), served0 + 1);
+  srv.spmv(h, zv.first(8), zv.subspan(8, 10));
+  EXPECT_EQ(srv.stats().requests, 2);
 }
 
 }  // namespace
