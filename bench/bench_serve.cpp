@@ -8,6 +8,9 @@
 // synchronized waves (std::barrier), and every request leases a runner
 // and runs the linked engine once.
 //
+// The client count is --clients; --threads=<n> (the engine benches'
+// width) is rejected with exit 2 rather than ignored.
+//
 // --check enforces the serving contract: every response bitwise-identical
 // to the per-request serial reference, a warm cache (hit rate > 0 in
 // steady state), and one engine run (executor.runs) per request served.
@@ -139,6 +142,15 @@ double quantile_us(std::vector<long long> ns, double q) {
 int main(int argc, char** argv) {
   using namespace bernoulli;
   bench::Options opts = bench::Options::parse(argc, argv);
+  const char* const usage =
+      "usage: bench_serve [--small] [--check] [--clients=<n>] "
+      "[--queries=<m>] [--report=<f>] [--metrics=<f>]\n";
+  if (opts.threads != 0) {
+    std::cerr << "error: bench_serve takes no --threads (clients are "
+                 "--clients=<n>)\n"
+              << usage;
+    return 2;
+  }
   int clients = opts.small ? 4 : 8;
   int queries = opts.small ? 40 : 120;
   for (const std::string& arg : opts.rest) {
@@ -147,7 +159,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--queries=", 0) == 0) {
       queries = std::atoi(arg.c_str() + 10);
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
+      std::cerr << "unknown argument: " << arg << "\n" << usage;
       return 2;
     }
   }

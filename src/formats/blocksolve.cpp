@@ -74,8 +74,7 @@ BsMatrix BsMatrix::build(const Coo& a, BsOrdering ord) {
           {o.old_to_new[static_cast<std::size_t>(rowind[k])],
            o.old_to_new[static_cast<std::size_t>(colind[k])], vals[k]});
   }
-  Coo pa(n, n, std::move(perm_entries));
-  Csr pcsr = Csr::from_coo(pa);
+  Csr pcsr = Csr::from_coo(Coo(n, n, std::move(perm_entries)));
 
   // Clique range of each row (new space).
   std::vector<index_t> clique_of_row(static_cast<std::size_t>(n));
@@ -218,6 +217,10 @@ void BsMatrix::spmv_original(ConstVectorView x, VectorView y) const {
 
 Coo BsMatrix::to_coo_permuted() const {
   TripletBuilder b(rows(), cols());
+  // At most every stored block value; stored zeros are skipped below.
+  std::size_t bound = diag_vals_.size();
+  for (const auto& blk : inodes_) bound += blk.vals.size();
+  b.reserve(bound);
   for (std::size_t c = 0; c < ord_.cliques.size(); ++c) {
     const auto& range = ord_.cliques[c];
     auto block = diag_block(static_cast<index_t>(c));

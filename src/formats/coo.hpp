@@ -59,6 +59,8 @@ class Coo {
   friend bool operator==(const Coo& a, const Coo& b);
 
  private:
+  friend class Csr;  // Csr::from_coo(Coo&&) takes over the entry arrays
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<index_t> rowind_;

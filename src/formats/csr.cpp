@@ -1,6 +1,7 @@
 #include "formats/csr.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -16,17 +17,37 @@ Csr::Csr(index_t rows, index_t cols, std::vector<index_t> rowptr,
   validate();
 }
 
-Csr Csr::from_coo(const Coo& a) {
+namespace {
+
+std::vector<index_t> row_pointers(const Coo& a) {
   std::vector<index_t> rowptr(static_cast<std::size_t>(a.rows()) + 1, 0);
-  auto rowind = a.rowind();
-  for (index_t r : rowind) ++rowptr[static_cast<std::size_t>(r) + 1];
+  for (index_t r : a.rowind()) ++rowptr[static_cast<std::size_t>(r) + 1];
   for (std::size_t i = 1; i < rowptr.size(); ++i) rowptr[i] += rowptr[i - 1];
-  // Canonical Coo is already row-major sorted with sorted columns, so the
-  // entry arrays can be copied directly.
-  std::vector<index_t> colind(a.colind().begin(), a.colind().end());
-  std::vector<value_t> vals(a.vals().begin(), a.vals().end());
-  return Csr(a.rows(), a.cols(), std::move(rowptr), std::move(colind),
-             std::move(vals));
+  return rowptr;
+}
+
+}  // namespace
+
+// Canonical Coo is already row-major sorted with sorted columns, so its
+// column and value arrays are the CSR's as they stand.
+Csr Csr::from_coo(const Coo& a) {
+  return Csr(a.rows(), a.cols(), row_pointers(a),
+             std::vector<index_t>(a.colind().begin(), a.colind().end()),
+             std::vector<value_t>(a.vals().begin(), a.vals().end()));
+}
+
+Csr Csr::from_coo(Coo&& a) {
+  std::vector<index_t> rowptr = row_pointers(a);
+  std::vector<index_t>().swap(a.rowind_);
+  return Csr(a.rows(), a.cols(), std::move(rowptr),
+             std::exchange(a.colind_, {}), std::exchange(a.vals_, {}));
+}
+
+Csr::Arrays Csr::release() && {
+  Arrays out{std::exchange(rowptr_, {}), std::exchange(colind_, {}),
+             std::exchange(vals_, {})};
+  rows_ = cols_ = 0;
+  return out;
 }
 
 Coo Csr::to_coo() const {

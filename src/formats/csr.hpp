@@ -21,7 +21,18 @@ class Csr {
       std::vector<index_t> colind, std::vector<value_t> vals);
 
   static Csr from_coo(const Coo& a);
+  /// Takes over `a`'s column and value arrays and builds only the row
+  /// pointers; `a` is left a valid empty matrix of its shape.
+  static Csr from_coo(Coo&& a);
   Coo to_coo() const;
+
+  /// The three arrays, moved out; the matrix is left empty (0 x 0).
+  struct Arrays {
+    std::vector<index_t> rowptr;
+    std::vector<index_t> colind;
+    std::vector<value_t> vals;
+  };
+  Arrays release() &&;
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }

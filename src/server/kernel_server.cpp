@@ -108,9 +108,8 @@ std::size_t KernelServer::cache_size() const {
 }
 
 std::shared_ptr<KernelServer::CacheEntry> KernelServer::build_entry(
-    const MatrixRec& rec) {
+    const formats::Csr& m) {
   auto e = std::make_shared<CacheEntry>();
-  const formats::Csr& m = *rec.matrix;
   e->proto_x.assign(static_cast<std::size_t>(m.cols()), 0.0);
   e->proto_y.assign(static_cast<std::size_t>(m.rows()), 0.0);
   e->bindings.bind_csr("A", m);
@@ -132,7 +131,10 @@ std::shared_ptr<KernelServer::CacheEntry> KernelServer::build_entry(
 
 std::shared_ptr<KernelServer::CacheEntry> KernelServer::get_entry(
     int handle, ConstVectorView x, VectorView y) {
-  MatrixRec rec;
+  // A miss takes only what the build needs out of the lock: the key and
+  // the matrix pointer. A hit copies nothing.
+  std::string key;
+  const formats::Csr* matrix = nullptr;
   {
     // One critical section per cache hit: the handle, shape and aliasing
     // checks, the request count and the lookup. A rejected request never
@@ -141,7 +143,7 @@ std::shared_ptr<KernelServer::CacheEntry> KernelServer::get_entry(
     BERNOULLI_CHECK_MSG(
         handle >= 0 && static_cast<std::size_t>(handle) < matrices_.size(),
         "unknown server handle " << handle);
-    rec = matrices_[static_cast<std::size_t>(handle)];
+    const MatrixRec& rec = matrices_[static_cast<std::size_t>(handle)];
     const std::size_t rows = static_cast<std::size_t>(rec.matrix->rows());
     const std::size_t cols = static_cast<std::size_t>(rec.matrix->cols());
     BERNOULLI_CHECK_MSG(x.size() == cols && y.size() == rows,
@@ -166,21 +168,23 @@ std::shared_ptr<KernelServer::CacheEntry> KernelServer::get_entry(
     }
     ++stats_.cache_misses;
     misses_counter_.add(1);
+    key = rec.key;
+    matrix = rec.matrix;
   }
 
   // Build outside the lock (compile + link is the expensive part); two
   // threads missing the same key may both build, the second one's work is
   // dropped in favor of the published entry.
-  std::shared_ptr<CacheEntry> built = build_entry(rec);
+  std::shared_ptr<CacheEntry> built = build_entry(*matrix);
 
   const std::lock_guard<std::mutex> lk(cache_mu_);
-  auto it = cache_.find(rec.key);
+  auto it = cache_.find(key);
   if (it != cache_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return it->second.entry;
   }
-  lru_.push_front(rec.key);
-  cache_[rec.key] = {built, lru_.begin()};
+  lru_.push_front(key);
+  cache_[key] = {built, lru_.begin()};
   while (cache_.size() > opts_.plan_cache_capacity) {
     const std::string victim = lru_.back();
     lru_.pop_back();

@@ -103,7 +103,7 @@ class KernelServer {
 
   std::shared_ptr<CacheEntry> get_entry(int handle, ConstVectorView x,
                                         VectorView y);
-  static std::shared_ptr<CacheEntry> build_entry(const MatrixRec& rec);
+  static std::shared_ptr<CacheEntry> build_entry(const formats::Csr& m);
   static void run_single(CacheEntry& e, ConstVectorView x, VectorView y);
 
   ServerOptions opts_;

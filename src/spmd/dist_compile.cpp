@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/error.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -42,51 +41,16 @@ std::string DistKernel::explain_json(int indent) const {
 DistKernel compile_dist_matvec(runtime::Process& p, const Csr& a,
                                const Distribution& rows) {
   support::TraceSpan span("compile_dist_matvec", "spmd");
-  BERNOULLI_CHECK(a.rows() == a.cols());
-  // Reuse the inspector machinery to obtain the localized fragment and
-  // the communication schedule (collocation of A and Y on the row
+  // The Bernoulli-Mixed inspector yields the localized fragment and the
+  // communication schedule (collocation of A and Y on the row
   // distribution is what lets the fragment's rows stay purely local —
-  // Eq. 20); then compile the local DENSE program against the fragment.
-  DistSpmv built = build_dist_spmv(p, a, rows, Variant::kBernoulliMixed);
+  // Eq. 20); then compile the local DENSE program against the fragment,
+  // a single A' whose columns address x_full slots directly.
+  FusedFragment frag = build_fused_fragment(p, a, rows);
 
   DistKernel k;
-  k.sched_ = std::move(built.sched);
-
-  // Fuse the local and non-local parts into one localized fragment: the
-  // compiled local query iterates a single A' whose columns address
-  // x_full slots directly. Every array is sized from the parts' row
-  // pointers before it is filled.
-  {
-    const Csr& loc = built.a_local;
-    const Csr& nl = built.a_nonlocal;
-    const index_t m = loc.rows();
-    const auto lp = loc.rowptr();
-    const auto np = nl.rowptr();
-    std::vector<index_t> ptr(static_cast<std::size_t>(m) + 1);
-    for (std::size_t i = 0; i < ptr.size(); ++i) ptr[i] = lp[i] + np[i];
-    std::vector<index_t> ind(static_cast<std::size_t>(ptr.back()));
-    std::vector<value_t> vals(ind.size());
-    for (index_t i = 0; i < m; ++i) {
-      // Local columns (< owned) precede ghost slots (>= owned), so the
-      // concatenation stays sorted.
-      const auto at =
-          static_cast<std::ptrdiff_t>(ptr[static_cast<std::size_t>(i)]);
-      auto lc = loc.row_cols(i);
-      auto lv = loc.row_vals(i);
-      auto nc = nl.row_cols(i);
-      auto nv = nl.row_vals(i);
-      std::copy(nc.begin(), nc.end(),
-                std::copy(lc.begin(), lc.end(), ind.begin() + at));
-      std::copy(nv.begin(), nv.end(),
-                std::copy(lv.begin(), lv.end(), vals.begin() + at));
-    }
-    k.local_ = std::make_shared<Csr>(m, k.sched_.full_size(), std::move(ptr),
-                                     std::move(ind), std::move(vals));
-  }
-  // The split parts are copied into the fragment; free them before the
-  // local compile allocates.
-  built = DistSpmv{};
-
+  k.sched_ = std::move(frag.sched);
+  k.local_ = std::make_shared<Csr>(std::move(frag.a));
   k.x_full_ = std::make_shared<Vector>(
       static_cast<std::size_t>(k.sched_.full_size()), 0.0);
   k.y_ = std::make_shared<Vector>(static_cast<std::size_t>(k.sched_.owned),

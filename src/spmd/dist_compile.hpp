@@ -73,10 +73,9 @@ class DistKernel {
 /// Collective. Compiles Y(i) += A(i,j) * X(j) for row-aligned A, X, Y
 /// under `rows`. The global matrix `a` is read only during this call.
 /// After it, the kernel keeps exactly: the fused localized fragment
-/// (fragment(), exactly sized), the communication schedule, the x_full
-/// (owned + ghost) and local y buffers, and the bindings and compiled
-/// plan over them. The inspector's split parts are freed before the
-/// local compile.
+/// (fragment(), from build_fused_fragment: only A_SNL is allocated on the
+/// way), the communication schedule, the x_full (owned + ghost) and local
+/// y buffers, and the bindings and compiled plan over them.
 DistKernel compile_dist_matvec(runtime::Process& p, const formats::Csr& a,
                                const distrib::Distribution& rows);
 

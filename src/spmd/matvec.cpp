@@ -1,6 +1,7 @@
 #include "spmd/matvec.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_map>
 
 #include "compiler/executor.hpp"
@@ -41,34 +42,65 @@ namespace {
 
 constexpr int kRequestTag = 9201;
 
-// Local fragment of the (replicated) global matrix: my rows, renumbered to
-// local offsets; columns stay global. Pure data layout — every variant
-// starts from this, so it is outside the timed inspector window.
-Csr extract_fragment(const Csr& a, const Distribution& rows, int me) {
-  auto mine = rows.owned_indices(me);
-  std::vector<index_t> rowptr(mine.size() + 1, 0);
-  for (std::size_t r = 0; r < mine.size(); ++r)
-    rowptr[r + 1] =
-        rowptr[r] + static_cast<index_t>(a.row_cols(mine[r]).size());
-  std::vector<index_t> colind(static_cast<std::size_t>(rowptr.back()));
-  std::vector<value_t> vals(colind.size());
-  for (std::size_t r = 0; r < mine.size(); ++r) {
-    auto cols = a.row_cols(mine[r]);
-    auto v = a.row_vals(mine[r]);
-    std::copy(cols.begin(), cols.end(), colind.begin() + rowptr[r]);
-    std::copy(v.begin(), v.end(), vals.begin() + rowptr[r]);
+// The assembly pass of the fragmentation equation (Eq. 15): reads this
+// rank's rows of the global matrix (`mine`, local-offset order) once to
+// count and once to fill exactly sized CSR arrays. owned_col(j) is owned
+// column j's column in the owned part, -1 for any other j; those entries
+// go to the other part with global columns. A null part is not written.
+// `tail`, if given, holds exactly each row's other entries (translated);
+// each owned row is then followed by tail's row: the fused fragment.
+template <class OwnedCol>
+void cut_rows(const Csr& a, std::span<const index_t> mine,
+              const OwnedCol& owned_col, Csr* owned, index_t owned_width,
+              Csr* other, const Csr* tail = nullptr) {
+  const std::size_t m = mine.size();
+  std::vector<index_t> optr(m + 1, 0), nptr(m + 1, 0);
+  for (std::size_t r = 0; r < m; ++r) {
+    const auto len = static_cast<index_t>(a.row_cols(mine[r]).size());
+    index_t n_owned = 0;
+    if (tail)
+      n_owned = len - (tail->rowptr()[r + 1] - tail->rowptr()[r]);
+    else
+      for (index_t j : a.row_cols(mine[r])) n_owned += owned_col(j) >= 0;
+    optr[r + 1] = optr[r] + (tail ? len : n_owned);
+    nptr[r + 1] = nptr[r] + len - n_owned;
   }
-  return Csr(static_cast<index_t>(mine.size()), a.cols(), std::move(rowptr),
-             std::move(colind), std::move(vals));
+  std::vector<index_t> oc(owned ? static_cast<std::size_t>(optr.back()) : 0);
+  std::vector<index_t> nc(other ? static_cast<std::size_t>(nptr.back()) : 0);
+  std::vector<value_t> ov(oc.size()), nv(nc.size());
+  for (std::size_t r = 0; r < m; ++r) {
+    auto cols = a.row_cols(mine[r]);
+    auto vals = a.row_vals(mine[r]);
+    auto o = static_cast<std::size_t>(optr[r]);
+    auto n = static_cast<std::size_t>(nptr[r]);
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      const index_t c = owned_col(cols[k]);
+      if (c >= 0 && owned) {
+        oc[o] = c;
+        ov[o++] = vals[k];
+      } else if (c < 0 && other) {
+        nc[n] = cols[k];
+        nv[n++] = vals[k];
+      }
+    }
+    if (!tail) continue;
+    std::ranges::copy(tail->row_cols(static_cast<index_t>(r)), oc.data() + o);
+    std::ranges::copy(tail->row_vals(static_cast<index_t>(r)), ov.data() + o);
+  }
+  const auto rows = static_cast<index_t>(m);
+  if (owned)
+    *owned = Csr(rows, owned_width, std::move(optr), std::move(oc),
+                 std::move(ov));
+  if (other)
+    *other = Csr(rows, a.cols(), std::move(nptr), std::move(nc), std::move(nv));
 }
 
-// Sizes a CSR part of at most `nnz` entries over `m` rows before it is
-// filled by push_back, so no reallocation chain leaves freed copies behind.
-void reserve_split(index_t m, index_t nnz, std::vector<index_t>& ptr,
-                   std::vector<index_t>& ind, std::vector<value_t>& vals) {
-  ptr.reserve(static_cast<std::size_t>(m) + 1);
-  ind.reserve(static_cast<std::size_t>(nnz));
-  vals.reserve(static_cast<std::size_t>(nnz));
+// The mixed parts' owned-column map: j's local offset here, or -1.
+auto local_col(const Distribution& rows, int me) {
+  return [&rows, me](index_t j) {
+    const OwnerLocal ol = rows.owner_local(j);
+    return ol.owner == me ? ol.local : index_t{-1};
+  };
 }
 
 // Used(p) computed through the RELATIONAL machinery (paper Eq. 21): the
@@ -102,16 +134,169 @@ std::vector<index_t> used_columns_relational(const Csr& frag) {
 }
 
 // Used(p) the hand-written way: one direct pass over the column indices.
-std::vector<index_t> used_columns_direct(const Csr& frag) {
-  std::vector<index_t> used(frag.colind().begin(), frag.colind().end());
+std::vector<index_t> used_columns_direct(std::vector<index_t> used) {
   std::sort(used.begin(), used.end());
   used.erase(std::unique(used.begin(), used.end()), used.end());
   return used;
 }
 
-}  // namespace
+// The inspector's product and the virtual seconds of its timed window.
+struct Inspection {
+  CommSchedule sched;
+  std::unordered_map<index_t, index_t> slot_of;  // ghost j -> x_full slot
+  double vtime = 0.0;
+};
 
-namespace {
+// The inspector proper, inside the timed window Table 3 reports: Used(p),
+// ownership, ghost layout, requests and the schedule, then `translate`
+// (the variant's index-translation step). The mixed variants read only
+// `snl` (A_SNL, global columns); the naive ones every owned row of `a`.
+// Its transients (Used, owners, requests) are freed on return.
+template <class Translate>
+Inspection inspect(runtime::Process& p, const Csr& a,
+                   std::span<const index_t> mine, const Distribution& rows,
+                   Variant variant, const Csr& snl, Translate&& translate) {
+  const int P = p.nprocs();
+  const int me = p.rank();
+  const auto m = static_cast<index_t>(mine.size());
+  Inspection out;
+
+  p.barrier();  // exclude prep skew from the timed window
+  support::PhaseScope phase("inspector");
+  support::TraceSpan insp_span("inspector", "spmd");
+  insp_span.arg("variant", variant_name(variant));
+  const double inspector_t0 = p.virtual_time();
+
+  // 1. Used(p): which global x indices must be resolved.
+  //    - naive: EVERY referenced index, via a direct pass over every
+  //      column of the owned rows (work ~ local problem size);
+  //    - Bernoulli-Mixed / Indirect-Mixed: relational query over A_SNL
+  //      only (work ~ boundary);
+  //    - BlockSolve: direct pass over A_SNL.
+  std::vector<index_t> used;
+  {
+    support::TraceSpan step("inspector.used", "spmd");
+    p.solo([&] {
+      if (variant == Variant::kBlockSolve) {
+        used = used_columns_direct({snl.colind().begin(), snl.colind().end()});
+      } else if (variant_is_naive(variant)) {
+        // The generated fully-data-parallel inspector is also compiled code
+        // (kernel-library transcription of the emitted query); what makes
+        // it an order of magnitude more expensive than the mixed inspector
+        // is its reference VOLUME — it enumerates every reference in the
+        // fragment (plus the O(N) translation below), not just A_SNL's.
+        std::vector<index_t> cols;
+        for (index_t g : mine)
+          cols.insert(cols.end(), a.row_cols(g).begin(), a.row_cols(g).end());
+        used = used_columns_direct(std::move(cols));
+      } else {
+        used = used_columns_relational(snl);
+      }
+    });
+    step.arg("used", static_cast<long long>(used.size()));
+  }
+
+  // 2. Ownership of the used indices: local lookups against the
+  //    replicated distribution relation, or collective queries against the
+  //    Chaos distributed translation table (build + query all-to-alls).
+  std::vector<OwnerLocal> owners(used.size());
+  {
+    support::TraceSpan step("inspector.ownership", "spmd");
+    step.arg("chaos", variant_uses_chaos(variant));
+    if (variant_uses_chaos(variant)) {
+      distrib::ChaosTranslationTable table(p, a.cols(), mine);
+      owners = table.query(p, used);
+    } else {
+      for (std::size_t k = 0; k < used.size(); ++k)
+        owners[k] = rows.owner_local(used[k]);
+    }
+  }
+
+  // 3. Ghost layout: non-local used indices grouped by owner (ascending
+  //    global index within each owner — `used` is already sorted).
+  CommSchedule& sched = out.sched;
+  sched.nprocs = P;
+  sched.owned = m;
+  sched.send_local.assign(static_cast<std::size_t>(P), {});
+  sched.recv_count.assign(static_cast<std::size_t>(P), 0);
+  sched.ghost_base.assign(static_cast<std::size_t>(P), 0);
+
+  std::vector<std::vector<index_t>> need(static_cast<std::size_t>(P));
+  {
+    support::TraceSpan step("inspector.ghost_layout", "spmd");
+    p.solo([&] {
+      for (std::size_t k = 0; k < used.size(); ++k) {
+        if (owners[k].owner == me) continue;  // naive variants: local j here
+        need[static_cast<std::size_t>(owners[k].owner)].push_back(used[k]);
+      }
+      index_t next_slot = m;
+      for (int q = 0; q < P; ++q) {
+        sched.ghost_base[static_cast<std::size_t>(q)] = next_slot;
+        sched.recv_count[static_cast<std::size_t>(q)] =
+            static_cast<index_t>(need[static_cast<std::size_t>(q)].size());
+        for (index_t j : need[static_cast<std::size_t>(q)])
+          out.slot_of.emplace(j, next_slot++);
+      }
+      sched.ghosts = next_slot - m;
+    });
+    step.arg("ghosts", static_cast<long long>(sched.ghosts));
+  }
+
+  // 4. Tell each owner what we need (RecvInd -> their send lists).
+  {
+    support::TraceSpan step("inspector.requests", "spmd");
+    auto requests = p.alltoallv(need, kRequestTag);
+    p.solo([&] {
+      for (int q = 0; q < P; ++q) {
+        auto& list = sched.send_local[static_cast<std::size_t>(q)];
+        list.reserve(requests[static_cast<std::size_t>(q)].size());
+        for (index_t j : requests[static_cast<std::size_t>(q)]) {
+          const OwnerLocal ol = rows.owner_local(j);
+          BERNOULLI_CHECK_MSG(ol.owner == me, "rank " << q << " requested " << j
+                                                      << " which rank " << me
+                                                      << " does not own");
+          list.push_back(ol.local);
+        }
+      }
+      sched.validate();
+    });
+  }
+
+  // 5. Index-translation application.
+  support::TraceSpan translate_step("inspector.translate", "spmd");
+  p.solo([&] { translate(out); });
+  out.vtime = p.virtual_time() - inspector_t0;
+  return out;
+}
+
+// Mixed variants: cuts A_SNL, the only intermediate (and a_local, when
+// asked), then inspects it; the translation renumbers A_SNL to ghost slots
+// in place, re-sorting rows: slots follow (owner, global) order. Local
+// offsets ascend with global indices inside one owner for every
+// distribution in distrib/, so a_local's rows stay sorted (Csr validates).
+Csr inspect_mixed(runtime::Process& p, const Csr& a, const Distribution& rows,
+                  std::span<const index_t> mine, Variant variant,
+                  Csr* a_local, Inspection& ins) {
+  Csr snl;
+  cut_rows(a, mine, local_col(rows, p.rank()), a_local,
+           static_cast<index_t>(mine.size()), &snl);
+  ins = inspect(p, a, mine, rows, variant, snl, [&](const Inspection& in) {
+    auto [ptr, ind, vals] = std::move(snl).release();
+    std::vector<std::pair<index_t, value_t>> row;
+    for (std::size_t i = 0; i + 1 < ptr.size(); ++i) {
+      const auto b = static_cast<std::size_t>(ptr[i]);
+      row.clear();
+      for (auto k = b; k < static_cast<std::size_t>(ptr[i + 1]); ++k)
+        row.emplace_back(in.slot_of.at(ind[k]), vals[k]);
+      std::sort(row.begin(), row.end());
+      for (std::size_t k = 0; k < row.size(); ++k)
+        std::tie(ind[b + k], vals[b + k]) = row[k];
+    }
+    snl = Csr(in.sched.owned, in.sched.full_size(), std::move(ptr),
+              std::move(ind), std::move(vals));
+  });
+  return snl;
+}
 
 // One pass of the naive (fully data-parallel) kernel: every x reference
 // resolves through the global-to-slot translation.
@@ -184,229 +369,61 @@ DistSpmv build_dist_spmv(runtime::Process& p, const Csr& a,
                          const Distribution& rows, Variant variant) {
   BERNOULLI_CHECK(a.rows() == a.cols());
   BERNOULLI_CHECK(rows.global_size() == a.rows());
-  const int P = p.nprocs();
-  const int me = p.rank();
-  const index_t N = a.cols();
-
+  const std::vector<index_t> mine = rows.owned_indices(p.rank());
   DistSpmv out;
   out.variant = variant;
-  const bool naive = variant_is_naive(variant);
+  Inspection ins;
 
-  // ---- Untimed preparation (matrix assembly / storage layout) ----------
   // The paper's inspector/executor split charges data-structure assembly
   // to matrix setup: the BlockSolve library *stores* A split into local
   // and non-local parts with local indices, and every implementation gets
   // its fragment for free. What Table 3 contrasts is the work needed to
   // build communication sets and index translations.
-  Csr frag = extract_fragment(a, rows, me);
-  const index_t m = frag.rows();
-
-  auto my_rows = rows.owned_indices(me);
-  std::unordered_map<index_t, index_t> my_local;
-  my_local.reserve(my_rows.size());
-  for (std::size_t k = 0; k < my_rows.size(); ++k)
-    my_local.emplace(my_rows[k], static_cast<index_t>(k));
-  auto is_mine = [&](index_t j) { return my_local.count(j) != 0; };
-
-  Csr frag_snl;  // mixed variants: the A_SNL storage (global columns)
-  if (!naive) {
-    // a_local = A_D + A_SL with pre-localized columns (library storage),
-    // frag_snl = A_SNL with global columns awaiting translation.
-    // Either part holds at most the fragment's nnz; capacity the split
-    // leaves unused is never touched and costs no resident memory.
-    std::vector<index_t> lp{0}, lc, sp{0}, sc;
-    std::vector<value_t> lv, sv;
-    reserve_split(m, frag.nnz(), lp, lc, lv);
-    reserve_split(m, frag.nnz(), sp, sc, sv);
-    for (index_t i = 0; i < m; ++i) {
-      auto cols = frag.row_cols(i);
-      auto vals = frag.row_vals(i);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        auto mine = my_local.find(cols[k]);
-        if (mine != my_local.end()) {
-          lc.push_back(mine->second);
-          lv.push_back(vals[k]);
-        } else {
-          sc.push_back(cols[k]);
-          sv.push_back(vals[k]);
-        }
-      }
-      lp.push_back(static_cast<index_t>(lc.size()));
-      sp.push_back(static_cast<index_t>(sc.size()));
-    }
-    // Local offsets ascend with global indices inside one owner for every
-    // distribution in distrib/, so rows stay sorted; assert via validate.
-    out.a_local = Csr(m, m, std::move(lp), std::move(lc), std::move(lv));
-    frag_snl = Csr(m, N, std::move(sp), std::move(sc), std::move(sv));
-  }
-
-  p.barrier();  // exclude prep skew from the timed window
-  support::PhaseScope phase("inspector");
-  support::TraceSpan insp_span("inspector", "spmd");
-  insp_span.arg("variant", variant_name(variant));
-  const double inspector_t0 = p.virtual_time();
-
-  // ---- Inspector proper -------------------------------------------------
-  // 1. Used(p): which global x indices must be resolved.
-  //    - naive: EVERY referenced index, via the relational query over the
-  //      whole fragment (work ~ local problem size);
-  //    - Bernoulli-Mixed / Indirect-Mixed: relational query over A_SNL
-  //      only (work ~ boundary);
-  //    - BlockSolve: direct pass over A_SNL.
-  std::vector<index_t> used;
-  {
-    support::TraceSpan step("inspector.used", "spmd");
-    p.solo([&] {
-      if (variant == Variant::kBlockSolve) {
-        used = used_columns_direct(frag_snl);
-      } else if (naive) {
-        // The generated fully-data-parallel inspector is also compiled code
-        // (kernel-library transcription of the emitted query); what makes
-        // it an order of magnitude more expensive than the mixed inspector
-        // is its reference VOLUME — it enumerates every reference in the
-        // fragment (plus the O(N) translation below), not just A_SNL's.
-        used = used_columns_direct(frag);
-      } else {
-        used = used_columns_relational(frag_snl);
-      }
-    });
-    step.arg("used", static_cast<long long>(used.size()));
-  }
-
-  // 2. Ownership of the used indices: local lookups against the
-  //    replicated distribution relation, or collective queries against the
-  //    Chaos distributed translation table (build + query all-to-alls).
-  std::vector<OwnerLocal> owners(used.size());
-  {
-    support::TraceSpan step("inspector.ownership", "spmd");
-    step.arg("chaos", variant_uses_chaos(variant));
-    if (variant_uses_chaos(variant)) {
-      distrib::ChaosTranslationTable table(p, N, my_rows);
-      owners = table.query(p, used);
-    } else {
-      for (std::size_t k = 0; k < used.size(); ++k)
-        owners[k] = rows.owner_local(used[k]);
-    }
-  }
-
-  // 3. Ghost layout: non-local used indices grouped by owner (ascending
-  //    global index within each owner — `used` is already sorted).
-  out.sched.nprocs = P;
-  out.sched.owned = m;
-  out.sched.send_local.assign(static_cast<std::size_t>(P), {});
-  out.sched.recv_count.assign(static_cast<std::size_t>(P), 0);
-  out.sched.ghost_base.assign(static_cast<std::size_t>(P), 0);
-
-  std::vector<std::vector<index_t>> need(static_cast<std::size_t>(P));
-  std::unordered_map<index_t, index_t> slot_of;  // global j -> x_full slot
-  {
-    support::TraceSpan step("inspector.ghost_layout", "spmd");
-    p.solo([&] {
-      for (std::size_t k = 0; k < used.size(); ++k) {
-        if (owners[k].owner == me) continue;  // naive variants: local j here
-        need[static_cast<std::size_t>(owners[k].owner)].push_back(used[k]);
-      }
-      index_t next_slot = m;
-      for (int q = 0; q < P; ++q) {
-        out.sched.ghost_base[static_cast<std::size_t>(q)] = next_slot;
-        out.sched.recv_count[static_cast<std::size_t>(q)] =
-            static_cast<index_t>(need[static_cast<std::size_t>(q)].size());
-        for (index_t j : need[static_cast<std::size_t>(q)])
-          slot_of.emplace(j, next_slot++);
-      }
-      out.sched.ghosts = next_slot - m;
-    });
-    step.arg("ghosts", static_cast<long long>(out.sched.ghosts));
-  }
-
-  // 4. Tell each owner what we need (RecvInd -> their send lists).
-  {
-    support::TraceSpan step("inspector.requests", "spmd");
-    auto requests = p.alltoallv(need, kRequestTag);
-    p.solo([&] {
-      for (int q = 0; q < P; ++q) {
-        auto& list = out.sched.send_local[static_cast<std::size_t>(q)];
-        list.reserve(requests[static_cast<std::size_t>(q)].size());
-        for (index_t j : requests[static_cast<std::size_t>(q)]) {
-          auto it = my_local.find(j);
-          BERNOULLI_CHECK_MSG(it != my_local.end(),
-                              "rank " << q << " requested " << j
-                                      << " which rank " << me
-                                      << " does not own");
-          list.push_back(it->second);
-        }
-      }
-      out.sched.validate();
-    });
-  }
-
-  // 5. Index-translation application.
-  support::TraceSpan translate_step("inspector.translate", "spmd");
-  p.solo([&] {
-  if (naive) {
-    // The fully data-parallel code discovers locality per reference: build
-    // the full global->slot translation (O(N) memory and work per rank)
-    // and split the three products by looking every column up — the
-    // "redundant work to discover that most references are local".
-    out.xtrans.assign(static_cast<std::size_t>(N), -1);
-    for (index_t j = 0; j < N; ++j) {
-      auto mine = my_local.find(j);
-      if (mine != my_local.end()) {
-        out.xtrans[static_cast<std::size_t>(j)] = mine->second;
-      } else {
-        auto ghost = slot_of.find(j);
-        if (ghost != slot_of.end())
-          out.xtrans[static_cast<std::size_t>(j)] = ghost->second;
-      }
-    }
-    std::vector<index_t> lp{0}, lc, np{0}, nc;
-    std::vector<value_t> lv, nv;
-    reserve_split(m, frag.nnz(), lp, lc, lv);
-    reserve_split(m, frag.nnz(), np, nc, nv);
-    for (index_t i = 0; i < m; ++i) {
-      auto cols = frag.row_cols(i);
-      auto vals = frag.row_vals(i);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        if (is_mine(cols[k])) {
-          lc.push_back(cols[k]);
-          lv.push_back(vals[k]);
-        } else {
-          nc.push_back(cols[k]);
-          nv.push_back(vals[k]);
-        }
-      }
-      lp.push_back(static_cast<index_t>(lc.size()));
-      np.push_back(static_cast<index_t>(nc.size()));
-    }
-    out.a_local = Csr(m, N, std::move(lp), std::move(lc), std::move(lv));
-    out.a_nonlocal = Csr(m, N, std::move(np), std::move(nc), std::move(nv));
-  } else {
-    // Mixed: only A_SNL's columns are translated (to ghost slots).
-    std::vector<index_t> np{0}, nc;
-    std::vector<value_t> nv;
-    reserve_split(m, frag_snl.nnz(), np, nc, nv);
-    std::vector<std::pair<index_t, value_t>> row;
-    for (index_t i = 0; i < m; ++i) {
-      auto cols = frag_snl.row_cols(i);
-      auto vals = frag_snl.row_vals(i);
-      row.clear();
-      for (std::size_t k = 0; k < cols.size(); ++k)
-        row.emplace_back(slot_of.at(cols[k]), vals[k]);
-      // Ghost slots follow (owner, global) order, not global order, so the
-      // row is re-sorted to keep the CSR invariant.
-      std::sort(row.begin(), row.end());
-      for (auto& [c, v] : row) {
-        nc.push_back(c);
-        nv.push_back(v);
-      }
-      np.push_back(static_cast<index_t>(nc.size()));
-    }
-    const index_t width = out.sched.full_size();
+  if (!variant_is_naive(variant)) {
     out.a_nonlocal =
-        Csr(m, width, std::move(np), std::move(nc), std::move(nv));
+        inspect_mixed(p, a, rows, mine, variant, &out.a_local, ins);
+  } else {
+    // The naive variants find locality through a hash of the owned rows.
+    std::unordered_map<index_t, index_t> my_local;
+    my_local.reserve(mine.size());
+    for (std::size_t k = 0; k < mine.size(); ++k)
+      my_local.emplace(mine[k], static_cast<index_t>(k));
+    ins = inspect(p, a, mine, rows, variant, Csr(), [&](const Inspection& in) {
+      // The fully data-parallel code discovers locality per reference:
+      // build the full global->slot translation (O(N) memory and work per
+      // rank) and split the three products by looking every column up —
+      // the "redundant work to discover that most references are local".
+      // Both parts keep global columns.
+      out.xtrans.assign(static_cast<std::size_t>(a.cols()), -1);
+      for (index_t j = 0; j < a.cols(); ++j) {
+        index_t& slot = out.xtrans[static_cast<std::size_t>(j)];
+        if (auto own = my_local.find(j); own != my_local.end())
+          slot = own->second;
+        else if (auto g = in.slot_of.find(j); g != in.slot_of.end())
+          slot = g->second;
+      }
+      cut_rows(
+          a, mine,
+          [&](index_t j) { return my_local.count(j) ? j : index_t{-1}; },
+          &out.a_local, a.cols(), &out.a_nonlocal);
+    });
   }
-  });
-  out.inspector_vtime = p.virtual_time() - inspector_t0;
+  out.sched = std::move(ins.sched);
+  out.inspector_vtime = ins.vtime;
+  return out;
+}
+
+FusedFragment build_fused_fragment(runtime::Process& p, const Csr& a,
+                                   const Distribution& rows) {
+  BERNOULLI_CHECK(a.rows() == a.cols());
+  BERNOULLI_CHECK(rows.global_size() == a.rows());
+  const std::vector<index_t> mine = rows.owned_indices(p.rank());
+  Inspection ins;
+  const Csr snl = inspect_mixed(p, a, rows, mine, Variant::kBernoulliMixed,
+                                nullptr, ins);
+  FusedFragment out{std::move(ins.sched), {}};
+  cut_rows(a, mine, local_col(rows, p.rank()), &out.a, out.sched.full_size(),
+           nullptr, &snl);
   return out;
 }
 

@@ -101,7 +101,26 @@ struct DistSpmv {
 /// communication is for ownership resolution and x values). `rows`
 /// distributes rows of A, x and y identically (the aligned case of
 /// Eq. 20); the matrix must be square.
+///
+/// Each rank reads only its own rows of `a` and writes every array once,
+/// exactly sized. Mixed variants cut a_local (pre-localized) and A_SNL
+/// (global columns) before the timed window (inspector_vtime), whose last
+/// step renumbers A_SNL to ghost slots in place: it becomes a_nonlocal.
+/// Naive variants build xtrans (O(N)) and cut both parts, global columns,
+/// inside the window. Only the schedule, the parts and xtrans are kept.
 DistSpmv build_dist_spmv(runtime::Process& p, const formats::Csr& a,
                          const distrib::Distribution& rows, Variant variant);
+
+/// Collective; compile_dist_matvec's inspector. The Bernoulli-Mixed
+/// schedule, and per local row the owned entries (local offsets) then the
+/// ghost entries (x_full slots): bitwise build_dist_spmv(kBernoulliMixed)'s
+/// parts concatenated. Only A_SNL is allocated on the way (and freed); the
+/// fragment is cut from the global rows in one exactly sized pass.
+struct FusedFragment {
+  CommSchedule sched;
+  formats::Csr a;
+};
+FusedFragment build_fused_fragment(runtime::Process& p, const formats::Csr& a,
+                                   const distrib::Distribution& rows);
 
 }  // namespace bernoulli::spmd

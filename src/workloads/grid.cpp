@@ -22,10 +22,14 @@ GridMatrix assemble(index_t num_points,
   SplitMix64 rng(seed);
   const index_t n = num_points * dof;
   formats::TripletBuilder b(n, n);
+  // Exactly: a dof x dof block each way per edge, one per point.
+  const auto block_entries =
+      static_cast<std::size_t>(dof) * static_cast<std::size_t>(dof);
+  b.reserve((2 * edges.size() + static_cast<std::size_t>(num_points)) *
+            block_entries);
 
   std::vector<value_t> rowsum(static_cast<std::size_t>(n), 0.0);
-  std::vector<value_t> block(static_cast<std::size_t>(dof) *
-                             static_cast<std::size_t>(dof));
+  std::vector<value_t> block(block_entries);
   for (auto [p, q] : edges) {
     for (auto& v : block) v = rng.next_double(-1.0, 0.0);  // negative couplings
     for (index_t r = 0; r < dof; ++r) {

@@ -213,7 +213,8 @@ TEST(DistCompile, EmitsLocalProgram) {
 
 TEST(DistCompile, FusedFragmentConcatenatesTheSplitParts) {
   // The compiled kernel's fragment is, row by row, build_dist_spmv's
-  // a_local (owned columns) followed by its a_nonlocal (ghost slots).
+  // a_local (owned columns) followed by its a_nonlocal (ghost slots), and
+  // both inspectors build the same schedule.
   auto g = workloads::grid3d_7pt(4, 4, 3, 2, 86);
   Csr a = Csr::from_coo(g.matrix);
   const index_t n = a.rows();
@@ -252,6 +253,13 @@ TEST(DistCompile, FusedFragmentConcatenatesTheSplitParts) {
                                        frag.colind().end()),
                   ind);
         EXPECT_EQ(Vector(frag.vals().begin(), frag.vals().end()), vals);
+        const CommSchedule& s = k.schedule();
+        EXPECT_EQ(s.nprocs, split.sched.nprocs);
+        EXPECT_EQ(s.owned, split.sched.owned);
+        EXPECT_EQ(s.ghosts, split.sched.ghosts);
+        EXPECT_EQ(s.send_local, split.sched.send_local);
+        EXPECT_EQ(s.recv_count, split.sched.recv_count);
+        EXPECT_EQ(s.ghost_base, split.sched.ghost_base);
       });
     }
   }

@@ -98,6 +98,37 @@ TEST(Csr, Figure1RowAccess) {
   EXPECT_DOUBLE_EQ(a.at(4, 4), 0.0);
 }
 
+template <class T>
+std::vector<T> as_vector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(Csr, FromCooRvalueTakesTheArraysBitwise) {
+  // Duplicates sum during assembly; both overloads see the summed Coo.
+  TripletBuilder b(5, 4);
+  SplitMix64 rng(3);
+  for (int k = 0; k < 40; ++k)
+    b.add(rng.next_index(5), rng.next_index(4), rng.next_double(-1.0, 1.0));
+  b.add(2, 1, 0.5);
+  b.add(2, 1, 0.25);
+  Coo coo = std::move(b).build();
+  const Csr copied = Csr::from_coo(coo);
+  const Csr moved = Csr::from_coo(std::move(coo));
+  EXPECT_EQ(moved.rows(), copied.rows());
+  EXPECT_EQ(moved.cols(), copied.cols());
+  EXPECT_EQ(as_vector(moved.rowptr()), as_vector(copied.rowptr()));
+  EXPECT_EQ(as_vector(moved.colind()), as_vector(copied.colind()));
+  EXPECT_EQ(as_vector(moved.vals()), as_vector(copied.vals()));
+  // The moved-from Coo is a valid empty matrix of its shape.
+  EXPECT_EQ(coo.nnz(), 0);
+  EXPECT_TRUE(coo.rowind().empty());
+  EXPECT_TRUE(coo.colind().empty());
+  EXPECT_EQ(coo.rows(), 5);
+  EXPECT_EQ(coo.cols(), 4);
+  EXPECT_NO_THROW(coo.validate());
+  EXPECT_EQ(Csr::from_coo(std::move(coo)).nnz(), 0);
+}
+
 TEST(Ccs, MatchesPaperFigure1Layout) {
   // Fig. 1(b): CCS of the example matrix. Column 0 holds rows {0,2,5}
   // with values {1,2,3}.
