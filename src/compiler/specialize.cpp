@@ -200,8 +200,10 @@ void SpecializedKernel::run(RunStats* stats) {
     // level's sampled bracket time, extrapolate to all invocations,
     // enforce that inclusive time never exceeds the parent's, and commit
     // self = incl[d] - incl[d+1] under the emitter's drain-kind
-    // attribution. The raw slots carry the derived values, so the
-    // self/inclusive invariant holds by construction for this engine.
+    // attribution. Level 0 and a fused leaf are bracketed exactly, once
+    // per run, so they are not extrapolated. The raw slots carry the
+    // derived values, so the self/inclusive invariant holds by
+    // construction for this engine.
     const int L = static_cast<int>(
         std::min(emission_.num_levels,
                  static_cast<std::size_t>(support::kProfileMaxLevels)));
@@ -212,8 +214,10 @@ void SpecializedKernel::run(RunStats* stats) {
       const long long samp = lvl_ns_[3 * static_cast<std::size_t>(d) + 1];
       if (samp <= 0) continue;
       const long long comp = std::max(0LL, raw - samp * timer);
+      const bool exact =
+          d == 0 || emission_.leaf_form != LeafForm::kPerElement;
       const long long invocations =
-          d == 0 ? 1 : lvl_prod_[static_cast<std::size_t>(d - 1)];
+          exact ? 1 : lvl_prod_[static_cast<std::size_t>(d - 1)];
       incl[d] = static_cast<long long>(static_cast<double>(comp) /
                                        static_cast<double>(samp) *
                                        static_cast<double>(invocations));

@@ -736,9 +736,21 @@ TEST_P(RungHarness, EveryRungMatchesTheInterpreter) {
   const Case& c = GetParam();
   const Problem p = make_problem(c);
   ExtraRungs extra;
+  // The emitted C also on the edge shapes of every storage with a fused
+  // leaf form: empty ranges and constant extents of 0 or 1 row.
+  const bool fused_storage = c.storage == Storage::kCsr ||
+                             c.storage == Storage::kCcs ||
+                             c.storage == Storage::kSell ||
+                             block_of(c.storage) > 0;
+  const bool edge_shape =
+      c.shape == Shape::kLeadingEmptyRows ||
+      c.shape == Shape::kTrailingEmptyRows || c.shape == Shape::kAllEmpty ||
+      c.shape == Shape::kNoRows || c.shape == Shape::kNoColumns ||
+      c.shape == Shape::kOneDenseRow;
   extra.specialized =
       c.shape == Shape::kParetoRows ||
-      (c.shape == Shape::kBlockRowTail && block_of(c.storage) > 0);
+      (c.shape == Shape::kBlockRowTail && block_of(c.storage) > 0) ||
+      (fused_storage && edge_shape);
   extra.server = c.storage == Storage::kCsr && c.mac == Mac::kUnit &&
                  c.planning == Planning::kFree &&
                  p.coo.rows() == p.rows && p.coo.cols() == p.cols;
