@@ -1,10 +1,12 @@
-// Allocation budget of distributed set-up: compile_dist_matvec may hold at
+// Allocation budgets. Distributed set-up: compile_dist_matvec may hold at
 // most 1.5x the bytes its kernels keep (plus a fixed slack) at any moment,
 // so the inspector cannot copy a rank's fragment on the way to keeping it.
+// Linked runs: after a runner's first run of a fused pair, later runs
+// allocate nothing.
 //
 // Every form of the global operator new/delete is replaced in this binary
-// by a counting hook that tracks live and peak heap bytes, so this file
-// runs as a test executable of its own.
+// by a counting hook that tracks allocations and live and peak heap bytes,
+// so this file runs as a test executable of its own.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -16,19 +18,24 @@
 #include <string>
 #include <vector>
 
+#include "compiler/link.hpp"
+#include "compiler/loopnest.hpp"
 #include "distrib/distribution.hpp"
 #include "formats/blocksolve.hpp"
+#include "formats/formats.hpp"
 #include "spmd/dist_compile.hpp"
 #include "workloads/bs_order.hpp"
 #include "workloads/grid.hpp"
 
 namespace {
 
+std::atomic<long long> g_allocs{0};
 std::atomic<long long> g_live{0};
 std::atomic<long long> g_peak{0};
 
 void* counted(void* p) {
   if (p == nullptr) return nullptr;
+  g_allocs.fetch_add(1);
   const long long now =
       g_live.fetch_add(static_cast<long long>(malloc_usable_size(p))) +
       static_cast<long long>(malloc_usable_size(p));
@@ -165,3 +172,43 @@ TEST(SetupMemory, CompileHoldsAtMostOneAndAHalfTimesWhatItKeeps) {
 
 }  // namespace
 }  // namespace bernoulli::spmd
+
+namespace bernoulli::compiler {
+namespace {
+
+TEST(RunMemory, FusedRunsAllocateNothingAfterTheFirst) {
+  const index_t n = 64;
+  formats::TripletBuilder tb(n, n);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t d : {0, 1, 5, 17}) tb.add(i, (i + d) % n, 1.0 + d);
+  const formats::Coo coo = std::move(tb).build();
+  const formats::Csr csr = formats::Csr::from_coo(coo);
+  const formats::Ccs ccs = formats::Ccs::from_coo(coo);
+  const formats::Bsr bsr = formats::Bsr::from_coo(coo, 2);
+  const formats::Sell sell = formats::Sell::from_coo(coo, 8, 32);
+  Vector x(n, 1.0), y(n, 0.0);
+  for (const std::string f : {"csr", "ccs", "bcsr", "sell"}) {
+    SCOPED_TRACE(f);
+    Bindings b;
+    if (f == "csr") b.bind_csr("A", csr);
+    if (f == "ccs") b.bind_ccs("A", ccs);
+    if (f == "bcsr") b.bind_bsr("A", bsr);
+    if (f == "sell") b.bind_sell("A", sell);
+    b.bind_dense_vector("X", ConstVectorView(x));
+    b.bind_dense_vector("Y", VectorView(y));
+    const LoopNest nest{{{"i", n}, {"j", n}},
+                        {{"Y", {"i"}}, {{"A", {"i", "j"}}, {"X", {"j"}}}, 1.0}};
+    const CompiledKernel k = compile(nest, b, {});
+    LinkedRunner runner(link_plan(k.plan(), k.query()));
+    const LinkedMac mac = link_mac(k.query(), 1, {2, 3}, 1.0);
+    ASSERT_NE(leaf_form(runner.linked(), mac), LeafForm::kPerElement);
+    runner.run(mac);
+    const long long before = g_allocs.load();
+    runner.run(mac);
+    runner.run(mac);
+    EXPECT_EQ(g_allocs.load() - before, 0);
+  }
+}
+
+}  // namespace
+}  // namespace bernoulli::compiler
